@@ -65,7 +65,9 @@ from .fredholm import (
     CertificateNotConvergent,
     CertificateVerdict,
     ConvergenceCertificate,
+    DiscreteKernel,
     Grid,
+    InvalidKernel,
     KernelSpec,
     certify_convergence,
     grid_ladder,

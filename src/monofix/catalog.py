@@ -83,8 +83,6 @@ def real_nonneg_monoid() -> MonoidSpec:
         leq=lambda a, b: a <= b,
         sup=max,
         eq=close_eq(),
-        cancellative=True,
-        subtract=lambda a, b: a - b,
     )
 
 
@@ -96,8 +94,6 @@ def real_vector_monoid(dim: int) -> MonoidSpec:
         leq=lambda a, b: bool(np.all(a <= b)),
         sup=np.maximum,
         eq=close_eq(),
-        cancellative=True,
-        subtract=lambda a, b: a - b,
     )
 
 

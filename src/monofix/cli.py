@@ -34,6 +34,7 @@ from .fredholm import (
     CertificateNotConvergent,
     ConvergenceCertificate,
     Grid,
+    InvalidKernel,
     KernelSpec,
     grid_ladder,
     solve_fredholm,
@@ -157,6 +158,7 @@ def certificate_text(cert: ConvergenceCertificate) -> str:
     return (
         f"verdict={cert.verdict.value}\n"
         f"spectral_radius_oracle={cert.spectral_radius!r}\n"
+        f"spectral_bracket={cert.spectral_bracket[0]!r},{cert.spectral_bracket[1]!r}\n"
         f"tail_window_max={cert.tail_window_max!r}\n"
         f"witness_index={cert.witness_index}\n"
         f"overflow={cert.overflow}\n"
@@ -201,6 +203,7 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     kline, kraw = _get(cfg, "kernel")
     parts = kraw.split(None, 1)
     kname = parts[0]
+    qline, qfield = kline, "kernel"
     if kname == "constant":
         if len(parts) != 2:
             raise ConfigError("usage: kernel = constant <c>", line=kline, field="kernel")
@@ -223,6 +226,7 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
         except ExpressionError as exc:
             raise ConfigError(str(exc), line=kline, field="kernel")
         qline, qraw = _get(cfg, "majorant")
+        qfield = "majorant"
         try:
             q = compile_expression(qraw, ("t", "s"))
         except ExpressionError as exc:
@@ -252,6 +256,10 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
             force=force,
             seed=seed,
         )
+    except InvalidKernel as exc:
+        if exc.part == "f":
+            raise ConfigError(str(exc), line=fline, field="f")
+        raise ConfigError(str(exc), line=qline, field=qfield)
     except CertificateNotConvergent as exc:
         cert = exc.certificate
         _write(out, "certificate.csv", certificate_csv(cert))

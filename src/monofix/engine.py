@@ -11,7 +11,7 @@ sampled or orbit-local check failed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -656,15 +656,7 @@ def solve_sequential(
                 else "; cross distances admit no constructed bound"
             )
         )
-        report = SolveReport(
-            status=report.status,
-            fixed_point=report.fixed_point,
-            residual=report.residual,
-            residual_below_rung=report.residual_below_rung,
-            iterations=report.iterations,
-            diagnostics=tuple(extra),
-            trace=report.trace,
-        )
+        report = replace(report, diagnostics=tuple(extra))
     return report
 
 
@@ -738,15 +730,7 @@ def solve_monotone(
                 "supremum-seeded orbit "
                 + ("reaches the same fixed point" if agree else "reaches a DIFFERENT point")
             )
-        report = SolveReport(
-            status=report.status,
-            fixed_point=report.fixed_point,
-            residual=report.residual,
-            residual_below_rung=report.residual_below_rung,
-            iterations=report.iterations,
-            diagnostics=tuple(extra),
-            trace=report.trace,
-        )
+        report = replace(report, diagnostics=tuple(extra))
     return report
 
 

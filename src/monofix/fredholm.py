@@ -3,14 +3,18 @@
 The unknown lives on a quadrature grid; the integral operator becomes a
 weighted matrix.  Before iterating, the solver certifies convergence by
 checking that the series of integrated iterated kernels is Cauchy on the
-grid; the spectral radius of the weighted kernel matrix is computed as an
-independent cross-check but never decides the verdict.  The Picard loop runs
-in the grid-function monoid with the pointwise order: the per-step distance
-is a function on the grid, deliberately not collapsed to one number.
+grid.  The weighted kernel matrix W is nonnegative, so the iterates of that
+series also bracket its spectral radius (Collatz-Wielandt bounds); the
+bracket is recorded as an independent cross-check but never decides the
+verdict.  The discretized operator is assembled once per solve and shared by
+the certificate and the Picard loop, which runs in the grid-function monoid
+with the pointwise order: the per-step distance is a function on the grid,
+deliberately not collapsed to one number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -92,18 +96,26 @@ class ConvergenceCertificate:
     `sup_increments[n]` is the sup norm of the n-th integrated iterated
     kernel on the grid, `sup_partials[n]` the sup norm of the partial sum,
     `partial_sums` the final nodewise partial-sum vector.  The verdict comes
-    from the Cauchy-series check alone; `spectral_radius` is the independent
-    eigenvalue oracle, recorded regardless of the verdict.
+    from the Cauchy-series check alone.  `spectral_bracket` (lo, hi) is the
+    independent oracle, recorded regardless of the verdict: lo <= rho(W) <= hi
+    for the weighted kernel matrix W, from the Collatz-Wielandt quotients of
+    consecutive increments.  It is (0, 0) when W vanishes and (0, inf) when
+    no increment was usable.
     """
 
     partial_sums: np.ndarray
     sup_increments: tuple[float, ...]
     sup_partials: tuple[float, ...]
     tail_window_max: float
-    spectral_radius: float
+    spectral_bracket: tuple[float, float]
     verdict: CertificateVerdict
     overflow: bool = False
     witness_index: Optional[int] = None
+
+    @property
+    def spectral_radius(self) -> float:
+        """The upper end of the spectral bracket."""
+        return self.spectral_bracket[1]
 
 
 class CertificateNotConvergent(RuntimeError):
@@ -118,10 +130,76 @@ class CertificateNotConvergent(RuntimeError):
         self.certificate = certificate
 
 
+class InvalidKernel(ValueError):
+    """Kernel data that does not define a finite nonnegative operator.
+
+    `part` names the offending datum: "Q" for the majorant, "f" for the
+    inhomogeneity.
+    """
+
+    def __init__(self, part: str, message: str):
+        super().__init__(message)
+        self.part = part
+
+
+def _first_bad(values: np.ndarray, bad: np.ndarray) -> tuple:
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return index, float(values[index])
+
+
+def _square(values: Any, m: int) -> np.ndarray:
+    """Values sampled on the m x m node grid as a float array of that shape.
+
+    Callables that ignore t or s return a broadcastable shape; only those
+    are copied out to the full square.
+    """
+    a = np.asarray(values, dtype=float)
+    return a if a.shape == (m, m) else np.broadcast_to(a, (m, m)).copy()
+
+
 def kernel_matrix(k: KernelSpec, grid: Grid) -> np.ndarray:
+    """Q sampled at the nodes, Q[i, j] = Q(t_i, s_j).
+
+    Raises InvalidKernel unless every entry is finite and nonnegative: the
+    certificate and its spectral bracket hold only for such a matrix.
+    """
     t = grid.nodes[:, None]
     s = grid.nodes[None, :]
-    return np.asarray(k.Q(t, s), dtype=float) * np.ones((len(grid), len(grid)))
+    q = _square(k.Q(t, s), len(grid))
+    for bad, what in ((~np.isfinite(q), "not finite"), (q < 0, "negative")):
+        if bad.any():
+            (i, j), value = _first_bad(q, bad)
+            raise InvalidKernel(
+                "Q",
+                f"majorant Q(t, s) is {what} at t={float(grid.nodes[i])!r}, "
+                f"s={float(grid.nodes[j])!r}: {value!r}",
+            )
+    return q
+
+
+@dataclass(frozen=True)
+class DiscreteKernel:
+    """The problem assembled on a grid, once per solve.
+
+    `weighted` is W = Q diag(w), the matrix of the linear majorant operator;
+    `integrated` is Q w, the first integrated iterated kernel; `f` is the
+    inhomogeneity at the nodes.
+    """
+
+    weighted: np.ndarray
+    integrated: np.ndarray
+    f: np.ndarray
+
+    @classmethod
+    def assemble(cls, k: KernelSpec, grid: Grid) -> "DiscreteKernel":
+        """Sample and validate Q and f; raises InvalidKernel on bad data."""
+        q1 = kernel_matrix(k, grid)
+        f = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid))
+        bad = ~np.isfinite(f)
+        if bad.any():
+            (i,), value = _first_bad(f, bad)
+            raise InvalidKernel("f", f"f(t) is not finite at t={float(grid.nodes[i])!r}: {value!r}")
+        return cls(weighted=q1 * grid.weights[None, :], integrated=q1 @ grid.weights, f=f)
 
 
 def iterate_kernel(k: KernelSpec, grid: Grid, n: int) -> np.ndarray:
@@ -153,8 +231,6 @@ def grid_function_monoid(m: int) -> MonoidSpec:
         leq=lambda a, b: bool(np.all(a <= b)),
         sup=np.maximum,
         eq=close_eq(),
-        cancellative=True,
-        subtract=lambda a, b: a - b,
     )
 
 
@@ -181,20 +257,59 @@ def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpace
     )
 
 
+def _spectral_bracket(weighted: np.ndarray, increments: list) -> tuple[float, float]:
+    """Collatz-Wielandt bounds on the spectral radius of W >= 0.
+
+    For x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each pair
+    of consecutive increments (x, Wx) gives such bounds; the tightest over
+    all usable pairs are kept.  Rows where W vanishes identically are
+    dropped: W is block triangular with a zero block there, so the rest keeps
+    its nonzero spectrum, and every increment is exactly zero on those rows
+    (each entry sums the products that make the zero row of W).  A pair is
+    usable when x is at least the smallest normal float on the live rows and
+    Wx is finite.  The bounds are widened by (m + 2) eps, relative, to cover
+    the rounding of the m-term dot products and of the quotient.
+    """
+    live = np.any(weighted != 0.0, axis=1)
+    if not live.any():
+        return 0.0, 0.0
+    iterates = np.array(increments)
+    if not live.all():
+        iterates = iterates[:, live]
+    x, y = iterates[:-1], iterates[1:]
+    usable = np.all(x >= np.finfo(float).tiny, axis=1) & np.all(np.isfinite(y), axis=1)
+    if not usable.any():
+        return 0.0, math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotients = y / x
+    lo = float(np.max(np.min(quotients, axis=1)[usable]))
+    hi = float(np.min(np.max(quotients, axis=1)[usable]))
+    slack = (weighted.shape[1] + 2) * float(np.finfo(float).eps)
+    return lo * (1.0 - slack), hi * (1.0 + slack)
+
+
 def certify_convergence(
-    k: KernelSpec, grid: Grid, ladder: TestLadder, n_max: int
+    k: KernelSpec,
+    grid: Grid,
+    ladder: TestLadder,
+    n_max: int,
+    *,
+    operator: Optional[DiscreteKernel] = None,
 ) -> ConvergenceCertificate:
     """Accumulate the integrated iterated kernels and check the series.
 
     The increment trace carries a witness budget of n_max // 2 so that the
     evidence extends past any accepted witness.  Partial sums overflowing the
-    float range abort with the overflow flag set.
+    float range abort with the overflow flag set.  `operator` is k assembled
+    on the grid, when the caller already has it; otherwise it is assembled
+    here (raising InvalidKernel on bad kernel data).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    q1 = kernel_matrix(k, grid)
-    weighted = q1 * grid.weights[None, :]
-    v = q1 @ grid.weights
+    if operator is None:
+        operator = DiscreteKernel.assemble(k, grid)
+    weighted = operator.weighted
+    v = operator.integrated
     increments = []
     partial = np.zeros(len(grid))
     sup_inc = []
@@ -208,7 +323,8 @@ def certify_convergence(
         if not np.isfinite(sup_part[-1]) or sup_part[-1] > OVERFLOW_LIMIT:
             overflow = True
             break
-        v = weighted @ v
+        if sup_inc[-1] != 0.0:  # W is finite, so every increment after a zero one is zero
+            v = weighted @ v
 
     monoid = grid_function_monoid(len(grid))
     budget = max(1, n_max // 2)
@@ -222,13 +338,12 @@ def certify_convergence(
         tail = tail + inc
     tail_window_max = float(np.max(np.abs(tail)))
 
-    spectral = float(np.max(np.abs(np.linalg.eigvals(weighted))))
     return ConvergenceCertificate(
         partial_sums=partial,
         sup_increments=tuple(sup_inc),
         sup_partials=tuple(sup_part),
         tail_window_max=tail_window_max,
-        spectral_radius=spectral,
+        spectral_bracket=_spectral_bracket(weighted, increments),
         verdict=CertificateVerdict.CERTIFIED
         if certified
         else CertificateVerdict.NOT_CERTIFIED_WITHIN,
@@ -242,7 +357,7 @@ def residual(k: KernelSpec, grid: Grid, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     t = grid.nodes[:, None]
     s = grid.nodes[None, :]
-    gmat = np.asarray(k.g(t, s, x[None, :]), dtype=float) * np.ones((len(grid), len(grid)))
+    gmat = _square(k.g(t, s, x[None, :]), len(grid))
     rhs = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid)) + gmat @ grid.weights
     return float(np.max(np.abs(x - rhs)))
 
@@ -283,7 +398,8 @@ def solve_fredholm(
     """
     if ladder is None:
         ladder = grid_ladder(len(grid))
-    certificate = certify_convergence(k, grid, ladder, certificate_budget)
+    operator = DiscreteKernel.assemble(k, grid)
+    certificate = certify_convergence(k, grid, ladder, certificate_budget, operator=operator)
     diagnostics: list[str] = []
     if certificate.verdict is not CertificateVerdict.CERTIFIED:
         if not force:
@@ -311,12 +427,10 @@ def solve_fredholm(
     space = grid_space(grid, ladder)
     t = grid.nodes[:, None]
     s = grid.nodes[None, :]
-    fvec = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid))
-    weighted = kernel_matrix(k, grid) * grid.weights[None, :]
+    fvec, weighted, m = operator.f, operator.weighted, len(grid)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        gmat = np.asarray(k.g(t, s, x[None, :]), dtype=float) * np.ones_like(weighted)
-        return fvec + gmat @ grid.weights
+        return fvec + _square(k.g(t, s, x[None, :]), m) @ grid.weights
 
     fmap = MapSpec(apply=apply, description="Fredholm integral operator")
     lam = LambdaSequence.constant(
@@ -324,14 +438,5 @@ def solve_fredholm(
     )
     report = solve_sequential(space, fmap, lam, fvec.copy(), mode="series", budget=budget)
     if diagnostics:
-        report = SolveReport(
-            status=report.status,
-            fixed_point=report.fixed_point,
-            residual=report.residual,
-            residual_below_rung=report.residual_below_rung,
-            iterations=report.iterations,
-            diagnostics=tuple(diagnostics) + report.diagnostics,
-            violation=report.violation,
-            trace=report.trace,
-        )
+        report = replace(report, diagnostics=tuple(diagnostics) + report.diagnostics)
     return report.fixed_point, report, certificate

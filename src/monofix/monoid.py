@@ -27,8 +27,7 @@ class MonoidSpec:
     silently coerced.  `sup` is optional and, when present, must return the
     least upper bound of its arguments.  `eq` is the carrier equality; float
     carriers use a tolerant equality so that rounding does not break the
-    algebraic axioms.  `cancellative` (with `subtract`) enables a prefix-sum
-    fast path for window sums; everything else folds `combine`.
+    algebraic axioms.
     """
 
     carrier_descr: str
@@ -37,8 +36,6 @@ class MonoidSpec:
     leq: Callable[[Any, Any], bool]
     sup: Optional[Callable[[Any, Any], Any]] = None
     eq: Callable[[Any, Any], bool] = generic_eq
-    cancellative: bool = False
-    subtract: Optional[Callable[[Any, Any], Any]] = None
 
     def is_positive(self, x: Any) -> bool:
         return self.leq(self.identity, x)
@@ -155,15 +152,13 @@ def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decisi
 
 
 def _suffix_sums(trace: MTrace, spec: MonoidSpec) -> list:
-    """Sums of the windows [i, end], rightmost first in construction order."""
+    """Sums of the windows [i, end], folded from the right.
+
+    Each sum is built from its own window only: a suffix taken as total
+    minus prefix loses a small tail next to a large head to cancellation.
+    """
     xs = trace.elements
     n = len(xs)
-    if spec.cancellative and spec.subtract is not None:
-        prefix = [spec.identity]
-        for x in xs:
-            prefix.append(spec.combine(prefix[-1], x))
-        total = prefix[-1]
-        return [spec.subtract(total, prefix[i]) for i in range(n)]
     tails = [None] * n
     acc = xs[-1]
     tails[-1] = acc

@@ -624,12 +624,6 @@ def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
         leq=leq,
         sup=sup,
         eq=eq,
-        cancellative=all(m.cancellative for m in factors),
-        subtract=(
-            (lambda a, b: tuple(m.subtract(x, y) for m, x, y in zip(factors, a, b)))
-            if all(m.cancellative and m.subtract is not None for m in factors)
-            else None
-        ),
     )
 
 

@@ -80,6 +80,26 @@ def test_solve_fredholm_malformed_config(tmp_path):
     assert run(["solve-fredholm", tmp_path / "missing.cfg"]) == 2
 
 
+@pytest.mark.parametrize(
+    "lines, field",
+    [
+        ("kernel = expr 0.1*x/t\nmajorant = 0.1/t\nf = t\n", "majorant"),  # infinite at t = 0
+        ("kernel = expr 0.1*(t-0.5)*x\nmajorant = 0.1*(t-0.5)\nf = t\n", "majorant"),  # negative
+        ("kernel = constant -0.5\nf = 1\n", "kernel"),
+        ("kernel = product_ts\nf = 1/t\n", "f"),
+    ],
+    ids=["majorant-not-finite", "majorant-negative", "kernel-negative", "f-not-finite"],
+)
+def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, lines, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nodes = 41\n" + lines)
+    with np.errstate(divide="ignore"):
+        assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ") and f"field {field!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_fredholm_expression_kernel(tmp_path):
     cfg = tmp_path / "expr.cfg"
     cfg.write_text(

@@ -6,6 +6,7 @@ from monofix import (
     CertificateNotConvergent,
     CertificateVerdict,
     Grid,
+    InvalidKernel,
     KernelSpec,
     SolveStatus,
     certify_convergence,
@@ -15,6 +16,8 @@ from monofix import (
     residual,
     solve_fredholm,
 )
+from monofix import fredholm
+from monofix.fredholm import kernel_matrix
 
 
 def constant_kernel(c: float) -> KernelSpec:
@@ -137,6 +140,69 @@ def test_certificate_spectral_agreement_battery():
         assert (cert.verdict is CertificateVerdict.CERTIFIED) == (
             cert.spectral_radius < 1.0
         ), f"disagreement at spectral radius {cert.spectral_radius}"
+
+
+def dense_spectral_radius(k: KernelSpec, grid: Grid) -> float:
+    """Reference: every eigenvalue of the weighted kernel matrix, O(m^3)."""
+    weighted = kernel_matrix(k, grid) * grid.weights[None, :]
+    return float(np.max(np.abs(np.linalg.eigvals(weighted))))
+
+
+EXP_KERNEL = KernelSpec(
+    Q=lambda t, s: np.exp(-np.abs(t - s)),
+    g=lambda t, s, x: np.exp(-np.abs(t - s)) * x,
+    f=lambda t: t,
+)
+
+
+@pytest.mark.parametrize(
+    "k, m",
+    [(k, 51) for k in spectral_battery()] + [(TS, 101), (TS, 401), (EXP_KERNEL, 101)],
+)
+def test_spectral_bracket_contains_dense_eigenvalue(k, m):
+    grid = Grid.trapezoid(0.0, 1.0, m)
+    cert = certify_convergence(k, grid, grid_ladder(m), 800)
+    lo, hi = cert.spectral_bracket
+    rho = dense_spectral_radius(k, grid)
+    assert lo <= rho <= hi
+    # every kernel here has a dominant eigenvalue the iterates settle on
+    assert hi / lo - 1.0 < 1e-9
+    assert type(cert.spectral_radius) is float and cert.spectral_radius == hi
+
+
+def test_spectral_bracket_of_zero_kernel():
+    k = KernelSpec(Q=lambda t, s: 0.0 * t * s, g=lambda t, s, x: 0.0 * x, f=lambda t: t)
+    grid = Grid.trapezoid(0.0, 1.0, 21)
+    cert = certify_convergence(k, grid, grid_ladder(21), 800)
+    assert cert.spectral_bracket == (0.0, 0.0)
+    assert cert.verdict is CertificateVerdict.CERTIFIED
+    assert cert.sup_increments == (0.0,) * 800
+
+
+def test_kernel_assembly_rejects_bad_data():
+    grid = Grid.trapezoid(0.0, 1.0, 11)
+    cases = [
+        (KernelSpec(Q=lambda t, s: 0.1 / t + 0.0 * s, g=TS.g, f=TS.f), "Q", "not finite"),
+        (KernelSpec(Q=lambda t, s: (t - 0.5) * s, g=TS.g, f=TS.f), "Q", "negative"),
+        (KernelSpec(Q=TS.Q, g=TS.g, f=lambda t: np.log(t)), "f", "not finite"),
+    ]
+    for k, part, what in cases:
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match=what) as err:
+            solve_fredholm(k, grid)
+        assert isinstance(err.value, InvalidKernel) and err.value.part == part
+
+
+def test_solve_assembles_the_kernel_once(monkeypatch):
+    calls = []
+
+    def counting(k, grid):
+        calls.append(len(grid))
+        return kernel_matrix(k, grid)
+
+    monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+    x, report, _ = solve_fredholm(TS, Grid.trapezoid(0.0, 1.0, 51))
+    assert report.status is SolveStatus.CERTIFIED
+    assert calls == [51]
 
 
 def test_certificate_critical_constant_not_certified():

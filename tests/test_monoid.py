@@ -9,12 +9,14 @@ from monofix import (
     MonoidSpec,
     TestLadder,
     cauchy_series_check,
+    dyadic_ladder,
     is_bounded,
     is_null_trace,
     validate_ladder,
     validate_monoid,
 )
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
+from monofix.monoid import cauchy_series_window_report
 from monofix.spaces import diagonal, relation_compose, relation_monoid
 from monofix._util import close_eq
 
@@ -182,6 +184,17 @@ def test_cauchy_series_general_fold_matches_fast_path():
         assert cauchy_series_check(t, LADDER16, REAL) is cauchy_series_check(
             t, LADDER16, slow
         )
+
+
+def test_cauchy_series_small_tail_after_large_head_is_not_null():
+    # the tail sum 1.5e-6 from index 3 stays above the bottom rung 2**-20;
+    # a suffix computed as total minus prefix cancels it and reports NULL
+    trace = MTrace(elements=(1e10,) + (5e-7,) * 4, budget=3)
+    decision, witness, window = cauchy_series_window_report(trace, dyadic_ladder(20), REAL)
+    assert decision is Decision.NOT_NULL_WITHIN and witness is None
+    start, end, total = window
+    assert (start, end) == (3, 5)
+    assert total == pytest.approx(1.5e-6, rel=1e-12) and total > 2.0**-20
 
 
 # ---------------------------------------------------------------------------
