@@ -50,6 +50,7 @@ from .engine import (
     solve_monotone,
     solve_parametrized,
     solve_sequential,
+    solve_with_driver,
     verify_fixed_point,
 )
 from .multifix import (

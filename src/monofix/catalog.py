@@ -63,6 +63,10 @@ class MapEntry:
     lam: LambdaSequence
     sample_pairs: tuple
 
+    def x0_for(self, driver: str) -> float:
+        """The default seed: the monotone driver starts below the fixed point."""
+        return self.monotone_x0 if driver == "monotone" else self.x0_default
+
 
 def _parse_name(name: str) -> tuple[str, Optional[str]]:
     if "{" in name and name.endswith("}"):
@@ -307,12 +311,6 @@ def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
     return factory
 
 
-def omega_point(kind: str, index: int = 0) -> tuple:
-    if kind == "inf":
-        return ("inf",)
-    return (kind, index)
-
-
 def omega_distance(x: tuple, y: tuple) -> float:
     if x == y:
         return 0.0
@@ -546,67 +544,38 @@ def default_sample_pairs(ladder: TestLadder) -> tuple:
 
 
 def get_map(name: str) -> MapEntry:
-    entry = get_space("real_abs")
-    ladder = entry.space.ladder
-    plus = entry.space.monoid.combine
-    pairs = default_sample_pairs(ladder)
-    mk = MeirKeelerData(delta_of=next_rung_choice(ladder), zeta=plus)
-
-    if name == "halving":
-        return MapEntry(
-            name=name,
-            space_name="real_abs",
-            fn=lambda x: x / 2.0,
-            descr="x -> x/2",
-            x0_default=8.0,
-            monotone_x0=-8.0,
-            meir_keeler=mk,
-            caristi=CaristiData(potential=lambda x: 2.0 * abs(x), eta=lambda a: a),
-            lam=LambdaSequence.constant(lambda t: t / 2.0, description="t -> t/2"),
-            sample_pairs=pairs,
-        )
-    if name == "affine_to_two":
-        return MapEntry(
-            name=name,
-            space_name="real_abs",
-            fn=lambda x: x / 2.0 + 1.0,
-            descr="x -> x/2 + 1",
-            x0_default=0.0,
-            monotone_x0=0.0,
-            meir_keeler=mk,
-            caristi=CaristiData(
-                potential=lambda x: 2.0 * abs(x - 2.0), eta=lambda a: a
-            ),
-            lam=LambdaSequence.constant(lambda t: t / 2.0, description="t -> t/2"),
-            sample_pairs=pairs,
-        )
-    if name == "increment":
-        return MapEntry(
-            name=name,
-            space_name="real_abs",
-            fn=lambda x: x + 1.0,
-            descr="x -> x + 1",
-            x0_default=0.0,
-            monotone_x0=0.0,
-            meir_keeler=mk,
-            caristi=CaristiData(potential=lambda x: abs(x), eta=lambda a: a),
-            lam=LambdaSequence.constant(lambda t: t / 2.0, description="t -> t/2"),
-            sample_pairs=pairs,
-        )
-    if name == "identity":
-        return MapEntry(
-            name=name,
-            space_name="real_abs",
-            fn=lambda x: x,
-            descr="x -> x",
-            x0_default=5.0,
-            monotone_x0=5.0,
-            meir_keeler=mk,
-            caristi=CaristiData(potential=lambda x: abs(x), eta=lambda a: a),
-            lam=LambdaSequence.constant(lambda t: t, description="t -> t"),
-            sample_pairs=pairs,
-        )
-    raise KeyError(f"unknown map {name!r}")
+    halve = LambdaSequence.constant(lambda t: t / 2.0, description="t -> t/2")
+    maps = {
+        # name: map, description, x0_default, monotone_x0, Caristi potential,
+        # step operators of the sequential and monotone drivers
+        "halving": (lambda x: x / 2.0, "x -> x/2", 8.0, -8.0, lambda x: 2.0 * abs(x), halve),
+        "affine_to_two": (
+            lambda x: x / 2.0 + 1.0, "x -> x/2 + 1", 0.0, 0.0, lambda x: 2.0 * abs(x - 2.0), halve
+        ),
+        "increment": (lambda x: x + 1.0, "x -> x + 1", 0.0, 0.0, abs, halve),
+        "identity": (
+            lambda x: x, "x -> x", 5.0, 5.0, abs,
+            LambdaSequence.constant(lambda t: t, description="t -> t"),
+        ),
+    }
+    if name not in maps:
+        raise KeyError(f"unknown map {name!r}")
+    fn, descr, x0, monotone_x0, potential, lam = maps[name]
+    space = get_space("real_abs").space
+    return MapEntry(
+        name=name,
+        space_name="real_abs",
+        fn=fn,
+        descr=descr,
+        x0_default=x0,
+        monotone_x0=monotone_x0,
+        meir_keeler=MeirKeelerData(
+            delta_of=next_rung_choice(space.ladder), zeta=space.monoid.combine
+        ),
+        caristi=CaristiData(potential=potential, eta=lambda a: a),
+        lam=lam,
+        sample_pairs=default_sample_pairs(space.ladder),
+    )
 
 
 MAP_NAMES = ("halving", "affine_to_two", "increment", "identity")

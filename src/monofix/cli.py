@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,16 +19,14 @@ import numpy as np
 from . import catalog
 from ._util import format_value
 from .engine import (
+    CLI_DRIVER_NAMES,
     IterationTrace,
     MapSpec,
     SolveReport,
     SolveStatus,
     lambda_product_trace,
     LambdaSequence,
-    solve_caristi,
-    solve_meir_keeler,
-    solve_monotone,
-    solve_sequential,
+    solve_with_driver,
 )
 from .expr import ExpressionError, compile_expression
 from .fredholm import (
@@ -43,6 +42,7 @@ from .monoid import cauchy_series_check, dyadic_ladder, is_null_trace
 from .multifix import coupled_fixed_point
 from .reporting import Decision
 from .spaces import (
+    DistanceSpaceSpec,
     PointTrace,
     converges_to,
     falsify_frechet_wilson,
@@ -166,8 +166,11 @@ def certificate_text(cert: ConvergenceCertificate) -> str:
     )
 
 
-def _report_exit(report: SolveReport, out: Path) -> int:
-    """Exit code for a solve, writing the violation record on failure."""
+def _finish_solve(out: Path, report: SolveReport, header: str, summary: str) -> int:
+    """Write report.txt, print the summary line and return the exit code of a
+    solve, writing the violation record on failure."""
+    _write(out, "report.txt", header + report.to_text() + "\n")
+    print(f"{summary}: {report.status.value}; artifacts in {out}")
     if report.status is SolveStatus.CERTIFIED:
         return 0
     lines = [f"status={report.status.value}"]
@@ -272,14 +275,29 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
         return 1
 
     _write(out, "certificate.csv", certificate_csv(cert))
-    body = f"command=solve-fredholm kernel=({qdescr})\n" + certificate_text(cert) + report.to_text() + "\n"
-    _write(out, "report.txt", body)
     if x is not None:
         _write(out, "solution.csv", solution_csv(grid, x))
         if report.trace is not None:
             _write(out, "trace.csv", trace_csv(report.trace))
-    print(f"solve-fredholm: {report.status.value}; artifacts in {out}")
-    return _report_exit(report, out)
+    header = f"command=solve-fredholm kernel=({qdescr})\n" + certificate_text(cert)
+    return _finish_solve(out, report, header, "solve-fredholm")
+
+
+def _solve_catalog_map(
+    entry: catalog.MapEntry, space: DistanceSpaceSpec, driver: str, x0: float, budget: int
+) -> SolveReport:
+    """Run a catalog map through the named driver, with the map's own data."""
+    return solve_with_driver(
+        driver,
+        space,
+        MapSpec(apply=entry.fn, order_leq=operator.le),
+        x0,
+        budget,
+        lam=entry.lam,
+        caristi=entry.caristi,
+        meir_keeler=entry.meir_keeler,
+        sample_pairs=entry.sample_pairs,
+    )
 
 
 def cmd_solve_map(args: argparse.Namespace) -> int:
@@ -288,42 +306,14 @@ def cmd_solve_map(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise ConfigError(str(exc), field="map")
     space = catalog.get_space(entry.space_name).space
-    x0 = args.x0 if args.x0 is not None else entry.x0_default
-    budget = args.budget
+    x0 = args.x0 if args.x0 is not None else entry.x0_for(args.driver)
     out = Path(args.out)
-
-    if args.driver == "meir-keeler":
-        report = solve_meir_keeler(
-            space, MapSpec(apply=entry.fn), entry.meir_keeler, x0, list(entry.sample_pairs), budget
-        )
-    elif args.driver == "caristi":
-        report = solve_caristi(space, MapSpec(apply=entry.fn), entry.caristi, x0, budget)
-    elif args.driver == "sequential":
-        report = solve_sequential(space, MapSpec(apply=entry.fn), entry.lam, x0, "series", budget)
-    elif args.driver == "monotone":
-        x0 = args.x0 if args.x0 is not None else entry.monotone_x0
-        report = solve_monotone(
-            space,
-            MapSpec(apply=entry.fn, order_leq=lambda p, q: p <= q),
-            entry.lam,
-            x0,
-            "series",
-            budget,
-        )
-    else:
-        raise ConfigError(f"unknown driver {args.driver!r}", field="driver")
+    report = _solve_catalog_map(entry, space, args.driver, x0, args.budget)
 
     if report.trace is not None:
         _write(out, "trace.csv", trace_csv(report.trace))
-    _write(
-        out,
-        "report.txt",
-        f"command=solve-map map={entry.name} ({entry.descr}) driver={args.driver} x0={x0!r}\n"
-        + report.to_text()
-        + "\n",
-    )
-    print(f"solve-map {entry.name} [{args.driver}]: {report.status.value}; artifacts in {out}")
-    return _report_exit(report, out)
+    header = f"command=solve-map map={entry.name} ({entry.descr}) driver={args.driver} x0={x0!r}\n"
+    return _finish_solve(out, report, header, f"solve-map {entry.name} [{args.driver}]")
 
 
 def cmd_solve_coupled(args: argparse.Namespace) -> int:
@@ -358,13 +348,7 @@ def cmd_solve_coupled(args: argparse.Namespace) -> int:
         for j, v in enumerate(report.fixed_point.values, start=1):
             lines.append(f"{j},{format_value(v)}")
         _write(out, "profile.csv", "\n".join(lines) + "\n")
-    _write(
-        out,
-        "report.txt",
-        f"command=solve-coupled f=({fraw})\n" + report.to_text() + "\n",
-    )
-    print(f"solve-coupled: {report.status.value}; artifacts in {out}")
-    return _report_exit(report, out)
+    return _finish_solve(out, report, f"command=solve-coupled f=({fraw})\n", "solve-coupled")
 
 
 def cmd_check_space(args: argparse.Namespace) -> int:
@@ -409,11 +393,10 @@ def cmd_check_space(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     name = args.name
+    verdicts = ("expected pattern reproduced", "UNEXPECTED pattern")
     if name.startswith("omega_counterexample"):
-        entry = catalog.get_space(name if "{" in name else "omega_counterexample{128}")
-        space = entry.space
+        space = catalog.get_space(name if "{" in name else "omega_counterexample{128}").space
         # evidence runs twice as far as the witness cutoff, so a quiet end of
         # the prefix cannot fake convergence
         prefix = catalog.interleaved_sequence(240)
@@ -432,11 +415,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
             and cauchy is Decision.NOT_NULL_WITHIN
             and conv is Decision.NULL
         )
-        lines.append("expected pattern reproduced" if ok else "UNEXPECTED pattern")
-        _write(out, "report.txt", "\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return 0 if ok else 1
-    if name == "lambda_discrimination":
+    elif name == "lambda_discrimination":
         ladder = dyadic_ladder(4)
         monoid = catalog.real_nonneg_monoid()
         budget = 10_000
@@ -448,48 +427,24 @@ def cmd_demo(args: argparse.Namespace) -> int:
         )
         t1 = lambda_product_trace(lam1, 1.0, 2 * budget, budget=budget)
         t2 = lambda_product_trace(lam2, 1.0, 2 * budget, budget=budget)
+        null1, null2 = (is_null_trace(t, ladder, monoid) for t in (t1, t2))
+        series1, series2 = (cauchy_series_check(t, ladder, monoid) for t in (t1, t2))
         lines = [
             "demo=lambda_discrimination",
-            f"linear_rate: null={is_null_trace(t1, ladder, monoid).value} "
-            f"series={cauchy_series_check(t1, ladder, monoid).value}",
-            f"squared_rate: null={is_null_trace(t2, ladder, monoid).value} "
-            f"series={cauchy_series_check(t2, ladder, monoid).value}",
+            f"linear_rate: null={null1.value} series={series1.value}",
+            f"squared_rate: null={null2.value} series={series2.value}",
         ]
         ok = (
-            is_null_trace(t1, ladder, monoid) is Decision.NULL
-            and cauchy_series_check(t1, ladder, monoid) is Decision.NOT_NULL_WITHIN
-            and cauchy_series_check(t2, ladder, monoid) is Decision.NULL
+            null1 is Decision.NULL
+            and series1 is Decision.NOT_NULL_WITHIN
+            and series2 is Decision.NULL
         )
-        lines.append("expected pattern reproduced" if ok else "UNEXPECTED pattern")
-        _write(out, "report.txt", "\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return 0 if ok else 1
-    if name == "driver_agreement":
+    elif name == "driver_agreement":
         entry = catalog.get_map("halving")
         space = catalog.get_space(entry.space_name).space
         reports = {
-            "sequential": solve_sequential(
-                space, MapSpec(apply=entry.fn), entry.lam, entry.x0_default, "series", 200
-            ),
-            "caristi": solve_caristi(
-                space, MapSpec(apply=entry.fn), entry.caristi, entry.x0_default, 200
-            ),
-            "meir-keeler": solve_meir_keeler(
-                space,
-                MapSpec(apply=entry.fn),
-                entry.meir_keeler,
-                entry.x0_default,
-                list(entry.sample_pairs),
-                200,
-            ),
-            "monotone": solve_monotone(
-                space,
-                MapSpec(apply=entry.fn, order_leq=lambda p, q: p <= q),
-                entry.lam,
-                entry.monotone_x0,
-                "series",
-                200,
-            ),
+            driver: _solve_catalog_map(entry, space, driver, entry.x0_for(driver), 200)
+            for driver in ("sequential", "caristi", "meir-keeler", "monotone")
         }
         lines = [f"demo=driver_agreement map={entry.descr}"]
         for dname, rep in reports.items():
@@ -504,11 +459,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
             for p in pts
             for q in pts
         )
-        lines.append("all drivers agree" if ok else "drivers DISAGREE")
-        _write(out, "report.txt", "\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return 0 if ok else 1
-    raise ConfigError(f"unknown demo {name!r}", field="name")
+        verdicts = ("all drivers agree", "drivers DISAGREE")
+    else:
+        raise ConfigError(f"unknown demo {name!r}", field="name")
+    lines.append(verdicts[0] if ok else verdicts[1])
+    _write(Path(args.out), "report.txt", "\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-map", help="run one named map through one driver")
     p.add_argument("--map", required=True, choices=catalog.MAP_NAMES)
-    p.add_argument(
-        "--driver",
-        required=True,
-        choices=("meir-keeler", "caristi", "sequential", "monotone"),
-    )
+    p.add_argument("--driver", required=True, choices=CLI_DRIVER_NAMES)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="monofix-out")
     p.set_defaults(fn=cmd_solve_map)
 
@@ -556,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a canned demonstration")
     p.add_argument("name")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="monofix-out")
     p.set_defaults(fn=cmd_demo)
     return parser

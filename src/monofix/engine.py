@@ -42,12 +42,14 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """An orbit prefix: points, consecutive distances, per-step flags."""
+    """An orbit prefix: points, consecutive distances, per-step flags, and the
+    condition a step check reported violated on the last step, if any."""
 
     points: tuple
     consec: MTrace
     flags: tuple[str, ...]
     stopped_early: bool = False
+    violated: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -62,12 +64,14 @@ class HypothesisViolation:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """The outcome of a solve; the defaults describe a report with no point."""
+
     status: SolveStatus
-    fixed_point: Optional[Any]
-    residual: Optional[Any]
-    residual_below_rung: bool
-    iterations: int
-    diagnostics: tuple[str, ...]
+    fixed_point: Optional[Any] = None
+    residual: Optional[Any] = None
+    residual_below_rung: bool = False
+    iterations: int = 0
+    diagnostics: tuple[str, ...] = ()
     violation: Optional[HypothesisViolation] = None
     trace: Optional[IterationTrace] = None
 
@@ -167,6 +171,7 @@ def picard_iterate(
     flags: list[str] = []
     quiet = 0
     stopped = False
+    violated = None
     for k in range(budget):
         cur = points[-1]
         nxt = f.apply(cur)
@@ -174,9 +179,9 @@ def picard_iterate(
         points.append(nxt)
         consec.append(d)
         if step_check is not None:
-            issue = step_check(k, cur, nxt)
-            if issue is not None:
-                flags.append(f"violated:{issue}")
+            violated = step_check(k, cur, nxt)
+            if violated is not None:
+                flags.append(f"violated:{violated}")
                 stopped = True
                 break
         flags.append("ok")
@@ -195,6 +200,7 @@ def picard_iterate(
         consec=MTrace(elements=tuple(consec), budget=budget),
         flags=tuple(flags),
         stopped_early=stopped,
+        violated=violated,
     )
 
 
@@ -241,9 +247,6 @@ def _violated(
 ) -> SolveReport:
     return SolveReport(
         status=SolveStatus.HYPOTHESIS_VIOLATED,
-        fixed_point=None,
-        residual=None,
-        residual_below_rung=False,
         iterations=max(len(trace.points) - 1, 0),
         diagnostics=tuple(diagnostics),
         violation=HypothesisViolation(step=step, condition=condition, witness=witness),
@@ -417,13 +420,12 @@ def solve_caristi(
         return None
 
     trace = picard_iterate(space, f, x0, budget, stop_window, step_check=check)
-    if trace.flags and trace.flags[-1].startswith("violated:"):
-        which = trace.flags[-1].split(":", 1)[1]
+    if trace.violated is not None:
         step = len(trace.flags) - 1
         return _violated(
             trace,
             step=step,
-            condition=which,
+            condition=trace.violated,
             witness=f"at point {format_value(trace.points[step])}",
             diagnostics=diagnostics,
         )
@@ -539,13 +541,7 @@ def solve_sequential(
                     )
                 diagnostics.append(detail or "composed-product series check failed")
                 return SolveReport(
-                    status=SolveStatus.BUDGET_EXHAUSTED,
-                    fixed_point=None,
-                    residual=None,
-                    residual_below_rung=False,
-                    iterations=0,
-                    diagnostics=tuple(diagnostics),
-                    trace=None,
+                    status=SolveStatus.BUDGET_EXHAUSTED, diagnostics=tuple(diagnostics)
                 )
             diagnostics.append(
                 f"composed-product series is Cauchy within budget (witness N={witness})"
@@ -575,10 +571,6 @@ def solve_sequential(
                 )
                 return SolveReport(
                     status=SolveStatus.BUDGET_EXHAUSTED,
-                    fixed_point=None,
-                    residual=None,
-                    residual_below_rung=False,
-                    iterations=0,
                     diagnostics=tuple(diagnostics),
                     trace=probe,
                 )
@@ -600,13 +592,12 @@ def solve_sequential(
         return None
 
     trace = picard_iterate(space, f, x0, budget, stop_window, step_check=series_check)
-    if trace.flags and trace.flags[-1].startswith("violated:"):
-        which = trace.flags[-1].split(":", 1)[1]
+    if trace.violated is not None:
         step = len(trace.flags) - 1
         return _violated(
             trace,
             step=step,
-            condition=which,
+            condition=trace.violated,
             witness=(
                 f"d(x_{step}, x_{step + 1})={format_value(trace.consec.elements[step])} "
                 "escapes the step operator bound"
@@ -735,6 +726,59 @@ def solve_monotone(
 
 
 # ---------------------------------------------------------------------------
+# Driver dispatch
+
+# Adapters by library name.  Each looks its driver up in this module when
+# called, so a wrapper installed on the module attribute sees the call.
+_DRIVERS: dict[str, Callable[..., SolveReport]] = {
+    "meir_keeler": lambda space, f, x0, budget, data: solve_meir_keeler(
+        space, f, data["meir_keeler"], x0, list(data["sample_pairs"]), budget
+    ),
+    "caristi": lambda space, f, x0, budget, data: solve_caristi(
+        space, f, data["caristi"], x0, budget
+    ),
+    "sequential": lambda space, f, x0, budget, data: solve_sequential(
+        space, f, data["lam"], x0, data["mode"], budget
+    ),
+    "monotone": lambda space, f, x0, budget, data: solve_monotone(
+        space, f, data["lam"], x0, data["mode"], budget
+    ),
+}
+
+# The command line spells meir_keeler as meir-keeler; both spellings work.
+CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVERS)
+
+
+def _driver_key(name: str) -> str:
+    key = name.replace("-", "_")
+    if key not in _DRIVERS:
+        raise ValueError(f"unknown driver {name!r}; expected one of {', '.join(_DRIVERS)}")
+    return key
+
+
+def solve_with_driver(
+    driver: str,
+    space: DistanceSpaceSpec,
+    f: MapSpec,
+    x0: Any,
+    budget: int,
+    *,
+    lam: Optional[LambdaSequence] = None,
+    mode: str = "series",
+    caristi: Optional[CaristiData] = None,
+    meir_keeler: Optional[MeirKeelerData] = None,
+    sample_pairs: Sequence[tuple] = (),
+) -> SolveReport:
+    """Run the named driver on the data it reads: `lam` and `mode` (sequential,
+    monotone), `caristi`, or `meir_keeler` and `sample_pairs`.  An unknown
+    driver name raises ValueError."""
+    data = dict(
+        lam=lam, mode=mode, caristi=caristi, meir_keeler=meir_keeler, sample_pairs=sample_pairs
+    )
+    return _DRIVERS[_driver_key(driver)](space, f, x0, budget, data)
+
+
+# ---------------------------------------------------------------------------
 # Parametrized families
 
 
@@ -742,10 +786,12 @@ def solve_monotone(
 class ParamConfig:
     """How to solve each member of a parametrized family.
 
-    `driver` is one of sequential, monotone, caristi, meir_keeler; the data
-    fields feed the corresponding driver.  `x0` may be a point or a callable
-    of the parameter.  `admissible` is an optional predicate over the
-    assembled parameter -> fixed point table.
+    `driver` is sequential, caristi or meir_keeler (meir-keeler also works);
+    the data fields feed that driver, as in `solve_with_driver`.  The
+    monotone driver is not available here: it needs a point order, which a
+    ParamConfig does not carry.  `x0` may be a point or a callable of the
+    parameter.  `admissible` is an optional predicate over the assembled
+    parameter -> fixed point table.
     """
 
     space: DistanceSpaceSpec
@@ -776,41 +822,31 @@ def solve_parametrized(
 
     Per-parameter failures are isolated into their own reports.  When every
     row certifies, the admissibility predicate (if any) is evaluated on the
-    assembled fixed-point table.
+    assembled fixed-point table.  An unknown driver, or the monotone driver,
+    raises ValueError before any row is solved.
     """
+    if _driver_key(config.driver) == "monotone":
+        raise ValueError("the monotone driver needs a point order; ParamConfig has none")
     reports: dict = {}
     for omega in omegas:
         fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x), description=f"omega={omega}")
         x0 = config.x0(omega) if callable(config.x0) else config.x0
         try:
-            if config.driver == "sequential":
-                rep = solve_sequential(
-                    config.space, fmap, config.lam, x0, config.mode, config.budget
-                )
-            elif config.driver == "monotone":
-                rep = solve_monotone(
-                    config.space, fmap, config.lam, x0, config.mode, config.budget
-                )
-            elif config.driver == "caristi":
-                rep = solve_caristi(config.space, fmap, config.caristi, x0, config.budget)
-            elif config.driver == "meir_keeler":
-                rep = solve_meir_keeler(
-                    config.space,
-                    fmap,
-                    config.meir_keeler,
-                    x0,
-                    list(config.sample_pairs),
-                    config.budget,
-                )
-            else:
-                raise ValueError(f"unknown driver {config.driver!r}")
+            rep = solve_with_driver(
+                config.driver,
+                config.space,
+                fmap,
+                x0,
+                config.budget,
+                lam=config.lam,
+                mode=config.mode,
+                caristi=config.caristi,
+                meir_keeler=config.meir_keeler,
+                sample_pairs=config.sample_pairs,
+            )
         except ValueError as exc:
             rep = SolveReport(
                 status=SolveStatus.HYPOTHESIS_VIOLATED,
-                fixed_point=None,
-                residual=None,
-                residual_below_rung=False,
-                iterations=0,
                 diagnostics=(f"precondition failed: {exc}",),
                 violation=HypothesisViolation(step=-1, condition="precondition"),
             )

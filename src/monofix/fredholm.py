@@ -413,10 +413,6 @@ def solve_fredholm(
     if issue is not None:
         report = SolveReport(
             status=SolveStatus.HYPOTHESIS_VIOLATED,
-            fixed_point=None,
-            residual=None,
-            residual_below_rung=False,
-            iterations=0,
             diagnostics=tuple(diagnostics),
             violation=HypothesisViolation(
                 step=-1, condition="kernel_majorant", witness=issue

@@ -111,9 +111,6 @@ class MTrace:
         elements = tuple(elements)
         return cls(elements=elements, budget=len(elements) if budget is None else budget)
 
-    def with_budget(self, budget: int) -> "MTrace":
-        return MTrace(elements=self.elements, budget=budget)
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -120,6 +120,37 @@ def test_solve_map_exit_codes(tmp_path):
     assert len(trace) > 2
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        # a step check fails on step 0: its flag names the condition
+        (
+            ["--map", "increment", "--driver", "caristi"],
+            ['0,"0.0","1.0","violated:potential_descent"', '1,"1.0","",""'],
+        ),
+        # a step check fails on step 1, after one passing step
+        (
+            ["--map", "increment", "--driver", "sequential"],
+            [
+                '0,"0.0","1.0","ok"',
+                '1,"1.0","1.0","violated:graduated_contraction"',
+                '2,"2.0","",""',
+            ],
+        ),
+        # the seed order fails before the orbit: no step is checked, no flag
+        (
+            ["--map", "halving", "--driver", "monotone", "--x0", "8"],
+            ['0,"8.0","4.0",""', '1,"4.0","",""'],
+        ),
+    ],
+    ids=["caristi-step-0", "sequential-step-1", "monotone-seed-order"],
+)
+def test_solve_map_trace_flags(tmp_path, argv, rows):
+    assert run(["solve-map", *argv, "--out", tmp_path]) == 1
+    expected = "\n".join(["step,point,consec,flags", *rows]) + "\n"
+    assert (tmp_path / "trace.csv").read_text() == expected
+
+
 def test_solve_coupled(tmp_path):
     cfg = tmp_path / "coupled.cfg"
     cfg.write_text(COUPLED_CONFIG)

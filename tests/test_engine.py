@@ -22,9 +22,11 @@ from monofix import (
     solve_monotone,
     solve_parametrized,
     solve_sequential,
+    solve_with_driver,
     verify_fixed_point,
 )
-from monofix.catalog import get_map, get_space, real_nonneg_monoid
+from monofix.catalog import default_sample_pairs, get_map, get_space, real_nonneg_monoid
+from monofix.engine import CLI_DRIVER_NAMES
 
 SPACE = get_space("real_abs").space
 HALVING = get_map("halving")
@@ -53,6 +55,17 @@ def test_picard_divergent_uses_full_budget():
     trace = picard_iterate(SPACE, f, 0.0, budget=10)
     assert len(trace.points) == 11
     assert not trace.stopped_early
+
+
+def test_picard_records_the_violated_condition():
+    f = MapSpec(apply=lambda x: x / 2 + 1)
+    trace = picard_iterate(
+        SPACE, f, 0.0, budget=50, step_check=lambda k, cur, nxt: "too_far" if k == 2 else None
+    )
+    assert trace.violated == "too_far"
+    assert trace.flags == ("ok", "ok", "violated:too_far")
+    assert len(trace.points) == 4 and trace.stopped_early
+    assert picard_iterate(SPACE, f, 0.0, budget=50).violated is None
 
 
 def test_verify_fixed_point():
@@ -388,6 +401,66 @@ def test_parametrized_isolates_failures():
     assert result.reports[0].status is SolveStatus.CERTIFIED
     assert result.reports[2].status is SolveStatus.CERTIFIED
     assert result.reports[1].status is not SolveStatus.CERTIFIED
+
+
+def _scaling_config(driver):
+    # x -> omega x with omega <= 1/2 contracts by at least one half and
+    # descends along the potential 2|x|; the fixed point is 0 for every omega
+    ladder = SPACE.ladder
+    return ParamConfig(
+        space=SPACE,
+        driver=driver,
+        x0=4.0,
+        budget=200,
+        lam=LambdaSequence.constant(lambda t: t / 2),
+        caristi=CaristiData(potential=lambda x: 2.0 * abs(x), eta=lambda a: a),
+        meir_keeler=MeirKeelerData(delta_of=next_rung_choice(ladder), zeta=SPACE.monoid.combine),
+        sample_pairs=default_sample_pairs(ladder),
+    )
+
+
+@pytest.mark.parametrize("driver", ["sequential", "caristi", "meir_keeler", "meir-keeler"])
+def test_parametrized_each_driver_certifies(driver):
+    result = solve_parametrized(lambda omega, x: omega * x, [0.25, 0.5], _scaling_config(driver))
+    for rep in result.reports.values():
+        assert rep.status is SolveStatus.CERTIFIED, rep.to_text()
+        assert abs(rep.fixed_point) < BOTTOM and rep.iterations > 0
+
+
+@pytest.mark.parametrize(
+    "driver, message",
+    [("newton", "unknown driver 'newton'"), ("monotone", "needs a point order")],
+)
+def test_parametrized_rejects_driver_before_any_row(driver, message):
+    calls = []
+
+    def family(omega, x):
+        calls.append(omega)
+        return x / 2
+
+    with pytest.raises(ValueError, match=message):
+        solve_parametrized(family, [0.0, 1.0], _scaling_config(driver))
+    assert calls == []
+
+
+def test_solve_with_driver_names():
+    assert CLI_DRIVER_NAMES == ("meir-keeler", "caristi", "sequential", "monotone")
+    f = MapSpec(apply=HALVING.fn, order_leq=lambda a, b: a <= b)
+    for driver in CLI_DRIVER_NAMES:
+        rep = solve_with_driver(
+            driver,
+            SPACE,
+            f,
+            HALVING.x0_for(driver),
+            200,
+            lam=HALVING.lam,
+            caristi=HALVING.caristi,
+            meir_keeler=HALVING.meir_keeler,
+            sample_pairs=HALVING.sample_pairs,
+        )
+        assert rep.status is SolveStatus.CERTIFIED and abs(rep.fixed_point) < BOTTOM
+    with pytest.raises(ValueError, match="unknown driver 'banach'"):
+        solve_with_driver("banach", SPACE, f, 1.0, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
 import random
 
+import numpy as np
 import pytest
 
 from monofix import (
@@ -170,20 +171,85 @@ def test_cauchy_series_all_zero():
     assert cauchy_series_check(trace, LADDER16, REAL) is Decision.NULL
 
 
-def test_cauchy_series_general_fold_matches_fast_path():
-    xs = tuple(0.7 ** n for n in range(1, 60))
-    slow = MonoidSpec(
-        carrier_descr="reals without the fast path",
-        combine=lambda a, b: a + b,
-        identity=0.0,
-        leq=lambda a, b: a <= b,
-        eq=close_eq(),
-    )
-    for budget in (10, 30, 59):
-        t = MTrace(elements=xs, budget=budget)
-        assert cauchy_series_check(t, LADDER16, REAL) is cauchy_series_check(
-            t, LADDER16, slow
-        )
+# Magnitudes far apart, so that a window sum computed by cancellation loses
+# its small tail; no window sum comes near the 2**-20 bottom rung.
+MIXED = (0.0, 3e-7, 5e-7, 0.25, 1e10)
+
+
+def _window_sum(xs, a, b, spec):
+    # left fold of the 1-based window [a, b], each window on its own
+    acc = xs[a - 1]
+    for x in xs[a:b]:
+        acc = spec.combine(acc, x)
+    return acc
+
+
+def brute_cauchy_series(xs, budget, ladder, spec):
+    """Decision, witness and offending window straight from the definition:
+    NULL with the least start N <= budget such that every window [a, b] with
+    N <= a <= b <= end sums strictly below the bottom rung; otherwise the
+    tail window from the last admissible start."""
+    n = len(xs)
+    bad_starts = [
+        a
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        if not spec.strictly_below(_window_sum(xs, a, b, spec), ladder.bottom)
+    ]
+    least = max(bad_starts, default=0) + 1
+    if least <= min(budget, n):
+        return Decision.NULL, least, None
+    start = min(budget, n)
+    window = (start, n, _window_sum(xs, start, n, spec))
+    return (Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE), None, window
+
+
+def brute_null_trace(xs, budget, ladder, spec):
+    """NULL when some start N <= budget has every element from N on strictly
+    below the bottom rung."""
+    n = len(xs)
+    for start in range(1, min(budget, n) + 1):
+        if all(spec.strictly_below(x, ladder.bottom) for x in xs[start - 1 :]):
+            return Decision.NULL
+    return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
+
+
+MIXED_ELEMENTS = {
+    "real_nonneg": lambda rng: rng.choice(MIXED),
+    "real_vector{3}": lambda rng: np.array([rng.choice(MIXED) for _ in range(3)]),
+    "product{real_nonneg,real_nonneg}": lambda rng: (rng.choice(MIXED), rng.choice(MIXED)),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_ELEMENTS)
+def test_trace_decisions_match_brute_force_windows(name):
+    element = MIXED_ELEMENTS[name]
+    entry = get_monoid(name)
+    spec, ladder = entry.spec, entry.ladder
+    rng = random.Random(name)
+    # a small tail after a large head, then random traces whose elements are
+    # mostly tiny, so that NULL and not-NULL outcomes both occur
+    cases = [[element(rng) for _ in range(rng.randint(1, 8))] for _ in range(60)]
+    small = [e for e in (element(rng) for _ in range(400)) if spec.strictly_below(e, ladder.bottom)]
+    cases += [[element(rng)] + [rng.choice(small) for _ in range(rng.randint(0, 7))] for _ in range(60)]
+    seen = set()
+    for xs in cases:
+        n = len(xs)
+        for budget in sorted({max(n - 2, 1), n, n + 2}):
+            trace = MTrace(elements=tuple(xs), budget=budget)
+            want = brute_cauchy_series(xs, budget, ladder, spec)
+            decision, witness, window = cauchy_series_window_report(trace, ladder, spec)
+            assert (decision, witness) == want[:2], (xs, budget)
+            if want[2] is None:
+                assert window is None
+            else:
+                start, end, total = want[2]
+                assert window[:2] == (start, end) and spec.eq(window[2], total), (xs, budget)
+                assert not spec.strictly_below(total, ladder.bottom)
+            null = is_null_trace(trace, ladder, spec)
+            assert null is brute_null_trace(xs, budget, ladder, spec), (xs, budget)
+            seen.add((decision, null))
+    assert {d for d, _ in seen} == set(Decision) and {d for _, d in seen} == set(Decision)
 
 
 def test_cauchy_series_small_tail_after_large_head_is_not_null():
