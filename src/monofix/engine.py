@@ -728,20 +728,31 @@ def solve_monotone(
 # ---------------------------------------------------------------------------
 # Driver dispatch
 
-# Adapters by library name.  Each looks its driver up in this module when
-# called, so a wrapper installed on the module attribute sees the call.
-_DRIVERS: dict[str, Callable[..., SolveReport]] = {
-    "meir_keeler": lambda space, f, x0, budget, data: solve_meir_keeler(
-        space, f, data["meir_keeler"], x0, list(data["sample_pairs"]), budget
+# Adapters by library name, each with the datum it cannot run without.  Each
+# looks its driver up in this module when called, so a wrapper installed on
+# the module attribute sees the call.
+_DRIVERS: dict[str, tuple[str, Callable[..., SolveReport]]] = {
+    "meir_keeler": (
+        "meir_keeler",
+        lambda space, f, x0, budget, data: solve_meir_keeler(
+            space, f, data["meir_keeler"], x0, list(data["sample_pairs"]), budget
+        ),
     ),
-    "caristi": lambda space, f, x0, budget, data: solve_caristi(
-        space, f, data["caristi"], x0, budget
+    "caristi": (
+        "caristi",
+        lambda space, f, x0, budget, data: solve_caristi(space, f, data["caristi"], x0, budget),
     ),
-    "sequential": lambda space, f, x0, budget, data: solve_sequential(
-        space, f, data["lam"], x0, data["mode"], budget
+    "sequential": (
+        "lam",
+        lambda space, f, x0, budget, data: solve_sequential(
+            space, f, data["lam"], x0, data["mode"], budget
+        ),
     ),
-    "monotone": lambda space, f, x0, budget, data: solve_monotone(
-        space, f, data["lam"], x0, data["mode"], budget
+    "monotone": (
+        "lam",
+        lambda space, f, x0, budget, data: solve_monotone(
+            space, f, data["lam"], x0, data["mode"], budget
+        ),
     ),
 }
 
@@ -749,10 +760,15 @@ _DRIVERS: dict[str, Callable[..., SolveReport]] = {
 CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVERS)
 
 
-def _driver_key(name: str) -> str:
+def _driver_key(name: str, data: Mapping[str, Any]) -> str:
+    """The table key of a driver name.  Raises ValueError for an unknown name
+    and when `data` lacks the datum that driver reads."""
     key = name.replace("-", "_")
     if key not in _DRIVERS:
         raise ValueError(f"unknown driver {name!r}; expected one of {', '.join(_DRIVERS)}")
+    needed = _DRIVERS[key][0]
+    if data[needed] is None:
+        raise ValueError(f"driver {name!r} needs {needed}, which was not given")
     return key
 
 
@@ -771,11 +787,12 @@ def solve_with_driver(
 ) -> SolveReport:
     """Run the named driver on the data it reads: `lam` and `mode` (sequential,
     monotone), `caristi`, or `meir_keeler` and `sample_pairs`.  An unknown
-    driver name raises ValueError."""
+    driver name, or a missing `lam`, `caristi` or `meir_keeler` for the
+    driver that reads it, raises ValueError."""
     data = dict(
         lam=lam, mode=mode, caristi=caristi, meir_keeler=meir_keeler, sample_pairs=sample_pairs
     )
-    return _DRIVERS[_driver_key(driver)](space, f, x0, budget, data)
+    return _DRIVERS[_driver_key(driver, data)][1](space, f, x0, budget, data)
 
 
 # ---------------------------------------------------------------------------
@@ -822,28 +839,25 @@ def solve_parametrized(
 
     Per-parameter failures are isolated into their own reports.  When every
     row certifies, the admissibility predicate (if any) is evaluated on the
-    assembled fixed-point table.  An unknown driver, or the monotone driver,
+    assembled fixed-point table.  An unknown driver, the monotone driver, or
+    a driver whose datum (`lam`, `caristi` or `meir_keeler`) is missing
     raises ValueError before any row is solved.
     """
-    if _driver_key(config.driver) == "monotone":
+    data = dict(
+        lam=config.lam,
+        mode=config.mode,
+        caristi=config.caristi,
+        meir_keeler=config.meir_keeler,
+        sample_pairs=config.sample_pairs,
+    )
+    if _driver_key(config.driver, data) == "monotone":
         raise ValueError("the monotone driver needs a point order; ParamConfig has none")
     reports: dict = {}
     for omega in omegas:
         fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x), description=f"omega={omega}")
         x0 = config.x0(omega) if callable(config.x0) else config.x0
         try:
-            rep = solve_with_driver(
-                config.driver,
-                config.space,
-                fmap,
-                x0,
-                config.budget,
-                lam=config.lam,
-                mode=config.mode,
-                caristi=config.caristi,
-                meir_keeler=config.meir_keeler,
-                sample_pairs=config.sample_pairs,
-            )
+            rep = solve_with_driver(config.driver, config.space, fmap, x0, config.budget, **data)
         except ValueError as exc:
             rep = SolveReport(
                 status=SolveStatus.HYPOTHESIS_VIOLATED,

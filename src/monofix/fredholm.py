@@ -231,6 +231,7 @@ def grid_function_monoid(m: int) -> MonoidSpec:
         leq=lambda a, b: bool(np.all(a <= b)),
         sup=np.maximum,
         eq=close_eq(),
+        elementwise=True,
     )
 
 
@@ -257,35 +258,63 @@ def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpace
     )
 
 
-def _spectral_bracket(weighted: np.ndarray, increments: list) -> tuple[float, float]:
+# Rows of the increment block that the certificate and its spectral bracket
+# take at a time.  A series that overflows is cut at its first overflowing
+# term, after computing at most this many increments past it.
+BLOCK_ROWS = 64
+
+
+def _spectral_bracket(
+    weighted: np.ndarray, increments: np.ndarray, scratch: np.ndarray
+) -> tuple[float, float]:
     """Collatz-Wielandt bounds on the spectral radius of W >= 0.
 
-    For x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each pair
+    `increments` holds consecutive iterates x, Wx, W^2 x, ... as rows.  For
+    x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each pair
     of consecutive increments (x, Wx) gives such bounds; the tightest over
     all usable pairs are kept.  Rows where W vanishes identically are
     dropped: W is block triangular with a zero block there, so the rest keeps
     its nonzero spectrum, and every increment is exactly zero on those rows
     (each entry sums the products that make the zero row of W).  A pair is
     usable when x is at least the smallest normal float on the live rows and
-    Wx is finite.  The bounds are widened by (m + 2) eps, relative, to cover
-    the rounding of the m-term dot products and of the quotient.
+    Wx is finite there.  The bounds are widened by (m + 2) eps, relative, to
+    cover the rounding of the m-term dot products and of the quotient.  The
+    pairs are taken BLOCK_ROWS at a time; their quotients go to `scratch`
+    (BLOCK_ROWS x m), with the dropped rows masked by +-inf rather than
+    copied out.
     """
     live = np.any(weighted != 0.0, axis=1)
     if not live.any():
         return 0.0, 0.0
-    iterates = np.array(increments)
-    if not live.all():
-        iterates = iterates[:, live]
-    x, y = iterates[:-1], iterates[1:]
-    usable = np.all(x >= np.finfo(float).tiny, axis=1) & np.all(np.isfinite(y), axis=1)
-    if not usable.any():
+    dead = ~live
+    lows, highs = [], []
+    for start in range(0, len(increments) - 1, BLOCK_ROWS):
+        y = increments[start + 1 : start + 1 + BLOCK_ROWS]
+        x = increments[start : start + len(y)]
+        usable = np.all((x >= np.finfo(float).tiny) | dead, axis=1)
+        usable &= np.all(np.isfinite(y) | dead, axis=1)
+        quotients = scratch[: len(y)]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(y, x, out=quotients)
+        quotients[:, dead] = math.inf
+        lows.append(np.min(quotients, axis=1)[usable])
+        quotients[:, dead] = -math.inf
+        highs.append(np.max(quotients, axis=1)[usable])
+    if not any(len(low) for low in lows):
         return 0.0, math.inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quotients = y / x
-    lo = float(np.max(np.min(quotients, axis=1)[usable]))
-    hi = float(np.min(np.max(quotients, axis=1)[usable]))
+    lo = float(np.max(np.concatenate(lows)))
+    hi = float(np.min(np.concatenate(highs)))
     slack = (weighted.shape[1] + 2) * float(np.finfo(float).eps)
     return lo * (1.0 - slack), hi * (1.0 + slack)
+
+
+def _running_sums(rows: np.ndarray, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = carry + rows[0] + ... + rows[k], added left to right, the
+    additions of `carry = carry + row` row by row; returns out[:len(rows)]."""
+    sums = out[: len(rows)]
+    np.add(carry, rows[0], out=sums[0])
+    sums[1:] = rows[1:]
+    return np.add.accumulate(sums, axis=0, out=sums)
 
 
 def certify_convergence(
@@ -298,52 +327,79 @@ def certify_convergence(
 ) -> ConvergenceCertificate:
     """Accumulate the integrated iterated kernels and check the series.
 
-    The increment trace carries a witness budget of n_max // 2 so that the
-    evidence extends past any accepted witness.  Partial sums overflowing the
-    float range abort with the overflow flag set.  `operator` is k assembled
-    on the grid, when the caller already has it; otherwise it is assembled
-    here (raising InvalidKernel on bad kernel data).
+    The increments are the rows of one (n_max, m) block, filled BLOCK_ROWS
+    rows at a time by the matvec chain W v; once an increment is exactly
+    zero, the rest are copies of it (W is finite).  After each such group of
+    rows come its partial sums and sup norms, with the additions of a
+    term-by-term loop in the same order, so every value is the same to the
+    bit.  Partial sums overflowing the float range (or OVERFLOW_LIMIT) abort
+    with the overflow flag set, at the first overflowing term.  The
+    increment trace carries a witness budget of n_max // 2 so that the
+    evidence extends past any accepted witness; the grid-function monoid
+    checks it as one array.  `operator` is k assembled on the grid, when the
+    caller already has it; otherwise it is assembled here (raising
+    InvalidKernel on bad kernel data).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if operator is None:
         operator = DiscreteKernel.assemble(k, grid)
     weighted = operator.weighted
-    v = operator.integrated
-    increments = []
-    partial = np.zeros(len(grid))
-    sup_inc = []
-    sup_part = []
+    m = len(grid)
+    block = np.empty((n_max, m))
+    block[0] = operator.integrated
+    sup_inc = np.empty(n_max)
+    sup_part = np.empty(n_max)
+    sums = np.empty((BLOCK_ROWS, m))
+    scratch = np.empty((BLOCK_ROWS, m))
+    partial = np.zeros(m)
+    n = n_max
     overflow = False
-    for _ in range(n_max):
-        increments.append(v)
-        partial = partial + v
-        sup_inc.append(float(np.max(np.abs(v))))
-        sup_part.append(float(np.max(np.abs(partial))))
-        if not np.isfinite(sup_part[-1]) or sup_part[-1] > OVERFLOW_LIMIT:
-            overflow = True
-            break
-        if sup_inc[-1] != 0.0:  # W is finite, so every increment after a zero one is zero
-            v = weighted @ v
+    filled = 1
+    # Overflow is detected from the partial sums and reported by the flag;
+    # terms computed past the first overflowing one are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_max, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n_max)
+            while filled < stop:
+                prev = block[filled - 1]
+                if np.count_nonzero(prev):
+                    np.dot(weighted, prev, out=block[filled])
+                    filled += 1
+                else:
+                    block[filled:] = prev
+                    filled = n_max
+            rows = block[start:stop]
+            running = _running_sums(rows, partial, sums)
+            np.max(np.abs(rows, out=scratch[: len(rows)]), axis=1, out=sup_inc[start:stop])
+            np.max(np.abs(running, out=scratch[: len(rows)]), axis=1, out=sup_part[start:stop])
+            chunk = sup_part[start:stop]
+            bad = np.flatnonzero(~np.isfinite(chunk) | (chunk > OVERFLOW_LIMIT))
+            if bad.size:
+                n = start + int(bad[0]) + 1
+                overflow = True
+                partial = running[bad[0]].copy()
+                break
+            partial = running[-1].copy()
+    increments = block[:n]
 
-    monoid = grid_function_monoid(len(grid))
     budget = max(1, n_max // 2)
-    trace = MTrace(elements=tuple(increments), budget=budget)
-    decision, witness, _ = cauchy_series_window_report(trace, ladder, monoid)
+    trace = MTrace(elements=increments, budget=budget)
+    decision, witness, _ = cauchy_series_window_report(trace, ladder, grid_function_monoid(m))
     certified = decision is Decision.NULL and not overflow
 
-    cutoff = min(budget, len(increments)) - 1
-    tail = np.zeros(len(grid))
-    for inc in increments[cutoff:]:
-        tail = tail + inc
+    cutoff = min(budget, n) - 1
+    tail = np.zeros(m)
+    for start in range(cutoff, n, BLOCK_ROWS):
+        tail = _running_sums(increments[start : start + BLOCK_ROWS], tail, sums)[-1].copy()
     tail_window_max = float(np.max(np.abs(tail)))
 
     return ConvergenceCertificate(
         partial_sums=partial,
-        sup_increments=tuple(sup_inc),
-        sup_partials=tuple(sup_part),
+        sup_increments=tuple(sup_inc[:n].tolist()),
+        sup_partials=tuple(sup_part[:n].tolist()),
         tail_window_max=tail_window_max,
-        spectral_bracket=_spectral_bracket(weighted, increments),
+        spectral_bracket=_spectral_bracket(weighted, increments, scratch),
         verdict=CertificateVerdict.CERTIFIED
         if certified
         else CertificateVerdict.NOT_CERTIFIED_WITHIN,

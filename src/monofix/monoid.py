@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
+import numpy as np
+
 from ._rng import child_rng
 from ._util import format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
@@ -28,6 +30,11 @@ class MonoidSpec:
     least upper bound of its arguments.  `eq` is the carrier equality; float
     carriers use a tolerant equality so that rounding does not break the
     algebraic axioms.
+
+    `elementwise` declares that the elements are float arrays of one shape,
+    `combine` is `+` and `leq` is `<=` on every entry.  Traces over such a
+    carrier are checked as one stacked array (see
+    `cauchy_series_window_report`); `combine` and `leq` are then not called.
     """
 
     carrier_descr: str
@@ -36,6 +43,7 @@ class MonoidSpec:
     leq: Callable[[Any, Any], bool]
     sup: Optional[Callable[[Any, Any], Any]] = None
     eq: Callable[[Any, Any], bool] = generic_eq
+    elementwise: bool = False
 
     def is_positive(self, x: Any) -> bool:
         return self.leq(self.identity, x)
@@ -101,6 +109,8 @@ class MTrace:
     longer than its budget carries extra evidence: the tail past the budget
     still has to stay quiet for a NULL verdict, which is what separates
     genuinely summable traces from slowly diverging ones on finite data.
+    Over an elementwise carrier, `elements` may also be a 2-d array whose
+    rows are the elements.
     """
 
     elements: tuple
@@ -115,12 +125,14 @@ class MTrace:
         return len(self.elements)
 
 
+def _not_positive(i: int, x: Any) -> ValueError:
+    return ValueError(f"trace element at index {i} is not in the positive cone: {format_value(x)}")
+
+
 def _require_positive(trace_elements: Sequence[Any], spec: MonoidSpec) -> None:
     for i, x in enumerate(trace_elements):
         if not spec.is_positive(x):
-            raise ValueError(
-                f"trace element at index {i} is not in the positive cone: {format_value(x)}"
-            )
+            raise _not_positive(i, x)
 
 
 def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decision:
@@ -130,7 +142,7 @@ def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decisi
     the end of the trace sits strictly below the bottom rung.  Elements that
     exceed or are incomparable to the rung count as violations.
     """
-    if not trace.elements:
+    if len(trace.elements) == 0:
         raise ValueError("empty trace")
     _require_positive(trace.elements, spec)
     bottom = ladder.bottom
@@ -165,6 +177,28 @@ def _suffix_sums(trace: MTrace, spec: MonoidSpec) -> list:
     return tails
 
 
+def _stacked_suffix_scan(
+    trace: MTrace, bottom: Any, spec: MonoidSpec
+) -> tuple[np.ndarray, Optional[int]]:
+    """Suffix sums and the first one strictly below `bottom`, for an
+    elementwise carrier, computed on the (n, m) stacked trace.
+
+    The positivity check and the `<=` scan run on all rows at once.  The
+    reversed cumulative sum adds the elements in the order of the right fold
+    in `_suffix_sums` (float addition is commutative), so every suffix sum is
+    bit-identical to it.  `spec.eq` still decides ties, on the rows that the
+    scan finds `<=` the bottom rung, so the tolerance lives in one place.
+    """
+    xs = np.asarray(trace.elements)
+    bad = np.flatnonzero(~np.all(xs >= spec.identity, axis=1))
+    if bad.size:
+        raise _not_positive(int(bad[0]), xs[bad[0]])
+    tails = np.cumsum(xs[::-1], axis=0)[::-1]
+    below = np.flatnonzero(np.all(tails <= bottom, axis=1))
+    witness = next((int(i) for i in below if not spec.eq(tails[i], bottom)), None)
+    return tails, witness
+
+
 def cauchy_series_window_report(
     trace: MTrace, ladder: TestLadder, spec: MonoidSpec
 ) -> tuple[Decision, Optional[int], Optional[tuple]]:
@@ -173,19 +207,21 @@ def cauchy_series_window_report(
 
     Because the elements are positive and the order is compatible with the
     operation, every window inside [N, end] is dominated by the full tail
-    window [N, end]; the check therefore only needs the suffix sums.
+    window [N, end]; the check therefore only needs the suffix sums.  Over an
+    elementwise carrier they are computed on the stacked trace, with the same
+    additions in the same order as the per-element right fold and the same
+    `eq` deciding ties, so the decision, witness and window are the same.
     """
-    if not trace.elements:
+    if len(trace.elements) == 0:
         raise ValueError("empty trace")
-    _require_positive(trace.elements, spec)
     bottom = ladder.bottom
-    tails = _suffix_sums(trace, spec)
+    if spec.elementwise:
+        tails, witness = _stacked_suffix_scan(trace, bottom, spec)
+    else:
+        _require_positive(trace.elements, spec)
+        tails = _suffix_sums(trace, spec)
+        witness = next((i for i, t in enumerate(tails) if spec.strictly_below(t, bottom)), None)
     n = len(tails)
-    witness = None
-    for i, t in enumerate(tails):
-        if spec.strictly_below(t, bottom):
-            witness = i
-            break
     if witness is not None and witness + 1 <= trace.budget:
         return Decision.NULL, witness + 1, None
     start = min(trace.budget, n) - 1

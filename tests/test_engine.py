@@ -1,5 +1,6 @@
 """Iteration drivers: hypothesis audits, certification, and lambda products."""
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -440,6 +441,29 @@ def test_parametrized_rejects_driver_before_any_row(driver, message):
 
     with pytest.raises(ValueError, match=message):
         solve_parametrized(family, [0.0, 1.0], _scaling_config(driver))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "driver, field",
+    [("sequential", "lam"), ("caristi", "caristi"), ("meir_keeler", "meir_keeler"), ("monotone", "lam")],
+)
+def test_driver_without_its_datum_is_rejected_before_solving(driver, field):
+    calls = []
+
+    def family(omega, x):
+        calls.append(omega)
+        return x / 2
+
+    message = f"driver '{driver}' needs {field}"
+    f = MapSpec(apply=lambda x: family(None, x), order_leq=lambda a, b: a <= b)
+    config = replace(_scaling_config(driver), **{field: None})
+    data = {name: getattr(config, name) for name in ("lam", "caristi", "meir_keeler", "sample_pairs")}
+    with pytest.raises(ValueError, match=message):
+        solve_with_driver(driver, SPACE, f, 4.0, 200, **data)
+    if driver != "monotone":
+        with pytest.raises(ValueError, match=message):
+            solve_parametrized(family, [0.25, 0.5], config)
     assert calls == []
 
 

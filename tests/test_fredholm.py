@@ -1,4 +1,6 @@
 """Quadrature grid, iterated kernels, certificates, and the integral solver."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from monofix import (
     residual,
     solve_fredholm,
 )
-from monofix import fredholm
-from monofix.fredholm import kernel_matrix
+from monofix import MTrace, fredholm
+from monofix.fredholm import DiscreteKernel, grid_function_monoid, kernel_matrix
+from monofix.monoid import cauchy_series_window_report
 
 
 def constant_kernel(c: float) -> KernelSpec:
@@ -203,6 +206,117 @@ def test_solve_assembles_the_kernel_once(monkeypatch):
     x, report, _ = solve_fredholm(TS, Grid.trapezoid(0.0, 1.0, 51))
     assert report.status is SolveStatus.CERTIFIED
     assert calls == [51]
+
+
+def reference_bracket(weighted: np.ndarray, iterates: np.ndarray) -> tuple[float, float]:
+    """The Collatz-Wielandt bracket over all consecutive pairs at once."""
+    live = np.any(weighted != 0.0, axis=1)
+    if not live.any():
+        return 0.0, 0.0
+    iterates = iterates[:, live]
+    x, y = iterates[:-1], iterates[1:]
+    usable = np.all(x >= np.finfo(float).tiny, axis=1) & np.all(np.isfinite(y), axis=1)
+    if not usable.any():
+        return 0.0, float("inf")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotients = y / x
+    lo = float(np.max(np.min(quotients, axis=1)[usable]))
+    hi = float(np.min(np.max(quotients, axis=1)[usable]))
+    slack = (weighted.shape[1] + 2) * float(np.finfo(float).eps)
+    return lo * (1.0 - slack), hi * (1.0 + slack)
+
+
+def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
+    """The certificate term by term, one increment array per term, with the
+    per-element monoid path: the loop the block computation replaced.
+    Returns the certificate's fields and the number of matvecs made."""
+    operator = DiscreteKernel.assemble(k, grid)
+    weighted = operator.weighted
+    v = operator.integrated
+    increments = []
+    partial = np.zeros(len(grid))
+    sup_inc = []
+    sup_part = []
+    overflow = False
+    matvecs = 0
+    for _ in range(n_max):
+        increments.append(v)
+        partial = partial + v
+        sup_inc.append(float(np.max(np.abs(v))))
+        sup_part.append(float(np.max(np.abs(partial))))
+        if not np.isfinite(sup_part[-1]) or sup_part[-1] > fredholm.OVERFLOW_LIMIT:
+            overflow = True
+            break
+        if sup_inc[-1] != 0.0:
+            v = weighted @ v
+            matvecs += 1
+
+    per_element = replace(grid_function_monoid(len(grid)), elementwise=False)
+    budget = max(1, n_max // 2)
+    trace = MTrace(elements=tuple(increments), budget=budget)
+    _, witness, _ = cauchy_series_window_report(trace, grid_ladder(len(grid)), per_element)
+
+    cutoff = min(budget, len(increments)) - 1
+    tail = np.zeros(len(grid))
+    for inc in increments[cutoff:]:
+        tail = tail + inc
+    return dict(
+        partial_sums=partial,
+        sup_increments=tuple(sup_inc),
+        sup_partials=tuple(sup_part),
+        tail_window_max=float(np.max(np.abs(tail))),
+        spectral_bracket=reference_bracket(weighted, np.array(increments)),
+        witness_index=witness,
+        overflow=overflow,
+        matvecs=matvecs,
+    )
+
+
+ZERO_KERNEL = KernelSpec(Q=lambda t, s: 0.0 * t * s, g=lambda t, s, x: 0.0 * x, f=lambda t: t)
+
+
+@pytest.mark.parametrize(
+    "k, m, terms",
+    [
+        (TS, 101, 800),
+        (TS, 401, 800),
+        (constant_kernel(0.3), 101, 800),
+        (constant_kernel(0.9), 101, 800),
+        (EXP_KERNEL, 101, 800),
+        (ZERO_KERNEL, 101, 800),
+        (constant_kernel(1.1), 101, 265),
+        # overflows at the first term; the terms computed past it overflow
+        # the float range and must be discarded without a warning
+        (constant_kernel(1e200), 101, 1),
+    ],
+)
+def test_certificate_matches_term_by_term_reference(k, m, terms, monkeypatch):
+    grid = Grid.trapezoid(0.0, 1.0, m)
+    want = reference_certificate(k, grid, 800)
+    matvecs = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *a, **kw: matvecs.append(1) or dot(*a, **kw))
+    cert = certify_convergence(k, grid, grid_ladder(m), 800)
+    monkeypatch.undo()
+
+    assert len(cert.sup_increments) == terms
+    assert np.array_equal(cert.partial_sums, want["partial_sums"])
+    for field in (
+        "sup_increments",
+        "sup_partials",
+        "tail_window_max",
+        "spectral_bracket",
+        "witness_index",
+        "overflow",
+    ):
+        assert getattr(cert, field) == want[field], field
+    if want["overflow"]:
+        # cut at the first overflowing term, at most one block of rows past it
+        assert want["matvecs"] <= len(matvecs) <= want["matvecs"] + fredholm.BLOCK_ROWS
+    else:
+        # no matvec after the first exactly zero increment, nor after the
+        # last term (the loop made one there and discarded it)
+        assert len(matvecs) == min(want["matvecs"], terms - 1)
 
 
 def test_certificate_critical_constant_not_certified():

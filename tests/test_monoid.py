@@ -1,5 +1,6 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,10 +215,23 @@ def brute_null_trace(xs, budget, ladder, spec):
     return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
 
 
+# The bottom rung 2**-20 and a value just under it, equal to it within the
+# tolerance of `close_eq`: a suffix sum made of these is <= the rung but not
+# strictly below it, a tie that `eq` has to reject.
+RUNG_TIES = (2.0**-20, 2.0**-20 * (1.0 - 1e-12))
+
+
+def _grid_element(rng):
+    if rng.random() < 0.2:
+        return np.full(3, rng.choice(RUNG_TIES))
+    return np.array([rng.choice(MIXED) for _ in range(3)])
+
+
 MIXED_ELEMENTS = {
     "real_nonneg": lambda rng: rng.choice(MIXED),
     "real_vector{3}": lambda rng: np.array([rng.choice(MIXED) for _ in range(3)]),
     "product{real_nonneg,real_nonneg}": lambda rng: (rng.choice(MIXED), rng.choice(MIXED)),
+    "grid_function{3}": _grid_element,
 }
 
 
@@ -232,6 +246,10 @@ def test_trace_decisions_match_brute_force_windows(name):
     cases = [[element(rng) for _ in range(rng.randint(1, 8))] for _ in range(60)]
     small = [e for e in (element(rng) for _ in range(400)) if spec.strictly_below(e, ladder.bottom)]
     cases += [[element(rng)] + [rng.choice(small) for _ in range(rng.randint(0, 7))] for _ in range(60)]
+    if spec.elementwise:
+        # the last suffix sum ties with the bottom rung
+        cases += [[np.full(3, 0.25), np.full(3, tie)] for tie in RUNG_TIES]
+        per_element = replace(spec, elementwise=False)
     seen = set()
     for xs in cases:
         n = len(xs)
@@ -246,10 +264,36 @@ def test_trace_decisions_match_brute_force_windows(name):
                 start, end, total = want[2]
                 assert window[:2] == (start, end) and spec.eq(window[2], total), (xs, budget)
                 assert not spec.strictly_below(total, ladder.bottom)
+            if spec.elementwise:
+                # the stacked path makes the additions of the per-element fold
+                d, w, win = cauchy_series_window_report(trace, ladder, per_element)
+                assert (d, w) == (decision, witness) and (win is None) == (window is None)
+                assert win is None or (win[:2] == window[:2] and np.array_equal(win[2], window[2]))
             null = is_null_trace(trace, ladder, spec)
             assert null is brute_null_trace(xs, budget, ladder, spec), (xs, budget)
             seen.add((decision, null))
     assert {d for d, _ in seen} == set(Decision) and {d for _, d in seen} == set(Decision)
+
+
+@pytest.mark.parametrize("bad", [-5e-7, -1e10, float("nan")])
+def test_grid_trace_outside_positive_cone_raises_as_per_element(bad):
+    entry = get_monoid("grid_function{3}")
+    spec, ladder = entry.spec, entry.ladder
+    per_element = replace(spec, elementwise=False)
+    rng = random.Random(repr(bad))
+    for _ in range(20):
+        xs = [_grid_element(rng) for _ in range(rng.randint(1, 8))]
+        # one or two elements leave the cone; the first one is reported
+        hit = sorted({rng.randrange(len(xs)) for _ in range(2)})
+        for at in hit:
+            xs[at] = xs[at].copy()
+            xs[at][rng.randrange(3)] = bad
+        trace = MTrace(elements=tuple(xs), budget=len(xs))
+        with pytest.raises(ValueError, match=f"at index {hit[0]} ") as stacked:
+            cauchy_series_window_report(trace, ladder, spec)
+        with pytest.raises(ValueError) as folded:
+            cauchy_series_window_report(trace, ladder, per_element)
+        assert str(stacked.value) == str(folded.value)
 
 
 def test_cauchy_series_small_tail_after_large_head_is_not_null():
