@@ -16,11 +16,22 @@ def generic_eq(a: Any, b: Any) -> bool:
 
 
 def close_eq(rel: float = 1e-9, abs_: float = 1e-12):
-    """Tolerant equality for float-based carriers (scalars, tuples, arrays)."""
+    """Tolerant equality for float-based carriers (scalars, tuples, arrays).
+
+    On arrays it is `np.allclose(a, b, rtol=rel, atol=abs_)`: numpy's
+    `isclose` formula, |a - b| <= abs_ + rel*|b| where b is finite, or
+    a == b, evaluated directly, without the per-call set-up of `allclose`,
+    which takes more than half its time on a 101-entry array.  b is made
+    inexact as numpy does.  inf - inf and overflowing differences are not
+    warned about: they only ever decide "not close" or are overruled by
+    a == b.
+    """
 
     def eq(a: Any, b: Any) -> bool:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool(np.allclose(a, b, rtol=rel, atol=abs_))
+            b = np.asarray(b, dtype=np.result_type(b, 1.0))
+            with np.errstate(invalid="ignore", over="ignore"):
+                return bool(((abs(a - b) <= abs_ + rel * abs(b)) & np.isfinite(b) | (a == b)).all())
         if isinstance(a, tuple) and isinstance(b, tuple):
             return len(a) == len(b) and all(eq(x, y) for x, y in zip(a, b))
         return abs(a - b) <= abs_ + rel * max(abs(a), abs(b))

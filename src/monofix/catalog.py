@@ -95,7 +95,7 @@ def real_vector_monoid(dim: int) -> MonoidSpec:
         carrier_descr=f"real {dim}-vectors (pointwise + and <=)",
         combine=lambda a, b: a + b,
         identity=np.zeros(dim),
-        leq=lambda a, b: bool(np.all(a <= b)),
+        leq=lambda a, b: bool((a <= b).all()),
         sup=np.maximum,
         eq=close_eq(),
     )

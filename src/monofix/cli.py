@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import operator
 import sys
 from pathlib import Path
@@ -471,7 +472,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process and shared: do not change it."""
     parser = argparse.ArgumentParser(
         prog="monofix",
         description="solvers and falsifiers for monoid-valued distance spaces",
@@ -482,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default="monofix-out")
     p.add_argument("--force", action="store_true", help="iterate past a failing certificate")
-    p.set_defaults(fn=cmd_solve_fredholm)
 
     p = sub.add_parser("solve-map", help="run one named map through one driver")
     p.add_argument("--map", required=True, choices=catalog.MAP_NAMES)
@@ -490,12 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--out", default="monofix-out")
-    p.set_defaults(fn=cmd_solve_map)
 
     p = sub.add_parser("solve-coupled", help="solve a coupled fixed point from a config file")
     p.add_argument("config")
     p.add_argument("--out", default="monofix-out")
-    p.set_defaults(fn=cmd_solve_coupled)
 
     p = sub.add_parser("check-space", help="validate axioms or falsify chain properties")
     p.add_argument("name")
@@ -504,20 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="monofix-out")
-    p.set_defaults(fn=cmd_check_space)
 
     p = sub.add_parser("demo", help="run a canned demonstration")
     p.add_argument("name")
     p.add_argument("--out", default="monofix-out")
-    p.set_defaults(fn=cmd_demo)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a command runs `cmd_<command>`, looked up at call time: the parser is
+    # built once and holds no function of this module
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -228,7 +228,7 @@ def grid_function_monoid(m: int) -> MonoidSpec:
         carrier_descr=f"grid functions on {m} nodes (pointwise + and <=)",
         combine=lambda a, b: a + b,
         identity=np.zeros(m),
-        leq=lambda a, b: bool(np.all(a <= b)),
+        leq=lambda a, b: bool((a <= b).all()),
         sup=np.maximum,
         eq=close_eq(),
         elementwise=True,

@@ -130,34 +130,51 @@ def _not_positive(i: int, x: Any) -> ValueError:
 
 
 def _require_positive(trace_elements: Sequence[Any], spec: MonoidSpec) -> None:
+    leq, identity = spec.leq, spec.identity  # `is_positive`, without a method call per element
     for i, x in enumerate(trace_elements):
-        if not spec.is_positive(x):
+        if not leq(identity, x):
             raise _not_positive(i, x)
+
+
+def _tail_decision(row_is_bad: Callable[[int], bool], rows: int, n: int, budget: int) -> Decision:
+    """The verdict of a last-bad-row rule, read from the tail.
+
+    A check marks rows 0..rows-1 good or bad and is NULL when it has no bad
+    row or its last bad row is at index min(rows, budget) - 2 or earlier.
+    Only the rows after that index can change the verdict, so they are
+    tested from the last one down and the test stops at the first bad row;
+    a budget below 1 leaves no such index, and every row is tested.  A check
+    that is not NULL is NOT_NULL_WITHIN once its evidence has reached the
+    budget (`n >= budget`), else INDETERMINATE.
+    """
+    last_ok = max(min(rows, budget) - 2, -1)
+    if not any(row_is_bad(i) for i in range(rows - 1, last_ok, -1)):
+        return Decision.NULL
+    return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
 
 
 def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decision:
     """Decide whether the trace falls and stays strictly below the bottom rung.
 
-    NULL requires a start index N <= budget such that every element from N to
-    the end of the trace sits strictly below the bottom rung.  Elements that
-    exceed or are incomparable to the rung count as violations.
+    NULL requires a start index N, either 0 or below min(n, budget), such
+    that every element from N to the end of the trace sits strictly below
+    the bottom rung: no element is a violation, or the last one is at index
+    min(n, budget) - 2 or earlier.  Elements that exceed or are incomparable
+    to the rung count as violations.
+
+    Every element is checked for positivity.  Only the elements after index
+    min(n, budget) - 2 are then compared with the rung, from the end of the
+    trace back, stopping at the first violation: with budget n that is the
+    last element alone.  A budget below 1 leaves no such index, and the whole
+    trace is compared.
     """
-    if len(trace.elements) == 0:
+    xs = trace.elements
+    n = len(xs)
+    if n == 0:
         raise ValueError("empty trace")
-    _require_positive(trace.elements, spec)
+    _require_positive(xs, spec)
     bottom = ladder.bottom
-    last_bad = -1
-    for i, x in enumerate(trace.elements):
-        if not spec.strictly_below(x, bottom):
-            last_bad = i
-    n = len(trace.elements)
-    if last_bad == -1:
-        return Decision.NULL
-    if last_bad <= n - 2 and last_bad + 2 <= trace.budget:
-        return Decision.NULL
-    if n >= trace.budget:
-        return Decision.NOT_NULL_WITHIN
-    return Decision.INDETERMINATE
+    return _tail_decision(lambda i: not spec.strictly_below(xs[i], bottom), n, n, trace.budget)
 
 
 def _suffix_sums(trace: MTrace, spec: MonoidSpec) -> list:

@@ -21,6 +21,7 @@ from .monoid import (
     MonoidSpec,
     MTrace,
     TestLadder,
+    _tail_decision,
     cauchy_series_check,
     is_null_trace,
 )
@@ -319,25 +320,28 @@ def converges_to(space: DistanceSpaceSpec, trace: PointTrace, limit: Any) -> Dec
 
 def is_cauchy_sequence(space: DistanceSpaceSpec, trace: PointTrace) -> Decision:
     """NULL iff beyond some start index within budget all strict pairs are
-    strictly below the bottom rung."""
+    strictly below the bottom rung.
+
+    The pairs (i, j), i < j, fall into rows by i; a row is bad when one of
+    its pairs is not strictly below the rung.  NULL means no bad row, or the
+    last one at index min(n - 3, budget - 2) or earlier, so only the rows
+    after that index are tested: from the last row up, each row stopping at
+    its first bad pair and the scan at the first bad row.  A budget below 1
+    tests every row.
+    """
     pts = trace.points
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise ValueError("need at least two points")
     m = space.monoid
     bottom = space.ladder.bottom
-    last_bad = -1
-    for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            if not m.strictly_below(space.distance(pts[i], pts[j]), bottom):
-                last_bad = max(last_bad, i)
-    n = len(pts)
-    if last_bad == -1:
-        return Decision.NULL
-    if last_bad + 1 <= n - 2 and last_bad + 2 <= trace.budget:
-        return Decision.NULL
-    if n >= trace.budget:
-        return Decision.NOT_NULL_WITHIN
-    return Decision.INDETERMINATE
+
+    def row_is_bad(i: int) -> bool:
+        return any(
+            not m.strictly_below(space.distance(pts[i], pts[j]), bottom) for j in range(i + 1, n)
+        )
+
+    return _tail_decision(row_is_bad, n - 1, n, trace.budget)
 
 
 def is_cw_sequence(space: DistanceSpaceSpec, trace: PointTrace) -> Decision:
@@ -367,7 +371,9 @@ def falsify_frechet_wilson(
     the endpoint distance fails to sit strictly below some rung.
     weak: the sampler yields (xs, ys, z); standard: (xs, zs, ys).  A witness
     is a sampled prefix where the two premise traces are null but the
-    conclusion trace is decisively not null.
+    conclusion trace is decisively not null.  The distances of a trace are
+    computed only when every trace before it is null: the second premise's
+    after a null first premise, the conclusion's after a null second one.
 
     Returns None when no counterexample was found, which is evidence, not
     proof, that the property holds.
@@ -378,6 +384,9 @@ def falsify_frechet_wilson(
     ladder = space.ladder
     bottom = ladder.bottom
     rng = child_rng(seed, f"fw-{level}")
+
+    def distances(us: tuple, vs: tuple) -> MTrace:
+        return MTrace.of([space.distance(u, v) for u, v in zip(us, vs)])
 
     for trial in range(trials):
         cand = sampler(rng)
@@ -423,14 +432,12 @@ def falsify_frechet_wilson(
             if n < 2:
                 continue
             heads, middles, tails = heads[:n], middles[:n], tails[:n]
-            prem1 = MTrace.of([space.distance(a, b) for a, b in zip(heads, middles)])
-            prem2 = MTrace.of([space.distance(b, c) for b, c in zip(middles, tails)])
-            concl = MTrace.of([space.distance(a, c) for a, c in zip(heads, tails)])
-            if (
-                is_null_trace(prem1, ladder, m) is Decision.NULL
-                and is_null_trace(prem2, ladder, m) is Decision.NULL
-                and is_null_trace(concl, ladder, m) is Decision.NOT_NULL_WITHIN
-            ):
+            if is_null_trace(distances(heads, middles), ladder, m) is not Decision.NULL:
+                continue
+            if is_null_trace(distances(middles, tails), ladder, m) is not Decision.NULL:
+                continue
+            concl = distances(heads, tails)
+            if is_null_trace(concl, ladder, m) is Decision.NOT_NULL_WITHIN:
                 return Counterexample(
                     kind=f"fw-{level}",
                     points=(heads, middles, tails),

@@ -1,5 +1,6 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from monofix import (
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
 from monofix.monoid import cauchy_series_window_report
 from monofix.spaces import diagonal, relation_compose, relation_monoid
-from monofix._util import close_eq
+from monofix._util import close_eq, format_value
 
 REAL = real_nonneg_monoid()
 LADDER16 = TestLadder.build(REAL, [1.0, 0.5, 0.25, 0.125, 0.0625])
@@ -273,6 +274,147 @@ def test_trace_decisions_match_brute_force_windows(name):
             assert null is brute_null_trace(xs, budget, ladder, spec), (xs, budget)
             seen.add((decision, null))
     assert {d for d, _ in seen} == set(Decision) and {d for _, d in seen} == set(Decision)
+
+
+def full_scan_null_trace(xs, budget, ladder, spec):
+    """`is_null_trace` as a scan of every element: positivity, then the
+    index of the last element that is not strictly below the bottom rung."""
+    for i, x in enumerate(xs):
+        if not spec.is_positive(x):
+            raise ValueError(f"trace element at index {i} is not in the positive cone: {format_value(x)}")
+    last_bad = -1
+    for i, x in enumerate(xs):
+        if not spec.strictly_below(x, ladder.bottom):
+            last_bad = i
+    n = len(xs)
+    if last_bad == -1:
+        return Decision.NULL
+    if last_bad <= n - 2 and last_bad + 2 <= budget:
+        return Decision.NULL
+    if n >= budget:
+        return Decision.NOT_NULL_WITHIN
+    return Decision.INDETERMINATE
+
+
+# Entries strictly below the 2**-20 bottom rung, and entries that are not:
+# far above it, or tied with it within the tolerance of `close_eq`.  A vector
+# or pair mixing the two kinds is incomparable with the rung; one made of
+# ties alone equals it; one mixing ties with entries below is strictly below.
+BELOW = (0.0, 3e-7, 5e-7)
+NOT_BELOW = (0.25, 1e10) + RUNG_TIES
+OUTSIDE_CONE = (-5e-7, -1e10, float("nan"))
+
+
+def _entry(rng, p_below):
+    return rng.choice(BELOW if rng.random() < p_below else NOT_BELOW)
+
+
+TAIL_ELEMENTS = {
+    "real_nonneg": (_entry, lambda x, bad, rng: bad),
+    "real_vector{3}": (
+        lambda rng, p: np.array([_entry(rng, p) for _ in range(3)]),
+        lambda x, bad, rng: np.where(np.arange(3) == rng.randrange(3), bad, x),
+    ),
+    "product{real_nonneg,real_nonneg}": (
+        lambda rng, p: (_entry(rng, p), _entry(rng, p)),
+        lambda x, bad, rng: (bad, x[1]) if rng.random() < 0.5 else (x[0], bad),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_ELEMENTS)
+def test_null_trace_from_the_tail_matches_full_scan(name):
+    element, leave_cone = TAIL_ELEMENTS[name]
+    entry = get_monoid(name)
+    spec, ladder = entry.spec, entry.ladder
+    rng = random.Random(f"tail/{name}")
+    seen = set()
+    for t in range(240):
+        p_below = rng.choice((0.3, 0.7, 0.9, 1.0))
+        xs = [element(rng, p_below) for _ in range(rng.randint(1, 9))]
+        if t % 4 == 0:
+            # one or two elements leave the cone; the first one is reported
+            for at in {rng.randrange(len(xs)) for _ in range(2)}:
+                xs[at] = leave_cone(xs[at], rng.choice(OUTSIDE_CONE), rng)
+        n = len(xs)
+        for budget in sorted({0, 1, n - 1, n, n + 5}):
+            trace = MTrace(elements=tuple(xs), budget=budget)
+            try:
+                want = full_scan_null_trace(xs, budget, ladder, spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    is_null_trace(trace, ladder, spec)
+                assert str(got.value) == str(exc)
+                seen.add("raises")
+                continue
+            assert is_null_trace(trace, ladder, spec) is want, (xs, budget)
+            seen.add(want)
+    assert seen == set(Decision) | {"raises"}
+
+
+def test_null_trace_compares_only_the_deciding_tail(monkeypatch):
+    compared = []
+    strictly_below = MonoidSpec.strictly_below
+
+    def counting(self, x, y):
+        compared.append(x)
+        return strictly_below(self, x, y)
+
+    monkeypatch.setattr(MonoidSpec, "strictly_below", counting)
+    ladder = dyadic_ladder(20)
+    head = [0.5, 1e-7, 0.25] * 10
+    for xs, budget, want, calls in [
+        # budget n: the last element alone decides
+        (head + [1e-7], None, Decision.NULL, 1),
+        (head + [0.5], None, Decision.NOT_NULL_WITHIN, 1),
+        # budget n - 1: the last two
+        (head + [1e-7, 1e-7], 31, Decision.NULL, 2),
+        # no budget: every element
+        ([1e-7] * 12, 0, Decision.NULL, 12),
+    ]:
+        compared.clear()
+        assert is_null_trace(MTrace.of(xs, budget), ladder, REAL) is want
+        assert len(compared) == calls, (xs, budget)
+
+
+# Values around the tolerances (1e-9 relative, 1e-12 absolute), signed
+# zeros, subnormals, the extremes of float64 and the non-finite values.
+CLOSE_VALUES = (
+    0.0, -0.0, 1e-12, 2e-12, -1e-12, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, -1.0,
+    5e-324, 2.2e-308, 1e308, -1e308, np.inf, -np.inf, np.nan,
+)
+INT64 = np.iinfo(np.int64)
+
+
+def _allclose(a, b):
+    # np.allclose itself warns when a - b overflows
+    with np.errstate(over="ignore"):
+        return bool(np.allclose(a, b, rtol=1e-9, atol=1e-12))
+
+
+def test_close_eq_on_arrays_is_allclose():
+    eq = close_eq()
+    rng = random.Random("close_eq")
+    pairs = []
+    for _ in range(400):
+        a = np.array([rng.choice(CLOSE_VALUES) for _ in range(3)])
+        # b is a, nudged entries of a, or fresh values
+        b = np.array([x if rng.random() < 0.5 else rng.choice(CLOSE_VALUES) for x in a])
+        pairs += [(a, b), (a[0], b), (a, b[1]), (np.array(a[2]), np.array(b[2]))]
+    ints = [np.array([INT64.min, 0, 5]), np.array([INT64.max, 0, 5]), np.array([0, 0, 5])]
+    pairs += [(x, y) for x in ints for y in ints]
+    pairs += [(ints[0], ints[0].astype(float)), (3, np.array([3, 3])), (np.array([3, 3]), 3.0)]
+    pairs += [(0.0, np.zeros(0)), (np.zeros((2, 3)), np.zeros(3))]
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, b in pairs:
+            want = _allclose(a, b)
+            assert eq(a, b) is want, (a, b)
+            seen.add(want)
+        for (a1, b1), (a2, b2) in zip(pairs[::2], pairs[1::2]):
+            assert eq((a1, a2), (b1, b2)) is (_allclose(a1, b1) and _allclose(a2, b2))
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("bad", [-5e-7, -1e10, float("nan")])

@@ -1,4 +1,5 @@
 """Distance-space axioms, detectors, falsifiers, and example spaces."""
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from monofix import (
     Decision,
     DistanceSpaceSpec,
+    MTrace,
     PointTrace,
     SpaceKind,
     ZetaSpec,
@@ -18,6 +20,7 @@ from monofix import (
     falsify_frechet_wilson,
     gauge_space,
     is_cauchy_sequence,
+    is_null_trace,
     is_cw_sequence,
     make_uniform_from_pseudometric,
     product_space,
@@ -30,6 +33,8 @@ from monofix.catalog import (
     interleaved_sequence,
     real_nonneg_monoid,
 )
+from monofix._rng import child_rng
+from monofix.reporting import Counterexample
 from monofix.spaces import diagonal, full_relation
 
 REAL_ABS = get_space("real_abs")
@@ -189,6 +194,100 @@ def test_fw_rejects_unknown_level():
         falsify_frechet_wilson(REAL_ABS.space, "superstrong", lambda rng: [], 1)
 
 
+# The Frechet-Wilson checks of the benchmark's audit workload.
+FW_CHECKS = (
+    ("strong", "snowflake"),
+    ("strong", "real_abs"),
+    ("strong", "squared"),
+    ("weak", "real_abs"),
+    ("standard", "real_abs"),
+    ("weak", "omega_counterexample{128}"),
+    ("standard", "omega_counterexample{128}"),
+    ("weak", "uniform_pseudometric{8}"),
+    ("standard", "uniform_pseudometric{8}"),
+)
+
+
+def eager_frechet_wilson(space, level, sampler, trials, seed):
+    """The falsifier with every trace of a trial computed before any of
+    them is decided."""
+    m, ladder = space.monoid, space.ladder
+    rng = child_rng(seed, f"fw-{level}")
+    for trial in range(trials):
+        cand = sampler(rng)
+        if level == "strong":
+            chain = tuple(cand)
+            if len(chain) < 2:
+                continue
+            total = m.fold(space.distance(a, b) for a, b in zip(chain, chain[1:]))
+            if not m.strictly_below(total, ladder.bottom):
+                continue
+            endpoint = space.distance(chain[0], chain[-1])
+            above = [i for i, eps in enumerate(ladder.rungs) if not m.strictly_below(endpoint, eps)]
+            if above:
+                return level, trial, chain, above[0], (total, endpoint)
+            continue
+        if level == "weak":
+            seq_x, seq_y, z = cand
+            heads, middles, tails = tuple(seq_x), tuple(seq_y), (z,) * len(seq_x)
+        else:
+            heads, middles, tails = (tuple(c) for c in cand)
+        n = min(len(heads), len(middles), len(tails))
+        if n < 2:
+            continue
+        heads, middles, tails = heads[:n], middles[:n], tails[:n]
+        prem1, prem2, concl = (
+            MTrace.of([space.distance(a, b) for a, b in zip(us, vs)])
+            for us, vs in ((heads, middles), (middles, tails), (heads, tails))
+        )
+        if (
+            is_null_trace(prem1, ladder, m) is Decision.NULL
+            and is_null_trace(prem2, ladder, m) is Decision.NULL
+            and is_null_trace(concl, ladder, m) is Decision.NOT_NULL_WITHIN
+        ):
+            return level, trial, (heads, middles, tails), len(ladder.rungs) - 1, concl.elements[-1:]
+    return None
+
+
+@pytest.mark.parametrize("level,name", FW_CHECKS)
+def test_fw_lazy_traces_match_eager_reference(level, name):
+    entry = get_space(name)
+    for seed in range(8):
+        want = eager_frechet_wilson(entry.space, level, entry.fw_sampler(level), 120, seed)
+        cex = falsify_frechet_wilson(entry.space, level, entry.fw_sampler(level), 120, seed=seed)
+        if want is None:
+            assert cex is None, seed
+            continue
+        kind, trial, points, rung, distances = want
+        assert cex == Counterexample(
+            kind=f"fw-{kind}",
+            points=points,
+            rung_index=rung,
+            distances=distances,
+            detail=cex.detail,
+        ), seed
+        assert cex.detail.endswith(f"found on trial {trial}")
+
+
+def test_fw_second_premise_computed_only_after_a_null_first():
+    pairs = []
+
+    def dist(x, y):
+        pairs.append((x, y))
+        return abs(x - y)
+
+    space = dataclasses.replace(REAL_ABS.space, distance=dist)
+    n, trials = 8, 5
+    for xs, ys, z, per_trial in [
+        ([0.0] * n, [1.0] * n, 0.0, n),  # the first premise is not null
+        ([0.0] * n, [0.0] * n, 1.0, 2 * n),  # the second premise is not null
+        ([0.0] * n, [0.0] * n, 0.0, 3 * n),  # no trace is decisively not null
+    ]:
+        pairs.clear()
+        cex = falsify_frechet_wilson(space, "weak", lambda rng: (xs, ys, z), trials, seed=1)
+        assert cex is None and len(pairs) == trials * per_trial
+
+
 # ---------------------------------------------------------------------------
 # sequence detectors
 
@@ -210,6 +309,38 @@ def test_cauchy_sequence_one_over_n():
 def test_cauchy_sequence_constant():
     trace = PointTrace.from_points(REAL_ABS.space, [0.7] * 20)
     assert is_cauchy_sequence(REAL_ABS.space, trace) is Decision.NULL
+
+
+def full_scan_cauchy_sequence(space, points, budget):
+    """`is_cauchy_sequence` as a scan of every pair: the last row i with a
+    pair (i, j) that is not strictly below the bottom rung."""
+    m, bottom, n = space.monoid, space.ladder.bottom, len(points)
+    last_bad = -1
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if not m.strictly_below(space.distance(points[i], points[j]), bottom):
+                last_bad = max(last_bad, i)
+    if last_bad == -1 or (last_bad + 1 <= n - 2 and last_bad + 2 <= budget):
+        return Decision.NULL
+    return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
+
+
+def test_cauchy_sequence_from_the_tail_matches_full_scan():
+    # the bottom rung is 1/16: 0.0, 0.01 and 0.02 pair strictly below it,
+    # 0.0 and 0.0625 tie with it, and 0.5 and 3.0 pair above it
+    space = coarse(REAL_ABS)
+    rng = random.Random("cauchy-tail")
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        near = rng.random()
+        points = [rng.choice((0.0, 0.01, 0.0625, 0.5, 3.0)) if rng.random() > near else 0.02 for _ in range(n)]
+        for budget in sorted({0, 1, n - 2, n - 1, n, n + 5}):
+            trace = PointTrace.from_points(space, points, budget=budget)
+            want = full_scan_cauchy_sequence(space, points, budget)
+            assert is_cauchy_sequence(space, trace) is want, (points, budget)
+            seen.add(want)
+    assert seen == set(Decision)
 
 
 def test_omega_interleaved_triple_pattern():
