@@ -1,4 +1,4 @@
-"""Deterministic seed derivation.
+"""Deterministic seed derivation and exact bulk draws.
 
 Every random choice in the library flows from one root seed through labelled
 children, so repeated runs with the same seed reproduce byte for byte.
@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Callable
+
+import numpy as np
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -16,3 +19,44 @@ def derive_seed(root: int, label: str) -> int:
 
 def child_rng(root: int, label: str) -> random.Random:
     return random.Random(derive_seed(root, label))
+
+
+def choice_indices(
+    rng: random.Random, n: int, count: int
+) -> tuple[np.ndarray, Callable[[int], None]]:
+    """The indices of `count` calls `rng.choice(seq)` on a sequence of length
+    n, drawn at once, and `settle(d)`, which leaves `rng` exactly as the
+    first d of those calls would have.
+
+    `choice` takes one 32-bit Mersenne Twister word per try, keeps its top
+    n.bit_length() bits and retries while they are not below n.
+    `getrandbits(32 * k)` returns k such words in the same order, least
+    significant first, so the tries are read off its bytes and the
+    rejections applied to all of them at once.  The indices are uint32.
+    Until `settle` is called, `rng` may have run past the draws; `settle(d)`
+    restores the state saved on entry and replays the words of the first d
+    draws.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not 1 <= n < 1 << 32:
+        raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
+    saved = rng.getstate()
+    bits = n.bit_length()
+    tries, kept = b"", ()
+    while len(kept) < count:
+        # a try is kept with probability n / 2**bits; draw the expected
+        # number for the rest and an eighth more, rarely a second time
+        rest = count - len(kept)
+        k = (rest << bits) // n + (rest >> 3) + 32
+        tries += rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        shifted = np.frombuffer(tries, dtype="<u4") >> (32 - bits)
+        kept = np.flatnonzero(shifted < n)
+    kept = kept[:count]
+
+    def settle(d: int) -> None:
+        rng.setstate(saved)
+        if d:
+            rng.getrandbits(32 * (int(kept[d - 1]) + 1))
+
+    return shifted[kept], settle

@@ -15,23 +15,33 @@ def generic_eq(a: Any, b: Any) -> bool:
     return a == b
 
 
-def close_eq(rel: float = 1e-9, abs_: float = 1e-12):
+# the tolerances of the float carriers' equality
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.ndarray:
+    """Entrywise `np.isclose(a, b, rtol=rel, atol=abs_)`: |a - b| <= abs_ +
+    rel*|b| where b is finite, or a == b, evaluated directly, without the
+    per-call set-up of `isclose`, which takes more than half its time on a
+    101-entry array.  b is made inexact as numpy does.  inf - inf and
+    overflowing differences are not warned about: they only ever decide
+    "not close" or are overruled by a == b.
+    """
+    b = np.asarray(b, dtype=np.result_type(b, 1.0))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (abs(a - b) <= abs_ + rel * abs(b)) & np.isfinite(b) | (a == b)
+
+
+def close_eq(rel: float = RTOL, abs_: float = ATOL):
     """Tolerant equality for float-based carriers (scalars, tuples, arrays).
 
-    On arrays it is `np.allclose(a, b, rtol=rel, atol=abs_)`: numpy's
-    `isclose` formula, |a - b| <= abs_ + rel*|b| where b is finite, or
-    a == b, evaluated directly, without the per-call set-up of `allclose`,
-    which takes more than half its time on a 101-entry array.  b is made
-    inexact as numpy does.  inf - inf and overflowing differences are not
-    warned about: they only ever decide "not close" or are overruled by
-    a == b.
+    On arrays it is `np.allclose(a, b, rtol=rel, atol=abs_)`: every entry
+    `close_entries`.
     """
 
     def eq(a: Any, b: Any) -> bool:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            b = np.asarray(b, dtype=np.result_type(b, 1.0))
-            with np.errstate(invalid="ignore", over="ignore"):
-                return bool(((abs(a - b) <= abs_ + rel * abs(b)) & np.isfinite(b) | (a == b)).all())
+            return bool(close_entries(a, b, rel, abs_).all())
         if isinstance(a, tuple) and isinstance(b, tuple):
             return len(a) == len(b) and all(eq(x, y) for x, y in zip(a, b))
         return abs(a - b) <= abs_ + rel * max(abs(a), abs(b))

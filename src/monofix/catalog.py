@@ -68,11 +68,33 @@ class MapEntry:
         return self.monotone_x0 if driver == "monotone" else self.x0_default
 
 
-def _parse_name(name: str) -> tuple[str, Optional[str]]:
+# The largest brace parameters: the dimension of a vector carrier, the
+# points of a finite carrier.
+MAX_DIM, MAX_POINTS = 4096, 64
+
+
+def _parse_name(name: str, plain: Sequence[str]) -> tuple[str, Optional[str]]:
+    """The base name and brace parameter; a parameter on a name in `plain`
+    is a KeyError, as an unknown name is."""
     if "{" in name and name.endswith("}"):
         base, arg = name[:-1].split("{", 1)
+        if base in plain:
+            raise KeyError(f"{name!r}: {base} takes no parameter")
         return base, arg
     return name, None
+
+
+def _int_param(name: str, arg: Optional[str], default: int, low: int, high: int) -> int:
+    """The integer brace parameter of a catalog name, from low to high."""
+    if arg is None:
+        return default
+    try:
+        value = int(arg)
+    except ValueError:
+        value = low - 1
+    if not low <= value <= high:
+        raise KeyError(f"{name!r}: the parameter must be an integer from {low} to {high}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +120,7 @@ def real_vector_monoid(dim: int) -> MonoidSpec:
         leq=lambda a, b: bool((a <= b).all()),
         sup=np.maximum,
         eq=close_eq(),
+        elementwise=True,
     )
 
 
@@ -152,7 +175,7 @@ def _real_batteries() -> tuple[tuple, tuple]:
 
 
 def get_monoid(name: str) -> MonoidEntry:
-    base, arg = _parse_name(name)
+    base, arg = _parse_name(name, ("real_nonneg", "broken_subtraction"))
     if base == "real_nonneg":
         null, notnull = _real_batteries()
         return MonoidEntry(
@@ -164,7 +187,7 @@ def get_monoid(name: str) -> MonoidEntry:
             notnull_battery=notnull,
         )
     if base == "real_vector":
-        dim = int(arg or 3)
+        dim = _int_param(name, arg, 3, 1, MAX_DIM)
         spec = real_vector_monoid(dim)
         rng = child_rng(0, f"real_vector{dim}-samples")
         samples = [np.zeros(dim), np.ones(dim), np.arange(dim, dtype=float)]
@@ -177,7 +200,7 @@ def get_monoid(name: str) -> MonoidEntry:
         )
         return MonoidEntry(name=name, spec=spec, ladder=ladder, samples=tuple(samples))
     if base == "grid_function":
-        m = int(arg or 8)
+        m = _int_param(name, arg, 8, 1, MAX_DIM)
         from .fredholm import grid_function_monoid, grid_ladder
 
         spec = grid_function_monoid(m)
@@ -198,7 +221,7 @@ def get_monoid(name: str) -> MonoidEntry:
             notnull_battery=notnull,
         )
     if base == "relation":
-        pts = _HIER_POINTS if arg in (None, "8") else tuple(range(int(arg)))
+        pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))
         spec = relation_monoid(pts)
         if pts == _HIER_POINTS:
             samples = _relation_samples(pts)
@@ -384,7 +407,9 @@ def _omega_fw_sampler(n_max: int):
 
 
 def get_space(name: str) -> SpaceEntry:
-    base, arg = _parse_name(name)
+    base, arg = _parse_name(
+        name, ("real_abs", "snowflake", "squared", "dislocated_max", "broken_pseudo_as_distance")
+    )
     if base == "real_abs":
         space = _real_space(
             name, lambda x, y: abs(x - y), SpaceKind.DISTANCE, 20, "reals with |x-y|"
@@ -434,7 +459,7 @@ def get_space(name: str) -> SpaceEntry:
             fw_sampler=_real_fw_sampler(space, nonneg=True),
         )
     if base == "omega_counterexample":
-        n_max = int(arg or 128)
+        n_max = _int_param(name, arg, 128, 3, 10**6)
         space = omega_space(n_max)
         samples = [("inf",)]
         for k in (1, 2, 3, 5, 8, 13, min(21, n_max), n_max):
@@ -446,7 +471,7 @@ def get_space(name: str) -> SpaceEntry:
             fw_sampler=_omega_fw_sampler(n_max),
         )
     if base == "uniform_pseudometric":
-        pts = _HIER_POINTS if arg in (None, "8") else tuple(range(int(arg)))
+        pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))
         space, _ladder = make_uniform_from_pseudometric(
             pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125]
         )
@@ -475,8 +500,8 @@ def get_space(name: str) -> SpaceEntry:
             finite_carrier=tuple(pts),
         )
     if base == "gauge":
-        count = int(arg or 3)
-        scales = [1.0, 0.5, 2.0, 0.25, 4.0][:count]
+        scales = [1.0, 0.5, 2.0, 0.25, 4.0]
+        scales = scales[: _int_param(name, arg, 3, 1, len(scales))]
         factors = [
             DistanceSpaceSpec(
                 point_descr=f"reals with {c}|x-y|",
@@ -497,7 +522,10 @@ def get_space(name: str) -> SpaceEntry:
         parts = (arg or "real_abs,real_abs,sigma").split(",")
         mode = parts[-1].strip()
         factor_entries = [get_space(p.strip()) for p in parts[:-1]]
-        space = product_space([e.space for e in factor_entries], mode=mode)
+        try:
+            space = product_space([e.space for e in factor_entries], mode=mode)
+        except ValueError as exc:
+            raise KeyError(f"{name!r}: {exc}")
         combos = tuple(
             itertools.islice(
                 itertools.product(*[e.samples[:4] for e in factor_entries]), 16

@@ -472,6 +472,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of `main`, built once per process and shared: do not change it."""
@@ -490,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, choices=catalog.MAP_NAMES)
     p.add_argument("--driver", required=True, choices=CLI_DRIVER_NAMES)
     p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=positive_int, default=200)
     p.add_argument("--out", default="monofix-out")
 
     p = sub.add_parser("solve-coupled", help="solve a coupled fixed point from a config file")
@@ -501,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--axioms", action="store_true")
     p.add_argument("--fw", choices=("weak", "standard", "strong"), default=None)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=positive_int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="monofix-out")
 

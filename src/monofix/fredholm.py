@@ -428,7 +428,8 @@ def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> 
         y = rng.uniform(-4.0, 4.0)
         lhs = abs(float(k.g(t, s, x)) - float(k.g(t, s, y)))
         bound = float(k.Q(t, s)) * abs(x - y)
-        if lhs > bound + 1e-9 * (1.0 + bound):
+        # negated, so that a NaN on either side fails the audit
+        if not lhs <= bound + 1e-9 * (1.0 + bound):
             return (
                 f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: "
                 f"|g(t,s,x)-g(t,s,y)|={lhs!r} > Q(t,s)|x-y|={bound!r}"

@@ -15,8 +15,8 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import child_rng
-from ._util import format_value, generic_eq
+from ._rng import child_rng, choice_indices
+from ._util import close_entries, format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
 
 
@@ -32,9 +32,11 @@ class MonoidSpec:
     algebraic axioms.
 
     `elementwise` declares that the elements are float arrays of one shape,
-    `combine` is `+` and `leq` is `<=` on every entry.  Traces over such a
-    carrier are checked as one stacked array (see
-    `cauchy_series_window_report`); `combine` and `leq` are then not called.
+    `combine` is `+`, `leq` is `<=` on every entry, `eq` is `close_eq()`
+    applied entrywise and `sup`, when set, is `np.maximum`.  Traces and
+    axiom trials over such a carrier are checked as one stacked array (see
+    `cauchy_series_window_report` and `validate_monoid`), mostly without
+    calling these callbacks.
     """
 
     carrier_descr: str
@@ -142,13 +144,14 @@ def _tail_decision(row_is_bad: Callable[[int], bool], rows: int, n: int, budget:
     A check marks rows 0..rows-1 good or bad and is NULL when it has no bad
     row or its last bad row is at index min(rows, budget) - 2 or earlier.
     Only the rows after that index can change the verdict, so they are
-    tested from the last one down and the test stops at the first bad row;
-    a budget below 1 leaves no such index, and every row is tested.  A check
-    that is not NULL is NOT_NULL_WITHIN once its evidence has reached the
-    budget (`n >= budget`), else INDETERMINATE.
+    tested from the last one down and the test stops at the first bad row.
+    A budget below 1 admits no start index: the check is NOT_NULL_WITHIN
+    and no row is tested, as `cauchy_series_window_report` finds no witness
+    N <= budget.  A check that is not NULL is NOT_NULL_WITHIN once its
+    evidence has reached the budget (`n >= budget`), else INDETERMINATE.
     """
     last_ok = max(min(rows, budget) - 2, -1)
-    if not any(row_is_bad(i) for i in range(rows - 1, last_ok, -1)):
+    if budget >= 1 and not any(row_is_bad(i) for i in range(rows - 1, last_ok, -1)):
         return Decision.NULL
     return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
 
@@ -156,17 +159,17 @@ def _tail_decision(row_is_bad: Callable[[int], bool], rows: int, n: int, budget:
 def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decision:
     """Decide whether the trace falls and stays strictly below the bottom rung.
 
-    NULL requires a start index N, either 0 or below min(n, budget), such
-    that every element from N to the end of the trace sits strictly below
-    the bottom rung: no element is a violation, or the last one is at index
+    NULL requires a start index N below min(n, budget) such that every
+    element from N to the end of the trace sits strictly below the bottom
+    rung: no element is a violation, or the last one is at index
     min(n, budget) - 2 or earlier.  Elements that exceed or are incomparable
-    to the rung count as violations.
+    to the rung count as violations.  A budget below 1 admits no start
+    index, so such a trace is NOT_NULL_WITHIN.
 
     Every element is checked for positivity.  Only the elements after index
     min(n, budget) - 2 are then compared with the rung, from the end of the
     trace back, stopping at the first violation: with budget n that is the
-    last element alone.  A budget below 1 leaves no such index, and the whole
-    trace is compared.
+    last element alone.
     """
     xs = trace.elements
     n = len(xs)
@@ -285,6 +288,36 @@ def _pair_repr(*items: Any) -> str:
     return ", ".join(format_value(x) for x in items)
 
 
+def _stacked_axioms(identity: np.ndarray) -> dict[str, Callable[..., np.ndarray]]:
+    """The axioms of `validate_monoid` over an elementwise carrier, on
+    stacked arguments: row t of each argument is trial t, and each axiom
+    returns one verdict per row.  `+`, `<=` on every entry, `close_entries`
+    on every entry and `np.maximum` are the carrier's own operations, so
+    each row's verdict is the per-trial predicate's."""
+    identity = identity.reshape(-1)
+
+    def leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a <= b).all(axis=1)
+
+    def eq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return close_entries(a, b).all(axis=1)
+
+    def riesz(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+        s = np.maximum(a, b)
+        return leq(a, s) & leq(b, s) & ~(leq(a, z) & leq(b, z) & ~leq(s, z))
+
+    return {
+        "associativity": lambda a, b, c: eq((a + b) + c, a + (b + c)),
+        "identity": lambda x: eq(identity + x, x) & eq(x + identity, x),
+        "order_reflexive": lambda x: leq(x, x),
+        "order_transitive": lambda a, b, c: ~(leq(a, b) & leq(b, c)) | leq(a, c),
+        "order_antisymmetric": lambda a, b: ~(leq(a, b) & leq(b, a)) | eq(a, b),
+        "order_compatibility": lambda x1, y1, x2, y2: ~(leq(x1, y1) & leq(x2, y2))
+        | leq(x1 + x2, y1 + y2),
+        "riesz_supremum": riesz,
+    }
+
+
 def validate_monoid(
     spec: MonoidSpec,
     samples: Sequence[Any],
@@ -293,24 +326,48 @@ def validate_monoid(
 ) -> ValidationReport:
     """Randomized audit of the monoid axioms on the given samples.
 
-    Each axiom reports PASS with the trial count or a concrete counterexample.
-    A failed axiom is a report entry, never an exception.
+    Each axiom reports PASS with the trial count or a concrete counterexample
+    from its first failing trial.  A failed axiom is a report entry, never
+    an exception.
+
+    Trial t of an axiom of arity k takes the samples that k calls
+    `rng.choice(samples)` would pick.  Each axiom draws the indices of all
+    its trials at once (`choice_indices`) and leaves `rng` where the
+    per-trial loop would stop: after the failing trial, or after the last.
+    Over an elementwise carrier each axiom is evaluated once, on the stacked
+    samples of every trial, and the first False row is the failing trial;
+    other carriers call the predicate once per trial.  Draws, verdicts and
+    counterexamples are those of the per-trial loop.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not samples:
         raise ValueError("samples must be non-empty")
     rng = child_rng(seed, "validate_monoid")
     samples = list(samples)
     checks: list[CheckResult] = []
+    if spec.elementwise:
+        stacked = np.stack(samples).reshape(len(samples), -1)
+        on_rows = _stacked_axioms(np.asarray(spec.identity))
 
     def axiom(name: str, arity: int, predicate: Callable[..., bool]) -> None:
-        for t in range(trials):
-            args = [rng.choice(samples) for _ in range(arity)]
-            if not predicate(*args):
-                checks.append(
-                    CheckResult(name, False, trials=t + 1, counterexample=_pair_repr(*args))
-                )
-                return
-        checks.append(CheckResult(name, True, trials=trials))
+        idx, settle = choice_indices(rng, len(samples), trials * arity)
+        if spec.elementwise:
+            bad = np.flatnonzero(~on_rows[name](*(stacked[idx[j::arity]] for j in range(arity))))
+            failing = int(bad[0]) if bad.size else None
+        else:
+            picked = map(samples.__getitem__, idx.tolist())
+            trial_args = zip(*[picked] * arity)  # `arity` draws a trial
+            failing = next((t for t, args in enumerate(trial_args) if not predicate(*args)), None)
+        if failing is None:
+            settle(trials * arity)
+            checks.append(CheckResult(name, True, trials=trials))
+        else:
+            settle((failing + 1) * arity)
+            args = [samples[i] for i in idx[failing * arity : (failing + 1) * arity]]
+            checks.append(
+                CheckResult(name, False, trials=failing + 1, counterexample=_pair_repr(*args))
+            )
 
     axiom(
         "associativity",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ._rng import child_rng
+from ._rng import child_rng, choice_indices
 from ._util import format_value, generic_eq
 from .monoid import (
     MonoidSpec,
@@ -108,7 +108,18 @@ def validate_space(
     trials: int,
     seed: int = 0,
 ) -> ValidationReport:
-    """Sampled audit of symmetry, positivity, and the declared kind axioms."""
+    """Sampled audit of symmetry, positivity, and the declared kind axioms.
+
+    A sampled check's trial takes the points that `rng.choice(samples)`
+    would pick, two per trial for the pair checks and one for
+    `equal_implies_zero`.  Each check draws the indices of all its trials at
+    once (`choice_indices`) and leaves `rng` where the per-trial loop would
+    stop: after the failing trial, or after the last.  The distances are
+    still computed one trial at a time, so the draws, verdicts and
+    counterexamples are those of the per-trial loop.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not samples:
         raise ValueError("samples must be non-empty")
     rng = child_rng(seed, "validate_space")
@@ -116,23 +127,28 @@ def validate_space(
     m = space.monoid
     checks: list[CheckResult] = []
 
-    def sampled(name: str, predicate: Callable[[Any, Any], Optional[str]]) -> None:
-        for t in range(trials):
-            x, y = rng.choice(samples), rng.choice(samples)
-            issue = predicate(x, y)
+    def sampled(name: str, arity: int, predicate: Callable[..., Optional[str]]) -> None:
+        idx, settle = choice_indices(rng, len(samples), trials * arity)
+        picked = map(samples.__getitem__, idx.tolist())
+        for t, args in enumerate(zip(*[picked] * arity)):  # `arity` draws a trial
+            issue = predicate(*args)
             if issue is not None:
+                settle((t + 1) * arity)
                 checks.append(CheckResult(name, False, trials=t + 1, counterexample=issue))
                 return
+        settle(trials * arity)
         checks.append(CheckResult(name, True, trials=trials))
 
     sampled(
         "symmetry",
+        2,
         lambda x, y: None
         if m.eq(space.distance(x, y), space.distance(y, x))
         else f"d({format_value(x)},{format_value(y)}) != d({format_value(y)},{format_value(x)})",
     )
     sampled(
         "positivity",
+        2,
         lambda x, y: None
         if m.is_positive(space.distance(x, y))
         else f"d({format_value(x)},{format_value(y)}) outside the positive cone",
@@ -141,26 +157,18 @@ def validate_space(
     if space.kind in (SpaceKind.DISLOCATED, SpaceKind.DISTANCE):
         sampled(
             "zero_implies_equal",
+            2,
             lambda x, y: None
             if not m.eq(space.distance(x, y), m.identity) or space.point_eq(x, y)
             else f"d=identity for distinct {format_value(x)}, {format_value(y)}",
         )
     if space.kind in (SpaceKind.PSEUDO, SpaceKind.DISTANCE):
-        bad = None
-        for t in range(trials):
-            x = rng.choice(samples)
-            if not m.eq(space.distance(x, x), m.identity):
-                bad = (t + 1, x)
-                break
-        checks.append(
-            CheckResult(
-                "equal_implies_zero",
-                bad is None,
-                trials=trials if bad is None else bad[0],
-                counterexample=None
-                if bad is None
-                else f"d(x,x) != identity for x={format_value(bad[1])}",
-            )
+        sampled(
+            "equal_implies_zero",
+            1,
+            lambda x: None
+            if m.eq(space.distance(x, x), m.identity)
+            else f"d(x,x) != identity for x={format_value(x)}",
         )
     if space.kind is SpaceKind.DISLOCATED:
         dislocated = sum(
@@ -327,7 +335,7 @@ def is_cauchy_sequence(space: DistanceSpaceSpec, trace: PointTrace) -> Decision:
     last one at index min(n - 3, budget - 2) or earlier, so only the rows
     after that index are tested: from the last row up, each row stopping at
     its first bad pair and the scan at the first bad row.  A budget below 1
-    tests every row.
+    admits no start index: NOT_NULL_WITHIN, with no pair tested.
     """
     pts = trace.points
     n = len(pts)
@@ -380,6 +388,8 @@ def falsify_frechet_wilson(
     """
     if level not in FW_LEVELS:
         raise ValueError(f"unknown level {level!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     m = space.monoid
     ladder = space.ladder
     bottom = ladder.bottom

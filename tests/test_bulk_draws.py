@@ -1,0 +1,255 @@
+"""Bulk trial draws: the same draws, verdicts and generator state as the
+per-trial loops of `validate_monoid` and `validate_space`, kept here as
+references."""
+import random
+
+import numpy as np
+import pytest
+
+import monofix.monoid
+import monofix.spaces
+from monofix import MonoidSpec, SpaceKind, validate_monoid, validate_space
+from monofix._rng import child_rng, choice_indices
+from monofix._util import close_eq, format_value
+from monofix.catalog import MONOID_NAMES, SPACE_NAMES, get_monoid, get_space
+from monofix.monoid import _pair_repr
+from monofix.reporting import CheckResult, ValidationReport
+
+
+def test_choice_indices_match_scalar_choice():
+    # every length to 300: powers of two keep every try, one more keeps
+    # barely half of them
+    count = 40
+    for n in range(1, 301):
+        bulk = random.Random(f"bulk/{n}")
+        scalar = random.Random(f"bulk/{n}")
+        idx, settle = choice_indices(bulk, n, count)
+        states = [scalar.getstate()]
+        draws = []
+        for _ in range(count):
+            draws.append(scalar.choice(range(n)))
+            states.append(scalar.getstate())
+        assert idx.tolist() == draws, n
+        for d in (0, 1, count // 2, count, 0):
+            settle(d)
+            assert bulk.getstate() == states[d], (n, d)
+
+
+def _temper(y):
+    # the Mersenne Twister output function
+    y ^= y >> 11
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    return (y ^ (y >> 18)) & 0xFFFFFFFF
+
+
+def test_choice_indices_draws_again_when_short():
+    # a generator whose next 624 words are all rejected for n = 3 (top two
+    # bits 11): the first guess at the word count falls short many times
+    src = random.Random(7)
+    words = []
+    while len(words) < 624:
+        x = src.getrandbits(32)
+        if _temper(x) >> 30 == 3:
+            words.append(x)
+    state = (3, tuple(words) + (0,), None)
+    bulk, scalar = random.Random(), random.Random()
+    bulk.setstate(state)
+    scalar.setstate(state)
+    idx, settle = choice_indices(bulk, 3, 5)
+    assert idx.tolist() == [scalar.choice(range(3)) for _ in range(5)]
+    settle(5)
+    assert bulk.getstate() == scalar.getstate()
+
+
+def test_choice_indices_reject_bad_arguments():
+    rng = random.Random(0)
+    for n, count in ((0, 1), (3, 0), (3, -1), (2**32, 1)):
+        with pytest.raises(ValueError):
+            choice_indices(rng, n, count)
+    scalar = random.Random(0)
+    assert choice_indices(rng, 2**32 - 1, 1)[0].tolist() == [scalar.choice(range(2**32 - 1))]
+
+
+# ---------------------------------------------------------------------------
+# per-trial reference loops
+
+
+def reference_validate_monoid(spec, samples, trials, seed):
+    rng = child_rng(seed, "validate_monoid")
+    samples = list(samples)
+    checks = []
+
+    def axiom(name, arity, predicate):
+        for t in range(trials):
+            args = [rng.choice(samples) for _ in range(arity)]
+            if not predicate(*args):
+                checks.append(CheckResult(name, False, trials=t + 1, counterexample=_pair_repr(*args)))
+                return
+        checks.append(CheckResult(name, True, trials=trials))
+
+    leq, eq, add = spec.leq, spec.eq, spec.combine
+    axiom("associativity", 3, lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))))
+    axiom(
+        "identity",
+        1,
+        lambda x: eq(add(spec.identity, x), x) and eq(add(x, spec.identity), x),
+    )
+    axiom("order_reflexive", 1, lambda x: leq(x, x))
+    axiom("order_transitive", 3, lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c))
+    axiom("order_antisymmetric", 2, lambda a, b: not (leq(a, b) and leq(b, a)) or eq(a, b))
+    axiom(
+        "order_compatibility",
+        4,
+        lambda x1, y1, x2, y2: not (leq(x1, y1) and leq(x2, y2)) or leq(add(x1, x2), add(y1, y2)),
+    )
+    if spec.sup is not None:
+
+        def riesz(a, b, z):
+            s = spec.sup(a, b)
+            if not (leq(a, s) and leq(b, s)):
+                return False
+            return not (leq(a, z) and leq(b, z) and not leq(s, z))
+
+        axiom("riesz_supremum", 3, riesz)
+    positive = [x for x in samples if spec.is_positive(x) and not eq(x, spec.identity)]
+    checks.append(
+        CheckResult(
+            "positive_cone_nontrivial",
+            bool(positive),
+            trials=len(samples),
+            counterexample=None if positive else "no sample above the identity",
+        )
+    )
+    return ValidationReport(subject=spec.carrier_descr, checks=tuple(checks)), rng
+
+
+def reference_validate_space(space, samples, trials, seed):
+    rng = child_rng(seed, "validate_space")
+    samples = list(samples)
+    m, d = space.monoid, space.distance
+    checks = []
+
+    def sampled(name, predicate):
+        for t in range(trials):
+            x, y = rng.choice(samples), rng.choice(samples)
+            issue = predicate(x, y)
+            if issue is not None:
+                checks.append(CheckResult(name, False, trials=t + 1, counterexample=issue))
+                return
+        checks.append(CheckResult(name, True, trials=trials))
+
+    f = format_value
+    sampled("symmetry", lambda x, y: None if m.eq(d(x, y), d(y, x)) else f"d({f(x)},{f(y)}) != d({f(y)},{f(x)})")
+    sampled("positivity", lambda x, y: None if m.is_positive(d(x, y)) else f"d({f(x)},{f(y)}) outside the positive cone")
+    if space.kind in (SpaceKind.DISLOCATED, SpaceKind.DISTANCE):
+        sampled(
+            "zero_implies_equal",
+            lambda x, y: None
+            if not m.eq(d(x, y), m.identity) or space.point_eq(x, y)
+            else f"d=identity for distinct {f(x)}, {f(y)}",
+        )
+    if space.kind in (SpaceKind.PSEUDO, SpaceKind.DISTANCE):
+        bad = None
+        for t in range(trials):
+            x = rng.choice(samples)
+            if not m.eq(d(x, x), m.identity):
+                bad = (t + 1, x)
+                break
+        checks.append(
+            CheckResult(
+                "equal_implies_zero",
+                bad is None,
+                trials=trials if bad is None else bad[0],
+                counterexample=None if bad is None else f"d(x,x) != identity for x={f(bad[1])}",
+            )
+        )
+    if space.kind is SpaceKind.DISLOCATED:
+        k = min(trials, 256)
+        dislocated = sum(1 for x in rng.choices(samples, k=k) if not m.eq(d(x, x), m.identity))
+        checks.append(
+            CheckResult(
+                "dislocation_observed",
+                True,
+                trials=k,
+                detail=f"{dislocated} sampled points with d(x,x) != identity",
+            )
+        )
+    return ValidationReport(subject=space.point_descr, checks=tuple(checks)), rng
+
+
+@pytest.fixture
+def created_rngs(monkeypatch):
+    """Every generator the validators create, in order."""
+    made = []
+
+    def recording(root, label):
+        made.append(child_rng(root, label))
+        return made[-1]
+
+    monkeypatch.setattr(monofix.monoid, "child_rng", recording)
+    monkeypatch.setattr(monofix.spaces, "child_rng", recording)
+    return made
+
+
+# Float vectors that break the axioms: 1e308 + 1e308 overflows, so
+# associativity fails on some triples and holds on others, and the NaN
+# entry makes a vector unequal to itself and not below itself.
+BREAKING_VECTORS = (
+    np.zeros(3),
+    np.ones(3),
+    np.full(3, 1e308),
+    np.full(3, -1e308),
+    np.array([0.5, np.nan, 0.5]),
+    np.array([2.0, 0.0, 1.0]),
+)
+BREAKING_SPEC = MonoidSpec(
+    carrier_descr="real 3-vectors with an overflow and a NaN among the samples",
+    combine=lambda a, b: a + b,
+    identity=np.zeros(3),
+    leq=lambda a, b: bool((a <= b).all()),
+    sup=np.maximum,
+    eq=close_eq(),
+    elementwise=True,
+)
+MONOID_CASES = {name: (e.spec, e.samples) for name in MONOID_NAMES for e in [get_monoid(name)]}
+MONOID_CASES["breaking vectors"] = (BREAKING_SPEC, BREAKING_VECTORS)
+
+
+@pytest.mark.parametrize("name", MONOID_CASES)
+def test_validate_monoid_matches_per_trial_loop(name, created_rngs):
+    spec, samples = MONOID_CASES[name]
+    failing_trials = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(8):
+            want, want_rng = reference_validate_monoid(spec, samples, 120, seed)
+            got = validate_monoid(spec, samples, 120, seed=seed)
+            assert got == want, seed
+            assert created_rngs[-1].random() == want_rng.random(), seed
+            failing_trials |= {c.trials for c in got.failures}
+    if name in ("broken_subtraction", "breaking vectors"):
+        # failures found after the first trial, so the draws line up
+        assert max(failing_trials) > 1, failing_trials
+
+
+@pytest.mark.parametrize("name", SPACE_NAMES)
+def test_validate_space_matches_per_trial_loop(name, created_rngs):
+    entry = get_space(name)
+    for seed in range(8):
+        want, want_rng = reference_validate_space(entry.space, entry.samples, 120, seed)
+        got = validate_space(entry.space, entry.samples, 120, seed=seed)
+        assert got == want, seed
+        assert created_rngs[-1].random() == want_rng.random(), seed
+        if entry.broken:
+            assert not got.ok
+
+
+@pytest.mark.parametrize("trials", [0, -4])
+def test_validators_reject_trial_counts_below_one(trials):
+    monoid, space = get_monoid("real_nonneg"), get_space("real_abs")
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        validate_monoid(monoid.spec, monoid.samples, trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        validate_space(space.space, space.samples, trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        monofix.spaces.falsify_frechet_wilson(space.space, "weak", space.fw_sampler("weak"), trials)

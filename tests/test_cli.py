@@ -232,3 +232,40 @@ def test_exit_one_solve_writes_violation_record(tmp_path):
     record = (out / "violation.txt").read_text()
     assert "status=hypothesis_violated" in record
     assert "condition=epsilon_delta_contraction" in record
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-space", "real_abs", "--fw", "weak", "--trials", "-5", "--seed", "0"],
+        ["check-space", "real_abs", "--axioms", "--trials", "0", "--seed", "0"],
+        ["check-space", "real_abs", "--axioms", "--trials", "many", "--seed", "0"],
+        ["solve-map", "--map", "halving", "--driver", "sequential", "--budget", "0"],
+    ],
+    ids=["trials-negative", "trials-zero", "trials-not-int", "budget-zero"],
+)
+def test_counts_below_one_exit_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        run(argv + ["--out", tmp_path / "o"])
+    assert exited.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "gauge{0}",
+        "gauge{6}",
+        "omega_counterexample{-3}",
+        "uniform_pseudometric{x}",
+        "real_abs{3}",
+        "product{real_abs,real_abs,zzz}",
+        "product{real_abs,uniform_pseudometric{8},sigma}",
+    ],
+)
+def test_check_space_bad_name_parameter_is_config_error(tmp_path, capsys, name):
+    code = run(["check-space", name, "--axioms", "--trials", "10", "--seed", "0", "--out", tmp_path / "o"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: field 'name'")
+    assert not (tmp_path / "o").exists()

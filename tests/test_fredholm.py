@@ -19,6 +19,7 @@ from monofix import (
     solve_fredholm,
 )
 from monofix import MTrace, fredholm
+from monofix._rng import child_rng
 from monofix.fredholm import DiscreteKernel, grid_function_monoid, kernel_matrix
 from monofix.monoid import cauchy_series_window_report
 
@@ -382,6 +383,29 @@ def test_solve_catches_lying_majorant():
     assert x is None
     assert report.status is SolveStatus.HYPOTHESIS_VIOLATED
     assert report.violation.condition == "kernel_majorant"
+
+
+def test_solve_catches_nan_kernel_in_majorant_audit():
+    # g is NaN for x > 0: the inequality |g(x) - g(y)| <= Q|x - y| cannot
+    # hold there, so the first trial with x > 0 or y > 0 is the witness
+    k = KernelSpec(
+        Q=lambda t, s: 0.3 * t * s,
+        g=lambda t, s, x: np.where(np.asarray(x) > 0, np.nan, 0.3 * t * s * x),
+        f=lambda t: 1.0 + 0.0 * t,
+    )
+    grid = Grid.trapezoid(0.0, 1.0, 21)
+    rng = child_rng(5, "majorant-audit")
+    x = y = -1.0
+    while x <= 0 and y <= 0:
+        t, s = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        x, y = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+    sol, report, cert = solve_fredholm(k, grid, seed=5)
+    assert sol is None and cert.verdict is CertificateVerdict.CERTIFIED
+    assert report.status is SolveStatus.HYPOTHESIS_VIOLATED
+    assert report.violation.condition == "kernel_majorant"
+    assert report.violation.witness.startswith(
+        f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: |g(t,s,x)-g(t,s,y)|=nan"
+    )
 
 
 # ---------------------------------------------------------------------------

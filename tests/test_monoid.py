@@ -190,7 +190,7 @@ def brute_cauchy_series(xs, budget, ladder, spec):
     """Decision, witness and offending window straight from the definition:
     NULL with the least start N <= budget such that every window [a, b] with
     N <= a <= b <= end sums strictly below the bottom rung; otherwise the
-    tail window from the last admissible start."""
+    tail window from the last admissible start, if there is one."""
     n = len(xs)
     bad_starts = [
         a
@@ -202,7 +202,7 @@ def brute_cauchy_series(xs, budget, ladder, spec):
     if least <= min(budget, n):
         return Decision.NULL, least, None
     start = min(budget, n)
-    window = (start, n, _window_sum(xs, start, n, spec))
+    window = (start, n, _window_sum(xs, start, n, spec)) if start >= 1 else None
     return (Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE), None, window
 
 
@@ -254,7 +254,7 @@ def test_trace_decisions_match_brute_force_windows(name):
     seen = set()
     for xs in cases:
         n = len(xs)
-        for budget in sorted({max(n - 2, 1), n, n + 2}):
+        for budget in sorted({0, max(n - 2, 1), n, n + 2}):
             trace = MTrace(elements=tuple(xs), budget=budget)
             want = brute_cauchy_series(xs, budget, ladder, spec)
             decision, witness, window = cauchy_series_window_report(trace, ladder, spec)
@@ -276,9 +276,29 @@ def test_trace_decisions_match_brute_force_windows(name):
     assert {d for d, _ in seen} == set(Decision) and {d for _, d in seen} == set(Decision)
 
 
+def test_budget_zero_admits_no_start_index():
+    # tiny elements, all strictly below the rung: only the budget decides
+    trace = MTrace(elements=(1e-7,) * 3, budget=0)
+    ladder = dyadic_ladder(20)
+    assert is_null_trace(trace, ladder, REAL) is Decision.NOT_NULL_WITHIN
+    assert cauchy_series_window_report(trace, ladder, REAL) == (Decision.NOT_NULL_WITHIN, None, None)
+    assert brute_null_trace(trace.elements, 0, ladder, REAL) is Decision.NOT_NULL_WITHIN
+    assert is_null_trace(replace(trace, budget=1), ladder, REAL) is Decision.NULL
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["real_vector{x}", "real_vector{0}", "grid_function{0}", "relation{1}", "real_nonneg{2}", "product{real_nonneg,zzz}"],
+)
+def test_get_monoid_rejects_bad_name_parameters(name):
+    with pytest.raises(KeyError):
+        get_monoid(name)
+
+
 def full_scan_null_trace(xs, budget, ladder, spec):
     """`is_null_trace` as a scan of every element: positivity, then the
-    index of the last element that is not strictly below the bottom rung."""
+    index of the last element that is not strictly below the bottom rung.
+    A budget below 1 admits no start index."""
     for i, x in enumerate(xs):
         if not spec.is_positive(x):
             raise ValueError(f"trace element at index {i} is not in the positive cone: {format_value(x)}")
@@ -287,6 +307,8 @@ def full_scan_null_trace(xs, budget, ladder, spec):
         if not spec.strictly_below(x, ladder.bottom):
             last_bad = i
     n = len(xs)
+    if budget < 1:
+        return Decision.NOT_NULL_WITHIN
     if last_bad == -1:
         return Decision.NULL
     if last_bad <= n - 2 and last_bad + 2 <= budget:
@@ -369,8 +391,8 @@ def test_null_trace_compares_only_the_deciding_tail(monkeypatch):
         (head + [0.5], None, Decision.NOT_NULL_WITHIN, 1),
         # budget n - 1: the last two
         (head + [1e-7, 1e-7], 31, Decision.NULL, 2),
-        # no budget: every element
-        ([1e-7] * 12, 0, Decision.NULL, 12),
+        # budget 0: no start index, nothing compared
+        ([1e-7] * 12, 0, Decision.NOT_NULL_WITHIN, 0),
     ]:
         compared.clear()
         assert is_null_trace(MTrace.of(xs, budget), ladder, REAL) is want

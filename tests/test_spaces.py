@@ -313,14 +313,15 @@ def test_cauchy_sequence_constant():
 
 def full_scan_cauchy_sequence(space, points, budget):
     """`is_cauchy_sequence` as a scan of every pair: the last row i with a
-    pair (i, j) that is not strictly below the bottom rung."""
+    pair (i, j) that is not strictly below the bottom rung.  A budget below
+    1 admits no start index."""
     m, bottom, n = space.monoid, space.ladder.bottom, len(points)
     last_bad = -1
     for i in range(n - 1):
         for j in range(i + 1, n):
             if not m.strictly_below(space.distance(points[i], points[j]), bottom):
                 last_bad = max(last_bad, i)
-    if last_bad == -1 or (last_bad + 1 <= n - 2 and last_bad + 2 <= budget):
+    if budget >= 1 and (last_bad == -1 or (last_bad + 1 <= n - 2 and last_bad + 2 <= budget)):
         return Decision.NULL
     return Decision.NOT_NULL_WITHIN if n >= budget else Decision.INDETERMINATE
 
