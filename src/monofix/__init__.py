@@ -73,8 +73,6 @@ from .fredholm import (
     certify_convergence,
     grid_ladder,
     grid_space,
-    iterate_kernel,
-    lambda_apply,
     residual,
     solve_fredholm,
 )

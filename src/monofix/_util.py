@@ -1,6 +1,8 @@
-"""Small shared helpers: equality across carrier types, stable formatting."""
+"""Small shared helpers: equality across carrier types, stable formatting,
+Collatz-Wielandt quotients."""
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -65,3 +67,29 @@ def format_value(v: Any) -> str:
     if isinstance(v, tuple):
         return "(" + ", ".join(format_value(x) for x in v) + ")"
     return repr(v)
+
+
+def ratio_bounds(
+    x: np.ndarray, y: np.ndarray, dead: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collatz-Wielandt quotients of row pairs (x, y = W x) for a nonnegative
+    m x m matrix W whose identically zero rows are marked by `dead`.
+
+    Returns, per row pair, lo and hi with lo x <= W x <= hi x, and whether
+    the pair is usable: x at least the smallest normal float and y finite on
+    the live rows.  They are the min and max of y / x over the live rows
+    (on a dead row W x is exactly zero), widened by (m + 2) eps, relative,
+    to cover the rounding of the m-term dot products and of the quotient.
+    `out` is scratch of the pairs' shape; the dead rows are masked in it by
+    +-inf rather than copied out.
+    """
+    usable = np.all((x >= np.finfo(float).tiny) | dead, axis=1)
+    usable &= np.all(np.isfinite(y) | dead, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(y, x, out=out)
+    out[:, dead] = math.inf
+    lo = np.min(out, axis=1)
+    out[:, dead] = -math.inf
+    hi = np.max(out, axis=1)
+    slack = (x.shape[1] + 2) * float(np.finfo(float).eps)
+    return lo * (1.0 - slack), hi * (1.0 + slack), usable

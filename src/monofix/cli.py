@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import operator
 import sys
 from pathlib import Path
@@ -101,12 +102,15 @@ def _get_float(cfg: dict, key: str, default: Optional[str] = None) -> float:
         raise ConfigError(f"not a number: {raw!r}", line=line, field=key)
 
 
-def _get_int(cfg: dict, key: str, default: Optional[str] = None) -> int:
+def _get_int(cfg: dict, key: str, default: Optional[str] = None, minimum: Optional[int] = None) -> int:
     line, raw = _get(cfg, key, default)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"not an integer: {raw!r}", line=line, field=key)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be at least {minimum}: {value}", line=line, field=key)
+    return value
 
 
 def _get_bool(cfg: dict, key: str, default: str = "false") -> bool:
@@ -195,14 +199,18 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text())
     a = _get_float(cfg, "interval_a", "0")
     b = _get_float(cfg, "interval_b", "1")
-    m = _get_int(cfg, "nodes", "101")
-    if m < 2:
-        raise ConfigError("need at least 2 nodes", field="nodes")
-    budget = _get_int(cfg, "budget", "200")
-    cert_budget = _get_int(cfg, "certificate_budget", "800")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ConfigError(
+            f"the interval must be finite with interval_a < interval_b, not [{a!r}, {b!r}]",
+            line=_get(cfg, "interval_b", "1")[0],
+            field="interval_b",
+        )
+    m = _get_int(cfg, "nodes", "101", minimum=2)
+    budget = _get_int(cfg, "budget", "200", minimum=1)
+    cert_budget = _get_int(cfg, "certificate_budget", "800", minimum=1)
     seed = _get_int(cfg, "seed", "0")
     force = args.force or _get_bool(cfg, "force")
-    depth = _get_int(cfg, "ladder_depth", "20")
+    depth = _get_int(cfg, "ladder_depth", "20", minimum=1)
 
     kline, kraw = _get(cfg, "kernel")
     parts = kraw.split(None, 1)
@@ -305,7 +313,7 @@ def cmd_solve_map(args: argparse.Namespace) -> int:
     try:
         entry = catalog.get_map(args.map)
     except KeyError as exc:
-        raise ConfigError(str(exc), field="map")
+        raise ConfigError(exc.args[0], field="map")
     space = catalog.get_space(entry.space_name).space
     x0 = args.x0 if args.x0 is not None else entry.x0_for(args.driver)
     out = Path(args.out)
@@ -356,7 +364,7 @@ def cmd_check_space(args: argparse.Namespace) -> int:
     try:
         entry = catalog.get_space(args.name)
     except KeyError as exc:
-        raise ConfigError(str(exc), field="name")
+        raise ConfigError(exc.args[0], field="name")
     out = Path(args.out)
     failed = False
     lines = [f"command=check-space name={args.name} seed={args.seed}"]

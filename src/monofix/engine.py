@@ -11,12 +11,16 @@ sampled or orbit-local check failed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from ._util import format_value, generic_eq
+import numpy as np
+
+from ._util import ATOL, RTOL, format_value, generic_eq, ratio_bounds
 from .monoid import (
+    MonoidSpec,
     MTrace,
     TestLadder,
     cauchy_series_window_report,
@@ -98,16 +102,23 @@ class LambdaSequence:
     `op_at(n)` is the n-th operator (1-based).  `commuting` asserts that the
     operators commute pairwise under composition (true for scalar multiples),
     which unlocks the incremental evaluation of composed products; otherwise
-    products are computed literally in outermost-first order.
+    products are computed literally in outermost-first order.  `matrix`, when
+    set, asserts that every operator is v -> matrix @ v for this one finite
+    nonnegative matrix, over an elementwise carrier; the series mode of
+    `solve_sequential` then decides the composed-product series from a
+    proven geometric tail (`_geometric_witness`).
     """
 
     op_at: Callable[[int], Callable[[Any], Any]]
     commuting: bool = False
     description: str = ""
+    matrix: Optional[np.ndarray] = None
 
     @classmethod
-    def constant(cls, op: Callable[[Any], Any], description: str = "") -> "LambdaSequence":
-        return cls(op_at=lambda n: op, commuting=True, description=description)
+    def constant(
+        cls, op: Callable[[Any], Any], description: str = "", matrix: Optional[np.ndarray] = None
+    ) -> "LambdaSequence":
+        return cls(op_at=lambda n: op, commuting=True, description=description, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -477,6 +488,124 @@ def lambda_product_trace(
     return MTrace(elements=tuple(out), budget=n_max if budget is None else budget)
 
 
+def _geometric_witness(
+    lam: LambdaSequence, d0: np.ndarray, ladder: TestLadder, spec: MonoidSpec, budget: int
+) -> Optional[tuple[int, int, np.ndarray]]:
+    """The witness of the composed-product series of a matrix sequence,
+    decided from a proven geometric tail, or None to leave the decision to
+    the literal 2*budget-term trace.
+
+    The terms v_n = W^n d0 (W = lam.matrix) come one at a time from
+    `lam.op_at(n)`, as in `lambda_product_trace`.  After term K, the
+    widened quotient h of (v_{K-1}, v_K) (`ratio_bounds`, v_0 = d0) gives
+    W v_{K-1} <= h v_{K-1}, so v_{K+j} <= h^j v_K for W >= 0, and when
+    h < 1 the terms after K sum to at most tail = v_K h / (1 - h); an
+    exactly zero v_K has an exactly zero tail.  Start N is then the witness
+    when
+      - the right fold of v_K, ..., v_N onto `tail` is strictly below the
+        bottom rung (`<=` on every entry, `spec.eq` deciding ties), and
+      - N - 1 is ruled out: the right fold of v_K, ..., v_{N-1} alone is
+        not strictly below it.
+    The window check of `cauchy_series_window_report` folds its suffix sums
+    in the same order from term 2*budget, so with K <= 2*budget its sum from
+    N - 1 is at least the second fold and its sum from N at most the first:
+    the witness is the literal one.
+
+    The starts ruled out form a prefix that only grows with K, and only the
+    start after it, the candidate, can be the witness.  Each term first
+    meets scalar bounds: the quotient q at one watched entry is at most h,
+    so every entry of `tail` is at least v_K q / (1 - q); a term above the
+    rung at the watched entry rules out every start up to it; and every
+    entry of the candidate's suffix lies between the least and the largest
+    entry it had at the last exact check, plus bounds on the least and the
+    largest entry of each term since (from the last usable quotients lo and
+    h: lo^j v_K <= v_{K+j} <= h^j v_K).  Only a term these bounds, with a
+    1e-9 relative margin for rounding, cannot exclude is checked exactly:
+    its suffix sums after the ruled-out prefix move the prefix on, and the
+    quotient is taken only if the new candidate can still pass.  So the
+    check stops at the first K that settles the witness, and most terms
+    cost one matvec and a few scalars.  A term that is not finite makes the
+    next one not finite at every entry, so the watched entry finds it at
+    most one term late.
+
+    Returns (N, K, tail) at the first K that settles N <= budget.  Returns
+    None when a term is not finite, a usable quotient is not below 1
+    (NaN included), every start up to the budget is ruled out, or no K up
+    to 2*budget settles the witness.
+    """
+    bottom = ladder.bottom
+    dead = ~lam.matrix.any(axis=1)
+    scratch = np.empty((1, len(d0)))
+    margin = 1.0 + 1e-9
+    band = bottom - ATOL - RTOL * np.abs(bottom)  # below it, close_eq tells a sum from the rung
+    floor, ceil = float(band.min()) / margin, float(band.max()) * margin
+    terms: list[np.ndarray] = []
+    ruled = 0  # every start N <= ruled is ruled out
+    watch, base = 0, 0.0  # the candidate's suffix at the watched entry
+    low, high = 0.0, math.inf  # bounds on every entry of the candidate's suffix
+    least, top, lo, hi = 0.0, math.inf, 0.0, 1.0  # bounds on the entries of a term; quotients
+
+    def hopeless() -> bool:
+        """Whether the bounds rule out settling the witness at this term."""
+        if not q < 1.0:
+            return False
+        c = q / (1.0 - q)
+        tail_lo, rung = y * c, float(bottom[watch]) * margin
+        return tail_lo > rung or (high < floor and (base + tail_lo > rung or low + least * c >= ceil))
+
+    for k in range(1, 2 * budget + 1):
+        prev = terms[-1] if terms else d0
+        v = lam.op_at(k)(prev)
+        terms.append(v)
+        if k == 1:
+            watch = int(v.argmax())
+        x, y = float(prev[watch]), float(v[watch])
+        if not math.isfinite(y):
+            return None
+        least, top = least * lo, top * hi
+        base, low, high = base + y, low + least, high + top
+        if y > bottom[watch]:  # so is every suffix that holds v_K
+            ruled, base, low, high = k, 0.0, 0.0, 0.0
+        if ruled >= budget:
+            return None
+        q = y / x if x > 0.0 else 0.0
+        if hopeless():
+            continue
+        if not np.isfinite(v).all():
+            return None
+        window = terms[ruled:][::-1]  # v_K, ..., v_{ruled+1}
+        if window:
+            sums = np.cumsum(np.array(window), axis=0)[::-1]
+            below = np.flatnonzero(np.all(sums <= bottom, axis=1))
+            first = next((int(i) for i in below if not spec.eq(sums[i], bottom)), len(sums))
+            ruled += first
+            if ruled >= budget:
+                return None
+            suffix = sums[first] if first < len(sums) else np.zeros_like(v)
+            base, low, high = float(suffix[watch]), float(suffix.min()), float(suffix.max())
+        if math.isinf(top) or not hopeless():  # the first quotient seeds the term bounds
+            if v.any():
+                pair = ratio_bounds(prev[None], v[None], dead, scratch)
+                if not pair[2][0]:
+                    continue
+                lo, hi = float(pair[0][0]), float(pair[1][0])
+                if not hi < 1.0:
+                    return None
+            least, top = float(v.min()), float(v.max())
+        if hopeless():
+            continue
+        tail = v * (hi / (1.0 - hi)) if top > 0.0 else v
+        bound = tail.copy()
+        for term in window[: k - ruled]:
+            bound += term
+        if np.all(bound <= bottom) and not spec.eq(bound, bottom):
+            return ruled + 1, k, tail
+        if ruled < k:  # watch the entry of the candidate's bound nearest its rung
+            watch = int(np.argmax(bound - bottom))
+            base = float(suffix[watch])
+    return None
+
+
 SEQ_MODES = ("series", "orbit_bounded")
 
 
@@ -496,18 +625,44 @@ def solve_sequential(
     mode="series": requires the composed-product trace applied to d(x0, f(x0))
     to pass the Cauchy-series check (witness within `budget`, evidence to
     2*budget); each step is audited against
-    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).
+    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` marks a
+    fixed nonnegative matrix over an elementwise carrier, the check stops at
+    the first term whose geometric tail bound settles the same witness
+    (`_geometric_witness`); when that bound cannot settle it (a quotient
+    not below 1, a term that is not finite, a witness past the budget, or
+    no settling term within 2*budget), the literal trace decides.
     mode="orbit_bounded": requires a constructible bound on sampled orbit pair
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
+    `extra_step_check` runs on every step, the seed step (x0, f(x0)) first,
+    before its distance is used.
     """
     if mode not in SEQ_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = space.monoid
     ladder = space.ladder
     diagnostics: list[str] = []
-    d0 = space.distance(x0, f.apply(x0))
+    x1 = f.apply(x0)
+    d0 = space.distance(x0, x1)
     horizon = 2 * budget
+
+    def step_violation(trace: IterationTrace) -> SolveReport:
+        step = len(trace.flags) - 1
+        return _violated(
+            trace,
+            step=step,
+            condition=trace.violated,
+            witness=(
+                f"d(x_{step}, x_{step + 1})={format_value(trace.consec.elements[step])} "
+                "escapes the step operator bound"
+            ),
+            diagnostics=diagnostics,
+        )
+
+    violated = extra_step_check(0, x0, x1) if extra_step_check is not None else None
+    if violated is not None:
+        flags = (f"violated:{violated}",)
+        return step_violation(IterationTrace((x0, x1), MTrace((d0,), budget), flags, True, violated))
 
     ordered_pairs = [
         (ladder.bottom, m.combine(ladder.bottom, ladder.bottom)),
@@ -515,10 +670,15 @@ def solve_sequential(
         (d0, m.combine(d0, ladder.bottom)),
         (d0, m.combine(d0, d0)),
     ]
+    checked: list = []
     for n in (1, 2, 3):
         op = lam.op_at(n)
+        if any(op is seen for seen in checked):
+            continue
+        checked.append(op)
         for lo, hi in ordered_pairs:
-            if not (m.leq(op(lo), op(hi)) or m.eq(op(lo), op(hi))):
+            a, b = op(lo), op(hi)
+            if not (m.leq(a, b) or m.eq(a, b)):
                 raise ValueError(
                     f"step operator {n} is not order-preserving on sampled pairs"
                 )
@@ -527,10 +687,16 @@ def solve_sequential(
         if m.eq(d0, m.identity):
             diagnostics.append("seed is already fixed; series check trivial")
         else:
-            ptrace = lambda_product_trace(lam, d0, horizon, budget=budget)
-            decision, witness, offending = cauchy_series_window_report(
-                ptrace, ladder, m
-            )
+            found = None
+            if lam.matrix is not None and m.elementwise:
+                found = _geometric_witness(lam, d0, ladder, m, budget)
+            if found is not None:
+                decision, witness, offending = Decision.NULL, found[0], None
+            else:
+                ptrace = lambda_product_trace(lam, d0, horizon, budget=budget)
+                decision, witness, offending = cauchy_series_window_report(
+                    ptrace, ladder, m
+                )
             if decision is not Decision.NULL:
                 detail = ""
                 if offending is not None:
@@ -593,17 +759,7 @@ def solve_sequential(
 
     trace = picard_iterate(space, f, x0, budget, stop_window, step_check=series_check)
     if trace.violated is not None:
-        step = len(trace.flags) - 1
-        return _violated(
-            trace,
-            step=step,
-            condition=trace.violated,
-            witness=(
-                f"d(x_{step}, x_{step + 1})={format_value(trace.consec.elements[step])} "
-                "escapes the step operator bound"
-            ),
-            diagnostics=diagnostics,
-        )
+        return step_violation(trace)
 
     if mode == "orbit_bounded":
         pts = trace.points

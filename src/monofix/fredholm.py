@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ._rng import child_rng
-from ._util import close_eq
+from ._util import close_eq, ratio_bounds
 from .engine import (
     HypothesisViolation,
     LambdaSequence,
@@ -202,26 +202,6 @@ class DiscreteKernel:
         return cls(weighted=q1 * grid.weights[None, :], integrated=q1 @ grid.weights, f=f)
 
 
-def iterate_kernel(k: KernelSpec, grid: Grid, n: int) -> np.ndarray:
-    """The n-th iterated kernel on the grid: Q_1 is Q sampled at the nodes,
-    Q_n = Q_{n-1} diag(w) Q_1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q1 = kernel_matrix(k, grid)
-    out = q1
-    for _ in range(n - 1):
-        out = (out * grid.weights[None, :]) @ q1
-    return out
-
-
-def lambda_apply(k: KernelSpec, grid: Grid, x: np.ndarray) -> np.ndarray:
-    """The linear majorant operator: t -> sum_j w_j Q(t, s_j) x_j."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != grid.nodes.shape:
-        raise ValueError(f"grid function has shape {x.shape}, grid has {grid.nodes.shape}")
-    return (kernel_matrix(k, grid) * grid.weights[None, :]) @ x
-
-
 def grid_function_monoid(m: int) -> MonoidSpec:
     """Pointwise addition and order on real functions over m grid nodes."""
     return MonoidSpec(
@@ -270,42 +250,28 @@ def _spectral_bracket(
     """Collatz-Wielandt bounds on the spectral radius of W >= 0.
 
     `increments` holds consecutive iterates x, Wx, W^2 x, ... as rows.  For
-    x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each pair
-    of consecutive increments (x, Wx) gives such bounds; the tightest over
-    all usable pairs are kept.  Rows where W vanishes identically are
-    dropped: W is block triangular with a zero block there, so the rest keeps
-    its nonzero spectrum, and every increment is exactly zero on those rows
-    (each entry sums the products that make the zero row of W).  A pair is
-    usable when x is at least the smallest normal float on the live rows and
-    Wx is finite there.  The bounds are widened by (m + 2) eps, relative, to
-    cover the rounding of the m-term dot products and of the quotient.  The
-    pairs are taken BLOCK_ROWS at a time; their quotients go to `scratch`
-    (BLOCK_ROWS x m), with the dropped rows masked by +-inf rather than
-    copied out.
+    x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each usable
+    pair of consecutive increments (x, Wx) gives such bounds (`ratio_bounds`,
+    widened for rounding); the tightest over all usable pairs are kept.
+    Rows where W vanishes identically are dropped: W is block triangular
+    with a zero block there, so the rest keeps its nonzero spectrum, and
+    every increment is exactly zero on those rows (each entry sums the
+    products that make the zero row of W).  The pairs are taken BLOCK_ROWS
+    at a time, with `scratch` (BLOCK_ROWS x m) for their quotients.
     """
     live = np.any(weighted != 0.0, axis=1)
     if not live.any():
         return 0.0, 0.0
-    dead = ~live
     lows, highs = [], []
     for start in range(0, len(increments) - 1, BLOCK_ROWS):
         y = increments[start + 1 : start + 1 + BLOCK_ROWS]
         x = increments[start : start + len(y)]
-        usable = np.all((x >= np.finfo(float).tiny) | dead, axis=1)
-        usable &= np.all(np.isfinite(y) | dead, axis=1)
-        quotients = scratch[: len(y)]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(y, x, out=quotients)
-        quotients[:, dead] = math.inf
-        lows.append(np.min(quotients, axis=1)[usable])
-        quotients[:, dead] = -math.inf
-        highs.append(np.max(quotients, axis=1)[usable])
+        lo, hi, usable = ratio_bounds(x, y, ~live, scratch[: len(y)])
+        lows.append(lo[usable])
+        highs.append(hi[usable])
     if not any(len(low) for low in lows):
         return 0.0, math.inf
-    lo = float(np.max(np.concatenate(lows)))
-    hi = float(np.min(np.concatenate(highs)))
-    slack = (weighted.shape[1] + 2) * float(np.finfo(float).eps)
-    return lo * (1.0 - slack), hi * (1.0 + slack)
+    return float(np.max(np.concatenate(lows))), float(np.min(np.concatenate(highs)))
 
 
 def _running_sums(rows: np.ndarray, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -451,7 +417,11 @@ def solve_fredholm(
     Refuses (raising CertificateNotConvergent) when the iterated-kernel
     certificate does not pass, unless `force` is set, in which case the
     override is recorded in the report.  The Picard loop runs through the
-    sequential driver with the constant linear majorant operator.
+    sequential driver with the constant linear majorant operator, marked as
+    the nonnegative matrix W so that the driver decides its composed-product
+    series from a proven geometric tail.  An iterate that is not finite,
+    the first one included, ends the solve as HYPOTHESIS_VIOLATED with
+    condition non_finite_iterate.
     """
     if ladder is None:
         ladder = grid_ladder(len(grid))
@@ -485,11 +455,16 @@ def solve_fredholm(
     def apply(x: np.ndarray) -> np.ndarray:
         return fvec + _square(k.g(t, s, x[None, :]), m) @ grid.weights
 
+    def finite(_k: int, _cur: np.ndarray, nxt: np.ndarray) -> Optional[str]:
+        return None if np.isfinite(nxt).all() else "non_finite_iterate"
+
     fmap = MapSpec(apply=apply, description="Fredholm integral operator")
     lam = LambdaSequence.constant(
-        lambda v: weighted @ v, description="linear majorant operator"
+        lambda v: weighted @ v, description="linear majorant operator", matrix=weighted
     )
-    report = solve_sequential(space, fmap, lam, fvec.copy(), mode="series", budget=budget)
+    report = solve_sequential(
+        space, fmap, lam, fvec.copy(), mode="series", budget=budget, extra_step_check=finite
+    )
     if diagnostics:
         report = replace(report, diagnostics=tuple(diagnostics) + report.diagnostics)
     return report.fixed_point, report, certificate

@@ -100,6 +100,38 @@ def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, li
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, field",
+    [
+        ("budget = -1\n", "budget"),
+        ("certificate_budget = 0\n", "certificate_budget"),
+        ("ladder_depth = 0\n", "ladder_depth"),
+        ("interval_a = 1\ninterval_b = 0\n", "interval_b"),
+    ],
+    ids=["budget-negative", "certificate-budget-zero", "ladder-depth-zero", "interval-reversed"],
+)
+def test_solve_fredholm_out_of_range_number_is_config_error(tmp_path, capsys, lines, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nodes = 41\nkernel = product_ts\nf = t\n" + lines)
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ") and f"field {field!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_fredholm_nan_iterate_is_a_recorded_violation(tmp_path):
+    # g is 0/0 at the node t = 0, which the majorant audit never samples
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("nodes = 41\nkernel = expr 0.5*t*s*x*(t/t)\nmajorant = 0.5*t*s\nf = t\n")
+    out = tmp_path / "o"
+    with np.errstate(invalid="ignore"):
+        assert run(["solve-fredholm", cfg, "--out", out]) == 1
+    record = (out / "violation.txt").read_text()
+    assert "status=hypothesis_violated" in record
+    assert "step=0\ncondition=non_finite_iterate\n" in record
+    assert not (out / "solution.csv").exists()
+
+
 def test_solve_fredholm_expression_kernel(tmp_path):
     cfg = tmp_path / "expr.cfg"
     cfg.write_text(
@@ -267,5 +299,13 @@ def test_counts_below_one_exit_two(tmp_path, capsys, argv):
 def test_check_space_bad_name_parameter_is_config_error(tmp_path, capsys, name):
     code = run(["check-space", name, "--axioms", "--trials", "10", "--seed", "0", "--out", tmp_path / "o"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: field 'name'")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'name': '") and '"' not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_unknown_name_error_is_the_message_itself(tmp_path, capsys):
+    assert run(["check-space", "gauge{0}", "--seed", "0", "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'name': 'gauge{0}': the parameter must be an integer from 1 to 5\n"
+    )

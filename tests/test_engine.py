@@ -26,6 +26,7 @@ from monofix import (
     solve_with_driver,
     verify_fixed_point,
 )
+from monofix import engine
 from monofix.catalog import default_sample_pairs, get_map, get_space, real_nonneg_monoid
 from monofix.engine import CLI_DRIVER_NAMES
 
@@ -213,6 +214,30 @@ def test_sequential_geometric_series_certifies():
     rep = solve_sequential(SPACE, MapSpec(apply=HALVING.fn), HALVING.lam, 8.0, "series", 200)
     assert rep.status is SolveStatus.CERTIFIED
     assert abs(rep.fixed_point) < BOTTOM
+
+
+def test_order_check_evaluates_a_shared_operator_once(monkeypatch):
+    calls = []
+
+    def op(t):
+        calls.append(t)
+        return 0.5 * t
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(engine, "lambda_product_trace", stop)
+    shared = LambdaSequence.constant(op)
+    distinct = LambdaSequence(op_at=lambda n: (lambda t: op(t)), commuting=True)
+    # four ordered pairs, two applications each, per distinct operator
+    for lam, applied in ((shared, 8), (distinct, 24)):
+        calls.clear()
+        with pytest.raises(Stop):
+            solve_sequential(SPACE, MapSpec(apply=HALVING.fn), lam, 8.0, "series", 200)
+        assert len(calls) == applied
 
 
 def test_sequential_orbit_bounded_certifies():

@@ -7,19 +7,21 @@ import pytest
 from monofix import (
     CertificateNotConvergent,
     CertificateVerdict,
+    Decision,
     Grid,
     InvalidKernel,
     KernelSpec,
+    LambdaSequence,
     SolveStatus,
     certify_convergence,
     grid_ladder,
-    iterate_kernel,
-    lambda_apply,
     residual,
     solve_fredholm,
 )
-from monofix import MTrace, fredholm
+from monofix import MTrace, engine, fredholm
 from monofix._rng import child_rng
+from monofix._util import ratio_bounds
+from monofix.engine import _geometric_witness, lambda_product_trace
 from monofix.fredholm import DiscreteKernel, grid_function_monoid, kernel_matrix
 from monofix.monoid import cauchy_series_window_report
 
@@ -51,42 +53,39 @@ def test_grid_rejects_bad_inputs():
 
 
 def test_iterate_kernel_constant_powers():
-    grid = Grid.trapezoid(0.0, 1.0, 31)
-    q3 = iterate_kernel(constant_kernel(0.7), grid, 3)
+    # the n-th certificate increment is the integrated iterated kernel Q_n w;
     # constants integrate exactly whenever the weights sum to one
-    assert np.allclose(q3, 0.7**3, rtol=0, atol=1e-12)
+    grid = Grid.trapezoid(0.0, 1.0, 31)
+    cert = certify_convergence(constant_kernel(0.7), grid, grid_ladder(31), 5)
+    assert np.allclose(cert.sup_increments, 0.7 ** np.arange(1, 6), rtol=0, atol=1e-12)
 
 
 def test_iterate_kernel_product_ts_analytic():
     grid = Grid.trapezoid(0.0, 1.0, 201)
-    q2 = iterate_kernel(TS, grid, 2)
+    q2 = DiscreteKernel.assemble(TS, grid).weighted @ kernel_matrix(TS, grid)
     t = grid.nodes[:, None]
     s = grid.nodes[None, :]
-    # analytic oracle: integral of (t u)(u s) du over [0,1] is t s / 3
+    # analytic oracle: Q_2(t, s), the integral of (t u)(u s) du over [0,1], is t s / 3
     assert np.max(np.abs(q2 - t * s / 3.0)) < 1e-4
 
 
 def test_iterate_kernel_first_is_sampled_kernel():
     grid = Grid.trapezoid(0.0, 1.0, 11)
-    q1 = iterate_kernel(TS, grid, 1)
-    assert np.allclose(q1, grid.nodes[:, None] * grid.nodes[None, :])
+    op = DiscreteKernel.assemble(TS, grid)
+    q1 = grid.nodes[:, None] * grid.nodes[None, :]
+    assert np.array_equal(op.weighted, q1 * grid.weights[None, :])
+    assert np.allclose(op.integrated, q1 @ grid.weights)
 
 
 def test_lambda_apply_examples():
+    # the linear majorant operator applied to x is W x
     grid = Grid.trapezoid(0.0, 1.0, 101)
     ones = np.ones(len(grid))
-    out = lambda_apply(constant_kernel(1.0), grid, ones)
-    assert np.allclose(out, 1.0)
-    out = lambda_apply(TS, grid, grid.nodes.copy())
+    assert np.allclose(DiscreteKernel.assemble(constant_kernel(1.0), grid).weighted @ ones, 1.0)
+    weighted = DiscreteKernel.assemble(TS, grid).weighted
     # analytic oracle: integral of s^2 ds = 1/3
-    assert np.max(np.abs(out - grid.nodes / 3.0)) < 1e-4
-    assert np.allclose(lambda_apply(TS, grid, np.zeros(len(grid))), 0.0)
-
-
-def test_lambda_apply_dimension_mismatch():
-    grid = Grid.trapezoid(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        lambda_apply(TS, grid, np.zeros(7))
+    assert np.max(np.abs(weighted @ grid.nodes - grid.nodes / 3.0)) < 1e-4
+    assert np.allclose(weighted @ np.zeros(len(grid)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +461,17 @@ def test_contraction_audit_nodewise_domination():
 
 
 def test_iterated_kernel_matches_repeated_lambda_apply():
+    # the n-th certificate increment Q_n w is W^n applied to the constant 1
     grid = Grid.trapezoid(0.0, 1.0, 101)
-    ones = np.ones(len(grid))
-    for n in (1, 2, 5, 8):
-        qn_w = iterate_kernel(TS, grid, n) @ grid.weights
-        v = ones.copy()
-        for _ in range(n):
-            v = lambda_apply(TS, grid, v)
-        denom = np.maximum(np.abs(v), 1e-30)
-        assert float(np.max(np.abs(qn_w - v) / denom)) <= 1e-10
+    op = DiscreteKernel.assemble(TS, grid)
+    cert = certify_convergence(TS, grid, grid_ladder(101), 8, operator=op)
+    v = np.ones(len(grid))
+    total = np.zeros(len(grid))
+    for n in range(1, 9):
+        v = op.weighted @ v
+        total += v
+        assert abs(cert.sup_increments[n - 1] - float(np.max(v))) <= 1e-10 * float(np.max(v))
+    assert float(np.max(np.abs(cert.partial_sums - total))) <= 1e-10 * float(np.max(total))
 
 
 def test_certificate_tail_window_below_bottom_rung_when_certified():
@@ -479,3 +480,188 @@ def test_certificate_tail_window_below_bottom_rung_when_certified():
     cert = certify_convergence(constant_kernel(0.5), grid, ladder, 400)
     assert cert.verdict is CertificateVerdict.CERTIFIED
     assert cert.tail_window_max < float(ladder.bottom[0])
+
+
+# ---------------------------------------------------------------------------
+# the composed-product series of the Fredholm solve, from its geometric tail
+
+
+def kernel_t(q: float) -> KernelSpec:
+    """A constant kernel with f = t, as the benchmark configs write it."""
+    return KernelSpec(Q=lambda t, s: q + 0.0 * t * s, g=lambda t, s, x: q * x + 0.0 * t * s, f=lambda t: t)
+
+
+CLI_MIX_KERNELS = [TS, kernel_t(0.3), kernel_t(0.5), kernel_t(0.9), kernel_t(1.1)] + [
+    KernelSpec(Q=lambda t, s: 0.5 * t * s, g=lambda t, s, x: 0.5 * t * s * np.sin(x), f=lambda t: t)
+]
+
+
+def series_problem(k: KernelSpec, m: int):
+    """The majorant sequence, d(x0, f(x0)), ladder and monoid of the solve's series check."""
+    grid = Grid.trapezoid(0.0, 1.0, m)
+    op = DiscreteKernel.assemble(k, grid)
+    t, s = grid.nodes[:, None], grid.nodes[None, :]
+    x1 = op.f + fredholm._square(k.g(t, s, op.f[None, :]), m) @ grid.weights
+    lam = LambdaSequence.constant(lambda v: op.weighted @ v, matrix=op.weighted)
+    return lam, np.abs(op.f - x1), grid_ladder(m), grid_function_monoid(m)
+
+
+def first_settling_term(lam, d0, ladder, spec, witness: int, terms: list) -> int:
+    """Reference: the first K whose tail bound settles `witness`, trying every K."""
+    bottom = ladder.bottom
+    dead = ~lam.matrix.any(axis=1)
+
+    def strictly_below(x):
+        return np.all(x <= bottom) and not spec.eq(x, bottom)
+
+    for k in range(max(1, witness - 1), len(terms) + 1):
+        v = terms[k - 1]
+        _, hi, usable = ratio_bounds((terms[k - 2] if k > 1 else d0)[None], v[None], dead, np.empty((1, len(v))))
+        if v.any() and not (usable[0] and hi[0] < 1.0):
+            continue
+        bound = v * (hi[0] / (1.0 - hi[0])) if v.any() else v.copy()
+        for n in range(k, witness - 1, -1):
+            bound += terms[n - 1]
+        finite = v.copy()
+        for n in range(k - 1, max(witness - 2, 0), -1):
+            finite += terms[n - 1]
+        if strictly_below(bound) and (witness == 1 or not strictly_below(finite)):
+            return k
+    raise AssertionError("no term settles the witness")
+
+
+@pytest.mark.parametrize("m", [101, 401])
+@pytest.mark.parametrize("k", spectral_battery() + CLI_MIX_KERNELS)
+def test_geometric_witness_matches_the_literal_decision(k, m):
+    lam, d0, ladder, spec = series_problem(k, m)
+    literal = lambda_product_trace(lam, d0, 400).elements
+    _, witness, _ = cauchy_series_window_report(MTrace(literal, 200), ladder, spec)
+    budgets = [1, 200] + ([witness - 1, witness] if witness else [])
+    for budget in filter(None, budgets):
+        decision, want, _ = cauchy_series_window_report(
+            MTrace(literal[: 2 * budget], budget), ladder, spec
+        )
+        found = _geometric_witness(lam, d0, ladder, spec, budget)
+        # the tail settles every witness the literal window finds, and only those
+        assert (found is not None) == (decision is Decision.NULL), budget
+        if found is None:
+            continue
+        n, terms, tail = found
+        assert n == want
+        assert terms == first_settling_term(lam, d0, ladder, spec, n, literal)
+        # the proven bound on the series from every start dominates the
+        # literal suffix sum of 400 terms
+        suffixes = np.cumsum(np.array(literal[::-1]), axis=0)[::-1]
+        bound = tail.copy()
+        assert np.all(bound >= suffixes[terms])
+        for start in range(terms, 0, -1):
+            bound += literal[start - 1]
+            assert np.all(bound >= suffixes[start - 1]), start
+
+
+def matrix_problem(weighted: list, d0: list):
+    w = np.array(weighted, dtype=float)
+    lam = LambdaSequence.constant(lambda v: w @ v, matrix=w)
+    return lam, np.array(d0, dtype=float), grid_ladder(len(d0)), grid_function_monoid(len(d0))
+
+
+BOTTOM = 2.0**-20
+
+
+@pytest.mark.parametrize(
+    "weighted, d0, witness",
+    [
+        # the series from start 5 sums to 1e-8 under the rung, inside the
+        # close_eq band: eq decides that tie, and start 6 is the witness
+        ([[0.5]], [16 * BOTTOM * (1 - 1e-8)], 6),
+        # the same at two entries decaying at different rates, which leaves
+        # the tie to the exact check
+        ([[0.5, 0.0], [0.0, 0.25]], [16 * BOTTOM * (1 - 1e-8), 768 * BOTTOM * (1 - 1e-8)], 6),
+        # nilpotent: the tail is exactly zero from term 2, and the sum from
+        # start 1 equals the rung at one entry and is far below it at the other
+        ([[0.0, 1.0], [0.0, 0.0]], [1.0, BOTTOM], 1),
+    ],
+    ids=["inside-eq-band", "inside-eq-band-two-rates", "equal-at-one-entry"],
+)
+def test_geometric_witness_on_ties(weighted, d0, witness):
+    problem = matrix_problem(weighted, d0)
+    trace = lambda_product_trace(problem[0], problem[1], 400, budget=200)
+    assert cauchy_series_window_report(trace, *problem[2:])[:2] == (Decision.NULL, witness)
+    assert _geometric_witness(*problem, 200)[0] == witness
+
+
+def test_geometric_witness_falls_back():
+    lam, d0, ladder, spec = series_problem(kernel_t(0.5), 101)
+    nan = d0.copy()
+    nan[7] = np.nan
+    assert _geometric_witness(lam, nan, ladder, spec, 200) is None
+    # a witness past the budget is left to the literal window
+    assert _geometric_witness(lam, d0, ladder, spec, 19) is None
+    lam, d0, ladder, spec = series_problem(kernel_t(1.1), 101)
+    assert _geometric_witness(lam, d0, ladder, spec, 200) is None
+    # quotients of exactly 1, as taken and once widened by 3 eps, prove nothing
+    eps = float(np.finfo(float).eps)
+    for q in (1.0, 1.0 - 3 * eps):
+        assert _geometric_witness(*matrix_problem([[q]], [2.0**-100]), 200) is None
+
+
+def counting_series(monkeypatch) -> dict:
+    """Count the literal traces and the W applications of the geometric decision."""
+    seen = dict(literal=0, applied=0, terms=None)
+    literal = engine.lambda_product_trace
+    geometric = engine._geometric_witness
+
+    def counted_literal(*args, **kwargs):
+        seen["literal"] += 1
+        return literal(*args, **kwargs)
+
+    def counted_geometric(lam, *args):
+        def op_at(n):
+            def apply(v):
+                seen["applied"] += 1
+                return lam.op_at(n)(v)
+
+            return apply
+
+        found = geometric(replace(lam, op_at=op_at), *args)
+        seen["terms"] = found and found[1]
+        return found
+
+    monkeypatch.setattr(engine, "lambda_product_trace", counted_literal)
+    monkeypatch.setattr(engine, "_geometric_witness", counted_geometric)
+    return seen
+
+
+def test_certified_solve_decides_its_series_from_the_tail(monkeypatch):
+    seen = counting_series(monkeypatch)
+    x, report, _ = solve_fredholm(TS, Grid.trapezoid(0.0, 1.0, 101))
+    assert report.status is SolveStatus.CERTIFIED
+    assert "composed-product series is Cauchy within budget (witness N=12)" in report.diagnostics
+    assert seen["literal"] == 0
+    assert seen["applied"] <= seen["terms"] + 1
+
+
+@pytest.mark.parametrize(
+    "k, budget",
+    [(kernel_t(1.1), 200), (kernel_t(0.5), 19)],
+    ids=["forced-divergent", "budget-below-witness"],
+)
+def test_series_falls_back_to_the_literal_window(k, budget, monkeypatch):
+    seen = counting_series(monkeypatch)
+    x, report, _ = solve_fredholm(k, Grid.trapezoid(0.0, 1.0, 101), budget=budget, force=True)
+    assert report.status is SolveStatus.BUDGET_EXHAUSTED
+    assert seen["literal"] == 1 and seen["terms"] is None
+    assert report.diagnostics[-1].startswith(f"window [{budget},{2 * budget}] of the composed-product")
+
+
+def test_nan_iterate_is_a_violation():
+    k = KernelSpec(
+        Q=lambda t, s: 0.5 * t * s,
+        g=lambda t, s, x: 0.5 * t * s * x * (t / t),
+        f=lambda t: t,
+    )
+    with np.errstate(invalid="ignore"):
+        x, report, _ = solve_fredholm(k, Grid.trapezoid(0.0, 1.0, 41))
+    assert x is None
+    assert report.status is SolveStatus.HYPOTHESIS_VIOLATED
+    assert (report.violation.step, report.violation.condition) == (0, "non_finite_iterate")
