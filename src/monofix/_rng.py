@@ -60,3 +60,16 @@ def choice_indices(
             rng.getrandbits(32 * (int(kept[d - 1]) + 1))
 
     return shifted[kept], settle
+
+
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The values of n calls `rng.random()`, drawn at once.
+
+    `random()` takes two 32-bit words a, b and returns
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53; `getrandbits(64 * n)` returns
+    the same words in the same order, least significant first.  The integer
+    is below 2**53, so the float division is exact, as in `random()`.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    a, b = words[0::2].astype(np.uint64) >> 5, words[1::2].astype(np.uint64) >> 6
+    return (a * (1 << 26) + b) / float(1 << 53)

@@ -32,6 +32,7 @@ from .engine import (
 )
 from .expr import ExpressionError, compile_expression
 from .fredholm import (
+    MAX_NODES,
     CertificateNotConvergent,
     ConvergenceCertificate,
     Grid,
@@ -86,6 +87,13 @@ def parse_config(text: str) -> dict[str, tuple[int, str]]:
     return out
 
 
+def _check_keys(cfg: dict, keys: tuple[str, ...]) -> None:
+    """Reject the first key, in line order, that the command does not read."""
+    for key, (line, _) in cfg.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key; the keys are {', '.join(keys)}", line=line, field=key)
+
+
 def _get(cfg: dict, key: str, default: Optional[str] = None) -> tuple[Optional[int], str]:
     if key in cfg:
         return cfg[key]
@@ -102,7 +110,10 @@ def _get_float(cfg: dict, key: str, default: Optional[str] = None) -> float:
         raise ConfigError(f"not a number: {raw!r}", line=line, field=key)
 
 
-def _get_int(cfg: dict, key: str, default: Optional[str] = None, minimum: Optional[int] = None) -> int:
+def _get_int(
+    cfg: dict, key: str, default: Optional[str] = None,
+    minimum: Optional[int] = None, maximum: Optional[int] = None,
+) -> int:
     line, raw = _get(cfg, key, default)
     try:
         value = int(raw)
@@ -110,6 +121,8 @@ def _get_int(cfg: dict, key: str, default: Optional[str] = None, minimum: Option
         raise ConfigError(f"not an integer: {raw!r}", line=line, field=key)
     if minimum is not None and value < minimum:
         raise ConfigError(f"must be at least {minimum}: {value}", line=line, field=key)
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"must be at most {maximum}: {value}", line=line, field=key)
     return value
 
 
@@ -195,8 +208,16 @@ def _finish_solve(out: Path, report: SolveReport, header: str, summary: str) -> 
 # Subcommands
 
 
+FREDHOLM_KEYS = (
+    "interval_a", "interval_b", "nodes", "kernel", "majorant", "f",
+    "ladder_depth", "budget", "certificate_budget", "seed", "force",
+)
+COUPLED_KEYS = ("f", "x0", "y0", "lam_u", "lam_v", "budget")
+
+
 def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text())
+    _check_keys(cfg, FREDHOLM_KEYS)
     a = _get_float(cfg, "interval_a", "0")
     b = _get_float(cfg, "interval_b", "1")
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -205,7 +226,7 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
             line=_get(cfg, "interval_b", "1")[0],
             field="interval_b",
         )
-    m = _get_int(cfg, "nodes", "101", minimum=2)
+    m = _get_int(cfg, "nodes", "101", minimum=2, maximum=MAX_NODES)
     budget = _get_int(cfg, "budget", "200", minimum=1)
     cert_budget = _get_int(cfg, "certificate_budget", "800", minimum=1)
     seed = _get_int(cfg, "seed", "0")
@@ -327,6 +348,7 @@ def cmd_solve_map(args: argparse.Namespace) -> int:
 
 def cmd_solve_coupled(args: argparse.Namespace) -> int:
     cfg = parse_config(Path(args.config).read_text())
+    _check_keys(cfg, COUPLED_KEYS)
     fline, fraw = _get(cfg, "f")
     try:
         f2 = compile_expression(fraw, ("u", "v"))

@@ -635,14 +635,18 @@ def solve_sequential(
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
     `extra_step_check` runs on every step, the seed step (x0, f(x0)) first,
-    before its distance is used.
+    before its distance is used.  f is applied to x0 once: the orbits from
+    x0 reuse that step, so f must be deterministic.
     """
     if mode not in SEQ_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = space.monoid
     ladder = space.ladder
     diagnostics: list[str] = []
-    x1 = f.apply(x0)
+    apply = f.apply
+    x1 = apply(x0)
+    # every orbit from x0 starts with this step: take it once
+    f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
     d0 = space.distance(x0, x1)
     horizon = 2 * budget
 

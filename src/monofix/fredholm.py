@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ._rng import child_rng
+from ._rng import child_rng, uniforms
 from ._util import close_eq, ratio_bounds
 from .engine import (
     HypothesisViolation,
@@ -35,6 +35,9 @@ from .reporting import Decision
 from .spaces import DistanceSpaceSpec, SpaceKind
 
 OVERFLOW_LIMIT = 1e12
+# A solve holds two m x m float arrays, W and the Picard loop's work array:
+# 1 GiB at this many nodes.
+MAX_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,10 @@ class Grid:
 class KernelSpec:
     """Problem data: majorant Q(t,s) >= 0, integrand g(t,s,x), inhomogeneity f(t).
 
-    All three callables must broadcast over numpy arrays; the built-in kernels
-    and the expression sub-language do.
+    All three callables must broadcast over numpy arrays and be pointwise:
+    each value may depend only on its own t, s (and x), because Q and g are
+    evaluated on row blocks of the node grid and on arrays of sampled
+    points.  The built-in kernels and the expression sub-language are.
     """
 
     Q: Callable[[Any, Any], Any]
@@ -147,14 +152,20 @@ def _first_bad(values: np.ndarray, bad: np.ndarray) -> tuple:
     return index, float(values[index])
 
 
-def _square(values: Any, m: int) -> np.ndarray:
-    """Values sampled on the m x m node grid as a float array of that shape.
+# Entries per row block of the node grid (one row where a row is longer).
+GRID_BLOCK = 4096
 
-    Callables that ignore t or s return a broadcastable shape; only those
-    are copied out to the full square.
-    """
-    a = np.asarray(values, dtype=float)
-    return a if a.shape == (m, m) else np.broadcast_to(a, (m, m)).copy()
+
+def _fill_grid(out: np.ndarray, fn: Callable, grid: Grid, *x: np.ndarray) -> np.ndarray:
+    """out[i, j] = fn(t_i, s_j, x[j]) at the nodes (fn(t_i, s_j) without x),
+    one row block at a time, so temporaries stay small; returns out."""
+    nodes = grid.nodes
+    s = nodes[None, :]
+    rest = tuple(v[None, :] for v in x)
+    rows = max(1, GRID_BLOCK // len(nodes))
+    for start in range(0, len(nodes), rows):
+        out[start : start + rows] = fn(nodes[start : start + rows, None], s, *rest)
+    return out
 
 
 def kernel_matrix(k: KernelSpec, grid: Grid) -> np.ndarray:
@@ -163,17 +174,17 @@ def kernel_matrix(k: KernelSpec, grid: Grid) -> np.ndarray:
     Raises InvalidKernel unless every entry is finite and nonnegative: the
     certificate and its spectral bracket hold only for such a matrix.
     """
-    t = grid.nodes[:, None]
-    s = grid.nodes[None, :]
-    q = _square(k.Q(t, s), len(grid))
-    for bad, what in ((~np.isfinite(q), "not finite"), (q < 0, "negative")):
-        if bad.any():
-            (i, j), value = _first_bad(q, bad)
-            raise InvalidKernel(
-                "Q",
-                f"majorant Q(t, s) is {what} at t={float(grid.nodes[i])!r}, "
-                f"s={float(grid.nodes[j])!r}: {value!r}",
-            )
+    m = len(grid)
+    q = _fill_grid(np.empty((m, m)), k.Q, grid)
+    if not (q.min() >= 0.0 and q.max() < math.inf):  # a NaN fails both
+        for bad, what in ((~np.isfinite(q), "not finite"), (q < 0, "negative")):
+            if bad.any():
+                (i, j), value = _first_bad(q, bad)
+                raise InvalidKernel(
+                    "Q",
+                    f"majorant Q(t, s) is {what} at t={float(grid.nodes[i])!r}, "
+                    f"s={float(grid.nodes[j])!r}: {value!r}",
+                )
     return q
 
 
@@ -192,14 +203,17 @@ class DiscreteKernel:
 
     @classmethod
     def assemble(cls, k: KernelSpec, grid: Grid) -> "DiscreteKernel":
-        """Sample and validate Q and f; raises InvalidKernel on bad data."""
-        q1 = kernel_matrix(k, grid)
+        """Sample and validate Q and f, raising InvalidKernel on bad data; Q
+        is sampled into one m x m array, then scaled in place into W."""
+        q = kernel_matrix(k, grid)
         f = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid))
         bad = ~np.isfinite(f)
         if bad.any():
             (i,), value = _first_bad(f, bad)
             raise InvalidKernel("f", f"f(t) is not finite at t={float(grid.nodes[i])!r}: {value!r}")
-        return cls(weighted=q1 * grid.weights[None, :], integrated=q1 @ grid.weights, f=f)
+        integrated = q @ grid.weights
+        q *= grid.weights
+        return cls(weighted=q, integrated=integrated, f=f)
 
 
 def grid_function_monoid(m: int) -> MonoidSpec:
@@ -377,30 +391,45 @@ def certify_convergence(
 def residual(k: KernelSpec, grid: Grid, x: np.ndarray) -> float:
     """Sup-norm defect of x against the integral equation."""
     x = np.asarray(x, dtype=float)
-    t = grid.nodes[:, None]
-    s = grid.nodes[None, :]
-    gmat = _square(k.g(t, s, x[None, :]), len(grid))
-    rhs = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid)) + gmat @ grid.weights
+    m = len(grid)
+    gmat = _fill_grid(np.empty((m, m)), k.g, grid, x)
+    rhs = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(m) + gmat @ grid.weights
     return float(np.max(np.abs(x - rhs)))
 
 
-def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> Optional[str]:
-    rng = child_rng(seed, "majorant-audit")
-    lo, hi = float(grid.nodes[0]), float(grid.nodes[-1])
-    for _ in range(trials):
-        t = rng.uniform(lo, hi)
-        s = rng.uniform(lo, hi)
-        x = rng.uniform(-4.0, 4.0)
-        y = rng.uniform(-4.0, 4.0)
-        lhs = abs(float(k.g(t, s, x)) - float(k.g(t, s, y)))
-        bound = float(k.Q(t, s)) * abs(x - y)
-        # negated, so that a NaN on either side fails the audit
-        if not lhs <= bound + 1e-9 * (1.0 + bound):
-            return (
-                f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: "
-                f"|g(t,s,x)-g(t,s,y)|={lhs!r} > Q(t,s)|x-y|={bound!r}"
-            )
+def _majorant_trial(k: KernelSpec, t: float, s: float, x: float, y: float) -> Optional[str]:
+    """The majorant inequality at one sampled point, in scalars: the failure
+    message, or None."""
+    lhs = abs(float(k.g(t, s, x)) - float(k.g(t, s, y)))
+    bound = float(k.Q(t, s)) * abs(x - y)
+    # negated, so that a NaN on either side fails the audit
+    if not lhs <= bound + 1e-9 * (1.0 + bound):
+        return (
+            f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: "
+            f"|g(t,s,x)-g(t,s,y)|={lhs!r} > Q(t,s)|x-y|={bound!r}"
+        )
     return None
+
+
+def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> Optional[str]:
+    """|g(t,s,x) - g(t,s,y)| <= Q(t,s)|x - y| at `trials` sampled points.
+
+    Each trial draws t, s, x, y as four `rng.uniform` calls would; all are
+    drawn at once (`uniforms`) and Q and g are evaluated once on the arrays,
+    whose entries are those of scalar calls.  The first failing trial is
+    rendered from its scalars, as a loop of scalar trials renders it.
+    """
+    rng = child_rng(seed, "majorant-audit")
+    low = np.array([grid.nodes[0], grid.nodes[0], -4.0, -4.0])
+    high = np.array([grid.nodes[-1], grid.nodes[-1], 4.0, 4.0])
+    draws = low + (high - low) * uniforms(rng, 4 * trials).reshape(trials, 4)
+    t, s, x, y = np.ascontiguousarray(draws.T)
+    # NaN and overflow are verdicts here, not warnings
+    with np.errstate(all="ignore"):
+        lhs = np.abs(np.asarray(k.g(t, s, x), dtype=float) - k.g(t, s, y))
+        bound = np.asarray(k.Q(t, s), dtype=float) * np.abs(x - y)
+        failing = np.flatnonzero(~(lhs <= bound + 1e-9 * (1.0 + bound)))
+    return _majorant_trial(k, *map(float, draws[failing[0]])) if failing.size else None
 
 
 def solve_fredholm(
@@ -421,7 +450,8 @@ def solve_fredholm(
     the nonnegative matrix W so that the driver decides its composed-product
     series from a proven geometric tail.  An iterate that is not finite,
     the first one included, ends the solve as HYPOTHESIS_VIOLATED with
-    condition non_finite_iterate.
+    condition non_finite_iterate.  Every application of the integral
+    operator refills one m x m work array with g, row block by row block.
     """
     if ladder is None:
         ladder = grid_ladder(len(grid))
@@ -448,12 +478,12 @@ def solve_fredholm(
         return None, report, certificate
 
     space = grid_space(grid, ladder)
-    t = grid.nodes[:, None]
-    s = grid.nodes[None, :]
     fvec, weighted, m = operator.f, operator.weighted, len(grid)
+    work = np.empty((m, m))
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return fvec + _square(k.g(t, s, x[None, :]), m) @ grid.weights
+        # one matvec on the whole array: how BLAS splits it sets its bytes
+        return fvec + _fill_grid(work, k.g, grid, x) @ grid.weights
 
     def finite(_k: int, _cur: np.ndarray, nxt: np.ndarray) -> Optional[str]:
         return None if np.isfinite(nxt).all() else "non_finite_iterate"

@@ -309,3 +309,32 @@ def test_unknown_name_error_is_the_message_itself(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "config error: field 'name': 'gauge{0}': the parameter must be an integer from 1 to 5\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, text, line, field",
+    [
+        ("solve-fredholm", "kernel = product_ts\nf = t\nnodse = 401\nbogus = 1\n", 3, "nodse"),
+        ("solve-coupled", COUPLED_CONFIG.replace("budget = 400", "budgte = 400"), 6, "budgte"),
+    ],
+    ids=["solve-fredholm", "solve-coupled"],
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, text, line, field):
+    # a typo must not fall back to a default silently
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    assert run([command, cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}: field {field!r}: unknown key")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("nodes", [8193, 10**10])
+def test_nodes_above_the_cap_is_config_error(tmp_path, capsys, nodes):
+    # two m x m arrays at the cap of 8192 nodes take 1 GiB
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"kernel = product_ts\nnodes = {nodes}\n")
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: line 2: field 'nodes': must be at most 8192: {nodes}\n"
+    assert not (tmp_path / "o").exists()

@@ -240,6 +240,23 @@ def test_order_check_evaluates_a_shared_operator_once(monkeypatch):
         assert len(calls) == applied
 
 
+@pytest.mark.parametrize("mode", ["series", "orbit_bounded"])
+def test_sequential_applies_the_map_to_x0_once(mode):
+    # the d0 step is the first step of every orbit from x0: taken once, it
+    # leaves one application per step and one for the residual
+    seen = []
+
+    def halve(x):
+        seen.append(x)
+        return HALVING.fn(x)
+
+    rep = solve_sequential(SPACE, MapSpec(apply=halve), HALVING.lam, 8.0, mode, 200)
+    assert rep.status is SolveStatus.CERTIFIED
+    assert seen.count(8.0) == 1
+    if mode == "series":
+        assert len(seen) == rep.iterations + 1
+
+
 def test_sequential_orbit_bounded_certifies():
     rep = solve_sequential(
         SPACE, MapSpec(apply=HALVING.fn), HALVING.lam, 8.0, "orbit_bounded", 200
