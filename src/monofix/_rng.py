@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -60,6 +60,22 @@ def choice_indices(
             rng.getrandbits(32 * (int(kept[d - 1]) + 1))
 
     return shifted[kept], settle
+
+
+def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
+    """The trials that draw a new tuple of indices, in trial order.
+
+    Trial t draws key = idx[t * arity : (t + 1) * arity]; (t, key) is
+    yielded when no earlier trial drew key.  A deterministic check gives a
+    repeated tuple the verdict of its first trial, so only these trials
+    need deciding, and the first failing trial is among them: the first to
+    draw the first failing tuple.
+    """
+    seen: set[tuple] = set()
+    for t, key in enumerate(zip(*[iter(idx.tolist())] * arity)):
+        if key not in seen:
+            seen.add(key)
+            yield t, key
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -104,9 +105,9 @@ def _int_param(name: str, arg: Optional[str], default: int, low: int, high: int)
 def real_nonneg_monoid() -> MonoidSpec:
     return MonoidSpec(
         carrier_descr="nonnegative reals (+, 0, <=)",
-        combine=lambda a, b: a + b,
+        combine=operator.add,
         identity=0.0,
-        leq=lambda a, b: a <= b,
+        leq=operator.le,
         sup=max,
         eq=close_eq(),
     )
@@ -246,7 +247,7 @@ def get_monoid(name: str) -> MonoidEntry:
             carrier_descr="reals with subtraction (deliberately not a monoid)",
             combine=lambda a, b: a - b,
             identity=0.0,
-            leq=lambda a, b: a <= b,
+            leq=operator.le,
             eq=close_eq(),
         )
         return MonoidEntry(

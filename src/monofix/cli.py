@@ -32,6 +32,8 @@ from .engine import (
 )
 from .expr import ExpressionError, compile_expression
 from .fredholm import (
+    MAX_CERTIFICATE_TERMS,
+    MAX_LADDER_DEPTH,
     MAX_NODES,
     CertificateNotConvergent,
     ConvergenceCertificate,
@@ -166,9 +168,13 @@ def solution_csv(grid: Grid, x: np.ndarray) -> str:
 
 
 def certificate_csv(cert: ConvergenceCertificate) -> str:
+    # A converging series repeats its partial sums, so each distinct one is
+    # formatted once.  They are sup norms, never -0.0, the one float whose
+    # repr differs from that of an equal dict key.
+    partials = {part: repr(part) for part in set(cert.sup_partials)}
     lines = ["n,sup_increment,sup_partial"]
     for i, (inc, part) in enumerate(zip(cert.sup_increments, cert.sup_partials), start=1):
-        lines.append(f"{i},{inc!r},{part!r}")
+        lines.append(f"{i},{inc!r},{partials[part]}")
     return "\n".join(lines) + "\n"
 
 
@@ -228,10 +234,12 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
         )
     m = _get_int(cfg, "nodes", "101", minimum=2, maximum=MAX_NODES)
     budget = _get_int(cfg, "budget", "200", minimum=1)
-    cert_budget = _get_int(cfg, "certificate_budget", "800", minimum=1)
+    cert_budget = _get_int(
+        cfg, "certificate_budget", "800", minimum=1, maximum=MAX_CERTIFICATE_TERMS
+    )
     seed = _get_int(cfg, "seed", "0")
     force = args.force or _get_bool(cfg, "force")
-    depth = _get_int(cfg, "ladder_depth", "20", minimum=1)
+    depth = _get_int(cfg, "ladder_depth", "20", minimum=1, maximum=MAX_LADDER_DEPTH)
 
     kline, kraw = _get(cfg, "kernel")
     parts = kraw.split(None, 1)

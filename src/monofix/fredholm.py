@@ -38,6 +38,10 @@ OVERFLOW_LIMIT = 1e12
 # A solve holds two m x m float arrays, W and the Picard loop's work array:
 # 1 GiB at this many nodes.
 MAX_NODES = 8192
+# The certificate holds one (terms, m) float block: 1 GiB at MAX_NODES.
+MAX_CERTIFICATE_TERMS = 16384
+# The deepest dyadic ladder whose bottom rung, 2**-1074, is a positive float.
+MAX_LADDER_DEPTH = 1074
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ within a witness budget".
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import child_rng, choice_indices
+from ._rng import child_rng, choice_indices, distinct_draws
 from ._util import close_entries, format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
 
@@ -37,6 +38,9 @@ class MonoidSpec:
     axiom trials over such a carrier are checked as one stacked array (see
     `cauchy_series_window_report` and `validate_monoid`), mostly without
     calling these callbacks.
+
+    Every callback must be deterministic: the validators decide each
+    distinct draw once and give its repeats the same verdict.
     """
 
     carrier_descr: str
@@ -132,7 +136,15 @@ def _not_positive(i: int, x: Any) -> ValueError:
 
 
 def _require_positive(trace_elements: Sequence[Any], spec: MonoidSpec) -> None:
-    leq, identity = spec.leq, spec.identity  # `is_positive`, without a method call per element
+    """Raise for the first element that is not `is_positive`.
+
+    One pass of `leq(identity, x)` over all elements runs without a Python
+    frame per element when `leq` is a builtin; only a failing trace is
+    scanned again, to find the element.
+    """
+    leq, identity = spec.leq, spec.identity
+    if all(map(leq, itertools.repeat(identity), trace_elements)):
+        return
     for i, x in enumerate(trace_elements):
         if not leq(identity, x):
             raise _not_positive(i, x)
@@ -336,8 +348,9 @@ def validate_monoid(
     per-trial loop would stop: after the failing trial, or after the last.
     Over an elementwise carrier each axiom is evaluated once, on the stacked
     samples of every trial, and the first False row is the failing trial;
-    other carriers call the predicate once per trial.  Draws, verdicts and
-    counterexamples are those of the per-trial loop.
+    other carriers call the predicate once per distinct draw: on the first
+    trial to draw each tuple of sample indices (`distinct_draws`).  Draws,
+    verdicts and counterexamples are those of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -356,9 +369,8 @@ def validate_monoid(
             bad = np.flatnonzero(~on_rows[name](*(stacked[idx[j::arity]] for j in range(arity))))
             failing = int(bad[0]) if bad.size else None
         else:
-            picked = map(samples.__getitem__, idx.tolist())
-            trial_args = zip(*[picked] * arity)  # `arity` draws a trial
-            failing = next((t for t, args in enumerate(trial_args) if not predicate(*args)), None)
+            draws = ((t, map(samples.__getitem__, key)) for t, key in distinct_draws(idx, arity))
+            failing = next((t for t, args in draws if not predicate(*args)), None)
         if failing is None:
             settle(trials * arity)
             checks.append(CheckResult(name, True, trials=trials))

@@ -10,12 +10,13 @@ never satisfaction.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ._rng import child_rng, choice_indices
+from ._rng import child_rng, choice_indices, distinct_draws
 from ._util import format_value, generic_eq
 from .monoid import (
     MonoidSpec,
@@ -47,6 +48,9 @@ class DistanceSpaceSpec:
     `weierstrass_capable` marks (monoid, ladder) pairs where bounded partial
     sums force Cauchy series, and `regular_order`/`co_regular_order` mark
     spaces whose convergence respects a point order from below/above.
+
+    `distance` and `point_eq` must be deterministic: the validators decide
+    each distinct draw once and give its repeats the same verdict.
     """
 
     point_descr: str
@@ -115,7 +119,8 @@ def validate_space(
     `equal_implies_zero`.  Each check draws the indices of all its trials at
     once (`choice_indices`) and leaves `rng` where the per-trial loop would
     stop: after the failing trial, or after the last.  The distances are
-    still computed one trial at a time, so the draws, verdicts and
+    computed once per distinct draw, on the first trial to draw each tuple
+    of sample indices (`distinct_draws`), so the draws, verdicts and
     counterexamples are those of the per-trial loop.
     """
     if trials < 1:
@@ -129,9 +134,8 @@ def validate_space(
 
     def sampled(name: str, arity: int, predicate: Callable[..., Optional[str]]) -> None:
         idx, settle = choice_indices(rng, len(samples), trials * arity)
-        picked = map(samples.__getitem__, idx.tolist())
-        for t, args in enumerate(zip(*[picked] * arity)):  # `arity` draws a trial
-            issue = predicate(*args)
+        for t, key in distinct_draws(idx, arity):
+            issue = predicate(*map(samples.__getitem__, key))
             if issue is not None:
                 settle((t + 1) * arity)
                 checks.append(CheckResult(name, False, trials=t + 1, counterexample=issue))
@@ -396,7 +400,7 @@ def falsify_frechet_wilson(
     rng = child_rng(seed, f"fw-{level}")
 
     def distances(us: tuple, vs: tuple) -> MTrace:
-        return MTrace.of([space.distance(u, v) for u, v in zip(us, vs)])
+        return MTrace.of(map(space.distance, us, vs))
 
     for trial in range(trials):
         cand = sampler(rng)
@@ -434,7 +438,7 @@ def falsify_frechet_wilson(
             if level == "weak":
                 seq_x, seq_y, z_point = cand
                 heads, middles = tuple(seq_x), tuple(seq_y)
-                tails = tuple(z_point for _ in heads)
+                tails = (z_point,) * len(heads)
             else:
                 seq_x, seq_z, seq_y = cand
                 heads, middles, tails = tuple(seq_x), tuple(seq_z), tuple(seq_y)
@@ -508,7 +512,7 @@ def relation_monoid(points: Sequence[Any], identity: Optional[frozenset] = None)
         carrier_descr=f"relations on {len(points)} points (compose, ordered by inclusion)",
         combine=combine,
         identity=ident,
-        leq=lambda a, b: a <= b,
+        leq=operator.le,
         sup=lambda a, b: a | b,
         eq=lambda a, b: a == b,
     )

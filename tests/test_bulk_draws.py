@@ -1,6 +1,7 @@
 """Bulk trial draws: the same draws, verdicts and generator state as the
 per-trial loops of `validate_monoid` and `validate_space`, kept here as
 references."""
+import operator
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import monofix.monoid
 import monofix.spaces
 from monofix import MonoidSpec, SpaceKind, validate_monoid, validate_space
-from monofix._rng import child_rng, choice_indices
+from monofix._rng import child_rng, choice_indices, distinct_draws
 from monofix._util import close_eq, format_value
 from monofix.catalog import MONOID_NAMES, SPACE_NAMES, get_monoid, get_space
 from monofix.monoid import _pair_repr
@@ -253,3 +254,124 @@ def test_validators_reject_trial_counts_below_one(trials):
         validate_space(space.space, space.samples, trials)
     with pytest.raises(ValueError, match="trials must be at least 1"):
         monofix.spaces.falsify_frechet_wilson(space.space, "weak", space.fw_sampler("weak"), trials)
+
+
+# ---------------------------------------------------------------------------
+# each distinct draw decided once
+
+
+def first_draws(rng, n, trials, arity):
+    """The index tuples of `trials` per-trial draws of `arity` `choice`
+    calls each, with the trial of its first occurrence, in trial order."""
+    first = {}
+    for t in range(trials):
+        first.setdefault(tuple(rng.choice(range(n)) for _ in range(arity)), t)
+    return list(first.items())
+
+
+def test_distinct_draws_yield_first_occurrences_in_trial_order():
+    rng = random.Random(3)
+    for arity in (1, 2, 3, 4):
+        idx, _ = choice_indices(rng, 3, 50 * arity)
+        flat = idx.tolist()
+        want = {}
+        for t in range(50):
+            want.setdefault(tuple(flat[t * arity : (t + 1) * arity]), t)
+        got = list(distinct_draws(idx, arity))
+        assert got == [(t, key) for key, t in want.items()], arity
+        assert len(got) < 50  # 3**arity tuples at most, so some repeat
+
+
+def test_validate_monoid_combines_once_per_distinct_draw():
+    # integer addition passes every axiom, so each axiom runs all trials;
+    # `combine` logs its arguments, and a repeated draw must add nothing
+    log = []
+
+    def combine(a, b):
+        log.append((a, b))
+        return a + b
+
+    spec = MonoidSpec("logged integers", combine, 0, operator.le, eq=operator.eq)
+    samples, trials = (0, 1, 2, 3, 5), 60
+    rng = child_rng(4, "validate_monoid")
+    want = []
+    associativity = first_draws(rng, 5, trials, 3)
+    assert len(associativity) < trials  # some triples repeat
+    for (a, b, c), _ in associativity:
+        a, b, c = samples[a], samples[b], samples[c]
+        want += [(a, b), (a + b, c), (b, c), (a, b + c)]
+    for (x,), _ in first_draws(rng, 5, trials, 1):
+        want += [(0, samples[x]), (samples[x], 0)]
+    for arity in (1, 3, 2):  # the order axioms call no `combine`
+        first_draws(rng, 5, trials, arity)
+    for key, _ in first_draws(rng, 5, trials, 4):
+        x1, y1, x2, y2 = (samples[i] for i in key)
+        if x1 <= y1 and x2 <= y2:
+            want += [(x1, x2), (y1, y2)]
+    report = validate_monoid(spec, samples, trials, seed=4)
+    assert report.ok
+    assert log == want
+
+
+def test_validate_space_measures_once_per_distinct_draw():
+    log = []
+
+    def distance(x, y):
+        log.append((x, y))
+        return abs(x - y)
+
+    real = get_monoid("real_nonneg")
+    space = monofix.spaces.DistanceSpaceSpec(
+        "logged reals", distance, SpaceKind.PSEUDO, real.spec, real.ladder
+    )
+    samples, trials = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0), 80
+    rng = child_rng(5, "validate_space")
+    symmetry, positivity, reflexive = (
+        [key for key, _ in first_draws(rng, 6, trials, arity)] for arity in (2, 2, 1)
+    )
+    want = [p for x, y in symmetry for p in ((samples[x], samples[y]), (samples[y], samples[x]))]
+    want += [(samples[x], samples[y]) for x, y in positivity]
+    want += [(samples[x], samples[x]) for x, in reflexive]
+    report = validate_space(space, samples, trials, seed=5)
+    assert report.ok
+    assert log == want
+    assert len(positivity) < trials and len(reflexive) < trials
+
+
+def test_first_failing_trial_is_the_first_draw_of_the_failing_tuple(created_rngs):
+    # d(x, x) is 1 at the point 5 alone, and d(3, 4) != d(4, 3): each check
+    # fails on the first trial to draw its failing tuple, which comes after
+    # repeats of passing tuples and recurs later among the trials
+    def distance(x, y):
+        if x == y:
+            return 1.0 if x == 5.0 else 0.0
+        return abs(x - y) + (0.25 if (x, y) == (3.0, 4.0) else 0.0)
+
+    real = get_monoid("real_nonneg")
+    space = monofix.spaces.DistanceSpaceSpec(
+        "reals, asymmetric at (3, 4), dislocated at 5", distance, SpaceKind.PSEUDO,
+        real.spec, real.ladder,
+    )
+    samples, trials, seed = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0), 200, 1
+    want, want_rng = reference_validate_space(space, samples, trials, seed)
+    rng, probe = child_rng(seed, "validate_space"), random.Random()
+    failing = {}
+    for name, arity, bad in (
+        ("symmetry", 2, {(3, 4), (4, 3)}),
+        ("positivity", 2, set()),
+        ("equal_implies_zero", 1, {(5,)}),
+    ):
+        probe.setstate(rng.getstate())
+        draws = [tuple(probe.choice(range(6)) for _ in range(arity)) for _ in range(trials)]
+        t = next((t for t, key in enumerate(draws) if key in bad), None)
+        if t is not None:
+            assert len(set(draws[:t])) < t  # passing tuples repeat before it
+            assert draws[t] in draws[t + 1 :]  # and the failing tuple recurs
+            failing[name] = t + 1
+        for _ in range(arity * (trials if t is None else t + 1)):
+            rng.choice(samples)
+    assert failing.keys() == {"symmetry", "equal_implies_zero"}
+    got = validate_space(space, samples, trials, seed=seed)
+    assert got == want
+    assert {c.name: c.trials for c in got.failures} == failing
+    assert created_rngs[-1].random() == want_rng.random() == rng.random()

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from monofix.cli import main, parse_config, ConfigError
+from monofix import Grid, KernelSpec, certify_convergence, grid_ladder
+from monofix.cli import certificate_csv, main, parse_config, ConfigError
 
 TS_CONFIG = """\
 # ts-kernel problem
@@ -338,3 +339,51 @@ def test_nodes_above_the_cap_is_config_error(tmp_path, capsys, nodes):
     err = capsys.readouterr().err
     assert err == f"config error: line 2: field 'nodes': must be at most 8192: {nodes}\n"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, cap",
+    [("certificate_budget", 10**10, 16384), ("ladder_depth", 1075, 1074), ("ladder_depth", 10**8, 1074)],
+)
+def test_solve_fredholm_count_above_its_cap_is_config_error(tmp_path, capsys, key, value, cap):
+    # 16384 terms at 8192 nodes make a 1 GiB certificate block; a ladder one
+    # rung deeper than 1074 has the bottom rung 2**-1075 == 0.0
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"nodes = 11\nkernel = product_ts\n{key} = {value}\n")
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: line 3: field {key!r}: must be at most {cap}: {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_deepest_ladder_ends_with_a_record(tmp_path, capsys):
+    # 2**-1074 is the smallest positive float: the bottom rung of depth 1074
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("nodes = 11\nkernel = product_ts\nf = t\nladder_depth = 1074\n")
+    out = tmp_path / "o"
+    assert run(["solve-fredholm", cfg, "--out", out]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert (out / "report.txt").exists() and (out / "certificate.csv").exists()
+
+
+def reference_certificate_csv(cert):
+    """`certificate_csv` formatting every partial sum anew."""
+    lines = ["n,sup_increment,sup_partial"]
+    for i, (inc, part) in enumerate(zip(cert.sup_increments, cert.sup_partials), start=1):
+        lines.append(f"{i},{inc!r},{part!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kernel", ["product_ts", "constant 0.3", "constant 0.9", "constant 1.1"])
+def test_certificate_csv_matches_row_by_row_writer(kernel):
+    if kernel == "product_ts":
+        k = KernelSpec(Q=lambda t, s: t * s, g=lambda t, s, x: t * s * x, f=lambda t: t)
+    else:
+        c = float(kernel.split()[1])
+        k = KernelSpec(
+            Q=lambda t, s: c + 0.0 * t * s, g=lambda t, s, x: c * x + 0.0 * t * s, f=lambda t: 1.0 + 0.0 * t
+        )
+    cert = certify_convergence(k, Grid.trapezoid(0.0, 1.0, 101), grid_ladder(101), 800)
+    assert certificate_csv(cert).encode() == reference_certificate_csv(cert).encode()
+    if kernel != "constant 1.1":  # converged: the partial sums repeat
+        assert len(set(cert.sup_partials)) < len(cert.sup_partials)

@@ -1,4 +1,5 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
+import operator
 import random
 import warnings
 from dataclasses import replace
@@ -19,7 +20,7 @@ from monofix import (
     validate_monoid,
 )
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
-from monofix.monoid import cauchy_series_window_report
+from monofix.monoid import _require_positive, cauchy_series_window_report
 from monofix.spaces import diagonal, relation_compose, relation_monoid
 from monofix._util import close_eq, format_value
 
@@ -557,3 +558,43 @@ def test_property_cauchy_series_implies_null():
         t = _null_real_trace(rng)
         if cauchy_series_check(t, LADDER16, REAL) is Decision.NULL:
             assert is_null_trace(t, LADDER16, REAL) is Decision.NULL
+
+
+def reference_require_positive(xs, spec):
+    """`_require_positive` as one `is_positive` call per element."""
+    for i, x in enumerate(xs):
+        if not spec.leq(spec.identity, x):
+            raise ValueError(f"trace element at index {i} is not in the positive cone: {format_value(x)}")
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the exception is the outcome under test
+        return type(exc), str(exc)
+    return None
+
+
+def _leq_raising_at_two(a, b):
+    if b == 2.0:
+        raise ZeroDivisionError("leq refuses 2.0")
+    return a <= b
+
+
+@pytest.mark.parametrize(
+    "leq", [operator.le, lambda a, b: a <= b, _leq_raising_at_two], ids=["operator", "lambda", "raising"]
+)
+def test_require_positive_matches_per_element_scan(leq):
+    spec = replace(REAL, leq=leq)
+    base = (0.5, 0.0, 1.0, 2.0, 3.0)
+    assert _raised(_require_positive, base, spec) == _raised(reference_require_positive, base, spec)
+    for bad in (float("nan"), -0.5, -float("inf")):
+        for at in (0, 2, 4):
+            xs = base[:at] + (bad,) + base[at + 1 :]
+            want = _raised(reference_require_positive, xs, spec)
+            assert want is not None
+            assert _raised(_require_positive, xs, spec) == want, (bad, at)
+            if leq is _leq_raising_at_two and at == 4:
+                assert want[0] is ZeroDivisionError  # the leq's own error comes first
+            else:
+                assert want == (ValueError, f"trace element at index {at} is not in the positive cone: {bad!r}")
