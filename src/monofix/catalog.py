@@ -17,12 +17,15 @@ import numpy as np
 
 from ._rng import child_rng
 from .engine import CaristiData, LambdaSequence, MeirKeelerData, next_rung_choice
+from .fredholm import grid_function_monoid, grid_ladder
 from .monoid import MonoidSpec, MTrace, TestLadder, dyadic_ladder
 from ._util import close_eq
 from .spaces import (
     DistanceSpaceSpec,
     SpaceKind,
     make_uniform_from_pseudometric,
+    product_ladder,
+    product_monoid,
     product_space,
     gauge_space,
     relation_monoid,
@@ -195,15 +198,9 @@ def get_monoid(name: str) -> MonoidEntry:
         samples += [
             np.array([rng.uniform(0, 3) for _ in range(dim)]) for _ in range(7)
         ]
-        rungs = tuple(np.full(dim, 2.0 ** -(i + 1)) for i in range(20))
-        ladder = TestLadder(
-            rungs=rungs, halving_witness=tuple(i + 1 if i + 1 < 20 else None for i in range(20))
-        )
-        return MonoidEntry(name=name, spec=spec, ladder=ladder, samples=tuple(samples))
+        return MonoidEntry(name=name, spec=spec, ladder=grid_ladder(dim), samples=tuple(samples))
     if base == "grid_function":
         m = _int_param(name, arg, 8, 1, MAX_DIM)
-        from .fredholm import grid_function_monoid, grid_ladder
-
         spec = grid_function_monoid(m)
         rng = child_rng(0, f"grid_function{m}-samples")
         samples = [np.zeros(m), np.full(m, 0.5), np.linspace(0, 1, m)]
@@ -236,8 +233,6 @@ def get_monoid(name: str) -> MonoidEntry:
         return MonoidEntry(name=name, spec=spec, ladder=ladder, samples=tuple(samples))
     if base == "product":
         parts = [get_monoid(p.strip()) for p in (arg or "real_nonneg,real_nonneg").split(",")]
-        from .spaces import product_ladder, product_monoid
-
         spec = product_monoid([p.spec for p in parts])
         ladder = product_ladder([p.ladder for p in parts], spec)
         combos = list(itertools.product(*[p.samples[:4] for p in parts]))
@@ -298,6 +293,10 @@ def snowflake_distance(x: float, y: float) -> float:
     return d if d <= 1.0 else d * d
 
 
+# float (i + 1) ** 2, exact below 2**53: amp / _SQUARES[i] == amp / (i + 1) ** 2
+_SQUARES = tuple(float((i + 1) ** 2) for i in range(48))
+
+
 def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
     bottom = space.ladder.rungs[-1]
 
@@ -319,16 +318,16 @@ def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
         def sample(rng: random.Random):
             z = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
             amp = rng.uniform(0.1, 1.0)
-            n = 48
-            xs = [z + amp / (i + 1) ** 2 for i in range(n)]
-            ys = [z - amp / (i + 1) ** 2 for i in range(n)]
+            qs = [amp / sq for sq in _SQUARES]
+            xs = [z + q for q in qs]
+            ys = [z - q for q in qs]
             if nonneg:
                 xs = [abs(v) for v in xs]
                 ys = [abs(v) for v in ys]
             if level == "weak":
                 return xs, ys, z
-            zs = [z + amp / (2 * (i + 1) ** 2) for i in range(n)]
-            return xs, zs, ys
+            # amp / (2 * sq) == (amp / sq) / 2: halving a float is exact
+            return xs, [z + q / 2 for q in qs], ys
 
         return sample
 
@@ -339,16 +338,10 @@ def omega_distance(x: tuple, y: tuple) -> float:
     if x == y:
         return 0.0
     kx, ky = x[0], y[0]
-    if kx == "n" and ky == "n":
+    if kx == ky:  # distinct naturals, or distinct marked points
         return 1.0
-    if kx == "w" and ky == "w":
-        return 1.0
-    if kx == "n":
-        return 1.0 / x[1] ** 2
-    if ky == "n":
-        return 1.0 / y[1] ** 2
-    j = x[1] if kx == "w" else y[1]
-    return 1.0 / j**2
+    # a natural's index decides, else the marked point's (the other is "inf")
+    return 1.0 / (x[1] if kx == "n" or ky == "inf" else y[1]) ** 2
 
 
 def omega_space(n_max: int = 128) -> DistanceSpaceSpec:

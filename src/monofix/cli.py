@@ -33,7 +33,6 @@ from .engine import (
 from .expr import ExpressionError, compile_expression
 from .fredholm import (
     MAX_CERTIFICATE_TERMS,
-    MAX_LADDER_DEPTH,
     MAX_NODES,
     CertificateNotConvergent,
     ConvergenceCertificate,
@@ -43,7 +42,7 @@ from .fredholm import (
     grid_ladder,
     solve_fredholm,
 )
-from .monoid import cauchy_series_check, dyadic_ladder, is_null_trace
+from .monoid import MAX_LADDER_DEPTH, cauchy_series_check, dyadic_ladder, is_null_trace
 from .multifix import coupled_fixed_point
 from .reporting import Decision
 from .spaces import (
@@ -574,3 +573,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -30,7 +30,7 @@ from .engine import (
     SolveStatus,
     solve_sequential,
 )
-from .monoid import MonoidSpec, MTrace, TestLadder, cauchy_series_window_report
+from .monoid import MonoidSpec, MTrace, TestLadder, cauchy_series_window_report, dyadic_ladder
 from .reporting import Decision
 from .spaces import DistanceSpaceSpec, SpaceKind
 
@@ -40,8 +40,6 @@ OVERFLOW_LIMIT = 1e12
 MAX_NODES = 8192
 # The certificate holds one (terms, m) float block: 1 GiB at MAX_NODES.
 MAX_CERTIFICATE_TERMS = 16384
-# The deepest dyadic ladder whose bottom rung, 2**-1074, is a positive float.
-MAX_LADDER_DEPTH = 1074
 
 
 @dataclass(frozen=True)
@@ -234,10 +232,9 @@ def grid_function_monoid(m: int) -> MonoidSpec:
 
 
 def grid_ladder(m: int, depth: int = 20) -> TestLadder:
-    """Constant grid functions at dyadic heights 1/2 .. 2**-depth."""
-    rungs = tuple(np.full(m, 2.0 ** -(i + 1)) for i in range(depth))
-    witnesses = tuple(i + 1 if i + 1 < depth else None for i in range(depth))
-    return TestLadder(rungs=rungs, halving_witness=witnesses)
+    """Constant grid functions at the heights of `dyadic_ladder(depth)`."""
+    heights = dyadic_ladder(depth)
+    return TestLadder(tuple(np.full(m, h) for h in heights.rungs), heights.halving_witness)
 
 
 def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpaceSpec:

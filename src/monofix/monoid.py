@@ -100,8 +100,14 @@ class TestLadder:
         return cls(rungs=rungs, halving_witness=tuple(witnesses))
 
 
+# The deepest dyadic ladder whose bottom rung, 2**-1074, is a positive float.
+MAX_LADDER_DEPTH = 1074
+
+
 def dyadic_ladder(depth: int = 20) -> TestLadder:
-    """The standard real ladder 1/2, 1/4, ..., 2**-depth."""
+    """The standard real ladder 1/2, 1/4, ..., 2**-depth, depth 1 to 1074."""
+    if not 1 <= depth <= MAX_LADDER_DEPTH:
+        raise ValueError(f"ladder depth must be from 1 to {MAX_LADDER_DEPTH}, not {depth}")
     rungs = tuple(2.0 ** -(i + 1) for i in range(depth))
     witnesses = tuple(i + 1 if i + 1 < depth else None for i in range(depth))
     return TestLadder(rungs=rungs, halving_witness=witnesses)
@@ -150,6 +156,13 @@ def _require_positive(trace_elements: Sequence[Any], spec: MonoidSpec) -> None:
             raise _not_positive(i, x)
 
 
+def _null_at_length(xs: Sequence[Any], bottom: Any, spec: MonoidSpec) -> bool:
+    """Whether a trace whose budget is its length is NULL: `_require_positive`
+    on every element, then the last element strictly below `bottom`."""
+    _require_positive(xs, spec)
+    return spec.strictly_below(xs[-1], bottom)
+
+
 def _tail_decision(row_is_bad: Callable[[int], bool], rows: int, n: int, budget: int) -> Decision:
     """The verdict of a last-bad-row rule, read from the tail.
 
@@ -181,14 +194,16 @@ def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decisi
     Every element is checked for positivity.  Only the elements after index
     min(n, budget) - 2 are then compared with the rung, from the end of the
     trace back, stopping at the first violation: with budget n that is the
-    last element alone.
+    last element alone (`_null_at_length`, shared with `falsify_frechet_wilson`).
     """
     xs = trace.elements
     n = len(xs)
     if n == 0:
         raise ValueError("empty trace")
-    _require_positive(xs, spec)
     bottom = ladder.bottom
+    if trace.budget == n:
+        return Decision.NULL if _null_at_length(xs, bottom, spec) else Decision.NOT_NULL_WITHIN
+    _require_positive(xs, spec)
     return _tail_decision(lambda i: not spec.strictly_below(xs[i], bottom), n, n, trace.budget)
 
 
@@ -460,12 +475,8 @@ def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
         )
     )
 
-    bad = None
-    for i in range(len(ladder.rungs) - 1):
-        hi, lo = ladder.rungs[i], ladder.rungs[i + 1]
-        if not (spec.leq(lo, hi) and not spec.eq(lo, hi)):
-            bad = (i, hi, lo)
-            break
+    pairs = enumerate(zip(ladder.rungs, ladder.rungs[1:]))
+    bad = next(((i, hi, lo) for i, (hi, lo) in pairs if not spec.strictly_below(lo, hi)), None)
     checks.append(
         CheckResult(
             "strict_descent",

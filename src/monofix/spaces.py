@@ -22,6 +22,7 @@ from .monoid import (
     MonoidSpec,
     MTrace,
     TestLadder,
+    _null_at_length,
     _tail_decision,
     cauchy_series_check,
     is_null_trace,
@@ -397,10 +398,8 @@ def falsify_frechet_wilson(
     m = space.monoid
     ladder = space.ladder
     bottom = ladder.bottom
+    d = space.distance
     rng = child_rng(seed, f"fw-{level}")
-
-    def distances(us: tuple, vs: tuple) -> MTrace:
-        return MTrace.of(map(space.distance, us, vs))
 
     for trial in range(trials):
         cand = sampler(rng)
@@ -408,17 +407,12 @@ def falsify_frechet_wilson(
             chain = tuple(cand)
             if len(chain) < 2:
                 continue
-            total = m.fold(
-                space.distance(chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-            )
+            total = m.fold(map(d, chain, chain[1:]))
             if not m.strictly_below(total, bottom):
                 continue
-            endpoint = space.distance(chain[0], chain[-1])
-            rung_idx = None
-            for i, eps in enumerate(ladder.rungs):
-                if not m.strictly_below(endpoint, eps):
-                    rung_idx = i
-                    break
+            endpoint = d(chain[0], chain[-1])
+            above = (i for i, eps in enumerate(ladder.rungs) if not m.strictly_below(endpoint, eps))
+            rung_idx = next(above, None)
             if rung_idx is not None:
                 return Counterexample(
                     kind="fw-strong",
@@ -440,23 +434,23 @@ def falsify_frechet_wilson(
                 heads, middles = tuple(seq_x), tuple(seq_y)
                 tails = (z_point,) * len(heads)
             else:
-                seq_x, seq_z, seq_y = cand
-                heads, middles, tails = tuple(seq_x), tuple(seq_z), tuple(seq_y)
+                heads, middles, tails = (tuple(seq) for seq in cand)
             n = min(len(heads), len(middles), len(tails))
             if n < 2:
                 continue
             heads, middles, tails = heads[:n], middles[:n], tails[:n]
-            if is_null_trace(distances(heads, middles), ladder, m) is not Decision.NULL:
+            # each trace has budget n, so it is NULL or NOT_NULL_WITHIN
+            if not _null_at_length(list(map(d, heads, middles)), bottom, m):
                 continue
-            if is_null_trace(distances(middles, tails), ladder, m) is not Decision.NULL:
+            if not _null_at_length(list(map(d, middles, tails)), bottom, m):
                 continue
-            concl = distances(heads, tails)
-            if is_null_trace(concl, ladder, m) is Decision.NOT_NULL_WITHIN:
+            concl = list(map(d, heads, tails))
+            if not _null_at_length(concl, bottom, m):
                 return Counterexample(
                     kind=f"fw-{level}",
                     points=(heads, middles, tails),
                     rung_index=len(ladder.rungs) - 1,
-                    distances=(concl.elements[-1],),
+                    distances=(concl[-1],),
                     detail=(
                         "premise traces are null but the conclusion trace stays above "
                         f"the bottom rung; found on trial {trial}"
@@ -586,7 +580,7 @@ def make_uniform_from_pseudometric(
         raise ValueError("all sublevel relations equal the kernel; no usable rungs")
     ladder = TestLadder.build(monoid, rungs)
 
-    table = {(a, b): entourage_distance(base, a, b) for a in pts for b in pts}
+    table = {a: {b: entourage_distance(base, a, b) for b in pts} for a in pts}
     separating = kernel == diagonal(pts)
     if base[-1] == kernel:
         kind = SpaceKind.DISTANCE if separating else SpaceKind.PSEUDO
@@ -595,7 +589,7 @@ def make_uniform_from_pseudometric(
 
     space = DistanceSpaceSpec(
         point_descr=f"{len(pts)}-point entourage space over a pseudometric base",
-        distance=lambda a, b: table[(a, b)],
+        distance=lambda a, b: table[a][b],
         kind=kind,
         monoid=monoid,
         ladder=ladder,
@@ -619,24 +613,31 @@ def _weakest_kind(spaces: Sequence[DistanceSpaceSpec]) -> SpaceKind:
     return min((s.kind for s in spaces), key=lambda k: _KIND_RANK[k])
 
 
+# f(x, y) without a Python frame per call where the interpreter has operator.call
+_call = getattr(operator, "call", lambda f, *args: f(*args))
+
+
 def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
-    """Coordinatewise product of monoids on tuples."""
+    """Coordinatewise product of monoids on tuples, by the factors' own callables."""
     factors = tuple(factors)
+    combines, leqs, eqs, sups = (
+        tuple(getattr(m, op) for m in factors) for op in ("combine", "leq", "eq", "sup")
+    )
 
     def combine(a: tuple, b: tuple) -> tuple:
-        return tuple(m.combine(x, y) for m, x, y in zip(factors, a, b))
+        return tuple(map(_call, combines, a, b))
 
     def leq(a: tuple, b: tuple) -> bool:
-        return all(m.leq(x, y) for m, x, y in zip(factors, a, b))
+        return all(map(_call, leqs, a, b))
 
     def eq(a: tuple, b: tuple) -> bool:
-        return all(m.eq(x, y) for m, x, y in zip(factors, a, b))
+        return all(map(_call, eqs, a, b))
 
     sup = None
-    if all(m.sup is not None for m in factors):
+    if all(s is not None for s in sups):
 
         def sup(a: tuple, b: tuple) -> tuple:  # noqa: F811
-            return tuple(m.sup(x, y) for m, x, y in zip(factors, a, b))
+            return tuple(map(_call, sups, a, b))
 
     return MonoidSpec(
         carrier_descr="product(" + ", ".join(m.carrier_descr for m in factors) + ")",

@@ -1,7 +1,13 @@
 """CLI exit codes, artifacts, config diagnostics, and determinism."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import monofix
 from monofix import Grid, KernelSpec, certify_convergence, grid_ladder
 from monofix.cli import certificate_csv, main, parse_config, ConfigError
 
@@ -364,6 +370,21 @@ def test_deepest_ladder_ends_with_a_record(tmp_path, capsys):
     assert run(["solve-fredholm", cfg, "--out", out]) in (0, 1)
     assert capsys.readouterr().err == ""
     assert (out / "report.txt").exists() and (out / "certificate.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["monofix", "monofix.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("kernel = product_ts\nnodes = 8193\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(monofix.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    argv = [sys.executable, "-m", module, "solve-fredholm", str(cfg), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: line 2: field 'nodes': must be at most 8192: 8193\n"
+    assert not (tmp_path / "o").exists()
 
 
 def reference_certificate_csv(cert):

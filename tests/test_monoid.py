@@ -14,6 +14,7 @@ from monofix import (
     TestLadder,
     cauchy_series_check,
     dyadic_ladder,
+    grid_ladder,
     is_bounded,
     is_null_trace,
     validate_ladder,
@@ -99,6 +100,16 @@ def test_ladder_rejects_nonpositive_rung():
     rep = validate_ladder(REAL, ladder)
     assert not rep.ok
     assert any(c.name == "positivity" for c in rep.failures)
+
+
+@pytest.mark.parametrize("build", [dyadic_ladder, lambda depth: grid_ladder(3, depth)])
+def test_dyadic_ladders_take_depths_1_to_1074(build):
+    # 2**-1074 is the smallest positive float; one rung deeper is 0.0
+    assert np.all(build(1074).bottom == 2.0**-1074) and np.all(build(1074).bottom > 0)
+    assert len(build(1).rungs) == 1
+    for depth in (0, 1075):
+        with pytest.raises(ValueError, match=f"from 1 to 1074, not {depth}"):
+            build(depth)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,16 @@ from monofix import (
     validate_zeta,
 )
 from monofix.catalog import (
+    get_monoid,
     get_space,
     hierarchical_rho,
     interleaved_sequence,
     real_nonneg_monoid,
 )
 from monofix._rng import child_rng
+from monofix._util import format_value
 from monofix.reporting import Counterexample
-from monofix.spaces import diagonal, full_relation
+from monofix.spaces import diagonal, full_relation, product_monoid
 
 REAL_ABS = get_space("real_abs")
 SNOWFLAKE = get_space("snowflake")
@@ -288,6 +290,141 @@ def test_fw_second_premise_computed_only_after_a_null_first():
         assert cex is None and len(pairs) == trials * per_trial
 
 
+def reference_real_fw_sample(rng, level, nonneg):
+    """The weak and standard real sampler, each quotient divided anew by the
+    int (i + 1) ** 2."""
+    z = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
+    amp = rng.uniform(0.1, 1.0)
+    n = 48
+    xs = [z + amp / (i + 1) ** 2 for i in range(n)]
+    ys = [z - amp / (i + 1) ** 2 for i in range(n)]
+    if nonneg:
+        xs = [abs(v) for v in xs]
+        ys = [abs(v) for v in ys]
+    if level == "weak":
+        return xs, ys, z
+    zs = [z + amp / (2 * (i + 1) ** 2) for i in range(n)]
+    return xs, zs, ys
+
+
+@pytest.mark.parametrize("level", ["weak", "standard"])
+@pytest.mark.parametrize("name, nonneg", [("real_abs", False), ("dislocated_max", True)])
+def test_real_fw_sampler_matches_per_index_division(level, name, nonneg):
+    sample = get_space(name).fw_sampler(level)
+    for seed in range(100):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert repr(sample(rng)) == repr(reference_real_fw_sample(ref_rng, level, nonneg)), seed
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def reference_omega_distance(x, y):
+    """`omega_distance` deciding each kind pair on its own."""
+    if x == y:
+        return 0.0
+    kx, ky = x[0], y[0]
+    if kx == "n" and ky == "n":
+        return 1.0
+    if kx == "w" and ky == "w":
+        return 1.0
+    if kx == "n":
+        return 1.0 / x[1] ** 2
+    if ky == "n":
+        return 1.0 / y[1] ** 2
+    j = x[1] if kx == "w" else y[1]
+    return 1.0 / j**2
+
+
+def test_omega_distance_matches_per_kind_reference():
+    points = [("inf",)] + [(kind, k) for kind in ("n", "w") for k in (1, 2, 3, 127, 128)]
+    for x, y in itertools.product(points, repeat=2):
+        assert repr(OMEGA.space.distance(x, y)) == repr(reference_omega_distance(x, y)), (x, y)
+
+
+def test_uniform_distance_matches_tuple_keyed_table():
+    pts = tuple(range(8))
+    thresholds = [1.0, 0.5, 0.25, 0.125]
+    base = [
+        frozenset((a, b) for a in pts for b in pts if hierarchical_rho(a, b) <= r)
+        for r in thresholds
+    ]
+    table = {(a, b): entourage_distance(base, a, b) for a in pts for b in pts}
+    space = get_space("uniform_pseudometric{8}").space
+    for a, b in itertools.product(pts, repeat=2):
+        assert repr(space.distance(a, b)) == repr(table[(a, b)]), (a, b)
+
+
+def _outcome(run):
+    try:
+        return "returned", run()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+@pytest.mark.parametrize("level,name", [c for c in FW_CHECKS if c[0] != "strong"])
+@pytest.mark.parametrize("role", [0, 1])
+def test_fw_distance_outside_the_cone_raises_as_reference(level, name, role):
+    # on trial 3 the distance leaves the positive cone (-0.5, or the empty
+    # relation) at the middle element of both traces through the heads
+    # (role 0) or the middles (role 1)
+    entry = get_space(name)
+    bad = object()
+    outside = frozenset() if name.startswith("uniform") else -0.5
+
+    def dist(x, y):
+        return outside if x is bad or y is bad else entry.space.distance(x, y)
+
+    space = dataclasses.replace(entry.space, distance=dist)
+
+    def run(falsify):
+        drawn = []
+
+        def sampler(rng):
+            cand = [list(c) if isinstance(c, list) else c for c in entry.fw_sampler(level)(rng)]
+            if len(drawn) == 3 and isinstance(cand[role], list):
+                cand[role][len(cand[role]) // 2] = bad
+            drawn.append(cand)
+            return cand
+
+        return _outcome(lambda: falsify(space, level, sampler, 40, 5)), len(drawn)
+
+    got = run(lambda *args: falsify_frechet_wilson(*args[:4], seed=args[4]))
+    (kind, want), trials = run(eager_frechet_wilson)
+    if kind == "raised":
+        assert got == ((kind, want), trials) and trials == 4
+        assert want.endswith(f"is not in the positive cone: {format_value(outside)}")
+    elif want is None:
+        assert got == (("returned", None), trials)
+    else:
+        assert got[1] == trials and got[0][1].detail.endswith(f"found on trial {want[1]}")
+
+
+@pytest.mark.parametrize("level", ["weak", "standard"])
+def test_fw_conclusion_outside_the_cone_raises_as_reference(level):
+    # the premises are all 0; on trial 3 the conclusion is -0.5 at its middle
+    n = 8
+
+    def dist(x, y):
+        return -0.5 if {x, y} == {"x!", "z"} else 0.0
+
+    space = dataclasses.replace(REAL_ABS.space, distance=dist)
+
+    def run(falsify):
+        drawn = []
+
+        def sampler(rng):
+            xs = ["x"] * n
+            if len(drawn) == 3:
+                xs[n // 2] = "x!"
+            drawn.append(xs)
+            return (xs, ["y"] * n, "z") if level == "weak" else (xs, ["y"] * n, ["z"] * n)
+
+        return _outcome(lambda: falsify(space, level, sampler, 10, 0)), len(drawn)
+
+    want = run(eager_frechet_wilson)
+    assert want == (("raised", "trace element at index 4 is not in the positive cone: -0.5"), 4)
+    assert run(lambda *args: falsify_frechet_wilson(*args[:4], seed=args[4])) == want
+
+
 # ---------------------------------------------------------------------------
 # sequence detectors
 
@@ -484,6 +621,70 @@ def test_product_coordinatewise():
     plane = product_space([REAL_ABS.space, REAL_ABS.space], mode="coordinatewise")
     assert plane.distance((0.0, 0.0), (1.0, 2.0)) == (1.0, 2.0)
     assert plane.ladder.rungs[0] == (0.5, 0.5)
+
+
+def reference_product_monoid(factors):
+    """`product_monoid` with a generator expression over the factors."""
+
+    def combine(a, b):
+        return tuple(m.combine(x, y) for m, x, y in zip(factors, a, b))
+
+    def leq(a, b):
+        return all(m.leq(x, y) for m, x, y in zip(factors, a, b))
+
+    def eq(a, b):
+        return all(m.eq(x, y) for m, x, y in zip(factors, a, b))
+
+    def sup(a, b):
+        return tuple(m.sup(x, y) for m, x, y in zip(factors, a, b))
+
+    has_sup = all(m.sup is not None for m in factors)
+    return combine, leq, eq, sup if has_sup else None
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("real_nonneg", "real_nonneg"),
+        ("relation{8}", "real_nonneg"),
+        ("real_nonneg", "broken_subtraction", "relation{8}"),
+    ],
+)
+def test_product_monoid_matches_generator_reference(names):
+    # each factor logs its callback calls: both products must make the same
+    # calls, in the same order, stopping at the same factor
+    log = []
+
+    def logged(i, op, fn):
+        def call(x, y):
+            out = fn(x, y)
+            log.append((i, op, repr(x), repr(y), repr(out)))
+            return out
+
+        return None if fn is None else call
+
+    ops = ("combine", "leq", "eq", "sup")
+    entries = [get_monoid(n) for n in names]
+    factors = [
+        dataclasses.replace(e.spec, **{op: logged(i, op, getattr(e.spec, op)) for op in ops})
+        for i, e in enumerate(entries)
+    ]
+    got = product_monoid(factors)
+    want = dict(zip(ops, reference_product_monoid(factors)))
+    assert (got.sup is None) is (want["sup"] is None)
+    samples = list(itertools.product(*[e.samples[::3] for e in entries]))
+    incomparable = 0
+    for a, b in itertools.product(samples, repeat=2):
+        incomparable += not got.leq(a, b) and not got.leq(b, a)
+        for op in ops:
+            if want[op] is None:
+                continue
+            log.clear()
+            out = getattr(got, op)(a, b)
+            got_log = list(log)
+            log.clear()
+            assert repr(out) == repr(want[op](a, b)) and got_log == log, (op, a, b)
+    assert incomparable > 0
 
 
 def test_product_mixed_monoids_rejected():
