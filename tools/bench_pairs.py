@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarise them.
 
     python3 tools/bench_pairs.py --parent REV --pairs 10 --first-seed 7301 \\
-        --seconds 30 --workload audit-trials --out BENCH_10.json
+        --seconds 30 --workload audit-trials --out BENCH_N.json
 
 Run from the root of a monofix checkout.  The change side is this checkout's
 working tree.  The parent side is `git archive REV` unpacked into a temporary
