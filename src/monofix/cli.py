@@ -367,9 +367,12 @@ def cmd_solve_coupled(args: argparse.Namespace) -> int:
     lv = _get_float(cfg, "lam_v")
     budget = _get_int(cfg, "budget", "200")
     space = catalog.get_space("real_abs").space
+    # nonnegative finite coefficients make the step operator the matrix below
+    nonneg = all(math.isfinite(c) and c >= 0.0 for c in (lu, lv))
     lam = LambdaSequence.constant(
         lambda d: (lu * d[0] + lv * d[1], lu * d[1] + lv * d[0]),
         description=f"coupled coefficients ({lu}, {lv})",
+        matrix=np.array([[lu, lv], [lv, lu]]) if nonneg else None,
     )
     report = coupled_fixed_point(
         space, lambda u, v: float(f2(u, v)), x0, y0, lam, budget

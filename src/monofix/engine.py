@@ -104,9 +104,10 @@ class LambdaSequence:
     which unlocks the incremental evaluation of composed products; otherwise
     products are computed literally in outermost-first order.  `matrix`, when
     set, asserts that every operator is v -> matrix @ v for this one finite
-    nonnegative matrix, over an elementwise carrier; the series mode of
-    `solve_sequential` then decides the composed-product series from a
-    proven geometric tail (`_geometric_witness`).
+    nonnegative matrix, over a carrier of entrywise-ordered float vectors,
+    as arrays or tuples; the series mode of `solve_sequential` then decides
+    the composed-product series from a proven geometric tail
+    (`_geometric_witness`).
     """
 
     op_at: Callable[[int], Callable[[Any], Any]]
@@ -489,16 +490,19 @@ def lambda_product_trace(
 
 
 def _geometric_witness(
-    lam: LambdaSequence, d0: np.ndarray, ladder: TestLadder, spec: MonoidSpec, budget: int
+    lam: LambdaSequence, d0: Any, ladder: TestLadder, spec: MonoidSpec, budget: int
 ) -> Optional[tuple[int, int, np.ndarray]]:
     """The witness of the composed-product series of a matrix sequence,
     decided from a proven geometric tail, or None to leave the decision to
     the literal 2*budget-term trace.
 
     The terms v_n = W^n d0 (W = lam.matrix) come one at a time from
-    `lam.op_at(n)`, as in `lambda_product_trace`.  After term K, the
-    widened quotient h of (v_{K-1}, v_K) (`ratio_bounds`, v_0 = d0) gives
-    W v_{K-1} <= h v_{K-1}, so v_{K+j} <= h^j v_K for W >= 0, and when
+    `lam.op_at(n)` on the carrier's own values, float arrays or tuples, as
+    in `lambda_product_trace`, and are read with `np.asarray` (no copy of
+    an array); `spec.eq` decides ties on values of the carrier's type.
+    After term K, the widened quotient h of (v_{K-1}, v_K) (`ratio_bounds`,
+    v_0 = d0; its widening covers the m-term sums of a tuple operator too)
+    gives W v_{K-1} <= h v_{K-1}, so v_{K+j} <= h^j v_K for W >= 0, and when
     h < 1 the terms after K sum to at most tail = v_K h / (1 - h); an
     exactly zero v_K has an exactly zero tail.  Start N is then the witness
     when
@@ -533,9 +537,12 @@ def _geometric_witness(
     (NaN included), every start up to the budget is ruled out, or no K up
     to 2*budget settles the witness.
     """
-    bottom = ladder.bottom
+    rung = ladder.bottom
+    bottom = np.asarray(rung, dtype=float)
+    carrier = (lambda a: a) if isinstance(d0, np.ndarray) else (lambda a: tuple(a.tolist()))
+    value, v = d0, np.asarray(d0, dtype=float)  # the last term, as computed and as an array
     dead = ~lam.matrix.any(axis=1)
-    scratch = np.empty((1, len(d0)))
+    scratch = np.empty((1, len(v)))
     margin = 1.0 + 1e-9
     band = bottom - ATOL - RTOL * np.abs(bottom)  # below it, close_eq tells a sum from the rung
     floor, ceil = float(band.min()) / margin, float(band.max()) * margin
@@ -554,8 +561,8 @@ def _geometric_witness(
         return tail_lo > rung or (high < floor and (base + tail_lo > rung or low + least * c >= ceil))
 
     for k in range(1, 2 * budget + 1):
-        prev = terms[-1] if terms else d0
-        v = lam.op_at(k)(prev)
+        prev, value = v, lam.op_at(k)(value)
+        v = np.asarray(value, dtype=float)
         terms.append(v)
         if k == 1:
             watch = int(v.argmax())
@@ -577,7 +584,7 @@ def _geometric_witness(
         if window:
             sums = np.cumsum(np.array(window), axis=0)[::-1]
             below = np.flatnonzero(np.all(sums <= bottom, axis=1))
-            first = next((int(i) for i in below if not spec.eq(sums[i], bottom)), len(sums))
+            first = next((int(i) for i in below if not spec.eq(carrier(sums[i]), rung)), len(sums))
             ruled += first
             if ruled >= budget:
                 return None
@@ -598,7 +605,7 @@ def _geometric_witness(
         bound = tail.copy()
         for term in window[: k - ruled]:
             bound += term
-        if np.all(bound <= bottom) and not spec.eq(bound, bottom):
+        if np.all(bound <= bottom) and not spec.eq(carrier(bound), rung):
             return ruled + 1, k, tail
         if ruled < k:  # watch the entry of the candidate's bound nearest its rung
             watch = int(np.argmax(bound - bottom))
@@ -625,10 +632,9 @@ def solve_sequential(
     mode="series": requires the composed-product trace applied to d(x0, f(x0))
     to pass the Cauchy-series check (witness within `budget`, evidence to
     2*budget); each step is audited against
-    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` marks a
-    fixed nonnegative matrix over an elementwise carrier, the check stops at
-    the first term whose geometric tail bound settles the same witness
-    (`_geometric_witness`); when that bound cannot settle it (a quotient
+    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set, the
+    check stops at the first term whose geometric tail bound settles the
+    same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
     not below 1, a term that is not finite, a witness past the budget, or
     no settling term within 2*budget), the literal trace decides.
     mode="orbit_bounded": requires a constructible bound on sampled orbit pair
@@ -692,7 +698,7 @@ def solve_sequential(
             diagnostics.append("seed is already fixed; series check trivial")
         else:
             found = None
-            if lam.matrix is not None and m.elementwise:
+            if lam.matrix is not None:
                 found = _geometric_witness(lam, d0, ladder, m, budget)
             if found is not None:
                 decision, witness, offending = Decision.NULL, found[0], None
@@ -825,12 +831,15 @@ def solve_monotone(
     stop_window: int = 3,
     second_seed: Optional[Any] = None,
     point_sup: Optional[Callable[[Any, Any], Any]] = None,
+    extra_step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
 ) -> SolveReport:
     """Order-monotone driver: checks the seed inequality x0 <= f(x0) and chain
     monotonicity at every step, then runs the sequential machinery.
 
     With a point supremum and a second seed, uniqueness evidence comes from
-    iterating from the supremum of the two candidates.
+    iterating from the supremum of the two candidates.  `extra_step_check`
+    runs as in `solve_sequential`, on the seed step before the seed
+    inequality and on every step before chain monotonicity.
     """
     if f.order_leq is None:
         raise ValueError("monotone driver needs a MapSpec with order_leq")
@@ -840,19 +849,22 @@ def solve_monotone(
         )
     leq = f.order_leq
     fx0 = f.apply(x0)
-    if not leq(x0, fx0):
-        return _violated(
-            IterationTrace((x0, fx0), MTrace((space.distance(x0, fx0),), budget), ()),
-            step=0,
-            condition="seed_order",
-            witness=f"x0={format_value(x0)} is not below f(x0)={format_value(fx0)}",
-            diagnostics=[],
-        )
+    issue = extra_step_check(0, x0, fx0) if extra_step_check is not None else None
+    if issue is not None or not leq(x0, fx0):
+        seed = IterationTrace((x0, fx0), MTrace((space.distance(x0, fx0),), budget), ())
+        if issue is not None:
+            seed = replace(seed, flags=(f"violated:{issue}",), stopped_early=True, violated=issue)
+            witness = f"f(x0)={format_value(fx0)}"
+        else:
+            issue = "seed_order"
+            witness = f"x0={format_value(x0)} is not below f(x0)={format_value(fx0)}"
+        return _violated(seed, step=0, condition=issue, witness=witness, diagnostics=[])
 
     def chain_check(k: int, cur: Any, nxt: Any) -> Optional[str]:
-        if not leq(cur, nxt):
+        issue = extra_step_check(k, cur, nxt) if extra_step_check is not None else None
+        if issue is None and not leq(cur, nxt):
             return "chain_monotonicity"
-        return None
+        return issue
 
     report = solve_sequential(
         space,

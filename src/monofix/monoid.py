@@ -72,6 +72,9 @@ class TestLadder:
     combine(delta, delta) <= rungs[i], or None when no rung qualifies.  A
     witness is required for every rung except the bottom one: the bottom rung
     is the truncation point of the chain, so nothing below it is available.
+    `build` starts each rung's search at the previous rung's witness when
+    the rung is `leq` the previous one: by transitivity no earlier delta
+    can qualify, and a rung below one without a witness has none either.
     """
 
     __test__ = False  # not a test class, despite the name
@@ -89,14 +92,12 @@ class TestLadder:
     @classmethod
     def build(cls, spec: MonoidSpec, rungs: Sequence[Any]) -> "TestLadder":
         rungs = tuple(rungs)
-        witnesses = []
-        for eps in rungs:
-            found = None
-            for j, delta in enumerate(rungs):
-                if spec.leq(spec.combine(delta, delta), eps):
-                    found = j
-                    break
-            witnesses.append(found)
+        halves = lambda j, eps: spec.leq(spec.combine(rungs[j], rungs[j]), eps)
+        witnesses: list[Optional[int]] = []
+        for i, eps in enumerate(rungs):
+            start = witnesses[-1] if i and spec.leq(eps, rungs[i - 1]) else 0
+            deltas = range(len(rungs) if start is None else start, len(rungs))  # None: no witness
+            witnesses.append(next((j for j in deltas if halves(j, eps)), None))
         return cls(rungs=rungs, halving_witness=tuple(witnesses))
 
 

@@ -8,6 +8,7 @@ slot, decreasing in the other) problems monotone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -94,6 +95,12 @@ def profile_space(space_y: DistanceSpaceSpec, s: SigmaSpec) -> DistanceSpaceSpec
     )
 
 
+def _non_finite(_k: int, _cur: ProfilePoint, nxt: ProfilePoint) -> Optional[str]:
+    """The step check of the Fredholm solve, on the float coordinates of a profile."""
+    bad = any(isinstance(v, float) and not math.isfinite(v) for v in nxt.values)
+    return "non_finite_iterate" if bad else None
+
+
 def solve_multiple_fixed_point(
     space_y: DistanceSpaceSpec,
     s: SigmaSpec,
@@ -108,7 +115,9 @@ def solve_multiple_fixed_point(
 
     Requires the base space to be declared both order-regular and
     co-order-regular: the mixed order reads the base order upward on some
-    coordinates and downward on others.
+    coordinates and downward on others.  A coordinate that raises
+    ArithmeticError is NaN; as in the Fredholm solve, an iterate with a
+    float coordinate that is not finite ends it with non_finite_iterate.
     """
     if not (space_y.regular_order and space_y.co_regular_order):
         raise ValueError(
@@ -117,13 +126,20 @@ def solve_multiple_fixed_point(
     if base_leq is None:
         base_leq = lambda a, b: a <= b
     pspace = profile_space(space_y, s)
-    lifted = sigma_lift(s, f)
+
+    def coordinate(view: Callable[[Any], Any]) -> Any:
+        try:
+            return f(view)
+        except ArithmeticError:
+            return math.nan
+
+    lifted = sigma_lift(s, coordinate)
     fmap = MapSpec(
         apply=lifted,
         order_leq=lambda x, y: p_order_leq(s, x, y, base_leq),
         description="sigma-lift",
     )
-    return solve_monotone(pspace, fmap, lam, x0, mode="series", budget=budget)
+    return solve_monotone(pspace, fmap, lam, x0, "series", budget, extra_step_check=_non_finite)
 
 
 def coupled_fixed_point(

@@ -200,6 +200,52 @@ def test_solve_coupled(tmp_path):
     assert all(abs(v - 10.0 / 9.0) < 1e-6 for v in values)
 
 
+@pytest.mark.parametrize("f", ["u/(v-v)", "u**1000", "exp(1000*u*u)"])
+def test_solve_coupled_non_finite_step_is_a_violation(tmp_path, f):
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(COUPLED_CONFIG.replace("0.3*u - 0.2*v + 1", f))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert run(["solve-coupled", cfg, "--out", out]) == 1
+    assert "status=hypothesis_violated" in (out / "report.txt").read_text()
+    violation = (out / "violation.txt").read_text().splitlines()
+    assert violation[:3] == ["status=hypothesis_violated", "step=0", "condition=non_finite_iterate"]
+    assert not (out / "profile.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lam_u, lam_v, matrix",
+    [("0.3", "0.2", [[0.3, 0.2], [0.2, 0.3]]), ("0.7", "0.5", [[0.7, 0.5], [0.5, 0.7]]),
+     ("-0.1", "0.2", None), ("nan", "0.2", None), ("0.3", "inf", None)],
+)
+def test_solve_coupled_marks_only_nonnegative_finite_coefficients(tmp_path, monkeypatch, lam_u, lam_v, matrix):
+    seen = []
+
+    def capture(space, f, x0, y0, lam, budget):
+        seen.append(lam.matrix)
+        return monofix.SolveReport(status=monofix.SolveStatus.BUDGET_EXHAUSTED)
+
+    monkeypatch.setattr(monofix.cli, "coupled_fixed_point", capture)
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(COUPLED_CONFIG.replace("lam_u = 0.3", f"lam_u = {lam_u}").replace("lam_v = 0.2", f"lam_v = {lam_v}"))
+    assert run(["solve-coupled", cfg, "--out", tmp_path / "out"]) == 1
+    assert (seen[0] is None) if matrix is None else np.array_equal(seen[0], matrix)
+
+
+def test_solve_coupled_builds_no_literal_series(tmp_path, monkeypatch):
+    calls = []
+    for name in ("lambda_product_trace", "cauchy_series_window_report"):
+        original = getattr(monofix.engine, name)
+        monkeypatch.setattr(
+            monofix.engine, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k)
+        )
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text(COUPLED_CONFIG)
+    assert run(["solve-coupled", cfg, "--out", tmp_path / "out"]) == 0
+    assert "witness N=24" in (tmp_path / "out" / "report.txt").read_text()
+    assert calls == []
+
+
 def test_check_space_axioms_pass(tmp_path):
     assert run(
         ["check-space", "real_abs", "--axioms", "--trials", "2000", "--seed", "5", "--out", tmp_path / "o"]

@@ -609,3 +609,57 @@ def test_require_positive_matches_per_element_scan(leq):
                 assert want[0] is ZeroDivisionError  # the leq's own error comes first
             else:
                 assert want == (ValueError, f"trace element at index {at} is not in the positive cone: {bad!r}")
+
+
+# ---------------------------------------------------------------------------
+# halving witnesses of a built ladder, against the search from delta 0
+
+
+def quadratic_witnesses(spec: MonoidSpec, rungs: tuple) -> tuple:
+    """Reference: the first delta with delta + delta <= rung, every rung searched from 0."""
+    return tuple(
+        next((j for j, d in enumerate(rungs) if spec.leq(spec.combine(d, d), eps)), None)
+        for eps in rungs
+    )
+
+
+def _catalog_ladder(kind: str, name: str):
+    from monofix.catalog import get_space
+
+    if kind == "monoid":
+        entry = get_monoid(name)
+        return entry.spec, entry.ladder.rungs
+    space = get_space(name).space
+    return space.monoid, space.ladder.rungs
+
+
+@pytest.mark.parametrize(
+    "spec, rungs",
+    [
+        (REAL, dyadic_ladder(20).rungs),
+        _catalog_ladder("monoid", "product{real_nonneg,real_nonneg}"),
+        _catalog_ladder("monoid", "relation{8}"),
+        _catalog_ladder("space", "uniform_pseudometric{8}"),
+        _catalog_ladder("space", "gauge{3}"),
+        # not descending: each rung not below its predecessor restarts at delta 0
+        (REAL, (0.25, 1.0, 0.5, 0.125, 2.0, 0.0625, 0.0625)),
+        # a rung without a witness, and one below it that inherits none
+        (REAL, (1.0, 0.45, 0.3, 0.2, 0.9, 0.1)),
+        (REAL, (1.0, 0.9, 0.8)),
+        # incomparable relation rungs
+        (relation_monoid(tuple(range(3))), (
+            diagonal(range(3)) | {(0, 1)}, diagonal(range(3)) | {(1, 2)}, diagonal(range(3)) | {(0, 1), (1, 2), (0, 2)},
+        )),
+    ],
+    ids=["dyadic", "product", "relation", "uniform", "gauge", "not-descending", "no-witness", "none", "incomparable"],
+)
+def test_ladder_build_equals_the_quadratic_search(spec, rungs):
+    assert TestLadder.build(spec, rungs).halving_witness == quadratic_witnesses(spec, tuple(rungs))
+
+
+def test_ladder_build_resumes_at_the_previous_witness():
+    spec, rungs = _catalog_ladder("monoid", "product{real_nonneg,real_nonneg}")
+    calls = []
+    counted = replace(spec, combine=lambda a, b: calls.append(1) or spec.combine(a, b))
+    TestLadder.build(counted, rungs)
+    assert len(rungs) == 20 and len(calls) <= 2 * len(rungs)

@@ -1,6 +1,8 @@
 """Profile lifts, the mixed order, and coupled fixed points."""
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,12 @@ from monofix import (
     sigma_lift,
     solve_multiple_fixed_point,
 )
+from monofix import engine
 from monofix.catalog import get_space
+from monofix.engine import _geometric_witness, lambda_product_trace
+from monofix.monoid import MTrace, cauchy_series_window_report
+from monofix.multifix import profile_space
+from monofix.reporting import Decision
 
 SPACE = get_space("real_abs").space
 BOTTOM = SPACE.ladder.bottom
@@ -203,3 +210,143 @@ def test_sigma_lift_exhaustive_two_indices():
                             for i, alpha in enumerate(idx):
                                 expected = f(lambda beta: x.values[table[(alpha, beta)]])
                                 assert out.values[i] == expected
+
+
+# ---------------------------------------------------------------------------
+# non-finite coordinates end the solve as a violation
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda u, v: u / (v - v),
+        lambda u, v: u**1000.0,
+        lambda u, v: math.inf,
+        lambda u, v: math.nan,
+    ],
+    ids=["zero-division", "overflow", "inf", "nan"],
+)
+def test_non_finite_seed_step_is_a_violation(f):
+    rep = coupled_fixed_point(SPACE, f, -10.0, 10.0, _coupled_lam(0.3, 0.2), budget=50)
+    assert rep.status is SolveStatus.HYPOTHESIS_VIOLATED
+    assert (rep.violation.step, rep.violation.condition) == (0, "non_finite_iterate")
+    assert rep.trace.flags == ("violated:non_finite_iterate",)
+
+
+def test_non_finite_orbit_step_is_a_violation():
+    # the criterion-8 map, until both coordinates pass 0.5 on the way to 10/9
+    def f(u, v):
+        return 0.3 * u - 0.2 * v + 1.0 + (math.inf if u > 0.5 and v > 0.5 else 0.0)
+
+    rep = coupled_fixed_point(SPACE, f, -10.0, 10.0, _coupled_lam(0.3, 0.2), budget=50)
+    assert rep.status is SolveStatus.HYPOTHESIS_VIOLATED
+    assert rep.violation.condition == "non_finite_iterate"
+    assert rep.violation.step > 0
+    assert all(math.isfinite(v) for p in rep.trace.points[:-1] for v in p.values)
+
+
+# ---------------------------------------------------------------------------
+# the composed-product series of a coupled solve, from its geometric tail
+
+COUPLED = profile_space(SPACE, coupled_sigma())
+RUNG = COUPLED.ladder.bottom[0]
+EPS = float(np.finfo(float).eps)
+COEFFICIENTS = (0.0, 0.1, 0.3, 0.45, 0.5, 0.7)
+CRITERION_8_D0 = (6.0, 4.0)  # d(x0, f(x0)) of criterion 8
+PERRON_D0 = (20.0, 20.0)  # on the eigenvector of lu + lv: the quotient is lu + lv
+
+
+def _matrix_lam(lu: float, lv: float) -> LambdaSequence:
+    return replace(_coupled_lam(lu, lv), matrix=np.array([[lu, lv], [lv, lu]]))
+
+
+def _literal(elements: tuple, budget: int) -> tuple:
+    """The decision and witness of the window check on the first 2*budget terms."""
+    trace = MTrace(elements[: 2 * budget], budget)
+    return cauchy_series_window_report(trace, COUPLED.ladder, COUPLED.monoid)[:2]
+
+
+def _seeds(lam: LambdaSequence) -> list:
+    """Criterion 8's d0, PERRON_D0 and, for a contraction, d0s whose literal
+    sum from start 5 lies a few ulps from the rung or inside the eq band."""
+    seeds = [CRITERION_8_D0, PERRON_D0]
+    if lam.matrix.sum(axis=1).max() < 1.0:
+        for base in ((1.0, 1.0), (1.0, 0.25)):
+            unit = lambda_product_trace(lam, base, 800).elements
+            scale = RUNG / sum(term[0] for term in unit[4:]) if unit[4][0] else 0.0
+            for factor in (1 - 3 * EPS, 1 - EPS, 1.0, 1 + EPS, 1 + 3 * EPS, 1 - 5e-7, 1 + 5e-7):
+                seeds.append((base[0] * scale * factor, base[1] * scale * factor))
+    return seeds
+
+
+@pytest.mark.parametrize("lu, lv", list(itertools.product(COEFFICIENTS, repeat=2)))
+def test_geometric_witness_on_tuples_is_the_literal_one(lu, lv):
+    lam = _matrix_lam(lu, lv)
+    for d0 in _seeds(lam):
+        elements = lambda_product_trace(lam, d0, 800).elements
+        _, n = _literal(elements, 400)
+        for budget in sorted({1, 400, *([n - 1, n] if n else [])} - {0}):
+            decision, witness = _literal(elements, budget)
+            found = _geometric_witness(lam, d0, COUPLED.ladder, COUPLED.monoid, budget)
+            if d0 == PERRON_D0 and lu + lv < 1.0 and budget == 400:
+                assert found is not None
+            if found is None:
+                continue
+            assert (decision, witness) == (Decision.NULL, found[0]), (d0, budget)
+            # the proven bound on the series from every start up to term K
+            # dominates the literal suffix sum of 2*budget terms
+            _, k, tail = found
+            literal = np.array(elements[: 2 * budget])
+            suffixes = np.vstack([np.cumsum(literal[::-1], axis=0)[::-1], np.zeros(2)])
+            bound = tail.copy()
+            assert np.all(bound >= suffixes[k]), (d0, budget)
+            for start in range(k, 0, -1):
+                bound += literal[start - 1]
+                assert np.all(bound >= suffixes[start - 1]), (d0, budget, start)
+
+
+def test_geometric_witness_on_tuples_falls_back():
+    ladder, spec = COUPLED.ladder, COUPLED.monoid
+    for lu, lv in ((0.5, 0.5), (0.7, 0.3), (0.7, 0.7)):  # lu + lv >= 1
+        assert _geometric_witness(_matrix_lam(lu, lv), CRITERION_8_D0, ladder, spec, 400) is None
+    for d0 in ((math.nan, 4.0), (6.0, math.nan)):
+        assert _geometric_witness(_matrix_lam(0.3, 0.2), d0, ladder, spec, 400) is None
+
+
+def _counting_series(monkeypatch) -> dict:
+    """Count the literal traces and the operator applications of the tail decision."""
+    seen = dict(literal=0, applied=0, terms=None)
+    literal, geometric = engine.lambda_product_trace, engine._geometric_witness
+
+    def counted_literal(*args, **kwargs):
+        seen["literal"] += 1
+        return literal(*args, **kwargs)
+
+    def counted_geometric(lam, *args):
+        def op_at(n):
+            def apply(v):
+                seen["applied"] += 1
+                return lam.op_at(n)(v)
+
+            return apply
+
+        found = geometric(replace(lam, op_at=op_at), *args)
+        seen["terms"] = found and found[1]
+        return found
+
+    monkeypatch.setattr(engine, "lambda_product_trace", counted_literal)
+    monkeypatch.setattr(engine, "_geometric_witness", counted_geometric)
+    return seen
+
+
+def test_criterion_8_decides_its_series_from_the_tail(monkeypatch):
+    seen = _counting_series(monkeypatch)
+    f = lambda u, v: 0.3 * u - 0.2 * v + 1.0
+    rep = coupled_fixed_point(SPACE, f, -10.0, 10.0, _matrix_lam(0.3, 0.2), budget=400)
+    assert rep.status is SolveStatus.CERTIFIED
+    assert "composed-product series is Cauchy within budget (witness N=24)" in rep.diagnostics
+    assert seen["literal"] == 0
+    assert seen["applied"] <= seen["terms"] + 1
+    plain = coupled_fixed_point(SPACE, f, -10.0, 10.0, _coupled_lam(0.3, 0.2), budget=400)
+    assert seen["literal"] == 1
+    assert (plain.fixed_point, plain.diagnostics) == (rep.fixed_point, rep.diagnostics)
