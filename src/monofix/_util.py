@@ -2,6 +2,7 @@
 Collatz-Wielandt quotients."""
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any
 
@@ -34,6 +35,7 @@ def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.n
         return (abs(a - b) <= abs_ + rel * abs(b)) & np.isfinite(b) | (a == b)
 
 
+@functools.lru_cache(maxsize=None)  # one function per tolerance pair
 def close_eq(rel: float = RTOL, abs_: float = ATOL):
     """Tolerant equality for float-based carriers (scalars, tuples, arrays).
 

@@ -28,7 +28,7 @@ from .monoid import (
     is_null_trace,
 )
 from .reporting import Decision
-from .spaces import DistanceSpaceSpec, ZetaSpec, check_zeta_triangle
+from .spaces import DistanceSpaceSpec, ZetaSpec, add_entries, check_zeta_triangle
 
 
 class SolveStatus(str, Enum):
@@ -104,10 +104,9 @@ class LambdaSequence:
     which unlocks the incremental evaluation of composed products; otherwise
     products are computed literally in outermost-first order.  `matrix`, when
     set, asserts that every operator is v -> matrix @ v for this one finite
-    nonnegative matrix, over a carrier of entrywise-ordered float vectors,
-    as arrays or tuples; the series mode of `solve_sequential` then decides
-    the composed-product series from a proven geometric tail
-    (`_geometric_witness`).
+    nonnegative matrix; over a monoid that adds float vectors entry by entry,
+    `solve_sequential` then decides the composed-product series from a
+    proven geometric tail (`_geometric_witness`).
     """
 
     op_at: Callable[[int], Callable[[Any], Any]]
@@ -496,10 +495,11 @@ def _geometric_witness(
     decided from a proven geometric tail, or None to leave the decision to
     the literal 2*budget-term trace.
 
-    The terms v_n = W^n d0 (W = lam.matrix) come one at a time from
-    `lam.op_at(n)` on the carrier's own values, float arrays or tuples, as
-    in `lambda_product_trace`, and are read with `np.asarray` (no copy of
-    an array); `spec.eq` decides ties on values of the carrier's type.
+    `spec` must add, order and compare float vectors entry by entry (+, <=
+    and close_eq(), as `solve_sequential` checks).  The terms v_n = W^n d0
+    (W = lam.matrix) come one at a time from `lam.op_at(n)` on the
+    carrier's own values, arrays or tuples, and are read with `np.asarray`
+    (no copy of an array); `spec.eq` decides ties on carrier values.
     After term K, the widened quotient h of (v_{K-1}, v_K) (`ratio_bounds`,
     v_0 = d0; its widening covers the m-term sums of a tuple operator too)
     gives W v_{K-1} <= h v_{K-1}, so v_{K+j} <= h^j v_K for W >= 0, and when
@@ -632,8 +632,9 @@ def solve_sequential(
     mode="series": requires the composed-product trace applied to d(x0, f(x0))
     to pass the Cauchy-series check (witness within `budget`, evidence to
     2*budget); each step is audited against
-    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set, the
-    check stops at the first term whose geometric tail bound settles the
+    d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set over
+    an elementwise monoid or a product of real ones (combine `add_entries`),
+    the check stops at the first term whose geometric tail bound settles the
     same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
     not below 1, a term that is not finite, a witness past the budget, or
     no settling term within 2*budget), the literal trace decides.
@@ -697,8 +698,8 @@ def solve_sequential(
         if m.eq(d0, m.identity):
             diagnostics.append("seed is already fixed; series check trivial")
         else:
-            found = None
-            if lam.matrix is not None:
+            found = None  # the tail bound needs entrywise +, <= and close_eq()
+            if lam.matrix is not None and (m.elementwise or m.combine is add_entries):
                 found = _geometric_witness(lam, d0, ladder, m, budget)
             if found is not None:
                 decision, witness, offending = Decision.NULL, found[0], None

@@ -7,8 +7,6 @@ exp, sqrt, abs, log.  Everything compiles to a numpy-broadcasting callable.
 from __future__ import annotations
 
 import ast
-import functools
-import keyword
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,81 +16,77 @@ class ExpressionError(ValueError):
     pass
 
 
-_FUNCS = {name: getattr(np, name) for name in ("sin", "cos", "exp", "sqrt", "abs", "log")}
+_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "log": np.log,
+}
 _CONSTS = {"pi": np.pi, "e": np.e}
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-
-
-def _checked(node: ast.AST, variables: tuple) -> ast.expr:
-    """A copy of an expression tree in the language, with every literal and
-    constant as a float and unary plus dropped; raises ExpressionError at
-    the first node, depth first and left to right, that is outside it."""
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
-            return ast.Constant(float(node.value))
-        raise ExpressionError(f"literal {node.value!r} is not numeric")
-    if isinstance(node, ast.Name):
-        if node.id in variables:
-            return ast.Name(node.id, ast.Load())
-        if node.id in _CONSTS:
-            return ast.Constant(_CONSTS[node.id])
-        raise ExpressionError(f"unknown name {node.id!r}; allowed: {', '.join(variables)}")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        left = _checked(node.left, variables)
-        return ast.BinOp(left, node.op, _checked(node.right, variables))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        inner = _checked(node.operand, variables)
-        return ast.UnaryOp(node.op, inner) if isinstance(node.op, ast.USub) else inner
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-            raise ExpressionError("only sin/cos/exp/sqrt/abs/log calls are allowed")
-        if node.keywords or len(node.args) != 1:
-            raise ExpressionError(f"{node.func.id} takes exactly one argument")
-        return ast.Call(ast.Name(node.func.id, ast.Load()), [_checked(node.args[0], variables)], [])
-    raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
+_BINOPS = {
+    ast.Add: lambda a, b: a + b,
+    ast.Sub: lambda a, b: a - b,
+    ast.Mult: lambda a, b: a * b,
+    ast.Div: lambda a, b: a / b,
+    ast.Pow: lambda a, b: a**b,
+}
 
 
 def compile_expression(text: str, variables: Sequence[str]) -> Callable:
-    """Compile `text` into a callable taking the variables in order.
-
-    The checked tree becomes the body of one Python function, run with no
-    builtins and the allowed numpy functions by name.  Python evaluates it
-    as the tree reads, so each call does the same operations, in the same
-    order, on the same values as an evaluation node by node would.  The
-    function is built once per process for each text and variable tuple,
-    because building it costs about as much as a hundred calls, and is
-    shared by every caller.
-    """
-    return _compiled(text, tuple(variables))
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled(text: str, variables: tuple) -> Callable:
-    taken = (*_FUNCS, "args", "arity_error", "ValueError")  # names of the function below
-    for name in variables:
-        if not name.isidentifier() or keyword.iskeyword(name) or name in taken:
-            raise ValueError(f"{name!r} cannot be an expression variable")
+    """Compile `text` into a callable taking the variables in order."""
+    variables = tuple(variables)
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
-    body = ast.unparse(_checked(tree.body, variables))
 
-    def arity_error(args: tuple) -> ExpressionError:
-        return ExpressionError(
-            f"expression over ({', '.join(variables)}) called with {len(args)} arguments"
-        )
+    def build(node: ast.AST) -> Callable[[dict], object]:
+        if isinstance(node, ast.Expression):
+            return build(node.body)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, (int, float)):
+                v = float(node.value)
+                return lambda env: v
+            raise ExpressionError(f"literal {node.value!r} is not numeric")
+        if isinstance(node, ast.Name):
+            if node.id in variables:
+                name = node.id
+                return lambda env: env[name]
+            if node.id in _CONSTS:
+                c = _CONSTS[node.id]
+                return lambda env: c
+            raise ExpressionError(
+                f"unknown name {node.id!r}; allowed: {', '.join(variables)}"
+            )
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op = _BINOPS[type(node.op)]
+            left, right = build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            inner = build(node.operand)
+            if isinstance(node.op, ast.USub):
+                return lambda env: -inner(env)
+            return inner
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+                raise ExpressionError("only sin/cos/exp/sqrt/abs/log calls are allowed")
+            if node.keywords or len(node.args) != 1:
+                raise ExpressionError(f"{node.func.id} takes exactly one argument")
+            fn = _FUNCS[node.func.id]
+            arg = build(node.args[0])
+            return lambda env: fn(arg(env))
+        raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
 
-    source = (
-        "def call(*args):\n"
-        "    try:\n"
-        f"        [{', '.join(variables)}] = args\n"
-        "    except ValueError:\n"
-        "        raise arity_error(args) from None\n"
-        f"    return {body}\n"
-    )
-    namespace = {"__builtins__": {}, "ValueError": ValueError, "arity_error": arity_error, **_FUNCS}
-    exec(compile(source, f"<expression {text!r}>", "exec"), namespace)
-    call = namespace["call"]
+    body = build(tree)
+
+    def call(*args):
+        if len(args) != len(variables):
+            raise ExpressionError(
+                f"expression over ({', '.join(variables)}) called with {len(args)} arguments"
+            )
+        return body(dict(zip(variables, args)))
+
     call.__name__ = f"expr<{text}>"
     return call

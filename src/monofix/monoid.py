@@ -72,9 +72,8 @@ class TestLadder:
     combine(delta, delta) <= rungs[i], or None when no rung qualifies.  A
     witness is required for every rung except the bottom one: the bottom rung
     is the truncation point of the chain, so nothing below it is available.
-    `build` starts each rung's search at the previous rung's witness when
-    the rung is `leq` the previous one: by transitivity no earlier delta
-    can qualify, and a rung below one without a witness has none either.
+    `build` starts each rung's search at the previous rung's witness when the
+    rung is `leq` the previous one (transitivity; None carries forward).
     """
 
     __test__ = False  # not a test class, despite the name

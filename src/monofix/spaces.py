@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from ._rng import child_rng, choice_indices, distinct_draws
-from ._util import format_value, generic_eq
+from ._util import close_eq, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -617,9 +617,15 @@ def _weakest_kind(spaces: Sequence[DistanceSpaceSpec]) -> SpaceKind:
 _call = getattr(operator, "call", lambda f, *args: f(*args))
 
 
+def add_entries(a: tuple, b: tuple) -> tuple:
+    """The combine of a product of real monoids (+, <= and close_eq())."""
+    return tuple(map(operator.add, a, b))
+
+
 def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
-    """Coordinatewise product of monoids on tuples, by the factors' own callables."""
+    """Coordinatewise product of monoids on tuples, by the factors' callables or `add_entries`."""
     factors = tuple(factors)
+    real = all((m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq()) for m in factors)
     combines, leqs, eqs, sups = (
         tuple(getattr(m, op) for m in factors) for op in ("combine", "leq", "eq", "sup")
     )
@@ -641,7 +647,7 @@ def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
 
     return MonoidSpec(
         carrier_descr="product(" + ", ".join(m.carrier_descr for m in factors) + ")",
-        combine=combine,
+        combine=add_entries if real else combine,
         identity=tuple(m.identity for m in factors),
         leq=leq,
         sup=sup,

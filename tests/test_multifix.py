@@ -350,3 +350,18 @@ def test_criterion_8_decides_its_series_from_the_tail(monkeypatch):
     plain = coupled_fixed_point(SPACE, f, -10.0, 10.0, _coupled_lam(0.3, 0.2), budget=400)
     assert seen["literal"] == 1
     assert (plain.fixed_point, plain.diagnostics) == (rep.fixed_point, rep.diagnostics)
+
+
+def test_tail_decision_needs_a_monoid_that_adds_entries(monkeypatch):
+    # a matrix-marked lam over a carrier whose combine is max (an ultrametric
+    # monoid on the nonnegative reals) must take the literal window check
+    seen = _counting_series(monkeypatch)
+    called = []
+    geometric = engine._geometric_witness
+    monkeypatch.setattr(engine, "_geometric_witness", lambda *a: called.append(1) or geometric(*a))
+    ultra = replace(SPACE, monoid=replace(SPACE.monoid, combine=max))
+    f = lambda u, v: 0.3 * u - 0.2 * v + 1.0
+    coupled_fixed_point(ultra, f, -10.0, 10.0, _matrix_lam(0.3, 0.2), budget=400)
+    assert (called, seen["literal"]) == ([], 1)
+    coupled_fixed_point(SPACE, f, -10.0, 10.0, _matrix_lam(0.3, 0.2), budget=400)
+    assert (called, seen["literal"]) == ([1], 1)

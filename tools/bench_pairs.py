@@ -18,9 +18,9 @@ change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
 the environment that the runs report.  After a workload's pairs, each side
-runs `tools/op_times.py` for --op-passes passes, and the summary records each
-reference key's median wall time and traced counts per side, over that fixed
-op sequence.
+runs `tools/op_times.py` for its default number of timed passes, and the
+summary records that number (`op_passes`) and each reference key's median
+wall time and traced counts per side, over that fixed op sequence.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from op_times import op_times
+from op_times import PASSES, op_times
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -82,7 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--out", required=True, help="the summary JSON to write")
-    parser.add_argument("--op-passes", type=int, default=10, help="timed passes of tools/op_times.py")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -117,8 +116,9 @@ def main(argv: list[str] | None = None) -> int:
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
+            summary["workloads"][workload]["op_passes"] = PASSES
             summary["workloads"][workload]["op_times"] = {
-                side: op_times(root, workload, args.op_passes)
+                side: op_times(root, workload)
                 for side, root in (("parent", parent_root), ("change", change_root))
             }
             summary.setdefault("environment", runs["change"][0]["info"]["environment"])

@@ -4,11 +4,12 @@
 
 One pass runs each op of `perfbench.ops.every_op(workload)` once, in that
 order.  The ops run in one child process started the way the benchmark starts
-its workload processes (`perfbench.run.child_env`: the workload's BLAS thread
-count, the malloc setting and `DIR/src` on the path), from the checkout at
---root, the current directory by default.  Like `perfbench.workload`, each op
-writes to its own directory, whose files are emptied, not deleted, before the
-op runs, and the CLI's status lines go to /dev/null.
+its workload processes (`perfbench.run.child_env`, taken from DIR's own
+`perfbench`: the workload's BLAS thread count, the malloc setting and
+`DIR/src` on the path), from the checkout at --root, the current directory by
+default.  Like `perfbench.workload`, each op writes to its own directory,
+whose files are emptied, not deleted, before the op runs, and the CLI's
+status lines go to /dev/null.
 
 A first pass is untimed; it warms the process and checks every outcome
 against `perfbench/reference.json`.  Then --passes timed passes give each
@@ -33,6 +34,13 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
+
+PASSES = 20  # timed passes, unless --passes says otherwise
+# prints `perfbench.run.child_env(root, workload)` as computed by root's own perfbench
+CHILD_ENV = (
+    "import json, sys; from pathlib import Path; from perfbench.run import child_env; "
+    "print(json.dumps(child_env(Path(sys.argv[1]), sys.argv[2])))"
+)
 
 
 def time_ops(workload: str, passes: int, scratch: Path) -> dict:
@@ -82,12 +90,12 @@ def time_ops(workload: str, passes: int, scratch: Path) -> dict:
     return result
 
 
-def op_times(root: Path, workload: str, passes: int) -> dict:
+def op_times(root: Path, workload: str, passes: int = PASSES) -> dict:
     """Run the child for the checkout at `root`; returns its per-key results."""
-    sys.path.insert(0, str(root))
-    from perfbench.run import child_env
-
-    env = child_env(root, workload)
+    env = json.loads(subprocess.run(
+        [sys.executable, "-c", CHILD_ENV, str(root), workload],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout)
     with tempfile.TemporaryDirectory(prefix="op-times-") as scratch:
         argv = [sys.executable, __file__, "--workload", workload, "--passes", str(passes)]
         argv += ["--root", str(root), "--child", scratch]
@@ -100,7 +108,7 @@ def op_times(root: Path, workload: str, passes: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--passes", type=int, default=20)
+    parser.add_argument("--passes", type=int, default=PASSES)
     parser.add_argument("--root", type=Path, default=Path.cwd())
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--child", type=Path, default=None, help=argparse.SUPPRESS)
