@@ -28,7 +28,7 @@ from .monoid import (
     is_null_trace,
 )
 from .reporting import Decision
-from .spaces import DistanceSpaceSpec, ZetaSpec, add_entries, check_zeta_triangle
+from .spaces import DistanceSpaceSpec, ZetaSpec, _add_entries, check_zeta_triangle
 
 
 class SolveStatus(str, Enum):
@@ -633,7 +633,7 @@ def solve_sequential(
     to pass the Cauchy-series check (witness within `budget`, evidence to
     2*budget); each step is audited against
     d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set over
-    an elementwise monoid or a product of real ones (combine `add_entries`),
+    an elementwise monoid or a product of real ones (combine `_add_entries`),
     the check stops at the first term whose geometric tail bound settles the
     same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
     not below 1, a term that is not finite, a witness past the budget, or
@@ -699,7 +699,7 @@ def solve_sequential(
             diagnostics.append("seed is already fixed; series check trivial")
         else:
             found = None  # the tail bound needs entrywise +, <= and close_eq()
-            if lam.matrix is not None and (m.elementwise or m.combine is add_entries):
+            if lam.matrix is not None and (m.elementwise or m.combine is _add_entries):
                 found = _geometric_witness(lam, d0, ladder, m, budget)
             if found is not None:
                 decision, witness, offending = Decision.NULL, found[0], None

@@ -617,13 +617,13 @@ def _weakest_kind(spaces: Sequence[DistanceSpaceSpec]) -> SpaceKind:
 _call = getattr(operator, "call", lambda f, *args: f(*args))
 
 
-def add_entries(a: tuple, b: tuple) -> tuple:
-    """The combine of a product of real monoids (+, <= and close_eq())."""
+def _add_entries(a: tuple, b: tuple) -> tuple:
+    """The combine of a product of real monoids (+, <=, close_eq()), told by identity."""
     return tuple(map(operator.add, a, b))
 
 
 def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
-    """Coordinatewise product of monoids on tuples, by the factors' callables or `add_entries`."""
+    """Coordinatewise product of monoids on tuples, by the factors' callables or `_add_entries`."""
     factors = tuple(factors)
     real = all((m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq()) for m in factors)
     combines, leqs, eqs, sups = (
@@ -647,7 +647,7 @@ def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
 
     return MonoidSpec(
         carrier_descr="product(" + ", ".join(m.carrier_descr for m in factors) + ")",
-        combine=add_entries if real else combine,
+        combine=_add_entries if real else combine,
         identity=tuple(m.identity for m in factors),
         leq=leq,
         sup=sup,

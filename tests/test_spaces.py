@@ -37,7 +37,7 @@ from monofix.catalog import (
 from monofix._rng import child_rng
 from monofix._util import close_eq, format_value
 from monofix.reporting import Counterexample
-from monofix.spaces import add_entries, diagonal, full_relation, product_monoid
+from monofix.spaces import _add_entries, diagonal, full_relation, product_monoid
 
 REAL_ABS = get_space("real_abs")
 SNOWFLAKE = get_space("snowflake")
@@ -688,11 +688,11 @@ def test_product_monoid_matches_generator_reference(names):
 
 
 def test_product_of_real_monoids_adds_entries():
-    # add_entries marks the products whose combine is + on every entry, with
+    # _add_entries marks the products whose combine is + on every entry, with
     # <= and close_eq() as order and equality: only real factors qualify
     real = get_monoid("real_nonneg")
     got = product_monoid([real.spec, real.spec])
-    assert got.combine is add_entries
+    assert got.combine is _add_entries
     reference = reference_product_monoid([real.spec, real.spec])[0]
     for a, b in itertools.product(itertools.product(real.samples, repeat=2), repeat=2):
         assert repr(got.combine(a, b)) == repr(reference(a, b))
@@ -703,9 +703,9 @@ def test_product_of_real_monoids_adds_entries():
         dict(eq=close_eq(1e-6)),
     ):
         other = dataclasses.replace(real.spec, **changed)
-        assert product_monoid([real.spec, other]).combine is not add_entries, changed
+        assert product_monoid([real.spec, other]).combine is not _add_entries, changed
     for name in ("relation{8}", "product{real_nonneg,real_nonneg}"):
-        assert product_monoid([real.spec, get_monoid(name).spec]).combine is not add_entries
+        assert product_monoid([real.spec, get_monoid(name).spec]).combine is not _add_entries
 
 
 def test_product_mixed_monoids_rejected():
