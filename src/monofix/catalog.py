@@ -269,25 +269,6 @@ MONOID_NAMES = (
 # Spaces
 
 
-def _real_space(
-    name: str,
-    dist: Callable[[float, float], float],
-    kind: SpaceKind,
-    ladder_depth: int,
-    descr: str,
-) -> DistanceSpaceSpec:
-    return DistanceSpaceSpec(
-        point_descr=descr,
-        distance=dist,
-        kind=kind,
-        monoid=real_nonneg_monoid(),
-        ladder=dyadic_ladder(ladder_depth),
-        weierstrass_capable=True,
-        regular_order=True,
-        co_regular_order=True,
-    )
-
-
 def snowflake_distance(x: float, y: float) -> float:
     d = abs(x - y)
     return d if d <= 1.0 else d * d
@@ -400,44 +381,41 @@ def _omega_fw_sampler(n_max: int):
     return factory
 
 
+# Spaces on the reals: distance, dyadic ladder depth, description, samples.
+_REAL_SPACES = {
+    "real_abs": (
+        lambda x, y: abs(x - y), 20, "reals with |x-y|",
+        (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25, -1.25, 0.0625),
+    ),
+    "snowflake": (
+        snowflake_distance, 4, "reals with |x-y| below one and (x-y)^2 above",
+        (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25),
+    ),
+    "squared": (
+        lambda x, y: (x - y) ** 2, 4, "reals with (x-y)^2",
+        (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25),
+    ),
+}
+
+
 def get_space(name: str) -> SpaceEntry:
     base, arg = _parse_name(
         name, ("real_abs", "snowflake", "squared", "dislocated_max", "broken_pseudo_as_distance")
     )
-    if base == "real_abs":
-        space = _real_space(
-            name, lambda x, y: abs(x - y), SpaceKind.DISTANCE, 20, "reals with |x-y|"
+    if base in _REAL_SPACES:
+        distance, depth, descr, samples = _REAL_SPACES[base]
+        space = DistanceSpaceSpec(
+            point_descr=descr,
+            distance=distance,
+            kind=SpaceKind.DISTANCE,
+            monoid=real_nonneg_monoid(),
+            ladder=dyadic_ladder(depth),
+            weierstrass_capable=True,
+            regular_order=True,
+            co_regular_order=True,
         )
-        return SpaceEntry(
-            name=name,
-            space=space,
-            samples=tuple([-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25, -1.25, 0.0625]),
-            fw_sampler=_real_fw_sampler(space),
-        )
-    if base == "snowflake":
-        space = _real_space(
-            name,
-            snowflake_distance,
-            SpaceKind.DISTANCE,
-            4,
-            "reals with |x-y| below one and (x-y)^2 above",
-        )
-        return SpaceEntry(
-            name=name,
-            space=space,
-            samples=tuple([-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25]),
-            fw_sampler=_real_fw_sampler(space),
-        )
-    if base == "squared":
-        space = _real_space(
-            name, lambda x, y: (x - y) ** 2, SpaceKind.DISTANCE, 4, "reals with (x-y)^2"
-        )
-        return SpaceEntry(
-            name=name,
-            space=space,
-            samples=tuple([-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25]),
-            fw_sampler=_real_fw_sampler(space),
-        )
+        fw_sampler = _real_fw_sampler(space)
+        return SpaceEntry(name=name, space=space, samples=samples, fw_sampler=fw_sampler)
     if base == "dislocated_max":
         space = DistanceSpaceSpec(
             point_descr="nonnegative reals with max(x, y)",

@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,16 +57,11 @@ from .spaces import (
 
 
 class ConfigError(Exception):
+    """A bad config value or argument: `line N: field 'key': message`."""
+
     def __init__(self, message: str, line: Optional[int] = None, field: Optional[str] = None):
-        parts = []
-        if line is not None:
-            parts.append(f"line {line}")
-        if field is not None:
-            parts.append(f"field {field!r}")
-        prefix = ": ".join(parts)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
-        self.line = line
-        self.field = field
+        where = [f"line {line}"] * (line is not None) + [f"field {field!r}"] * (field is not None)
+        super().__init__(": ".join([*where, message]))
 
 
 def parse_config(text: str) -> dict[str, tuple[int, str]]:
@@ -88,52 +83,70 @@ def parse_config(text: str) -> dict[str, tuple[int, str]]:
     return out
 
 
-def _check_keys(cfg: dict, keys: tuple[str, ...]) -> None:
-    """Reject the first key, in line order, that the command does not read."""
-    for key, (line, _) in cfg.items():
-        if key not in keys:
-            raise ConfigError(f"unknown key; the keys are {', '.join(keys)}", line=line, field=key)
+REQUIRED = object()  # the default of a key that has none
 
 
-def _get(cfg: dict, key: str, default: Optional[str] = None) -> tuple[Optional[int], str]:
-    if key in cfg:
-        return cfg[key]
-    if default is not None:
-        return None, default
-    raise ConfigError("missing required key", field=key)
-
-
-def _get_float(cfg: dict, key: str, default: Optional[str] = None) -> float:
-    line, raw = _get(cfg, key, default)
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"not a number: {raw!r}", line=line, field=key)
-
-
-def _get_int(
-    cfg: dict, key: str, default: Optional[str] = None,
-    minimum: Optional[int] = None, maximum: Optional[int] = None,
-) -> int:
-    line, raw = _get(cfg, key, default)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"not an integer: {raw!r}", line=line, field=key)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be at least {minimum}: {value}", line=line, field=key)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"must be at most {maximum}: {value}", line=line, field=key)
+def finite_float(text: str) -> float:
+    """A float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
     return value
 
 
-def _get_bool(cfg: dict, key: str, default: str = "false") -> bool:
-    line, raw = _get(cfg, key, default)
-    if raw.lower() in ("true", "yes", "1"):
+def boolean(text: str) -> bool:
+    if text.lower() in ("true", "yes", "1"):
         return True
-    if raw.lower() in ("false", "no", "0"):
+    if text.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"not a boolean: {raw!r}", line=line, field=key)
+    raise ValueError(text)
+
+
+_NOT_A = {
+    float: "not a number", finite_float: "not a finite number",
+    int: "not an integer", boolean: "not a boolean",
+}
+
+
+def parse_value(kind: Callable[[str], Any], raw: str, minimum: Any = None, maximum: Any = None):
+    """`raw` read as `kind` (str or a key of `_NOT_A`) and checked against
+    the range; a ValueError says what is wrong with it."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"{_NOT_A[kind]}: {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be at least {minimum}: {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"must be at most {maximum}: {value}")
+    return value
+
+
+def read_config(text: str, table: tuple) -> tuple[dict, dict]:
+    """Read a config against a command's table of (key, type, default,
+    minimum, maximum) rows.  Rejects the first unknown key in line order,
+    then the first missing, unparsable or out-of-range key in table order.
+    Returns each key's typed value (its default when absent; a default of
+    None leaves it None) and its line (None when absent)."""
+    cfg = parse_config(text)
+    keys = [row[0] for row in table]
+    for key, (line, _) in cfg.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key; the keys are {', '.join(keys)}", line=line, field=key)
+    values, lines = {}, {}
+    for key, kind, default, minimum, maximum in table:
+        line, raw = cfg.get(key, (None, None))
+        lines[key] = line
+        if raw is None:
+            if default is REQUIRED:
+                raise ConfigError("missing required key", field=key)
+            values[key] = default
+            continue
+        try:
+            values[key] = parse_value(kind, raw, minimum, maximum)
+        except ValueError as exc:
+            raise ConfigError(str(exc), line=line, field=key)
+    return values, lines
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +160,22 @@ def _write(out_dir: Path, name: str, content: str) -> Path:
     return path
 
 
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
 def trace_csv(trace: IterationTrace) -> str:
-    lines = ["step,point,consec,flags"]
-    pts = trace.points
-    consec = trace.consec.elements
-    flags = trace.flags
-    for i, p in enumerate(pts):
+    consec, flags = trace.consec.elements, trace.flags
+    rows = []
+    for i, p in enumerate(trace.points):
         c = format_value(consec[i]) if i < len(consec) else ""
         fl = flags[i] if i < len(flags) else ""
-        lines.append(f'{i},"{format_value(p)}","{c}","{fl}"')
-    return "\n".join(lines) + "\n"
+        rows.append(f'{i},"{format_value(p)}","{c}","{fl}"')
+    return _csv("step,point,consec,flags", rows)
 
 
 def solution_csv(grid: Grid, x: np.ndarray) -> str:
-    lines = ["node,value"]
-    for t, v in zip(grid.nodes, x):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv("node,value", (f"{float(t)!r},{float(v)!r}" for t, v in zip(grid.nodes, x)))
 
 
 def certificate_csv(cert: ConvergenceCertificate) -> str:
@@ -171,10 +183,8 @@ def certificate_csv(cert: ConvergenceCertificate) -> str:
     # formatted once.  They are sup norms, never -0.0, the one float whose
     # repr differs from that of an equal dict key.
     partials = {part: repr(part) for part in set(cert.sup_partials)}
-    lines = ["n,sup_increment,sup_partial"]
-    for i, (inc, part) in enumerate(zip(cert.sup_increments, cert.sup_partials), start=1):
-        lines.append(f"{i},{inc!r},{partials[part]}")
-    return "\n".join(lines) + "\n"
+    rows = enumerate(zip(cert.sup_increments, cert.sup_partials), start=1)
+    return _csv("n,sup_increment,sup_partial", (f"{i},{d!r},{partials[p]}" for i, (d, p) in rows))
 
 
 def certificate_text(cert: ConvergenceCertificate) -> str:
@@ -213,36 +223,65 @@ def _finish_solve(out: Path, report: SolveReport, header: str, summary: str) -> 
 # Subcommands
 
 
-FREDHOLM_KEYS = (
-    "interval_a", "interval_b", "nodes", "kernel", "majorant", "f",
-    "ladder_depth", "budget", "certificate_budget", "seed", "force",
+def _expression(text: str, variables: tuple, line: Optional[int], field: str) -> Callable:
+    """Compile a config expression into a function that never raises: a value
+    that raises ArithmeticError (a float 1/0 or 10**400) or is complex (a
+    negative float to a fractional power) is NaN, which the solve reports."""
+    try:
+        fn = compile_expression(text, variables)
+    except ExpressionError as exc:
+        raise ConfigError(str(exc), line=line, field=field)
+
+    def total(*args):
+        try:
+            value = fn(*args)
+        except ArithmeticError:
+            return math.nan
+        return math.nan if np.iscomplexobj(value) else value
+
+    return total
+
+
+# A λ-series that its tail bound cannot settle is traced to 2·budget terms.
+MAX_BUDGET = MAX_CERTIFICATE_TERMS // 2
+
+# One row per config key: (key, type, default, minimum, maximum).
+FREDHOLM_TABLE = (
+    ("interval_a", float, 0.0, None, None),
+    ("interval_b", float, 1.0, None, None),
+    ("nodes", int, 101, 2, MAX_NODES),
+    ("kernel", str, REQUIRED, None, None),
+    ("majorant", str, None, None, None),  # required for expr kernels
+    ("f", str, "0", None, None),
+    ("ladder_depth", int, 20, 1, MAX_LADDER_DEPTH),
+    ("budget", int, 200, 1, MAX_BUDGET),
+    ("certificate_budget", int, 800, 1, MAX_CERTIFICATE_TERMS),
+    ("seed", int, 0, None, None),
+    ("force", boolean, False, None, None),
 )
-COUPLED_KEYS = ("f", "x0", "y0", "lam_u", "lam_v", "budget")
+COUPLED_TABLE = (
+    ("f", str, REQUIRED, None, None),
+    ("x0", float, REQUIRED, None, None),
+    ("y0", float, REQUIRED, None, None),
+    ("lam_u", finite_float, REQUIRED, 0.0, None),
+    ("lam_v", finite_float, REQUIRED, 0.0, None),
+    ("budget", int, 200, 1, MAX_BUDGET),
+)
 
 
 def cmd_solve_fredholm(args: argparse.Namespace) -> int:
-    cfg = parse_config(Path(args.config).read_text())
-    _check_keys(cfg, FREDHOLM_KEYS)
-    a = _get_float(cfg, "interval_a", "0")
-    b = _get_float(cfg, "interval_b", "1")
+    cfg, lines = read_config(Path(args.config).read_text(), FREDHOLM_TABLE)
+    a, b, m = cfg["interval_a"], cfg["interval_b"], cfg["nodes"]
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ConfigError(
             f"the interval must be finite with interval_a < interval_b, not [{a!r}, {b!r}]",
-            line=_get(cfg, "interval_b", "1")[0],
+            line=lines["interval_b"],
             field="interval_b",
         )
-    m = _get_int(cfg, "nodes", "101", minimum=2, maximum=MAX_NODES)
-    budget = _get_int(cfg, "budget", "200", minimum=1)
-    cert_budget = _get_int(
-        cfg, "certificate_budget", "800", minimum=1, maximum=MAX_CERTIFICATE_TERMS
-    )
-    seed = _get_int(cfg, "seed", "0")
-    force = args.force or _get_bool(cfg, "force")
-    depth = _get_int(cfg, "ladder_depth", "20", minimum=1, maximum=MAX_LADDER_DEPTH)
 
-    kline, kraw = _get(cfg, "kernel")
+    kline, kraw = lines["kernel"], cfg["kernel"]
     parts = kraw.split(None, 1)
-    kname = parts[0]
+    kname = parts[0] if parts else ""
     qline, qfield = kline, "kernel"
     if kname == "constant":
         if len(parts) != 2:
@@ -261,41 +300,34 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     elif kname == "expr":
         if len(parts) != 2:
             raise ConfigError("usage: kernel = expr <expression over t,s,x>", line=kline, field="kernel")
-        try:
-            g = compile_expression(parts[1], ("t", "s", "x"))
-        except ExpressionError as exc:
-            raise ConfigError(str(exc), line=kline, field="kernel")
-        qline, qraw = _get(cfg, "majorant")
-        qfield = "majorant"
-        try:
-            q = compile_expression(qraw, ("t", "s"))
-        except ExpressionError as exc:
-            raise ConfigError(str(exc), line=qline, field="majorant")
+        g = _expression(parts[1], ("t", "s", "x"), kline, "kernel")
+        qline, qraw, qfield = lines["majorant"], cfg["majorant"], "majorant"
+        if qraw is None:
+            raise ConfigError("missing required key", field="majorant")
+        q = _expression(qraw, ("t", "s"), qline, "majorant")
         qdescr = f"expr {parts[1]}"
     else:
         raise ConfigError(f"unknown kernel {kname!r}", line=kline, field="kernel")
 
-    fline, fraw = _get(cfg, "f", "0")
-    try:
-        f_expr = compile_expression(fraw, ("t",))
-    except ExpressionError as exc:
-        raise ConfigError(str(exc), line=fline, field="f")
+    fline = lines["f"]
+    f_expr = _expression(cfg["f"], ("t",), fline, "f")
 
     grid = Grid.trapezoid(a, b, m)
     kernel = KernelSpec(Q=q, g=g, f=lambda t: f_expr(t) * np.ones_like(np.asarray(t, dtype=float)))
-    ladder = grid_ladder(m, depth)
+    ladder = grid_ladder(m, cfg["ladder_depth"])
     out = Path(args.out)
 
     try:
-        x, report, cert = solve_fredholm(
-            kernel,
-            grid,
-            ladder=ladder,
-            budget=budget,
-            certificate_budget=cert_budget,
-            force=force,
-            seed=seed,
-        )
+        with np.errstate(all="ignore"):
+            x, report, cert = solve_fredholm(
+                kernel,
+                grid,
+                ladder=ladder,
+                budget=cfg["budget"],
+                certificate_budget=cfg["certificate_budget"],
+                force=args.force or cfg["force"],
+                seed=cfg["seed"],
+            )
     except InvalidKernel as exc:
         if exc.part == "f":
             raise ConfigError(str(exc), line=fline, field="f")
@@ -338,14 +370,12 @@ def _solve_catalog_map(
 
 
 def cmd_solve_map(args: argparse.Namespace) -> int:
-    try:
-        entry = catalog.get_map(args.map)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0], field="map")
+    entry = catalog.get_map(args.map)  # argparse takes only catalog names
     space = catalog.get_space(entry.space_name).space
     x0 = args.x0 if args.x0 is not None else entry.x0_for(args.driver)
     out = Path(args.out)
-    report = _solve_catalog_map(entry, space, args.driver, x0, args.budget)
+    with np.errstate(all="ignore"):
+        report = _solve_catalog_map(entry, space, args.driver, x0, args.budget)
 
     if report.trace is not None:
         _write(out, "trace.csv", trace_csv(report.trace))
@@ -354,42 +384,30 @@ def cmd_solve_map(args: argparse.Namespace) -> int:
 
 
 def cmd_solve_coupled(args: argparse.Namespace) -> int:
-    cfg = parse_config(Path(args.config).read_text())
-    _check_keys(cfg, COUPLED_KEYS)
-    fline, fraw = _get(cfg, "f")
-    try:
-        f2 = compile_expression(fraw, ("u", "v"))
-    except ExpressionError as exc:
-        raise ConfigError(str(exc), line=fline, field="f")
-    x0 = _get_float(cfg, "x0")
-    y0 = _get_float(cfg, "y0")
-    lu = _get_float(cfg, "lam_u")
-    lv = _get_float(cfg, "lam_v")
-    budget = _get_int(cfg, "budget", "200")
-    space = catalog.get_space("real_abs").space
-    # nonnegative finite coefficients make the step operator the matrix below
-    nonneg = all(math.isfinite(c) and c >= 0.0 for c in (lu, lv))
+    cfg, lines = read_config(Path(args.config).read_text(), COUPLED_TABLE)
+    f2 = _expression(cfg["f"], ("u", "v"), lines["f"], "f")
+    lu, lv = cfg["lam_u"], cfg["lam_v"]
+    # the table keeps the coefficients finite and nonnegative: the step
+    # operator is this matrix on the positive cone
     lam = LambdaSequence.constant(
         lambda d: (lu * d[0] + lv * d[1], lu * d[1] + lv * d[0]),
         description=f"coupled coefficients ({lu}, {lv})",
-        matrix=np.array([[lu, lv], [lv, lu]]) if nonneg else None,
+        matrix=np.array([[lu, lv], [lv, lu]]),
     )
-    report = coupled_fixed_point(
-        space, lambda u, v: float(f2(u, v)), x0, y0, lam, budget
-    )
+    space = catalog.get_space("real_abs").space
+    with np.errstate(all="ignore"):
+        report = coupled_fixed_point(
+            space, lambda u, v: float(f2(u, v)), cfg["x0"], cfg["y0"], lam, cfg["budget"]
+        )
     out = Path(args.out)
     if report.trace is not None:
-        lines = ["step,index,value"]
-        for i, prof in enumerate(report.trace.points):
-            for j, v in enumerate(prof.values, start=1):
-                lines.append(f"{i},{j},{format_value(v)}")
-        _write(out, "trace.csv", "\n".join(lines) + "\n")
+        steps = enumerate(report.trace.points)
+        rows = (f"{i},{j},{format_value(v)}" for i, p in steps for j, v in enumerate(p.values, 1))
+        _write(out, "trace.csv", _csv("step,index,value", rows))
     if report.fixed_point is not None:
-        lines = ["index,value"]
-        for j, v in enumerate(report.fixed_point.values, start=1):
-            lines.append(f"{j},{format_value(v)}")
-        _write(out, "profile.csv", "\n".join(lines) + "\n")
-    return _finish_solve(out, report, f"command=solve-coupled f=({fraw})\n", "solve-coupled")
+        rows = (f"{j},{format_value(v)}" for j, v in enumerate(report.fixed_point.values, 1))
+        _write(out, "profile.csv", _csv("index,value", rows))
+    return _finish_solve(out, report, f"command=solve-coupled f=({cfg['f']})\n", "solve-coupled")
 
 
 def cmd_check_space(args: argparse.Namespace) -> int:
@@ -512,12 +530,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
-    return value
+def argument(kind: Callable[[str], Any], minimum: Any = None, maximum: Any = None) -> Callable:
+    """An argparse type: `parse_value` with this kind and range."""
+
+    def convert(text: str) -> Any:
+        try:
+            return parse_value(kind, text, minimum, maximum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
 @functools.cache
@@ -537,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-map", help="run one named map through one driver")
     p.add_argument("--map", required=True, choices=catalog.MAP_NAMES)
     p.add_argument("--driver", required=True, choices=CLI_DRIVER_NAMES)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--budget", type=positive_int, default=200)
+    p.add_argument("--x0", type=argument(finite_float), default=None)
+    p.add_argument("--budget", type=argument(int, 1, MAX_BUDGET), default=200)
     p.add_argument("--out", default="monofix-out")
 
     p = sub.add_parser("solve-coupled", help="solve a coupled fixed point from a config file")
@@ -549,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--axioms", action="store_true")
     p.add_argument("--fw", choices=("weak", "standard", "strong"), default=None)
-    p.add_argument("--trials", type=positive_int, default=10_000)
+    p.add_argument("--trials", type=argument(int, 1), default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="monofix-out")
 
@@ -566,10 +588,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -626,6 +626,7 @@ def solve_sequential(
     stop_window: int = 3,
     second_seed: Optional[Any] = None,
     extra_step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
+    x1: Optional[Any] = None,
 ) -> SolveReport:
     """Orbitwise contraction driver through a sequence of monotone operators.
 
@@ -642,8 +643,9 @@ def solve_sequential(
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
     `extra_step_check` runs on every step, the seed step (x0, f(x0)) first,
-    before its distance is used.  f is applied to x0 once: the orbits from
-    x0 reuse that step, so f must be deterministic.
+    before its distance is used.  f is applied to x0 once, or not at all when
+    the caller passes that step as `x1`: the orbits from x0 reuse it, so f
+    must be deterministic.
     """
     if mode not in SEQ_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -651,7 +653,8 @@ def solve_sequential(
     ladder = space.ladder
     diagnostics: list[str] = []
     apply = f.apply
-    x1 = apply(x0)
+    if x1 is None:
+        x1 = apply(x0)
     # every orbit from x0 starts with this step: take it once
     f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
     d0 = space.distance(x0, x1)
@@ -877,6 +880,7 @@ def solve_monotone(
         stop_window,
         second_seed=None,
         extra_step_check=chain_check,
+        x1=fx0,
     )
 
     if report.status is SolveStatus.CERTIFIED and report.trace is not None:

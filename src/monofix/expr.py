@@ -7,6 +7,7 @@ exp, sqrt, abs, log.  Everything compiles to a numpy-broadcasting callable.
 from __future__ import annotations
 
 import ast
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ _FUNCS = {
     "log": np.log,
 }
 _CONSTS = {"pi": np.pi, "e": np.e}
+MAX_DEPTH = 200  # nesting levels: evaluation recurses once per level
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -41,13 +43,21 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels") from exc
 
-    def build(node: ast.AST) -> Callable[[dict], object]:
+    def build(node: ast.AST, depth: int = 0) -> Callable[[dict], object]:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
+        depth += 1
         if isinstance(node, ast.Expression):
-            return build(node.body)
+            return build(node.body, depth)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
-                v = float(node.value)
+                try:
+                    v = float(node.value)
+                except OverflowError:  # an integer past the floats reads as 1e999 does
+                    v = math.inf
                 return lambda env: v
             raise ExpressionError(f"literal {node.value!r} is not numeric")
         if isinstance(node, ast.Name):
@@ -62,10 +72,10 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
             )
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             op = _BINOPS[type(node.op)]
-            left, right = build(node.left), build(node.right)
+            left, right = build(node.left, depth), build(node.right, depth)
             return lambda env: op(left(env), right(env))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            inner = build(node.operand)
+            inner = build(node.operand, depth)
             if isinstance(node.op, ast.USub):
                 return lambda env: -inner(env)
             return inner
@@ -75,7 +85,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
             if node.keywords or len(node.args) != 1:
                 raise ExpressionError(f"{node.func.id} takes exactly one argument")
             fn = _FUNCS[node.func.id]
-            arg = build(node.args[0])
+            arg = build(node.args[0], depth)
             return lambda env: fn(arg(env))
         raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
 

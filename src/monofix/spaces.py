@@ -9,6 +9,7 @@ never satisfaction.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -676,35 +677,17 @@ def product_space(spaces: Sequence[DistanceSpaceSpec], mode: str) -> DistanceSpa
     def point_eq(a: tuple, b: tuple) -> bool:
         return all(s.point_eq(x, y) for s, x, y in zip(spaces, a, b))
 
-    if mode == "sigma":
+    if mode in ("sigma", "vee"):
         m = _shared_monoid(spaces)
-
-        def dist(a: tuple, b: tuple) -> Any:
-            return m.fold(s.distance(x, y) for s, x, y in zip(spaces, a, b))
-
-        return DistanceSpaceSpec(
-            point_descr=f"sigma-product({descr})",
-            distance=dist,
-            kind=kind,
-            monoid=m,
-            ladder=spaces[0].ladder,
-            point_eq=point_eq,
-            weierstrass_capable=all(s.weierstrass_capable for s in spaces),
-        )
-    if mode == "vee":
-        m = _shared_monoid(spaces)
-        if m.sup is None:
+        if mode == "vee" and m.sup is None:
             raise ValueError("vee product needs a supremum on the shared monoid")
+        fold = m.fold if mode == "sigma" else lambda parts: functools.reduce(m.sup, parts)
 
         def dist(a: tuple, b: tuple) -> Any:
-            parts = [s.distance(x, y) for s, x, y in zip(spaces, a, b)]
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = m.sup(acc, p)
-            return acc
+            return fold(s.distance(x, y) for s, x, y in zip(spaces, a, b))
 
         return DistanceSpaceSpec(
-            point_descr=f"vee-product({descr})",
+            point_descr=f"{mode}-product({descr})",
             distance=dist,
             kind=kind,
             monoid=m,

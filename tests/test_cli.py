@@ -218,7 +218,11 @@ def test_solve_coupled_non_finite_step_is_a_violation(tmp_path, f):
     [("0.3", "0.2", [[0.3, 0.2], [0.2, 0.3]]), ("0.7", "0.5", [[0.7, 0.5], [0.5, 0.7]]),
      ("-0.1", "0.2", None), ("nan", "0.2", None), ("0.3", "inf", None)],
 )
-def test_solve_coupled_marks_only_nonnegative_finite_coefficients(tmp_path, monkeypatch, lam_u, lam_v, matrix):
+def test_solve_coupled_marks_only_nonnegative_finite_coefficients(
+    tmp_path, monkeypatch, capsys, lam_u, lam_v, matrix
+):
+    # a coefficient that is negative or not finite is a config error: no
+    # solve starts, so every solve that does start gets the matrix
     seen = []
 
     def capture(space, f, x0, y0, lam, budget):
@@ -228,8 +232,13 @@ def test_solve_coupled_marks_only_nonnegative_finite_coefficients(tmp_path, monk
     monkeypatch.setattr(monofix.cli, "coupled_fixed_point", capture)
     cfg = tmp_path / "coupled.cfg"
     cfg.write_text(COUPLED_CONFIG.replace("lam_u = 0.3", f"lam_u = {lam_u}").replace("lam_v = 0.2", f"lam_v = {lam_v}"))
-    assert run(["solve-coupled", cfg, "--out", tmp_path / "out"]) == 1
-    assert (seen[0] is None) if matrix is None else np.array_equal(seen[0], matrix)
+    code = run(["solve-coupled", cfg, "--out", tmp_path / "out"])
+    if matrix is None:
+        field, line = ("lam_u", 4) if lam_u != "0.3" else ("lam_v", 5)
+        assert code == 2 and seen == []
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: field {field!r}: ")
+    else:
+        assert code == 1 and np.array_equal(seen[0], matrix)
 
 
 def test_solve_coupled_builds_no_literal_series(tmp_path, monkeypatch):
@@ -454,3 +463,107 @@ def test_certificate_csv_matches_row_by_row_writer(kernel):
     assert certificate_csv(cert).encode() == reference_certificate_csv(cert).encode()
     if kernel != "constant 1.1":  # converged: the partial sums repeat
         assert len(set(cert.sup_partials)) < len(cert.sup_partials)
+
+
+@pytest.mark.parametrize(
+    "key, value, line, message",
+    [
+        ("lam_u", "-0.1", 4, "must be at least 0.0: -0.1"),
+        ("lam_u", "nan", 4, "not a finite number: 'nan'"),
+        ("lam_u", "inf", 4, "not a finite number: 'inf'"),
+        ("lam_v", "-inf", 5, "not a finite number: '-inf'"),
+        ("budget", "0", 6, "must be at least 1: 0"),
+        ("budget", "-5", 6, "must be at least 1: -5"),
+        ("budget", "8193", 6, "must be at most 8192: 8193"),
+        ("budget", str(10**9), 6, f"must be at most 8192: {10**9}"),
+    ],
+)
+def test_solve_coupled_bad_coefficient_or_budget_is_config_error(tmp_path, capsys, key, value, line, message):
+    # the step operator must map the positive cone into itself, and a series
+    # its tail bound cannot settle is traced to 2*budget terms
+    cfg = tmp_path / "coupled.cfg"
+    cfg.write_text("".join(
+        f"{key} = {value}\n" if row.startswith(f"{key} =") else row + "\n"
+        for row in COUPLED_CONFIG.splitlines()
+    ))
+    assert run(["solve-coupled", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"config error: line {line}: field {key!r}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value, bound", [(0, "at least 1"), (8193, "at most 8192"), (10**9, "at most 8192")])
+def test_solve_fredholm_budget_out_of_range_is_config_error(tmp_path, capsys, value, bound):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"nodes = 11\nkernel = product_ts\nbudget = {value}\n")
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"config error: line 3: field 'budget': must be {bound}: {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("driver", ["sequential", "caristi", "meir-keeler", "monotone"])
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf", "1e999"])
+def test_solve_map_non_finite_x0_exits_two(tmp_path, capsys, driver, x0):
+    with pytest.raises(SystemExit) as exited:
+        run(["solve-map", "--map", "halving", "--driver", driver, f"--x0={x0}", "--out", tmp_path / "o"])
+    assert exited.value.code == 2
+    assert f"error: argument --x0: not a finite number: '{x0}'\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["8193", str(10**9)])
+def test_solve_map_budget_above_the_cap_exits_two(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exited:
+        run(["solve-map", "--map", "halving", "--driver", "sequential", "--budget", value, "--out", tmp_path / "o"])
+    assert exited.value.code == 2
+    assert f"error: argument --budget: must be at most 8192: {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_map_budget_at_the_cap_runs(tmp_path):
+    assert run(["solve-map", "--map", "halving", "--driver", "sequential", "--budget", "8192", "--out", tmp_path]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve-fredholm", "nodes = 41\nkernel = expr 0.5*t*s*x*(t/t)\nmajorant = 0.5*t*s\nf = t\n"),
+        ("solve-coupled", COUPLED_CONFIG.replace("0.3*u - 0.2*v + 1", "exp(1000*u*u)")),
+    ],
+    ids=["fredholm-zero-by-zero", "coupled-overflow"],
+)
+def test_non_finite_solve_is_a_verdict_not_a_warning(tmp_path, capsys, command, text):
+    # no errstate here: under the suite's error::RuntimeWarning filter a
+    # warning that escapes the command fails the run
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run([command, cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ""
+    assert "status=hypothesis_violated" in (out / "report.txt").read_text()
+    assert "condition=non_finite_iterate\n" in (out / "violation.txt").read_text()
+
+
+def _readme_key_blocks() -> dict[str, list[str]]:
+    """The keys of each `<command>` key table in the README's config format."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks: dict[str, list[str]] = {}
+    command = None
+    for line in text.splitlines():
+        if line.startswith("`solve-") and line.endswith("` keys:"):
+            command = line[1:-len("` keys:")]
+            blocks[command] = []
+        elif command is not None and line.startswith("| `"):
+            blocks[command].append(line.split("`")[1])
+        elif command is not None and blocks[command] and not line.startswith("|"):
+            command = None
+    return blocks
+
+
+def test_readme_lists_each_config_table():
+    from monofix.cli import COUPLED_TABLE, FREDHOLM_TABLE
+
+    blocks = _readme_key_blocks()
+    assert blocks == {
+        "solve-fredholm": [row[0] for row in FREDHOLM_TABLE],
+        "solve-coupled": [row[0] for row in COUPLED_TABLE],
+    }

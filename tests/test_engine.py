@@ -338,6 +338,20 @@ def test_monotone_affine_certifies():
     assert any("totally ordered" in d for d in rep.diagnostics)
 
 
+def test_monotone_applies_the_map_to_x0_once():
+    entry = get_map("affine_to_two")
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return entry.fn(x)
+
+    rep = solve_monotone(SPACE, MapSpec(apply=step, order_leq=lambda a, b: a <= b), entry.lam, 0.0, "series", 200)
+    assert rep.status is SolveStatus.CERTIFIED
+    assert seen.count(0.0) == 1
+    assert len(seen) == rep.iterations + 1
+
+
 def test_monotone_seed_above_fixed_point_violates():
     entry = get_map("affine_to_two")
     # oracle: f(5) = 3.5 < 5

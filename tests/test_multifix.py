@@ -128,6 +128,21 @@ def test_coupled_linear_certifies_against_linear_system_oracle():
     assert abs(rep.fixed_point.values[1] - expected[1]) < 1e-6
 
 
+def test_coupled_takes_the_seed_step_once():
+    # two calls of f per profile step: the seed check's f(x0) is handed to
+    # the sequential machinery, which takes it as the orbit's first step
+    calls = []
+
+    def f(u, v):
+        calls.append((u, v))
+        return 0.3 * u - 0.2 * v + 1.0
+
+    rep = coupled_fixed_point(SPACE, f, -10.0, 10.0, _coupled_lam(0.3, 0.2), budget=400)
+    assert rep.status is SolveStatus.CERTIFIED
+    assert len(calls) == 2 * 27 == 2 * (rep.iterations + 1)
+    assert calls.count((-10.0, 10.0)) == 1
+
+
 def test_coupled_constant_map_fixes_in_one_step():
     rep = coupled_fixed_point(
         SPACE, lambda u, v: 1.25, 0.0, 5.0, _coupled_lam(0.0, 0.0), budget=50
