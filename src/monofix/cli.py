@@ -153,11 +153,9 @@ def read_config(text: str, table: tuple) -> tuple[dict, dict]:
 # Artifact writers
 
 
-def _write(out_dir: Path, name: str, content: str) -> Path:
+def _write(out_dir: Path, name: str, content: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(content)
-    return path
+    (out_dir / name).write_text(content)
 
 
 def _csv(header: str, rows) -> str:
@@ -224,9 +222,9 @@ def _finish_solve(out: Path, report: SolveReport, header: str, summary: str) -> 
 
 
 def _expression(text: str, variables: tuple, line: Optional[int], field: str) -> Callable:
-    """Compile a config expression into a function that never raises: a value
-    that raises ArithmeticError (a float 1/0 or 10**400) or is complex (a
-    negative float to a fractional power) is NaN, which the solve reports."""
+    """Compile a config expression into a function that reads a value that
+    raises ArithmeticError (a float 1/0 or 10**400) as NaN, which the solve
+    reports."""
     try:
         fn = compile_expression(text, variables)
     except ExpressionError as exc:
@@ -234,10 +232,9 @@ def _expression(text: str, variables: tuple, line: Optional[int], field: str) ->
 
     def total(*args):
         try:
-            value = fn(*args)
+            return fn(*args)
         except ArithmeticError:
             return math.nan
-        return math.nan if np.iscomplexobj(value) else value
 
     return total
 

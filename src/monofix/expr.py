@@ -26,13 +26,22 @@ _FUNCS = {
     "log": np.log,
 }
 _CONSTS = {"pi": np.pi, "e": np.e}
+
+
+def _power(a, b):
+    """a**b, except that the complex power of a negative float is NaN, as it
+    is for a numpy array: every value of the language is real."""
+    value = a**b
+    return math.nan if isinstance(value, complex) else value
+
+
 MAX_DEPTH = 200  # nesting levels: evaluation recurses once per level
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
     ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a**b,
+    ast.Pow: _power,
 }
 
 
@@ -49,9 +58,8 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
     def build(node: ast.AST, depth: int = 0) -> Callable[[dict], object]:
         if depth > MAX_DEPTH:
             raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels")
-        depth += 1
         if isinstance(node, ast.Expression):
-            return build(node.body, depth)
+            return build(node.body, depth + 1)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)):
                 try:
@@ -72,10 +80,10 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
             )
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             op = _BINOPS[type(node.op)]
-            left, right = build(node.left, depth), build(node.right, depth)
+            left, right = build(node.left, depth + 1), build(node.right, depth + 1)
             return lambda env: op(left(env), right(env))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            inner = build(node.operand, depth)
+            inner = build(node.operand, depth + 1)
             if isinstance(node.op, ast.USub):
                 return lambda env: -inner(env)
             return inner
@@ -85,7 +93,7 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
             if node.keywords or len(node.args) != 1:
                 raise ExpressionError(f"{node.func.id} takes exactly one argument")
             fn = _FUNCS[node.func.id]
-            arg = build(node.args[0], depth)
+            arg = build(node.args[0], depth + 1)
             return lambda env: fn(arg(env))
         raise ExpressionError(f"unsupported syntax: {ast.dump(node)[:60]}")
 

@@ -86,3 +86,21 @@ def test_arity_error_text():
         want = f"ExpressionError: expression over (u, v) called with {len(args)} arguments"
         assert outcome(call, *args) == want
     assert outcome(compile_expression("2.5", ())) == "2.5"
+
+
+def test_power_of_a_negative_float_is_nan_not_complex():
+    # float arithmetic gives (-4.0)**0.5 == 2j; the language reads it as NaN,
+    # as numpy's power does for an array
+    power = compile_expression("u**v", ("u", "v"))
+    assert math.isnan(power(-4.0, 0.5))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(power(np.array([-4.0]), 0.5)).all()
+    assert power(-2.0, 3.0) == -8.0 and power(4.0, 0.5) == 2.0
+
+
+def test_deep_nesting_and_long_integers():
+    for text in ["-" * 300 + "t", "+".join(["t"] * 300), "-sin(" * 110 + "t" + ")" * 110]:
+        with pytest.raises(ExpressionError, match="nests deeper than 200 levels"):
+            compile_expression(text, ("t",))
+    assert compile_expression("-" * 190 + "t", ("t",))(2.0) == 2.0
+    assert compile_expression("1" * 400 + " - t", ("t",))(1.0) == math.inf
