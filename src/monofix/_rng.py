@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -62,20 +62,21 @@ def choice_indices(
     return shifted[kept], settle
 
 
-def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
-    """The trials that draw a new tuple of indices, in trial order.
-
-    Trial t draws key = idx[t * arity : (t + 1) * arity]; (t, key) is
-    yielded when no earlier trial drew key.  A deterministic check gives a
-    repeated tuple the verdict of its first trial, so only these trials
-    need deciding, and the first failing trial is among them: the first to
-    draw the first failing tuple.
-    """
-    seen: set[tuple] = set()
-    for t, key in enumerate(zip(*[iter(idx.tolist())] * arity)):
+def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]]:
+    """(t, key) for each key of `keys`, read lazily, that no earlier one
+    equals.  A deterministic check gives a repeated key the verdict of its
+    first trial, so only these trials need deciding, and the first failing
+    trial is among them: the first to draw the first failing key."""
+    seen: set = set()
+    for t, key in enumerate(keys):
         if key not in seen:
             seen.add(key)
             yield t, key
+
+
+def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
+    """`first_occurrences` of the tuples idx[t * arity : (t + 1) * arity]."""
+    return first_occurrences(zip(*[iter(idx.tolist())] * arity))
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .monoid import MonoidSpec, MTrace, TestLadder, dyadic_ladder
 from ._util import close_eq
 from .spaces import (
     DistanceSpaceSpec,
+    FWSampler,
     SpaceKind,
     make_uniform_from_pseudometric,
     product_ladder,
@@ -354,29 +355,27 @@ def interleaved_sequence(length: int) -> list[tuple]:
 
 
 def _omega_fw_sampler(n_max: int):
-    def factory(level: str):
+    # keyed: a chain by k, a weak draw by (start, coin), a standard one by start
+    def factory(level: str) -> FWSampler:
         if level == "strong":
+            return FWSampler(
+                lambda rng: rng.randint(2, n_max - 1), lambda k: [("n", k), ("w", k), ("n", k + 1)]
+            )
 
-            def sample(rng: random.Random):
-                k = rng.randint(2, n_max - 1)
-                return [("n", k), ("w", k), ("n", k + 1)]
-
-            return sample
-
-        def sample(rng: random.Random):
+        def draw(rng: random.Random):
             start = rng.randint(1, max(1, n_max - 65))
+            return (start, rng.random() < 0.5) if level == "weak" else start
+
+        def build(key):
+            start, coin = key if level == "weak" else (key, True)
             n = min(64, n_max - start)
             xs = [("n", start + i) for i in range(n)]
+            zs = [("w", start + i) for i in range(n)] if coin else [("inf",)] * n
             if level == "weak":
-                choice = rng.random()
-                if choice < 0.5:
-                    return xs, [("w", start + i) for i in range(n)], ("inf",)
-                return xs, [("inf",)] * n, ("inf",)
-            zs = [("w", start + i) for i in range(n)]
-            ys = [("n", start + i + 1) for i in range(n)]
-            return xs, zs, ys
+                return xs, zs, ("inf",)
+            return xs, zs, [("n", start + i + 1) for i in range(n)]
 
-        return sample
+        return FWSampler(draw, build)
 
     return factory
 
@@ -447,22 +446,25 @@ def get_space(name: str) -> SpaceEntry:
         space, _ladder = make_uniform_from_pseudometric(
             pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125]
         )
-        rng = child_rng(0, "uniform-fw")
 
-        def factory(level: str):
-            def sample(r: random.Random):
+        def factory(level: str) -> FWSampler:
+            # keyed by the chain, and by z unless the level is strong
+            def draw(r: random.Random):
                 n = r.randint(2, 6)
-                chain = [r.choice(pts) for _ in range(n)]
+                chain = tuple(r.choice(pts) for _ in range(n))
+                return chain if level == "strong" else (chain, r.choice(pts))
+
+            def build(key):
                 if level == "strong":
-                    return chain
-                z = r.choice(pts)
-                xs = chain * 8
+                    return list(key)
+                chain, z = key
+                xs = list(chain) * 8
                 ys = list(reversed(chain)) * 8
                 if level == "weak":
                     return xs, ys, z
                 return xs, [z] * len(xs), ys
 
-            return sample
+            return FWSampler(draw, build)
 
         return SpaceEntry(
             name=name,

@@ -241,6 +241,8 @@ def _expression(text: str, variables: tuple, line: Optional[int], field: str) ->
 
 # A λ-series that its tail bound cannot settle is traced to 2·budget terms.
 MAX_BUDGET = MAX_CERTIFICATE_TERMS // 2
+# The validators draw all trials at once, and the falsifier keeps each distinct draw.
+MAX_TRIALS = 1_000_000
 
 # One row per config key: (key, type, default, minimum, maximum).
 FREDHOLM_TABLE = (
@@ -568,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--axioms", action="store_true")
     p.add_argument("--fw", choices=("weak", "standard", "strong"), default=None)
-    p.add_argument("--trials", type=argument(int, 1), default=10_000)
+    p.add_argument("--trials", type=argument(int, 1, MAX_TRIALS), default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default="monofix-out")
 

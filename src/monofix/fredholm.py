@@ -150,8 +150,20 @@ class InvalidKernel(ValueError):
 
 
 def _first_bad(values: np.ndarray, bad: np.ndarray) -> tuple:
-    index = tuple(int(i) for i in np.argwhere(bad)[0])
-    return index, float(values[index])
+    """The index and value of the first bad entry (the first entry if none)."""
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return index, values[index].item()
+
+
+def _real(part: str, what: str, values: Any, *nodes: np.ndarray) -> Any:
+    """`values`, `what` sampled at the nodes (t, then s), unless complex: a
+    float array would drop the imaginary part, so that raises InvalidKernel."""
+    if np.iscomplexobj(values):
+        sample, *at = np.broadcast_arrays(values, *nodes)
+        index, value = _first_bad(sample, sample.imag != 0)
+        where = ", ".join(f"{name}={float(x[index])!r}" for name, x in zip("ts", at))
+        raise InvalidKernel(part, f"{what} is not real at {where}: {value!r}")
+    return values
 
 
 # Entries per row block of the node grid (one row where a row is longer).
@@ -177,7 +189,9 @@ def kernel_matrix(k: KernelSpec, grid: Grid) -> np.ndarray:
     certificate and its spectral bracket hold only for such a matrix.
     """
     m = len(grid)
-    q = _fill_grid(np.empty((m, m)), k.Q, grid)
+    q = _fill_grid(
+        np.empty((m, m)), lambda t, s: _real("Q", "majorant Q(t, s)", k.Q(t, s), t, s), grid
+    )
     if not (q.min() >= 0.0 and q.max() < math.inf):  # a NaN fails both
         for bad, what in ((~np.isfinite(q), "not finite"), (q < 0, "negative")):
             if bad.any():
@@ -208,7 +222,8 @@ class DiscreteKernel:
         """Sample and validate Q and f, raising InvalidKernel on bad data; Q
         is sampled into one m x m array, then scaled in place into W."""
         q = kernel_matrix(k, grid)
-        f = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(len(grid))
+        f = _real("f", "f(t)", k.f(grid.nodes), grid.nodes)
+        f = np.asarray(f, dtype=float) * np.ones(len(grid))
         bad = ~np.isfinite(f)
         if bad.any():
             (i,), value = _first_bad(f, bad)
@@ -394,7 +409,8 @@ def residual(k: KernelSpec, grid: Grid, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     m = len(grid)
     gmat = _fill_grid(np.empty((m, m)), k.g, grid, x)
-    rhs = np.asarray(k.f(grid.nodes), dtype=float) * np.ones(m) + gmat @ grid.weights
+    f = _real("f", "f(t)", k.f(grid.nodes), grid.nodes)
+    rhs = np.asarray(f, dtype=float) * np.ones(m) + gmat @ grid.weights
     return float(np.max(np.abs(x - rhs)))
 
 

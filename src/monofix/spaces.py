@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ._rng import child_rng, choice_indices, distinct_draws
+from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
 from ._util import close_eq, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
@@ -371,6 +371,18 @@ def is_cw_sequence(space: DistanceSpaceSpec, trace: PointTrace) -> Decision:
 FW_LEVELS = ("weak", "standard", "strong")
 
 
+@dataclass(frozen=True)
+class FWSampler:
+    """A sampler whose draws repeat, as `draw(rng)`, which makes the random
+    calls and returns a small hashable key, and `build(key)`, the candidate."""
+
+    draw: Callable[[random.Random], Any]
+    build: Callable[[Any], Any]
+
+    def __call__(self, rng: random.Random) -> Any:
+        return self.build(self.draw(rng))
+
+
 def falsify_frechet_wilson(
     space: DistanceSpaceSpec,
     level: str,
@@ -389,6 +401,9 @@ def falsify_frechet_wilson(
     computed only when every trace before it is null: the second premise's
     after a null first premise, the conclusion's after a null second one.
 
+    An `FWSampler`'s key is decided once, on the first trial to draw it
+    (`first_occurrences`); any other sampler's candidate, on every trial.
+
     Returns None when no counterexample was found, which is evidence, not
     proof, that the property holds.
     """
@@ -401,9 +416,13 @@ def falsify_frechet_wilson(
     bottom = ladder.bottom
     d = space.distance
     rng = child_rng(seed, f"fw-{level}")
+    if isinstance(sampler, FWSampler):
+        keys = first_occurrences(sampler.draw(rng) for _ in range(trials))
+        candidates = ((trial, sampler.build(key)) for trial, key in keys)
+    else:
+        candidates = enumerate(sampler(rng) for _ in range(trials))
 
-    for trial in range(trials):
-        cand = sampler(rng)
+    for trial, cand in candidates:
         if level == "strong":
             chain = tuple(cand)
             if len(chain) < 2:

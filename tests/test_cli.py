@@ -523,6 +523,24 @@ def test_solve_map_budget_at_the_cap_runs(tmp_path):
     assert run(["solve-map", "--map", "halving", "--driver", "sequential", "--budget", "8192", "--out", tmp_path]) == 0
 
 
+@pytest.mark.parametrize("value", ["1000001", "50000000"])
+@pytest.mark.parametrize("mode", [["--axioms"], ["--fw", "weak"]])
+def test_check_space_trials_above_the_cap_exits_two(tmp_path, capsys, monkeypatch, value, mode):
+    # refused by the parser, before any trial is drawn
+    for name in ("validate_space", "falsify_frechet_wilson"):
+        monkeypatch.setattr(monofix.cli, name, lambda *a, **k: pytest.fail("drew trials"))
+    with pytest.raises(SystemExit) as exited:
+        run(["check-space", "real_abs", *mode, "--trials", value, "--seed", "0", "--out", tmp_path / "o"])
+    assert exited.value.code == 2
+    assert f"error: argument --trials: must be at most 1000000: {value}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_space_trials_at_the_cap_parse():
+    args = monofix.cli.build_parser().parse_args(["check-space", "real_abs", "--trials", "1000000", "--seed", "0"])
+    assert args.trials == monofix.cli.MAX_TRIALS == 1_000_000
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

@@ -197,6 +197,45 @@ def test_kernel_assembly_rejects_bad_data():
         assert isinstance(err.value, InvalidKernel) and err.value.part == part
 
 
+@pytest.mark.parametrize(
+    "k, part, message",
+    [
+        (
+            KernelSpec(Q=TS.Q, g=TS.g, f=lambda t: t + 1j),
+            "f",
+            "f(t) is not real at t=0.0: 1j",
+        ),
+        (
+            KernelSpec(Q=lambda t, s: t * s + 1j * (t > 0.5) * (s > 0.25), g=TS.g, f=TS.f),
+            "Q",
+            "majorant Q(t, s) is not real at t=0.6000000000000001, s=0.30000000000000004: "
+            "(0.18000000000000005+1j)",
+        ),
+        (
+            KernelSpec(Q=TS.Q, g=TS.g, f=lambda t: t + 0j),
+            "f",
+            "f(t) is not real at t=0.0: 0j",
+        ),
+    ],
+    ids=["complex-f", "complex-q", "complex-f-real-valued"],
+)
+def test_complex_kernel_data_is_refused(k, part, message):
+    # the cast to float would drop the imaginary part, and the solve certify
+    grid = Grid.trapezoid(0.0, 1.0, 11)
+    with pytest.raises(InvalidKernel) as err:
+        solve_fredholm(k, grid, budget=50)
+    assert err.value.part == part and str(err.value) == message
+    with pytest.raises(InvalidKernel) as err:
+        DiscreteKernel.assemble(k, grid)
+    assert err.value.part == part and str(err.value) == message
+    if part == "f":
+        with pytest.raises(InvalidKernel):
+            residual(k, grid, np.zeros(len(grid)))
+    else:
+        with pytest.raises(InvalidKernel):
+            kernel_matrix(k, grid)
+
+
 def test_solve_assembles_the_kernel_once(monkeypatch):
     calls = []
 

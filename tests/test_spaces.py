@@ -37,7 +37,7 @@ from monofix.catalog import (
 from monofix._rng import child_rng
 from monofix._util import close_eq, format_value
 from monofix.reporting import Counterexample
-from monofix.spaces import _add_entries, diagonal, full_relation, product_monoid
+from monofix.spaces import FW_LEVELS, FWSampler, _add_entries, diagonal, full_relation, product_monoid
 
 REAL_ABS = get_space("real_abs")
 SNOWFLAKE = get_space("snowflake")
@@ -269,6 +269,122 @@ def test_fw_lazy_traces_match_eager_reference(level, name):
             detail=cex.detail,
         ), seed
         assert cex.detail.endswith(f"found on trial {trial}")
+
+
+KEYED_FW_CHECKS = [
+    (level, name)
+    for name in ("omega_counterexample{128}", "uniform_pseudometric{8}")
+    for level in FW_LEVELS
+]
+
+
+@pytest.mark.parametrize("level,name", KEYED_FW_CHECKS)
+def test_fw_keyed_samplers_match_eager_reference_when_draws_repeat(level, name):
+    # at 1000 trials most omega draws repeat an earlier one, and only the
+    # first of each is decided
+    entry = get_space(name)
+    for seed in range(8):
+        want = eager_frechet_wilson(entry.space, level, entry.fw_sampler(level), 1000, seed)
+        cex = falsify_frechet_wilson(entry.space, level, entry.fw_sampler(level), 1000, seed=seed)
+        if want is None:
+            assert cex is None, seed
+            continue
+        kind, trial, points, rung, distances = want
+        assert (cex.kind, cex.points, cex.rung_index, cex.distances) == (
+            f"fw-{kind}", points, rung, distances
+        ), seed
+        assert cex.detail.endswith(f"found on trial {trial}")
+
+
+def test_fw_omega_weak_measures_only_distinct_draws():
+    calls = []
+
+    def dist(x, y):
+        calls.append((x, y))
+        return OMEGA.space.distance(x, y)
+
+    space = dataclasses.replace(OMEGA.space, distance=dist)
+    sampler, trials = OMEGA.fw_sampler("weak"), 1000
+    rng = child_rng(0, "fw-weak")
+    distinct = list(dict.fromkeys(sampler.draw(rng) for _ in range(trials)))
+    assert len(distinct) < trials // 4
+    assert falsify_frechet_wilson(space, "weak", sampler, trials, seed=0) is None
+    keyed = len(calls)
+    # the same candidates, each once, through a plain sampler
+    calls.clear()
+    candidates = iter(map(sampler.build, distinct))
+    assert falsify_frechet_wilson(space, "weak", lambda _: next(candidates), len(distinct)) is None
+    assert keyed == len(calls) > 0
+
+
+def test_fw_keyed_sampler_reports_the_first_failing_trial():
+    # key 3 is the only counterexample: d(a, b) and d(b, c) are 0, d(a, c) is 1
+    space = dataclasses.replace(REAL_ABS.space, distance=lambda x, y: float({x, y} == {"a", "c"}))
+    built = []
+
+    def build(key):
+        built.append(key)
+        return ["a"] * 8, ["b"] * 8, "c" if key == 3 else "b"
+
+    sampler = FWSampler(draw=lambda rng: rng.randint(0, 3), build=build)
+    for seed in range(20):
+        built.clear()
+        cex = falsify_frechet_wilson(space, "weak", sampler, 50, seed=seed)
+        assert built == list(dict.fromkeys(built)) and built[-1] == 3
+        want = falsify_frechet_wilson(space, "weak", lambda rng: sampler(rng), 50, seed=seed)
+        assert cex == want and cex.detail == want.detail
+
+
+def reference_omega_fw_sample(rng, level, n_max=128):
+    """The omega sampler drawing and building in one function."""
+    if level == "strong":
+        k = rng.randint(2, n_max - 1)
+        return [("n", k), ("w", k), ("n", k + 1)]
+    start = rng.randint(1, max(1, n_max - 65))
+    n = min(64, n_max - start)
+    xs = [("n", start + i) for i in range(n)]
+    if level == "weak":
+        choice = rng.random()
+        if choice < 0.5:
+            return xs, [("w", start + i) for i in range(n)], ("inf",)
+        return xs, [("inf",)] * n, ("inf",)
+    zs = [("w", start + i) for i in range(n)]
+    ys = [("n", start + i + 1) for i in range(n)]
+    return xs, zs, ys
+
+
+def reference_uniform_fw_sample(rng, level, pts=tuple(range(8))):
+    """The uniform sampler drawing and building in one function."""
+    n = rng.randint(2, 6)
+    chain = [rng.choice(pts) for _ in range(n)]
+    if level == "strong":
+        return chain
+    z = rng.choice(pts)
+    xs = chain * 8
+    ys = list(reversed(chain)) * 8
+    if level == "weak":
+        return xs, ys, z
+    return xs, [z] * len(xs), ys
+
+
+@pytest.mark.parametrize("level", FW_LEVELS)
+@pytest.mark.parametrize(
+    "name, reference",
+    [
+        ("omega_counterexample{128}", reference_omega_fw_sample),
+        ("uniform_pseudometric{8}", reference_uniform_fw_sample),
+    ],
+)
+def test_keyed_fw_sampler_matches_one_piece_reference(level, name, reference):
+    sample = get_space(name).fw_sampler(level)
+    for seed in range(100):
+        rng, ref_rng, key_rng = random.Random(seed), random.Random(seed), random.Random(seed)
+        want = repr(reference(ref_rng, level))
+        assert repr(sample(rng)) == want, seed
+        assert rng.getstate() == ref_rng.getstate()
+        key = sample.draw(key_rng)
+        hash(key)
+        assert repr(sample.build(key)) == want and key_rng.getstate() == ref_rng.getstate()
 
 
 def test_fw_second_premise_computed_only_after_a_null_first():

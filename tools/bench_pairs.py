@@ -19,8 +19,9 @@ win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
 the environment that the runs report.  After a workload's pairs, each side
 runs `tools/op_times.py` for its default number of timed passes, and the
-summary records that number (`op_passes`) and each reference key's median
-wall time and traced counts per side, over that fixed op sequence.
+summary records that number (`op_passes`), each reference key's median
+wall time and traced counts per side, over that fixed op sequence, and each
+op kind's mean median per side (`op_kinds`).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from op_times import PASSES, op_times
+from op_times import PASSES, kinds, op_times
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -117,10 +118,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
             summary["workloads"][workload]["op_passes"] = PASSES
-            summary["workloads"][workload]["op_times"] = {
+            found = {
                 side: op_times(root, workload)
                 for side, root in (("parent", parent_root), ("change", change_root))
             }
+            summary["workloads"][workload]["op_times"] = found
+            summary["workloads"][workload]["op_kinds"] = {side: kinds(ops) for side, ops in found.items()}
             summary.setdefault("environment", runs["change"][0]["info"]["environment"])
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -20,7 +20,10 @@ checkouts' counts compare op by op, where the traced means of a time-bounded
 run depend on how many ops of each kind the run fitted.
 
 The JSON written to --out, or printed, maps each key to
-{"median_s", "q1_s", "q3_s", "counts"}.
+{"median_s", "q1_s", "q3_s", "counts"} under "ops".  Under "kinds" it maps
+each op kind, a key's first two words (`fw-weak omega_counterexample{128}`),
+to the mean of its keys' medians; "rotation_s" is their sum, the time of one
+op of every kind.
 """
 from __future__ import annotations
 
@@ -105,6 +108,14 @@ def op_times(root: Path, workload: str, passes: int = PASSES) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def kinds(ops: dict) -> dict:
+    """Each op kind's mean median time, from `op_times`' per-key results."""
+    medians: dict[str, list[float]] = {}
+    for key, found in ops.items():
+        medians.setdefault(" ".join(key.split()[:2]), []).append(found["median_s"])
+    return {kind: statistics.fmean(values) for kind, values in medians.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -121,7 +132,12 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(time_ops(args.workload, args.passes, args.child)))
         return 0
     found = op_times(root, args.workload, args.passes)
-    text = json.dumps({"workload": args.workload, "passes": args.passes, "ops": found}, indent=1)
+    table = kinds(found)
+    text = json.dumps(
+        {"workload": args.workload, "passes": args.passes, "ops": found, "kinds": table,
+         "rotation_s": sum(table.values())},
+        indent=1,
+    )
     if args.out is None:
         print(text)
     else:
