@@ -275,17 +275,34 @@ def snowflake_distance(x: float, y: float) -> float:
     return d if d <= 1.0 else d * d
 
 
+def _snowflake_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    d = abs(x - y)
+    return np.where(d <= 1.0, d, d * d)
+
+
 # float (i + 1) ** 2, exact below 2**53: amp / _SQUARES[i] == amp / (i + 1) ** 2
 _SQUARES = tuple(float((i + 1) ** 2) for i in range(48))
+_SQUARES_ROW = np.array(_SQUARES)
+# the step counts 0..31 of a strong chain of at most 32 points
+_STEPS_ROW = np.arange(32, dtype=float)
 
 
-def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
+def _columns(keys: list, width: int) -> np.ndarray:
+    """The float keys' entries as `width` columns of a row per key."""
+    flat = np.fromiter(itertools.chain.from_iterable(keys), float, len(keys) * width)
+    return flat.reshape(len(keys), width).T
+
+
+def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool = False):
+    """The real-line samplers: keyed, with the stacked form that `distance`,
+    the space's distance on float arrays, completes.  Keys: strong
+    (n, a, sign, h), weak and standard (z, amp)."""
     bottom = space.ladder.rungs[-1]
 
-    def factory(level: str):
+    def factory(level: str) -> FWSampler:
         if level == "strong":
 
-            def sample(rng: random.Random):
+            def draw(rng: random.Random) -> tuple:
                 n = rng.randint(2, 32)
                 if rng.random() < 0.5:
                     h = rng.uniform(0.0, 2.0 * bottom / n)
@@ -293,13 +310,25 @@ def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
                     h = rng.uniform(0.0, 1.2 * math.sqrt(bottom / n))
                 a = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
                 sign = 1.0 if nonneg or rng.random() < 0.5 else -1.0
+                return n, a, sign, h
+
+            def build(key: tuple) -> list:
+                n, a, sign, h = key
                 return [a + sign * i * h for i in range(n)]
 
-            return sample
+            def stack(keys: list) -> tuple:
+                n, a, sign, h = _columns(keys, 4)
+                # each chain continued to 32 points
+                return a[:, None] + sign[:, None] * _STEPS_ROW * h[:, None], n.astype(int)
 
-        def sample(rng: random.Random):
+            return FWSampler(draw, build, stack, distance)
+
+        def draw(rng: random.Random) -> tuple:
             z = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
-            amp = rng.uniform(0.1, 1.0)
+            return z, rng.uniform(0.1, 1.0)
+
+        def build(key: tuple):
+            z, amp = key
             qs = [amp / sq for sq in _SQUARES]
             xs = [z + q for q in qs]
             ys = [z - q for q in qs]
@@ -311,7 +340,15 @@ def _real_fw_sampler(space: DistanceSpaceSpec, nonneg: bool = False):
             # amp / (2 * sq) == (amp / sq) / 2: halving a float is exact
             return xs, [z + q / 2 for q in qs], ys
 
-        return sample
+        def stack(keys: list) -> tuple:
+            z, amp = _columns(keys, 2)[:, :, None]
+            qs = amp / _SQUARES_ROW
+            xs, ys = z + qs, z - qs
+            if nonneg:
+                xs, ys = abs(xs), abs(ys)
+            return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
+
+        return FWSampler(draw, build, stack, distance)
 
     return factory
 
@@ -380,19 +417,29 @@ def _omega_fw_sampler(n_max: int):
     return factory
 
 
-# Spaces on the reals: distance, dyadic ladder depth, description, samples.
+# Spaces on the reals: the distance on floats and on float arrays (the same
+# float operations entry for entry), kind, dyadic ladder depth, description,
+# samples.  `np.float_power` calls the C library's pow on each entry, as `**`
+# on a float does; `np.power(d, 2.0)` squares, which differs from it in the
+# last bit on about 0.1 % of floats.
 _REAL_SPACES = {
     "real_abs": (
-        lambda x, y: abs(x - y), 20, "reals with |x-y|",
+        lambda x, y: abs(x - y), lambda x, y: abs(x - y), SpaceKind.DISTANCE, 20, "reals with |x-y|",
         (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25, -1.25, 0.0625),
     ),
     "snowflake": (
-        snowflake_distance, 4, "reals with |x-y| below one and (x-y)^2 above",
+        snowflake_distance, _snowflake_distances, SpaceKind.DISTANCE, 4,
+        "reals with |x-y| below one and (x-y)^2 above",
         (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25),
     ),
     "squared": (
-        lambda x, y: (x - y) ** 2, 4, "reals with (x-y)^2",
+        lambda x, y: (x - y) ** 2, lambda x, y: np.float_power(x - y, 2.0), SpaceKind.DISTANCE, 4,
+        "reals with (x-y)^2",
         (-2.0, -0.5, 0.0, 0.3, 1.0, 1.5, 2.0, 3.25),
+    ),
+    "dislocated_max": (
+        lambda x, y: max(x, y), np.maximum, SpaceKind.DISLOCATED, 4, "nonnegative reals with max(x, y)",
+        (0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 3.0),
     ),
 }
 
@@ -402,33 +449,20 @@ def get_space(name: str) -> SpaceEntry:
         name, ("real_abs", "snowflake", "squared", "dislocated_max", "broken_pseudo_as_distance")
     )
     if base in _REAL_SPACES:
-        distance, depth, descr, samples = _REAL_SPACES[base]
+        distance, array_distance, kind, depth, descr, samples = _REAL_SPACES[base]
+        metric = kind is SpaceKind.DISTANCE  # else dislocated_max, on the nonnegative reals
         space = DistanceSpaceSpec(
             point_descr=descr,
             distance=distance,
-            kind=SpaceKind.DISTANCE,
+            kind=kind,
             monoid=real_nonneg_monoid(),
             ladder=dyadic_ladder(depth),
-            weierstrass_capable=True,
-            regular_order=True,
-            co_regular_order=True,
+            weierstrass_capable=metric,
+            regular_order=metric,
+            co_regular_order=metric,
         )
-        fw_sampler = _real_fw_sampler(space)
+        fw_sampler = _real_fw_sampler(space, array_distance, nonneg=not metric)
         return SpaceEntry(name=name, space=space, samples=samples, fw_sampler=fw_sampler)
-    if base == "dislocated_max":
-        space = DistanceSpaceSpec(
-            point_descr="nonnegative reals with max(x, y)",
-            distance=lambda x, y: max(x, y),
-            kind=SpaceKind.DISLOCATED,
-            monoid=real_nonneg_monoid(),
-            ladder=dyadic_ladder(4),
-        )
-        return SpaceEntry(
-            name=name,
-            space=space,
-            samples=tuple([0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 3.0]),
-            fw_sampler=_real_fw_sampler(space, nonneg=True),
-        )
     if base == "omega_counterexample":
         n_max = _int_param(name, arg, 128, 3, 10**6)
         space = omega_space(n_max)

@@ -328,9 +328,8 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
                 seed=cfg["seed"],
             )
     except InvalidKernel as exc:
-        if exc.part == "f":
-            raise ConfigError(str(exc), line=fline, field="f")
-        raise ConfigError(str(exc), line=qline, field=qfield)
+        line, field = {"f": (fline, "f"), "g": (kline, "kernel")}.get(exc.part, (qline, qfield))
+        raise ConfigError(str(exc), line=line, field=field)
     except CertificateNotConvergent as exc:
         cert = exc.certificate
         _write(out, "certificate.csv", certificate_csv(cert))

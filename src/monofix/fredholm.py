@@ -140,8 +140,8 @@ class CertificateNotConvergent(RuntimeError):
 class InvalidKernel(ValueError):
     """Kernel data that does not define a finite nonnegative operator.
 
-    `part` names the offending datum: "Q" for the majorant, "f" for the
-    inhomogeneity.
+    `part` names the offending datum: "Q" for the majorant, "g" for the
+    kernel, "f" for the inhomogeneity.
     """
 
     def __init__(self, part: str, message: str):
@@ -155,10 +155,14 @@ def _first_bad(values: np.ndarray, bad: np.ndarray) -> tuple:
     return index, values[index].item()
 
 
-def _real(part: str, what: str, values: Any, *nodes: np.ndarray) -> Any:
+def _real(part: str, what: str, values: Any, *nodes: np.ndarray, real_valued: bool = False) -> Any:
     """`values`, `what` sampled at the nodes (t, then s), unless complex: a
-    float array would drop the imaginary part, so that raises InvalidKernel."""
+    float array would drop the imaginary part, so that raises InvalidKernel.
+    With `real_valued`, complex values whose imaginary parts are all 0 give
+    their real parts."""
     if np.iscomplexobj(values):
+        if real_valued and not np.imag(values).any():
+            return np.real(values)
         sample, *at = np.broadcast_arrays(values, *nodes)
         index, value = _first_bad(sample, sample.imag != 0)
         where = ", ".join(f"{name}={float(x[index])!r}" for name, x in zip("ts", at))
@@ -180,6 +184,11 @@ def _fill_grid(out: np.ndarray, fn: Callable, grid: Grid, *x: np.ndarray) -> np.
     for start in range(0, len(nodes), rows):
         out[start : start + rows] = fn(nodes[start : start + rows, None], s, *rest)
     return out
+
+
+def _real_g(k: KernelSpec) -> Callable:
+    """k.g, raising InvalidKernel where a value has an imaginary part."""
+    return lambda t, s, x: _real("g", "g(t, s, x)", k.g(t, s, x), t, s, real_valued=True)
 
 
 def kernel_matrix(k: KernelSpec, grid: Grid) -> np.ndarray:
@@ -408,7 +417,7 @@ def residual(k: KernelSpec, grid: Grid, x: np.ndarray) -> float:
     """Sup-norm defect of x against the integral equation."""
     x = np.asarray(x, dtype=float)
     m = len(grid)
-    gmat = _fill_grid(np.empty((m, m)), k.g, grid, x)
+    gmat = _fill_grid(np.empty((m, m)), _real_g(k), grid, x)
     f = _real("f", "f(t)", k.f(grid.nodes), grid.nodes)
     rhs = np.asarray(f, dtype=float) * np.ones(m) + gmat @ grid.weights
     return float(np.max(np.abs(x - rhs)))
@@ -434,7 +443,9 @@ def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> 
     Each trial draws t, s, x, y as four `rng.uniform` calls would; all are
     drawn at once (`uniforms`) and Q and g are evaluated once on the arrays,
     whose entries are those of scalar calls.  The first failing trial is
-    rendered from its scalars, as a loop of scalar trials renders it.
+    rendered from its scalars, as a loop of scalar trials renders it.  A
+    complex g raises InvalidKernel, naming the first sampled (t, s) with an
+    imaginary part.
     """
     rng = child_rng(seed, "majorant-audit")
     low = np.array([grid.nodes[0], grid.nodes[0], -4.0, -4.0])
@@ -443,7 +454,8 @@ def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> 
     t, s, x, y = np.ascontiguousarray(draws.T)
     # NaN and overflow are verdicts here, not warnings
     with np.errstate(all="ignore"):
-        lhs = np.abs(np.asarray(k.g(t, s, x), dtype=float) - k.g(t, s, y))
+        g = _real_g(k)
+        lhs = np.abs(np.asarray(g(t, s, x), dtype=float) - g(t, s, y))
         bound = np.asarray(k.Q(t, s), dtype=float) * np.abs(x - y)
         failing = np.flatnonzero(~(lhs <= bound + 1e-9 * (1.0 + bound)))
     return _majorant_trial(k, *map(float, draws[failing[0]])) if failing.size else None
@@ -496,11 +508,11 @@ def solve_fredholm(
 
     space = grid_space(grid, ladder)
     fvec, weighted, m = operator.f, operator.weighted, len(grid)
-    work = np.empty((m, m))
+    work, g = np.empty((m, m)), _real_g(k)
 
     def apply(x: np.ndarray) -> np.ndarray:
         # one matvec on the whole array: how BLAS splits it sets its bytes
-        return fvec + _fill_grid(work, k.g, grid, x) @ grid.weights
+        return fvec + _fill_grid(work, g, grid, x) @ grid.weights
 
     def finite(_k: int, _cur: np.ndarray, nxt: np.ndarray) -> Optional[str]:
         return None if np.isfinite(nxt).all() else "non_finite_iterate"

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
-from ._util import close_eq, format_value, generic_eq
+from ._util import ATOL, RTOL, close_eq, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -373,14 +375,96 @@ FW_LEVELS = ("weak", "standard", "strong")
 
 @dataclass(frozen=True)
 class FWSampler:
-    """A sampler whose draws repeat, as `draw(rng)`, which makes the random
-    calls and returns a small hashable key, and `build(key)`, the candidate."""
+    """A keyed sampler: `draw(rng)`, which makes the random calls and returns
+    a small hashable key, and `build(key)`, the candidate.
+
+    A sampler of float candidates may also give their stacked form, both
+    fields, which lets `falsify_frechet_wilson` screen its trials in bulk
+    when the space's monoid is the real scalar one:
+    - `stack(keys)`: the candidates of a list of keys as float arrays with a
+      row per key.  A strong chain is its points, continued past its length
+      to one width, and the lengths; a weak or standard candidate is its
+      three sequences, of one width (weak's z as a column).
+    - `distance(a, b)`: the space's distance on float arrays, entry for
+      entry bit for bit what it gives on the same floats.
+    """
 
     draw: Callable[[random.Random], Any]
     build: Callable[[Any], Any]
+    stack: Optional[Callable[[list], tuple]] = None
+    distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, rng: random.Random) -> Any:
         return self.build(self.draw(rng))
+
+
+def _real_scalar(m: MonoidSpec) -> bool:
+    """Whether m adds, orders and compares as the real scalar monoid: (+, <=, close_eq())."""
+    return (m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq())
+
+
+def _below(x: np.ndarray, rung: Any) -> np.ndarray:
+    """`strictly_below(x, rung)` of the real scalar monoid, entry by entry:
+    x <= rung and not |x - rung| <= ATOL + RTOL * max(|x|, |rung|), the
+    scalar `close_eq` rule."""
+    return (x <= rung) & ~(abs(x - rung) <= ATOL + RTOL * np.maximum(abs(x), abs(rung)))
+
+
+def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestLadder) -> np.ndarray:
+    """The trials of a stacked chunk on which the scalar loop of
+    `falsify_frechet_wilson` would not `continue`: a counterexample, or a
+    distance outside the positive cone of a trace it decides."""
+    with np.errstate(all="ignore"):
+        if level == "strong":
+            points, lengths = rows
+            k = np.arange(len(lengths))
+            steps = distance(points[:, :-1], points[:, 1:])
+            # m.fold from the identity: column j holds the sum of the first j steps
+            sums = np.cumsum(np.column_stack((np.full(len(k), m.identity), steps)), axis=1)
+            total = sums[k, lengths - 1]
+            endpoint = distance(points[:, 0], points[k, lengths - 1])
+            # every rung, as the scalar scan: a ladder need not descend
+            above = ~_below(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
+            return (lengths >= 2) & _below(total, ladder.bottom) & above
+        heads, middles, tails = rows
+        flags = np.zeros(len(heads), dtype=bool)
+        if heads.shape[1] < 2:
+            return flags
+        live = ~flags  # every trace decided so far is null
+        for i, (us, vs) in enumerate(((heads, middles), (middles, tails), (heads, tails))):
+            if not live.any():
+                break
+            d = distance(us, vs)
+            positive = m.identity <= d.min(axis=1)  # a NaN minimum is not
+            null = positive & _below(d[:, -1], ladder.bottom)
+            flags |= live & ~(positive if i < 2 else null)
+            live &= null
+        return flags
+
+
+# The first trials are decided one by one: a screened chunk costs more than
+# deciding four trials, and a falsified property is often falsified at once.
+# From then on a chunk brings the trials drawn to 16, then doubles them, 256
+# trials at most: 256 weak or standard candidates of 48 points make 96 KiB
+# arrays.
+_UNSCREENED, _FIRST_CHUNK, _CHUNK_CAP = 4, 16, 256
+
+
+def _screened(
+    sampler: FWSampler, rng: random.Random, level: str, trials: int, m: MonoidSpec, ladder: TestLadder
+) -> Iterable[tuple[int, Any]]:
+    """(trial, candidate) for each of the first trials and each later trial
+    the screen flags, in order; the keys are drawn one trial at a time, as
+    the scalar loop draws them."""
+    done = min(_UNSCREENED, trials)
+    for trial in range(done):
+        yield trial, sampler(rng)
+    while done < trials:
+        size = min(max(done, _FIRST_CHUNK - done), _CHUNK_CAP, trials - done)
+        keys = [sampler.draw(rng) for _ in range(size)]
+        for i in np.flatnonzero(_screen(level, sampler.stack(keys), sampler.distance, m, ladder)):
+            yield done + int(i), sampler.build(keys[i])
+        done += size
 
 
 def falsify_frechet_wilson(
@@ -401,8 +485,13 @@ def falsify_frechet_wilson(
     computed only when every trace before it is null: the second premise's
     after a null first premise, the conclusion's after a null second one.
 
-    An `FWSampler`'s key is decided once, on the first trial to draw it
-    (`first_occurrences`); any other sampler's candidate, on every trial.
+    An `FWSampler` with a stacked form, over the real scalar monoid, is
+    screened in chunks (`_screened`), and only the trials the screen flags
+    are built and decided.  Any other `FWSampler`'s key is decided once, on
+    the first trial to draw it (`first_occurrences`); any other sampler's
+    candidate, on every trial.  The loop below is the only one to decide a
+    candidate, so the verdict, its trial and its message are those of
+    deciding every trial.
 
     Returns None when no counterexample was found, which is evidence, not
     proof, that the property holds.
@@ -416,7 +505,10 @@ def falsify_frechet_wilson(
     bottom = ladder.bottom
     d = space.distance
     rng = child_rng(seed, f"fw-{level}")
-    if isinstance(sampler, FWSampler):
+    stacked = isinstance(sampler, FWSampler) and None not in (sampler.stack, sampler.distance)
+    if stacked and _real_scalar(m):
+        candidates = _screened(sampler, rng, level, trials, m, ladder)
+    elif isinstance(sampler, FWSampler):
         keys = first_occurrences(sampler.draw(rng) for _ in range(trials))
         candidates = ((trial, sampler.build(key)) for trial, key in keys)
     else:
@@ -645,7 +737,7 @@ def _add_entries(a: tuple, b: tuple) -> tuple:
 def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
     """Coordinatewise product of monoids on tuples, by the factors' callables or `_add_entries`."""
     factors = tuple(factors)
-    real = all((m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq()) for m in factors)
+    real = all(map(_real_scalar, factors))
     combines, leqs, eqs, sups = (
         tuple(getattr(m, op) for m in factors) for op in ("combine", "leq", "eq", "sup")
     )

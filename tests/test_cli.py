@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import monofix
-from monofix import Grid, KernelSpec, certify_convergence, grid_ladder
+from monofix import Grid, InvalidKernel, KernelSpec, certify_convergence, grid_ladder
 from monofix.cli import certificate_csv, main, parse_config, ConfigError
 
 TS_CONFIG = """\
@@ -104,6 +104,22 @@ def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, li
         assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: line ") and f"field {field!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_fredholm_complex_g_blames_the_kernel_line(tmp_path, capsys, monkeypatch):
+    # the expression language cannot make a complex g, so the solve raises
+    # the refusal a complex g gets; the majorant is on another line
+    message = "g(t, s, x) is not real at t=0.5, s=0.25: 1j"
+
+    def refuse(*args, **kwargs):
+        raise InvalidKernel("g", message)
+
+    monkeypatch.setattr(monofix.cli, "solve_fredholm", refuse)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("nodes = 41\nkernel = expr 0.5*t*s*x\nmajorant = 0.5*t*s\nf = t\n")
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"config error: line 2: field 'kernel': {message}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -236,6 +236,45 @@ def test_complex_kernel_data_is_refused(k, part, message):
             kernel_matrix(k, grid)
 
 
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (
+            # the majorant audit samples it first
+            lambda t, s, x: t * s * x + 1j * t,
+            "g(t, s, x) is not real at t=0.7420332451971018, s=0.2792413488504638: "
+            "(0.4318146136183295+0.7420332451971018j)",
+        ),
+        (
+            # imaginary only at the node t = 1, which the audit never samples:
+            # the Picard step's grid refuses it
+            lambda t, s, x: t * s * x + 1j * (t == 1.0),
+            "g(t, s, x) is not real at t=1.0, s=0.0: 1j",
+        ),
+    ],
+    ids=["audit", "picard-step"],
+)
+def test_complex_g_is_refused(g, message):
+    # was a ComplexWarning, then a TypeError traceback from the audit's scalar rendering
+    grid = Grid.trapezoid(0.0, 1.0, 11)
+    k = KernelSpec(Q=TS.Q, g=g, f=TS.f)
+    with pytest.raises(InvalidKernel) as err:
+        solve_fredholm(k, grid, budget=50)
+    assert err.value.part == "g" and str(err.value) == message
+    with pytest.raises(InvalidKernel) as err:
+        residual(k, grid, np.zeros(len(grid)))
+    assert err.value.part == "g"
+
+
+def test_real_valued_complex_g_still_solves():
+    grid = Grid.trapezoid(0.0, 1.0, 11)
+    k = KernelSpec(Q=TS.Q, g=lambda t, s, x: TS.g(t, s, x) + 0j, f=TS.f)
+    x, report, _ = solve_fredholm(k, grid, budget=50)
+    want, _, _ = solve_fredholm(TS, grid, budget=50)
+    assert report.status is SolveStatus.CERTIFIED and np.array_equal(x, want)
+    assert residual(k, grid, x) == residual(TS, grid, want)
+
+
 def test_solve_assembles_the_kernel_once(monkeypatch):
     calls = []
 

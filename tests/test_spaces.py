@@ -1,8 +1,10 @@
 """Distance-space axioms, detectors, falsifiers, and example spaces."""
 import dataclasses
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from monofix import (
@@ -11,6 +13,7 @@ from monofix import (
     MTrace,
     PointTrace,
     SpaceKind,
+    TestLadder,
     ZetaSpec,
     check_triangle,
     check_zeta_triangle,
@@ -35,7 +38,7 @@ from monofix.catalog import (
     real_nonneg_monoid,
 )
 from monofix._rng import child_rng
-from monofix._util import close_eq, format_value
+from monofix._util import ATOL, RTOL, close_entries, close_eq, format_value
 from monofix.reporting import Counterexample
 from monofix.spaces import FW_LEVELS, FWSampler, _add_entries, diagonal, full_relation, product_monoid
 
@@ -539,6 +542,274 @@ def test_fw_conclusion_outside_the_cone_raises_as_reference(level):
     want = run(eager_frechet_wilson)
     assert want == (("raised", "trace element at index 4 is not in the positive cone: -0.5"), 4)
     assert run(lambda *args: falsify_frechet_wilson(*args[:4], seed=args[4])) == want
+
+
+# ---------------------------------------------------------------------------
+# The stacked screen of the real-line samplers
+
+REAL_LINE = ("real_abs", "snowflake", "squared", "dislocated_max")
+# around the end of the unscreened trials (4), of the first chunk (16) and
+# of the first chunk at the cap (256 trials from trial 256 on)
+SCREEN_TRIALS = (1, 3, 4, 5, 15, 16, 17, 255, 256, 257, 511, 512, 513, 1000)
+
+
+def plain(sampler):
+    """The same sampler as a plain callable, decided on every trial."""
+    return lambda rng: sampler(rng)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("level", FW_LEVELS)
+@pytest.mark.parametrize("name", REAL_LINE)
+def test_fw_screen_matches_the_scalar_loop(level, name):
+    entry = get_space(name)
+    sampler = entry.fw_sampler(level)
+    assert sampler.stack is not None and sampler.distance is not None
+    for seed in range(8):
+        # the plain loop decides trials in order and stops at the first
+        # witness: over fewer trials it finds that witness or nothing
+        found = falsify_frechet_wilson(entry.space, level, plain(sampler), max(SCREEN_TRIALS), seed=seed)
+        first = math.inf if found is None else int(found.detail.rsplit(" ", 1)[1])
+        for trials in SCREEN_TRIALS:
+            want = found if first < trials else None
+            cex = falsify_frechet_wilson(entry.space, level, sampler, trials, seed=seed)
+            assert cex == want and repr(cex) == repr(want), (seed, trials)
+
+
+@pytest.mark.parametrize("level", FW_LEVELS)
+@pytest.mark.parametrize("name", REAL_LINE)
+def test_fw_stacked_rows_are_the_built_candidates(level, name):
+    # rows, lengths and array distances, bit for bit, padding excluded
+    entry = get_space(name)
+    sampler, d = entry.fw_sampler(level), entry.space.distance
+    for seed in range(4):
+        rng = random.Random(seed)
+        keys = [sampler.draw(rng) for _ in range(300)]
+        rows = sampler.stack(keys)
+        if level == "strong":
+            points, lengths = rows
+            steps = sampler.distance(points[:, :-1], points[:, 1:])
+            ends = sampler.distance(points[:, 0], points[np.arange(len(keys)), lengths - 1])
+            for i, key in enumerate(keys):
+                chain = sampler.build(key)
+                n = len(chain)
+                assert lengths[i] == n and bits(points[i, :n]) == bits(chain), (seed, i)
+                assert bits(steps[i, : n - 1]) == bits(list(map(d, chain, chain[1:]))), (seed, i)
+                assert bits(ends[i]) == bits(d(chain[0], chain[-1])), (seed, i)
+            continue
+        if level == "weak":
+            assert rows[2].shape == (len(keys), 1)
+        seqs = np.broadcast_arrays(*rows)
+        traces = [(0, 1), (1, 2), (0, 2)]
+        dists = [sampler.distance(seqs[u], seqs[v]) for u, v in traces]
+        for i, key in enumerate(keys):
+            cand = sampler.build(key)
+            if level == "weak":
+                cand = (cand[0], cand[1], [cand[2]] * len(cand[0]))
+            assert [bits(s[i]) for s in seqs] == [bits(c) for c in cand], (seed, i)
+            for (u, v), got in zip(traces, dists):
+                assert bits(got[i]) == bits(list(map(d, cand[u], cand[v]))), (seed, i, u, v)
+
+
+def stacked_sampler(level, draw, build, distance):
+    """A keyed sampler whose stacked form is its built candidates' rows."""
+
+    def stack(keys):
+        cands = [build(key) for key in keys]
+        if level == "strong":
+            width = max(map(len, cands))
+            points = np.array([c + [c[-1]] * (width - len(c)) for c in cands])
+            return points, np.array([len(c) for c in cands])
+        heads, middles, tails = zip(*cands)
+        if level == "weak":
+            tails = [[z] for z in tails]
+        return tuple(np.array(s, dtype=float) for s in (heads, middles, tails))
+
+    return FWSampler(draw, build, stack, distance)
+
+
+def pair_distance(bad_pairs, bad):
+    """|x - y|, except `bad` on the given ordered pairs: scalar and array forms."""
+
+    def scalar(x, y):
+        return bad if (x, y) in bad_pairs else abs(x - y)
+
+    def array(x, y):
+        hit = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+        for a, b in bad_pairs:
+            hit |= (x == a) & (y == b)
+        return np.where(hit, bad, abs(x - y))
+
+    return scalar, array
+
+
+def run_both(space, level, make_sampler, trials, seed):
+    """The outcome and the last trial drawn (plain) or built (screened),
+    once through the scalar loop alone and once through the screen."""
+    found = []
+    for screened in (False, True):
+        seen = []
+        sampler = make_sampler(seen)
+        run = sampler if screened else plain(sampler)
+        got = _outcome(lambda: falsify_frechet_wilson(space, level, run, trials, seed=seed))
+        found.append((got[0], repr(got[1]), seen[-1] if seen else None))
+    return found
+
+
+# The family of the adversarial cases, on the depth-4 dyadic ladder: n
+# points per sequence; heads z + q, middles z + q/2, tails z, with
+# q = amp / (i + 1)**2, so every trace is null; strong chains of steps
+# h < 2**-10, all below every rung.
+N_POINTS = 16
+
+
+def family_build(level, seen):
+    """The family's build, noting each key's trial in `seen`."""
+
+    def build(key):
+        t, z, amp = key
+        seen.append(t)
+        if level == "strong":
+            n = 2 + int(amp * 30)
+            cand = [z + i * amp * 2.0**-10 for i in range(n)]
+        else:
+            qs = [amp / (i + 1) ** 2 for i in range(N_POINTS)]
+            heads, middles = [z + q for q in qs], [z + q / 2 for q in qs]
+            cand = (heads, middles, z) if level == "weak" else (heads, middles, [z] * N_POINTS)
+        return cand
+
+    return build
+
+
+def family_draw():
+    counter = itertools.count()
+    return lambda rng: (next(counter), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.0))
+
+
+def bad_pairs_of(level, cand, role, index):
+    """The ordered pair at `index` of the trace `role` (premise 1, premise 2,
+    conclusion; strong: a step, or the endpoint pair)."""
+    if level == "strong":
+        return (cand[0], cand[-1]) if role == "endpoint" else (cand[index], cand[index + 1])
+    heads, middles, tails = cand
+    if level == "weak":
+        tails = [tails] * len(heads)
+    u, v = ((heads, middles), (middles, tails), (heads, tails))[role]
+    return (u[index], v[index])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, -math.inf])
+@pytest.mark.parametrize(
+    "level, role",
+    [("weak", 0), ("weak", 1), ("weak", 2), ("standard", 0), ("standard", 1), ("standard", 2),
+     ("strong", "step"), ("strong", "endpoint")],
+)
+def test_fw_screen_outside_the_cone_as_the_scalar_loop(level, role, bad):
+    # one pair of one chosen trial's candidate gets a bad distance, in the
+    # scalar and the array form alike
+    for bad_trial in (0, 15, 16, 40, 300):
+        # the chosen trial's candidate, from the draws of an unmarked run
+        rng, draw = child_rng(7, f"fw-{level}"), family_draw()
+        for _ in range(bad_trial + 1):
+            key = draw(rng)
+        cand = family_build(level, [])(key)
+        pair = bad_pairs_of(level, cand, role, N_POINTS // 2 if level != "strong" else 0)
+        scalar, array = pair_distance({pair}, bad)
+        space = dataclasses.replace(REAL_ABS.space, distance=scalar, ladder=dyadic_ladder(4))
+        make = lambda seen: stacked_sampler(level, family_draw(), family_build(level, seen), array)
+        plain_run, screened_run = run_both(space, level, make, 400, 7)
+        assert screened_run == plain_run, bad_trial
+        kind, text, last = plain_run
+        if level != "strong":
+            assert kind == "raised" and last == bad_trial, bad_trial
+            assert text == repr(f"trace element at index {N_POINTS // 2} is not in the positive cone: {format_value(bad)}")
+        elif role == "endpoint" and bad != -0.5:
+            # NaN and -inf are not strictly below the first rung: a witness
+            assert text.endswith(f"found on trial {bad_trial}')") and last == bad_trial
+        else:
+            # a NaN step makes a NaN sum and a -inf step a -inf one, neither
+            # strictly below the bottom rung; a -0.5 one keeps every rung
+            assert (kind, text) == ("returned", "None"), bad_trial
+
+
+def constant_candidate(level, last, n=4):
+    """Constant sequences whose premise distances are 3/4 and 1/4 of `last`,
+    the conclusion's."""
+    heads, middles = [last] * n, [last / 4] * n
+    return (heads, middles, 0.0) if level == "weak" else (heads, middles, [0.0] * n)
+
+
+@pytest.mark.parametrize("level", ["weak", "standard"])
+def test_fw_screen_breaks_ties_as_close_eq(level):
+    # the bottom rung b lies where ATOL dominates the band of close_eq; the
+    # conclusion's last distance c is far below b, just outside the band, a
+    # tie inside it, in the sliver of the band that |c - b| <= ATOL + RTOL*c
+    # (numpy's form, with c as the second argument) misses, or above b
+    b = 1e-11
+    band = ATOL + RTOL * b
+    lasts = (b / 2, b - band * (1 + 1e-6), b - band / 2, b - band * (1 - RTOL / 2), b + 2 * band)
+    eq = close_eq()
+    assert [eq(c, b) for c in lasts] == [False, False, True, True, False]
+    assert not close_entries(b, lasts[3])
+    weights = (0.9, 0.04, 0.02, 0.02, 0.02)
+    ladder = TestLadder.build(REAL_ABS.space.monoid, [0.5, 0.25, b])
+    space = dataclasses.replace(REAL_ABS.space, ladder=ladder)
+    witnesses = []
+    for seed in range(8):
+
+        def make(seen):
+            counter = itertools.count()
+
+            def draw(rng):
+                return next(counter), rng.choices(range(5), weights)[0]
+
+            def build(key):
+                seen.append(key[0])
+                return constant_candidate(level, lasts[key[1]])
+
+            return stacked_sampler(level, draw, build, REAL_ABS.fw_sampler(level).distance)
+
+        plain_run, screened_run = run_both(space, level, make, 400, seed)
+        assert screened_run == plain_run, seed
+        witnesses.append(plain_run)
+    # every seed finds a witness, and some first witness is a sliver tie
+    assert all(kind == "returned" and text != "None" for kind, text, _ in witnesses)
+    assert any(repr(lasts[3]) in text for _, text, _ in witnesses)
+
+
+def test_fw_screen_scans_every_rung():
+    # a ladder need not descend: here the upper rung 2**-40 lies below ATOL,
+    # so no endpoint at or above 0 is strictly below it (ATOL makes a small
+    # one a tie), and that rung, not the bottom rung 1/16, decides; chains
+    # of steps amp/32 have a sum below 1/16 for amp below about 0.24
+    m = REAL_ABS.space.monoid
+    space = dataclasses.replace(REAL_ABS.space, ladder=TestLadder.build(m, [2.0**-40, 2.0**-4]))
+
+    def make(seen):
+        def build(key):
+            t, z, amp = key
+            seen.append(t)
+            return [z + i * amp / 32 for i in range(2 + int(amp * 30))]
+
+        return stacked_sampler("strong", family_draw(), build, REAL_ABS.fw_sampler("strong").distance)
+
+    firsts = []
+    for seed in range(8):
+        plain_run, screened_run = run_both(space, "strong", make, 300, seed)
+        assert screened_run == plain_run, seed
+        assert "rung_index=0" in plain_run[1]
+        firsts.append(plain_run[2])
+    assert max(firsts) >= 16  # found by the screen, past the unscreened trials
+    # on the descending depth-40 dyadic ladder, whose bottom rung 2**-40 lies
+    # inside ATOL, no sum of distances is strictly below the bottom rung
+    sampler = REAL_ABS.fw_sampler("strong")
+    space = dataclasses.replace(REAL_ABS.space, ladder=dyadic_ladder(40))
+    for seed in range(4):
+        assert falsify_frechet_wilson(space, "strong", plain(sampler), 300, seed=seed) is None
+        assert falsify_frechet_wilson(space, "strong", sampler, 300, seed=seed) is None
 
 
 # ---------------------------------------------------------------------------

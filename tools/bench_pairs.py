@@ -21,7 +21,8 @@ the environment that the runs report.  After a workload's pairs, each side
 runs `tools/op_times.py` for its default number of timed passes, and the
 summary records that number (`op_passes`), each reference key's median
 wall time and traced counts per side, over that fixed op sequence, and each
-op kind's mean median per side (`op_kinds`).
+op kind's mean median per side (`op_kinds`).  It then prints a line per op
+kind, slowest parent first: both sides' mean medians and change / parent.
 """
 from __future__ import annotations
 
@@ -69,6 +70,14 @@ def summarise(runs: dict, better: dict) -> dict:
             "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"],
         }
     return out
+
+
+def print_kinds(workload: str, per_kind: dict) -> None:
+    """A line per op kind, slowest parent first: both sides' times and their ratio."""
+    parent, change = per_kind["parent"], per_kind["change"]
+    for kind in sorted(parent, key=parent.get, reverse=True):
+        p, c = parent[kind], change.get(kind, float("nan"))
+        print(f"{workload} {kind}: parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}", flush=True)
 
 
 def git(*args: str) -> str:
@@ -123,7 +132,9 @@ def main(argv: list[str] | None = None) -> int:
                 for side, root in (("parent", parent_root), ("change", change_root))
             }
             summary["workloads"][workload]["op_times"] = found
-            summary["workloads"][workload]["op_kinds"] = {side: kinds(ops) for side, ops in found.items()}
+            per_kind = {side: kinds(ops) for side, ops in found.items()}
+            summary["workloads"][workload]["op_kinds"] = per_kind
+            print_kinds(workload, per_kind)
             summary.setdefault("environment", runs["change"][0]["info"]["environment"])
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {args.out}")
