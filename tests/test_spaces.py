@@ -673,13 +673,10 @@ def family_build(level, seen):
         t, z, amp = key
         seen.append(t)
         if level == "strong":
-            n = 2 + int(amp * 30)
-            cand = [z + i * amp * 2.0**-10 for i in range(n)]
-        else:
-            qs = [amp / (i + 1) ** 2 for i in range(N_POINTS)]
-            heads, middles = [z + q for q in qs], [z + q / 2 for q in qs]
-            cand = (heads, middles, z) if level == "weak" else (heads, middles, [z] * N_POINTS)
-        return cand
+            return [z + i * amp * 2.0**-10 for i in range(2 + int(amp * 30))]
+        qs = [amp / (i + 1) ** 2 for i in range(N_POINTS)]
+        heads, middles = [z + q for q in qs], [z + q / 2 for q in qs]
+        return (heads, middles, z) if level == "weak" else (heads, middles, [z] * N_POINTS)
 
     return build
 
@@ -725,13 +722,15 @@ def test_fw_screen_outside_the_cone_as_the_scalar_loop(level, role, bad):
         kind, text, last = plain_run
         if level != "strong":
             assert kind == "raised" and last == bad_trial, bad_trial
-            assert text == repr(f"trace element at index {N_POINTS // 2} is not in the positive cone: {format_value(bad)}")
+            message = f"trace element at index {N_POINTS // 2} is not in the positive cone: "
+            assert text == repr(message + format_value(bad))
         elif role == "endpoint" and bad != -0.5:
             # NaN and -inf are not strictly below the first rung: a witness
             assert text.endswith(f"found on trial {bad_trial}')") and last == bad_trial
         else:
             # a NaN step makes a NaN sum and a -inf step a -inf one, neither
-            # strictly below the bottom rung; a -0.5 one keeps every rung
+            # strictly below the bottom rung; after a -0.5 step the sum is,
+            # but the endpoint stays strictly below every rung
             assert (kind, text) == ("returned", "None"), bad_trial
 
 

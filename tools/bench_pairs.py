@@ -76,8 +76,9 @@ def print_kinds(workload: str, per_kind: dict) -> None:
     """A line per op kind, slowest parent first: both sides' times and their ratio."""
     parent, change = per_kind["parent"], per_kind["change"]
     for kind in sorted(parent, key=parent.get, reverse=True):
-        p, c = parent[kind], change.get(kind, float("nan"))
-        print(f"{workload} {kind}: parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}", flush=True)
+        p, c = parent[kind], change.get(kind, float("nan"))  # a kind only the parent has
+        times = f"parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}"
+        print(f"{workload} {kind}: {times}", flush=True)
 
 
 def git(*args: str) -> str:
