@@ -53,6 +53,18 @@ def close_eq(rel: float = RTOL, abs_: float = ATOL):
     return eq
 
 
+def below_entries(x: np.ndarray, rung: Any) -> np.ndarray:
+    """The scalar `strictly_below(x, rung)` of `close_eq`'s carriers, entry
+    by entry: x <= rung and not |x - rung| <= ATOL + RTOL * max(|x|, |rung|)."""
+    return (x <= rung) & ~(abs(x - rung) <= ATOL + RTOL * np.maximum(abs(x), abs(rung)))
+
+
+def close_band(rung: np.ndarray) -> np.ndarray:
+    """rung - ATOL - RTOL * |rung|: an entry below it is not `close_entries`
+    to the rung's entry."""
+    return rung - ATOL - RTOL * np.abs(rung)
+
+
 def format_value(v: Any) -> str:
     """Deterministic, compact, single-line rendering for CSV and reports."""
     if isinstance(v, float):

@@ -10,7 +10,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -118,15 +118,8 @@ def real_nonneg_monoid() -> MonoidSpec:
 
 
 def real_vector_monoid(dim: int) -> MonoidSpec:
-    return MonoidSpec(
-        carrier_descr=f"real {dim}-vectors (pointwise + and <=)",
-        combine=lambda a, b: a + b,
-        identity=np.zeros(dim),
-        leq=lambda a, b: bool((a <= b).all()),
-        sup=np.maximum,
-        eq=close_eq(),
-        elementwise=True,
-    )
+    descr = f"real {dim}-vectors (pointwise + and <=)"
+    return replace(grid_function_monoid(dim), carrier_descr=descr)
 
 
 _HIER_POINTS = tuple(range(8))

@@ -450,10 +450,13 @@ def cmd_check_space(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    name = args.name
+    try:
+        name, _ = catalog._parse_name(args.name, ("lambda_discrimination", "driver_agreement"))
+        space = catalog.get_space(args.name).space if name == "omega_counterexample" else None
+    except KeyError as exc:
+        raise ConfigError(exc.args[0], field="name")
     verdicts = ("expected pattern reproduced", "UNEXPECTED pattern")
-    if name.startswith("omega_counterexample"):
-        space = catalog.get_space(name if "{" in name else "omega_counterexample{128}").space
+    if name == "omega_counterexample":
         # evidence runs twice as far as the witness cutoff, so a quiet end of
         # the prefix cannot fake convergence
         prefix = catalog.interleaved_sequence(240)
@@ -518,7 +521,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         )
         verdicts = ("all drivers agree", "drivers DISAGREE")
     else:
-        raise ConfigError(f"unknown demo {name!r}", field="name")
+        raise ConfigError(f"unknown demo {args.name!r}", field="name")
     lines.append(verdicts[0] if ok else verdicts[1])
     _write(Path(args.out), "report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))

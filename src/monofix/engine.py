@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import ATOL, RTOL, format_value, generic_eq, ratio_bounds
+from ._util import close_band, format_value, generic_eq, ratio_bounds
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -157,19 +157,21 @@ def next_rung_choice(ladder: TestLadder) -> Callable[[Any], Any]:
 # ---------------------------------------------------------------------------
 # Orbit iteration
 
+# the run of consecutive distances strictly below the bottom rung that stops an orbit
+STOP_WINDOW = 3
+
 
 def picard_iterate(
     space: DistanceSpaceSpec,
     f: MapSpec,
     x0: Any,
     budget: int,
-    stop_window: int = 3,
     step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
 ) -> IterationTrace:
     """Iterate x -> f(x) at most `budget` times.
 
     Stops early when the point repeats exactly or once the consecutive
-    distance has stayed strictly below the bottom rung for `stop_window`
+    distance has stayed strictly below the bottom rung for `STOP_WINDOW`
     steps in a row.  `step_check(k, x_k, x_{k+1})` may return the name of a
     violated condition; iteration stops there and the flag records it.
     """
@@ -201,7 +203,7 @@ def picard_iterate(
             break
         if m.strictly_below(d, bottom):
             quiet += 1
-            if quiet >= stop_window:
+            if quiet >= STOP_WINDOW:
                 stopped = True
                 break
         else:
@@ -254,15 +256,43 @@ def _certify(
 
 
 def _violated(
-    trace: IterationTrace, step: int, condition: str, witness: str, diagnostics: list[str]
+    trace: Optional[IterationTrace],
+    step: int,
+    condition: str,
+    witness: str,
+    diagnostics: Sequence[str],
 ) -> SolveReport:
+    """A HYPOTHESIS_VIOLATED report; with no trace, after 0 iterations."""
     return SolveReport(
         status=SolveStatus.HYPOTHESIS_VIOLATED,
-        iterations=max(len(trace.points) - 1, 0),
+        iterations=0 if trace is None else max(len(trace.points) - 1, 0),
         diagnostics=tuple(diagnostics),
         violation=HypothesisViolation(step=step, condition=condition, witness=witness),
         trace=trace,
     )
+
+
+def _step_violated(
+    trace: IterationTrace, witness: Callable[[IterationTrace, int], str], diagnostics: Sequence[str]
+) -> SolveReport:
+    """The report of a trace whose step check failed its last step;
+    `witness(trace, step)` renders that step."""
+    step = len(trace.flags) - 1
+    return _violated(trace, step, trace.violated, witness(trace, step), diagnostics)
+
+
+def _seed_trace(
+    x0: Any, x1: Any, d0: Any, budget: int, violated: Optional[str] = None
+) -> IterationTrace:
+    """The one-step trace (x0, x1), flagged and stopped when the check of
+    that step reported `violated`."""
+    flags = () if violated is None else (f"violated:{violated}",)
+    return IterationTrace((x0, x1), MTrace((d0,), budget), flags, violated is not None, violated)
+
+
+def _noted(report: SolveReport, note: str) -> SolveReport:
+    """The report with `note` appended to its diagnostics."""
+    return replace(report, diagnostics=report.diagnostics + (note,))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +306,6 @@ def solve_meir_keeler(
     x0: Any,
     sample_pairs: Sequence[tuple],
     budget: int,
-    stop_window: int = 3,
     midpoint_oracle: Optional[Callable[[Any, Any, Any, Any], Optional[Any]]] = None,
 ) -> SolveReport:
     """Epsilon-delta contraction driver.
@@ -346,7 +375,7 @@ def solve_meir_keeler(
         f"and {len(audit_rungs)} rungs"
     )
 
-    trace = picard_iterate(space, f, x0, budget, stop_window)
+    trace = picard_iterate(space, f, x0, budget)
 
     bottom = ladder.bottom
     reach_max = 0
@@ -401,7 +430,6 @@ def solve_caristi(
     cd: CaristiData,
     x0: Any,
     budget: int,
-    stop_window: int = 3,
 ) -> SolveReport:
     """Potential-descent driver.
 
@@ -430,16 +458,10 @@ def solve_caristi(
             return "summability_bound"
         return None
 
-    trace = picard_iterate(space, f, x0, budget, stop_window, step_check=check)
+    trace = picard_iterate(space, f, x0, budget, step_check=check)
     if trace.violated is not None:
-        step = len(trace.flags) - 1
-        return _violated(
-            trace,
-            step=step,
-            condition=trace.violated,
-            witness=f"at point {format_value(trace.points[step])}",
-            diagnostics=diagnostics,
-        )
+        at = lambda t, k: f"at point {format_value(t.points[k])}"
+        return _step_violated(trace, at, diagnostics)
 
     consec = trace.consec.elements
     semi_ok = all(
@@ -544,7 +566,7 @@ def _geometric_witness(
     dead = ~lam.matrix.any(axis=1)
     scratch = np.empty((1, len(v)))
     margin = 1.0 + 1e-9
-    band = bottom - ATOL - RTOL * np.abs(bottom)  # below it, close_eq tells a sum from the rung
+    band = close_band(bottom)  # below it, close_eq tells a sum from the rung
     floor, ceil = float(band.min()) / margin, float(band.max()) * margin
     terms: list[np.ndarray] = []
     ruled = 0  # every start N <= ruled is ruled out
@@ -616,6 +638,11 @@ def _geometric_witness(
 SEQ_MODES = ("series", "orbit_bounded")
 
 
+def _escapes(trace: IterationTrace, step: int) -> str:
+    d = format_value(trace.consec.elements[step])
+    return f"d(x_{step}, x_{step + 1})={d} escapes the step operator bound"
+
+
 def solve_sequential(
     space: DistanceSpaceSpec,
     f: MapSpec,
@@ -623,7 +650,6 @@ def solve_sequential(
     x0: Any,
     mode: str,
     budget: int,
-    stop_window: int = 3,
     second_seed: Optional[Any] = None,
     extra_step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
     x1: Optional[Any] = None,
@@ -659,24 +685,9 @@ def solve_sequential(
     f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
     d0 = space.distance(x0, x1)
     horizon = 2 * budget
-
-    def step_violation(trace: IterationTrace) -> SolveReport:
-        step = len(trace.flags) - 1
-        return _violated(
-            trace,
-            step=step,
-            condition=trace.violated,
-            witness=(
-                f"d(x_{step}, x_{step + 1})={format_value(trace.consec.elements[step])} "
-                "escapes the step operator bound"
-            ),
-            diagnostics=diagnostics,
-        )
-
     violated = extra_step_check(0, x0, x1) if extra_step_check is not None else None
     if violated is not None:
-        flags = (f"violated:{violated}",)
-        return step_violation(IterationTrace((x0, x1), MTrace((d0,), budget), flags, True, violated))
+        return _step_violated(_seed_trace(x0, x1, d0, budget, violated), _escapes, diagnostics)
 
     ordered_pairs = [
         (ladder.bottom, m.combine(ladder.bottom, ladder.bottom)),
@@ -727,7 +738,7 @@ def solve_sequential(
                 f"composed-product series is Cauchy within budget (witness N={witness})"
             )
     else:
-        probe = picard_iterate(space, f, x0, min(budget, 48), stop_window)
+        probe = picard_iterate(space, f, x0, min(budget, 48))
         pts = probe.points[: min(len(probe.points), 24)]
         dists = [
             space.distance(a, b) for a, b in itertools.combinations(pts, 2)
@@ -771,9 +782,9 @@ def solve_sequential(
         prev_d["d"] = d
         return None
 
-    trace = picard_iterate(space, f, x0, budget, stop_window, step_check=series_check)
+    trace = picard_iterate(space, f, x0, budget, step_check=series_check)
     if trace.violated is not None:
-        return step_violation(trace)
+        return _step_violated(trace, _escapes, diagnostics)
 
     if mode == "orbit_bounded":
         pts = trace.points
@@ -798,7 +809,7 @@ def solve_sequential(
     report = _certify(space, f, trace, diagnostics)
 
     if second_seed is not None and report.status is SolveStatus.CERTIFIED:
-        other = picard_iterate(space, f, second_seed, budget, stop_window)
+        other = picard_iterate(space, f, second_seed, budget)
         cross = [
             space.distance(a, b)
             for a, b in zip(trace.points[-4:], other.points[-4:])
@@ -807,17 +818,16 @@ def solve_sequential(
         agree = m.strictly_below(
             space.distance(report.fixed_point, other.points[-1]), ladder.bottom
         )
-        extra = list(report.diagnostics)
-        extra.append(
+        report = _noted(
+            report,
             "second-seed orbit "
             + ("agrees within the bottom rung" if agree else "DISAGREES")
             + (
                 f"; cross distances bounded by {format_value(cross_bound)}"
                 if cross_bound is not None
                 else "; cross distances admit no constructed bound"
-            )
+            ),
         )
-        report = replace(report, diagnostics=tuple(extra))
     return report
 
 
@@ -832,7 +842,6 @@ def solve_monotone(
     x0: Any,
     mode: str,
     budget: int,
-    stop_window: int = 3,
     second_seed: Optional[Any] = None,
     point_sup: Optional[Callable[[Any, Any], Any]] = None,
     extra_step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
@@ -855,14 +864,11 @@ def solve_monotone(
     fx0 = f.apply(x0)
     issue = extra_step_check(0, x0, fx0) if extra_step_check is not None else None
     if issue is not None or not leq(x0, fx0):
-        seed = IterationTrace((x0, fx0), MTrace((space.distance(x0, fx0),), budget), ())
+        seed = _seed_trace(x0, fx0, space.distance(x0, fx0), budget, issue)
         if issue is not None:
-            seed = replace(seed, flags=(f"violated:{issue}",), stopped_early=True, violated=issue)
-            witness = f"f(x0)={format_value(fx0)}"
-        else:
-            issue = "seed_order"
-            witness = f"x0={format_value(x0)} is not below f(x0)={format_value(fx0)}"
-        return _violated(seed, step=0, condition=issue, witness=witness, diagnostics=[])
+            return _step_violated(seed, lambda t, k: f"f(x0)={format_value(fx0)}", ())
+        witness = f"x0={format_value(x0)} is not below f(x0)={format_value(fx0)}"
+        return _violated(seed, 0, "seed_order", witness, ())
 
     def chain_check(k: int, cur: Any, nxt: Any) -> Optional[str]:
         issue = extra_step_check(k, cur, nxt) if extra_step_check is not None else None
@@ -871,34 +877,24 @@ def solve_monotone(
         return issue
 
     report = solve_sequential(
-        space,
-        f,
-        lam,
-        x0,
-        mode,
-        budget,
-        stop_window,
-        second_seed=None,
-        extra_step_check=chain_check,
-        x1=fx0,
+        space, f, lam, x0, mode, budget, extra_step_check=chain_check, x1=fx0
     )
 
     if report.status is SolveStatus.CERTIFIED and report.trace is not None:
         pts = report.trace.points
         ordered = all(leq(a, b) for a, b in zip(pts, pts[1:]))
-        extra = list(report.diagnostics)
-        extra.append("orbit chain totally ordered" if ordered else "orbit chain NOT ordered")
+        report = _noted(report, "orbit chain " + ("totally ordered" if ordered else "NOT ordered"))
         if second_seed is not None and point_sup is not None:
             top = point_sup(report.fixed_point, second_seed)
-            probe = picard_iterate(space, f, top, budget, stop_window)
+            probe = picard_iterate(space, f, top, budget)
             agree = space.monoid.strictly_below(
                 space.distance(report.fixed_point, probe.points[-1]), space.ladder.bottom
             )
-            extra.append(
+            report = _noted(
+                report,
                 "supremum-seeded orbit "
-                + ("reaches the same fixed point" if agree else "reaches a DIFFERENT point")
+                + ("reaches the same fixed point" if agree else "reaches a DIFFERENT point"),
             )
-        report = replace(report, diagnostics=tuple(extra))
     return report
 
 
@@ -1036,11 +1032,7 @@ def solve_parametrized(
         try:
             rep = solve_with_driver(config.driver, config.space, fmap, x0, config.budget, **data)
         except ValueError as exc:
-            rep = SolveReport(
-                status=SolveStatus.HYPOTHESIS_VIOLATED,
-                diagnostics=(f"precondition failed: {exc}",),
-                violation=HypothesisViolation(step=-1, condition="precondition"),
-            )
+            rep = _violated(None, -1, "precondition", "", [f"precondition failed: {exc}"])
         reports[omega] = rep
 
     admissible = None

@@ -22,14 +22,7 @@ import numpy as np
 
 from ._rng import child_rng, uniforms
 from ._util import close_eq, ratio_bounds
-from .engine import (
-    HypothesisViolation,
-    LambdaSequence,
-    MapSpec,
-    SolveReport,
-    SolveStatus,
-    solve_sequential,
-)
+from .engine import LambdaSequence, MapSpec, SolveReport, _violated, solve_sequential
 from .monoid import MonoidSpec, MTrace, TestLadder, cauchy_series_window_report, dyadic_ladder
 from .reporting import Decision
 from .spaces import DistanceSpaceSpec, SpaceKind
@@ -497,14 +490,7 @@ def solve_fredholm(
 
     issue = _audit_majorant(k, grid, seed)
     if issue is not None:
-        report = SolveReport(
-            status=SolveStatus.HYPOTHESIS_VIOLATED,
-            diagnostics=tuple(diagnostics),
-            violation=HypothesisViolation(
-                step=-1, condition="kernel_majorant", witness=issue
-            ),
-        )
-        return None, report, certificate
+        return None, _violated(None, -1, "kernel_majorant", issue, diagnostics), certificate
 
     space = grid_space(grid, ladder)
     fvec, weighted, m = operator.f, operator.weighted, len(grid)

@@ -194,15 +194,13 @@ def is_null_trace(trace: MTrace, ladder: TestLadder, spec: MonoidSpec) -> Decisi
     Every element is checked for positivity.  Only the elements after index
     min(n, budget) - 2 are then compared with the rung, from the end of the
     trace back, stopping at the first violation: with budget n that is the
-    last element alone (`_null_at_length`, shared with `falsify_frechet_wilson`).
+    last element alone.
     """
     xs = trace.elements
     n = len(xs)
     if n == 0:
         raise ValueError("empty trace")
     bottom = ladder.bottom
-    if trace.budget == n:
-        return Decision.NULL if _null_at_length(xs, bottom, spec) else Decision.NOT_NULL_WITHIN
     _require_positive(xs, spec)
     return _tail_decision(lambda i: not spec.strictly_below(xs[i], bottom), n, n, trace.budget)
 

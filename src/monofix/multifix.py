@@ -9,7 +9,8 @@ slot, decreasing in the other) problems monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional
 
 from .engine import LambdaSequence, MapSpec, SolveReport, solve_monotone
@@ -82,17 +83,8 @@ def profile_space(space_y: DistanceSpaceSpec, s: SigmaSpec) -> DistanceSpaceSpec
     def peq(x: ProfilePoint, y: ProfilePoint) -> bool:
         return base.point_eq(x.values, y.values)
 
-    return DistanceSpaceSpec(
-        point_descr=f"profiles over {base.point_descr}",
-        distance=dist,
-        kind=base.kind,
-        monoid=base.monoid,
-        ladder=base.ladder,
-        point_eq=peq,
-        weierstrass_capable=base.weierstrass_capable,
-        regular_order=base.regular_order,
-        co_regular_order=base.co_regular_order,
-    )
+    descr = f"profiles over {base.point_descr}"
+    return replace(base, point_descr=descr, distance=dist, point_eq=peq)
 
 
 def _non_finite(_k: int, _cur: ProfilePoint, nxt: ProfilePoint) -> Optional[str]:
@@ -108,10 +100,9 @@ def solve_multiple_fixed_point(
     x0: ProfilePoint,
     lam: LambdaSequence,
     budget: int,
-    base_leq: Optional[Callable[[Any, Any], bool]] = None,
 ) -> SolveReport:
     """Find a profile fixed under the lift of f, driving the monotone solver
-    over the profile product space with the mixed order.
+    over the profile product space with the mixed order of `<=`.
 
     Requires the base space to be declared both order-regular and
     co-order-regular: the mixed order reads the base order upward on some
@@ -123,8 +114,6 @@ def solve_multiple_fixed_point(
         raise ValueError(
             "base space must be declared regular and co-regular for the mixed order"
         )
-    if base_leq is None:
-        base_leq = lambda a, b: a <= b
     pspace = profile_space(space_y, s)
 
     def coordinate(view: Callable[[Any], Any]) -> Any:
@@ -136,7 +125,7 @@ def solve_multiple_fixed_point(
     lifted = sigma_lift(s, coordinate)
     fmap = MapSpec(
         apply=lifted,
-        order_leq=lambda x, y: p_order_leq(s, x, y, base_leq),
+        order_leq=lambda x, y: p_order_leq(s, x, y, operator.le),
         description="sigma-lift",
     )
     return solve_monotone(pspace, fmap, lam, x0, "series", budget, extra_step_check=_non_finite)
@@ -149,7 +138,6 @@ def coupled_fixed_point(
     y0: Any,
     lam: LambdaSequence,
     budget: int,
-    base_leq: Optional[Callable[[Any, Any], bool]] = None,
 ) -> SolveReport:
     """Two-index convenience wrapper: the swap reindexing with mixed polarity.
 
@@ -163,7 +151,6 @@ def coupled_fixed_point(
         ProfilePoint(values=(x0, y0)),
         lam,
         budget,
-        base_leq=base_leq,
     )
 
 

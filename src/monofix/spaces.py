@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
-from ._util import ATOL, RTOL, close_eq, format_value, generic_eq
+from ._util import below_entries, close_eq, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -403,13 +403,6 @@ def _real_scalar(m: MonoidSpec) -> bool:
     return (m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq())
 
 
-def _below(x: np.ndarray, rung: Any) -> np.ndarray:
-    """`strictly_below(x, rung)` of the real scalar monoid, entry by entry:
-    x <= rung and not |x - rung| <= ATOL + RTOL * max(|x|, |rung|), the
-    scalar `close_eq` rule."""
-    return (x <= rung) & ~(abs(x - rung) <= ATOL + RTOL * np.maximum(abs(x), abs(rung)))
-
-
 def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestLadder) -> np.ndarray:
     """The trials of a stacked chunk on which the scalar loop of
     `falsify_frechet_wilson` would not `continue`: a counterexample, or a
@@ -424,8 +417,8 @@ def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: 
             total = sums[k, lengths - 1]
             endpoint = distance(points[:, 0], points[k, lengths - 1])
             # every rung, as the scalar scan: a ladder need not descend
-            above = ~_below(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
-            return (lengths >= 2) & _below(total, ladder.bottom) & above
+            above = ~below_entries(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
+            return (lengths >= 2) & below_entries(total, ladder.bottom) & above
         heads, middles, tails = rows
         flags = np.zeros(len(heads), dtype=bool)
         if heads.shape[1] < 2:
@@ -436,7 +429,7 @@ def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: 
                 break
             d = distance(us, vs)
             positive = m.identity <= d.min(axis=1)  # a NaN minimum is not
-            null = positive & _below(d[:, -1], ladder.bottom)
+            null = positive & below_entries(d[:, -1], ladder.bottom)
             flags |= live & ~(positive if i < 2 else null)
             live &= null
         return flags

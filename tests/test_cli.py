@@ -1,4 +1,6 @@
 """CLI exit codes, artifacts, config diagnostics, and determinism."""
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ import pytest
 
 import monofix
 from monofix import Grid, InvalidKernel, KernelSpec, certify_convergence, grid_ladder
+from monofix.catalog import MAP_NAMES
 from monofix.cli import certificate_csv, main, parse_config, ConfigError
+from monofix.engine import CLI_DRIVER_NAMES
 
 TS_CONFIG = """\
 # ts-kernel problem
@@ -320,6 +324,69 @@ def test_demo_lambda_discrimination(tmp_path):
     assert run(["demo", "lambda_discrimination", "--out", tmp_path / "o"]) == 0
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "omega_counterexample{0}",
+        "omega_counterexample{2000000}",
+        "omega_counterexample{}",
+        "omega_counterexamplexyz",
+        "driver_agreement{3}",
+        "no_such_demo",
+    ],
+)
+def test_demo_bad_name_is_config_error(tmp_path, capsys, name):
+    assert run(["demo", name, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'name': ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_demo_omega_takes_its_parameter(tmp_path):
+    assert run(["demo", "omega_counterexample{3}", "--out", tmp_path / "three"]) == 0
+    assert run(["demo", "omega_counterexample{128}", "--out", tmp_path / "explicit"]) == 0
+    assert run(["demo", "omega_counterexample", "--out", tmp_path / "default"]) == 0
+    report = (tmp_path / "default" / "report.txt").read_bytes()
+    assert (tmp_path / "explicit" / "report.txt").read_bytes() == report
+
+
+# Every `solve-map` map x driver run, at the defaults and at a far seed with
+# a short budget, the three demos and the criterion-8 `solve-coupled` config.
+# `solve-fredholm` is left out: its solution bytes follow the BLAS thread count.
+GOLDEN_RUNS = {
+    " ".join(["solve-map", name, driver, *extra]): [
+        "solve-map", "--map", name, "--driver", driver, *extra
+    ]
+    for extra in ([], ["--x0", "8", "--budget", "20"])
+    for name in MAP_NAMES
+    for driver in CLI_DRIVER_NAMES
+}
+GOLDEN_RUNS.update(
+    {f"demo {name}": ["demo", name] for name in ("omega_counterexample", "lambda_discrimination", "driver_agreement")}
+)
+GOLDEN_RUNS["solve-coupled criterion 8"] = ["solve-coupled", "coupled.cfg"]
+GOLDEN_PATH = Path(__file__).with_name("golden_artifacts.json")
+
+
+def golden_record(argv: list, tmp_path: Path) -> dict:
+    """The exit code of one CLI run and the sha256 of each file it writes."""
+    (tmp_path / "coupled.cfg").write_text(COUPLED_CONFIG)
+    argv = [tmp_path / a if a == "coupled.cfg" else a for a in argv]
+    out = tmp_path / "out"
+    record = {"exit": run([*argv, "--out", out])}
+    for path in sorted(out.iterdir()):
+        record[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return record
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_RUNS))
+def test_artifacts_match_golden_hashes(tmp_path, key):
+    """Each run's exit code and artifact bytes, against the hashes recorded
+    with `python3 tests/test_cli.py` at commit 019448c."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert golden_record(GOLDEN_RUNS[key], tmp_path) == golden[key]
+
+
 def test_determinism_byte_identical_artifacts(tmp_path):
     cfg = tmp_path / "ts.cfg"
     cfg.write_text(TS_CONFIG)
@@ -601,3 +668,13 @@ def test_readme_lists_each_config_table():
         "solve-fredholm": [row[0] for row in FREDHOLM_TABLE],
         "solve-coupled": [row[0] for row in COUPLED_TABLE],
     }
+
+
+if __name__ == "__main__":  # record the golden hashes of the current code
+    import tempfile
+
+    found = {}
+    for key, argv in sorted(GOLDEN_RUNS.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            found[key] = golden_record(argv, Path(tmp))
+    GOLDEN_PATH.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")

@@ -17,7 +17,8 @@ median and quartiles (`statistics.quantiles(values, n=4)`), the pairs the
 change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
-the environment that the runs report.  After a workload's pairs, each side
+the environment that the runs report, and each side's `wc -l src/monofix/*.py`
+total (`src_lines`), which it prints.  After a workload's pairs, each side
 runs `tools/op_times.py` for its default number of timed passes, and the
 summary records that number (`op_passes`), each reference key's median
 wall time and traced counts per side, over that fixed op sequence, and each
@@ -81,6 +82,11 @@ def print_kinds(workload: str, per_kind: dict) -> None:
         print(f"{workload} {kind}: {times}", flush=True)
 
 
+def src_lines(root: Path) -> int:
+    """The total of `wc -l src/monofix/*.py` under `root`: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "monofix").glob("*.py"))
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout.strip()
 
@@ -116,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         parent_root.mkdir()
         git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent)
         subprocess.run(["tar", "-xf", f"{tmp}/parent.tar", "-C", str(parent_root)], check=True)
+        lines = {"parent": src_lines(parent_root), "change": src_lines(change_root)}
+        summary["src_lines"] = lines
+        print(f"src_lines: parent {lines['parent']} change {lines['change']}", flush=True)
         for workload in args.workload:
             runs: dict = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
