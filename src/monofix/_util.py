@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from typing import Any
 
 import numpy as np
@@ -23,46 +24,80 @@ RTOL, ATOL = 1e-9, 1e-12
 
 
 def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.ndarray:
-    """Entrywise `np.isclose(a, b, rtol=rel, atol=abs_)`: |a - b| <= abs_ +
-    rel*|b| where b is finite, or a == b, evaluated directly, without the
-    per-call set-up of `isclose`, which takes more than half its time on a
-    101-entry array.  b is made inexact as numpy does.  inf - inf and
-    overflowing differences are not warned about: they only ever decide
-    "not close" or are overruled by a == b.
+    """`close_eq`'s rule, entry by entry: a == b, or |a - b| <= abs_ + rel *
+    max(|a|, |b|) with that band finite.  Both sides are made inexact first,
+    as `np.isclose` makes them.  inf - inf, NaN and overflowing differences
+    are not warned about: they only ever decide "not close" or are overruled
+    by a == b.
     """
-    b = np.asarray(b, dtype=np.result_type(b, 1.0))
+    a, b = np.asarray(a), np.asarray(b)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    b = b.astype(np.result_type(b, 1.0), copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
-        return (abs(a - b) <= abs_ + rel * abs(b)) & np.isfinite(b) | (a == b)
+        band = abs_ + rel * np.maximum(abs(a), abs(b))
+        return (abs(a - b) <= band) & (band < math.inf) | (a == b)
 
 
 @functools.lru_cache(maxsize=None)  # one function per tolerance pair
 def close_eq(rel: float = RTOL, abs_: float = ATOL):
     """Tolerant equality for float-based carriers (scalars, tuples, arrays).
 
-    On arrays it is `np.allclose(a, b, rtol=rel, atol=abs_)`: every entry
-    `close_entries`.
+    Two floats are equal when a == b, or when |a - b| <= abs_ + rel *
+    max(|a|, |b|) and that band is finite.  The rule is symmetric; a
+    non-finite value (a band of inf) equals only itself, and NaN equals
+    nothing.  Tuples are equal entry by entry; arrays are equal when every
+    entry is `close_entries`, the same rule evaluated by numpy.
     """
+    inf = math.inf
 
     def eq(a: Any, b: Any) -> bool:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return bool(close_entries(a, b, rel, abs_).all())
         if isinstance(a, tuple) and isinstance(b, tuple):
             return len(a) == len(b) and all(eq(x, y) for x, y in zip(a, b))
-        return abs(a - b) <= abs_ + rel * max(abs(a), abs(b))
+        return a == b or abs(a - b) <= abs_ + rel * max(abs(a), abs(b)) < inf
 
     return eq
 
 
 def below_entries(x: np.ndarray, rung: Any) -> np.ndarray:
     """The scalar `strictly_below(x, rung)` of `close_eq`'s carriers, entry
-    by entry: x <= rung and not |x - rung| <= ATOL + RTOL * max(|x|, |rung|)."""
-    return (x <= rung) & ~(abs(x - rung) <= ATOL + RTOL * np.maximum(abs(x), abs(rung)))
+    by entry: x <= rung and not `close_entries`."""
+    return (x <= rung) & ~close_entries(x, rung)
 
 
 def close_band(rung: np.ndarray) -> np.ndarray:
     """rung - ATOL - RTOL * |rung|: an entry below it is not `close_entries`
     to the rung's entry."""
     return rung - ATOL - RTOL * np.abs(rung)
+
+
+def add_entries(a: tuple, b: tuple) -> tuple:
+    return tuple(map(operator.add, a, b))
+
+
+def leq_entries(a: tuple, b: tuple) -> bool:
+    return all(map(operator.le, a, b))
+
+
+def max_entries(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def leq_arrays(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool((a <= b).all())
+
+
+# The (combine, leq, eq, sup) of the real-entrywise carriers, by the type of
+# their identity: floats, tuples of floats and float arrays, added by +,
+# ordered by <= and compared by close_eq() entry by entry, with the entrywise
+# max as supremum.  `MonoidSpec.elementwise` holds exactly when a monoid's
+# four callbacks are one row of this table.
+REAL_ENTRYWISE = {
+    float: (operator.add, operator.le, close_eq(), max),
+    tuple: (add_entries, leq_entries, close_eq(), max_entries),
+    np.ndarray: (np.add, leq_arrays, close_eq(), np.maximum),
+}
 
 
 def format_value(v: Any) -> str:

@@ -10,7 +10,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -107,19 +107,11 @@ def _int_param(name: str, arg: Optional[str], default: int, low: int, high: int)
 
 
 def real_nonneg_monoid() -> MonoidSpec:
-    return MonoidSpec(
-        carrier_descr="nonnegative reals (+, 0, <=)",
-        combine=operator.add,
-        identity=0.0,
-        leq=operator.le,
-        sup=max,
-        eq=close_eq(),
-    )
+    return MonoidSpec.real_entrywise("nonnegative reals (+, 0, <=)", 0.0)
 
 
 def real_vector_monoid(dim: int) -> MonoidSpec:
-    descr = f"real {dim}-vectors (pointwise + and <=)"
-    return replace(grid_function_monoid(dim), carrier_descr=descr)
+    return MonoidSpec.real_entrywise(f"real {dim}-vectors (pointwise + and <=)", np.zeros(dim))
 
 
 _HIER_POINTS = tuple(range(8))

@@ -28,7 +28,7 @@ from .monoid import (
     is_null_trace,
 )
 from .reporting import Decision
-from .spaces import DistanceSpaceSpec, ZetaSpec, _add_entries, check_zeta_triangle
+from .spaces import DistanceSpaceSpec, ZetaSpec, check_zeta_triangle
 
 
 class SolveStatus(str, Enum):
@@ -270,6 +270,11 @@ def _violated(
         violation=HypothesisViolation(step=step, condition=condition, witness=witness),
         trace=trace,
     )
+
+
+def _exhausted(diagnostics: Sequence[str], trace: Optional[IterationTrace] = None) -> SolveReport:
+    """A BUDGET_EXHAUSTED report with no candidate fixed point."""
+    return SolveReport(SolveStatus.BUDGET_EXHAUSTED, diagnostics=tuple(diagnostics), trace=trace)
 
 
 def _step_violated(
@@ -660,7 +665,7 @@ def solve_sequential(
     to pass the Cauchy-series check (witness within `budget`, evidence to
     2*budget); each step is audited against
     d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set over
-    an elementwise monoid or a product of real ones (combine `_add_entries`),
+    an elementwise monoid of float vectors (arrays or tuples),
     the check stops at the first term whose geometric tail bound settles the
     same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
     not below 1, a term that is not finite, a witness past the budget, or
@@ -712,8 +717,8 @@ def solve_sequential(
         if m.eq(d0, m.identity):
             diagnostics.append("seed is already fixed; series check trivial")
         else:
-            found = None  # the tail bound needs entrywise +, <= and close_eq()
-            if lam.matrix is not None and (m.elementwise or m.combine is _add_entries):
+            found = None  # the tail bound needs float vectors: entrywise +, <= and close_eq()
+            if lam.matrix is not None and m.elementwise and not isinstance(m.identity, float):
                 found = _geometric_witness(lam, d0, ladder, m, budget)
             if found is not None:
                 decision, witness, offending = Decision.NULL, found[0], None
@@ -731,9 +736,7 @@ def solve_sequential(
                         f"{format_value(s)}, not strictly below the bottom rung"
                     )
                 diagnostics.append(detail or "composed-product series check failed")
-                return SolveReport(
-                    status=SolveStatus.BUDGET_EXHAUSTED, diagnostics=tuple(diagnostics)
-                )
+                return _exhausted(diagnostics)
             diagnostics.append(
                 f"composed-product series is Cauchy within budget (witness N={witness})"
             )
@@ -760,11 +763,7 @@ def solve_sequential(
                     "composed products applied to the orbit bound do not become null "
                     "within budget"
                 )
-                return SolveReport(
-                    status=SolveStatus.BUDGET_EXHAUSTED,
-                    diagnostics=tuple(diagnostics),
-                    trace=probe,
-                )
+                return _exhausted(diagnostics, probe)
             diagnostics.append("composed products at the orbit bound are null within budget")
 
     prev_d = {"d": None}
@@ -933,6 +932,13 @@ _DRIVERS: dict[str, tuple[str, Callable[..., SolveReport]]] = {
 CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVERS)
 
 
+def _driver_data(lam, mode, caristi, meir_keeler, sample_pairs) -> dict[str, Any]:
+    """The data the driver adapters read, by name (see `solve_with_driver`)."""
+    return dict(
+        lam=lam, mode=mode, caristi=caristi, meir_keeler=meir_keeler, sample_pairs=sample_pairs
+    )
+
+
 def _driver_key(name: str, data: Mapping[str, Any]) -> str:
     """The table key of a driver name.  Raises ValueError for an unknown name
     and when `data` lacks the datum that driver reads."""
@@ -962,9 +968,7 @@ def solve_with_driver(
     monotone), `caristi`, or `meir_keeler` and `sample_pairs`.  An unknown
     driver name, or a missing `lam`, `caristi` or `meir_keeler` for the
     driver that reads it, raises ValueError."""
-    data = dict(
-        lam=lam, mode=mode, caristi=caristi, meir_keeler=meir_keeler, sample_pairs=sample_pairs
-    )
+    data = _driver_data(lam, mode, caristi, meir_keeler, sample_pairs)
     return _DRIVERS[_driver_key(driver, data)][1](space, f, x0, budget, data)
 
 
@@ -1016,12 +1020,8 @@ def solve_parametrized(
     a driver whose datum (`lam`, `caristi` or `meir_keeler`) is missing
     raises ValueError before any row is solved.
     """
-    data = dict(
-        lam=config.lam,
-        mode=config.mode,
-        caristi=config.caristi,
-        meir_keeler=config.meir_keeler,
-        sample_pairs=config.sample_pairs,
+    data = _driver_data(
+        config.lam, config.mode, config.caristi, config.meir_keeler, config.sample_pairs
     )
     if _driver_key(config.driver, data) == "monotone":
         raise ValueError("the monotone driver needs a point order; ParamConfig has none")

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ._rng import child_rng, uniforms
-from ._util import close_eq, ratio_bounds
+from ._util import ratio_bounds
 from .engine import LambdaSequence, MapSpec, SolveReport, _violated, solve_sequential
 from .monoid import MonoidSpec, MTrace, TestLadder, cauchy_series_window_report, dyadic_ladder
 from .reporting import Decision
@@ -237,15 +237,8 @@ class DiscreteKernel:
 
 def grid_function_monoid(m: int) -> MonoidSpec:
     """Pointwise addition and order on real functions over m grid nodes."""
-    return MonoidSpec(
-        carrier_descr=f"grid functions on {m} nodes (pointwise + and <=)",
-        combine=lambda a, b: a + b,
-        identity=np.zeros(m),
-        leq=lambda a, b: bool((a <= b).all()),
-        sup=np.maximum,
-        eq=close_eq(),
-        elementwise=True,
-    )
+    descr = f"grid functions on {m} nodes (pointwise + and <=)"
+    return MonoidSpec.real_entrywise(descr, np.zeros(m))
 
 
 def grid_ladder(m: int, depth: int = 20) -> TestLadder:

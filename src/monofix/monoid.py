@@ -11,13 +11,14 @@ within a witness budget".
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from ._rng import child_rng, choice_indices, distinct_draws
-from ._util import close_entries, format_value, generic_eq
+from ._util import REAL_ENTRYWISE, close_entries, format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
 
 
@@ -30,14 +31,8 @@ class MonoidSpec:
     silently coerced.  `sup` is optional and, when present, must return the
     least upper bound of its arguments.  `eq` is the carrier equality; float
     carriers use a tolerant equality so that rounding does not break the
-    algebraic axioms.
-
-    `elementwise` declares that the elements are float arrays of one shape,
-    `combine` is `+`, `leq` is `<=` on every entry, `eq` is `close_eq()`
-    applied entrywise and `sup`, when set, is `np.maximum`.  Traces and
-    axiom trials over such a carrier are checked as one stacked array (see
-    `cauchy_series_window_report` and `validate_monoid`), mostly without
-    calling these callbacks.
+    algebraic axioms.  `elementwise`, read from the callbacks, marks the
+    real-entrywise carriers, which the fast paths check on stacked arrays.
 
     Every callback must be deterministic: the validators decide each
     distinct draw once and give its repeats the same verdict.
@@ -49,7 +44,23 @@ class MonoidSpec:
     leq: Callable[[Any, Any], bool]
     sup: Optional[Callable[[Any, Any], Any]] = None
     eq: Callable[[Any, Any], bool] = generic_eq
-    elementwise: bool = False
+
+    @property
+    def elementwise(self) -> bool:
+        """Whether `combine`, `leq`, `eq` and `sup` are the `REAL_ENTRYWISE`
+        row of the identity's type: +, <=, close_eq() and max on every entry
+        of a float, a tuple of floats or a float array.  The fast paths over
+        such a carrier work on stacked float arrays; a `replace()` of any
+        callback turns them off."""
+        ops = REAL_ENTRYWISE.get(type(self.identity))
+        mine = (self.combine, self.leq, self.eq, self.sup)
+        return ops is not None and all(map(operator.is_, mine, ops))
+
+    @classmethod
+    def real_entrywise(cls, carrier_descr: str, identity: Any) -> "MonoidSpec":
+        """The elementwise monoid of `identity`: a float, float tuple or array."""
+        combine, leq, eq, sup = REAL_ENTRYWISE[type(identity)]
+        return cls(carrier_descr, combine, identity, leq, sup, eq)
 
     def is_positive(self, x: Any) -> bool:
         return self.leq(self.identity, x)
@@ -64,6 +75,12 @@ class MonoidSpec:
         return acc
 
 
+def _not_descending(spec: MonoidSpec, rungs: Sequence[Any]) -> Optional[int]:
+    """The first i whose rung i + 1 is not strictly below rung i, or None."""
+    pairs = enumerate(zip(rungs, rungs[1:]))
+    return next((i for i, (hi, lo) in pairs if not spec.strictly_below(lo, hi)), None)
+
+
 @dataclass(frozen=True)
 class TestLadder:
     """A finite descending chain of strictly positive monoid elements.
@@ -72,8 +89,9 @@ class TestLadder:
     combine(delta, delta) <= rungs[i], or None when no rung qualifies.  A
     witness is required for every rung except the bottom one: the bottom rung
     is the truncation point of the chain, so nothing below it is available.
-    `build` starts each rung's search at the previous rung's witness when the
-    rung is `leq` the previous one (transitivity; None carries forward).
+    `build` refuses rungs that do not strictly descend, and starts each
+    rung's search at the previous rung's witness (transitivity; None carries
+    forward).
     """
 
     __test__ = False  # not a test class, despite the name
@@ -91,12 +109,17 @@ class TestLadder:
     @classmethod
     def build(cls, spec: MonoidSpec, rungs: Sequence[Any]) -> "TestLadder":
         rungs = tuple(rungs)
+        bad = _not_descending(spec, rungs)
+        if bad is not None:
+            pair = _pair_repr(*rungs[bad : bad + 2])
+            raise ValueError(f"ladder rungs {bad},{bad + 1} do not strictly descend: {pair}")
         halves = lambda j, eps: spec.leq(spec.combine(rungs[j], rungs[j]), eps)
         witnesses: list[Optional[int]] = []
-        for i, eps in enumerate(rungs):
-            start = witnesses[-1] if i and spec.leq(eps, rungs[i - 1]) else 0
-            deltas = range(len(rungs) if start is None else start, len(rungs))  # None: no witness
-            witnesses.append(next((j for j in deltas if halves(j, eps)), None))
+        start: Optional[int] = 0
+        for eps in rungs:
+            if start is not None:  # None: no rung halves the one above, nor this one
+                start = next((j for j in range(start, len(rungs)) if halves(j, eps)), None)
+            witnesses.append(start)
         return cls(rungs=rungs, halving_witness=tuple(witnesses))
 
 
@@ -121,8 +144,8 @@ class MTrace:
     longer than its budget carries extra evidence: the tail past the budget
     still has to stay quiet for a NULL verdict, which is what separates
     genuinely summable traces from slowly diverging ones on finite data.
-    Over an elementwise carrier, `elements` may also be a 2-d array whose
-    rows are the elements.
+    Over an elementwise array carrier, `elements` may also be a 2-d array
+    whose rows are the elements.
     """
 
     elements: tuple
@@ -222,25 +245,39 @@ def _suffix_sums(trace: MTrace, spec: MonoidSpec) -> list:
     return tails
 
 
+def _rows(elements: Sequence[Any]) -> np.ndarray:
+    """Elements of a real-entrywise carrier as floats, a row per element."""
+    return np.asarray(elements, dtype=float).reshape(len(elements), -1)
+
+
+def _as_carrier(row: np.ndarray, identity: Any) -> Any:
+    """A row of `_rows` as a value of the carrier of `identity`."""
+    if isinstance(identity, np.ndarray):
+        return row.reshape(identity.shape)
+    return tuple(row.tolist()) if isinstance(identity, tuple) else float(row[0])
+
+
 def _stacked_suffix_scan(
     trace: MTrace, bottom: Any, spec: MonoidSpec
 ) -> tuple[np.ndarray, Optional[int]]:
-    """Suffix sums and the first one strictly below `bottom`, for an
-    elementwise carrier, computed on the (n, m) stacked trace.
+    """Suffix sums, a row each, and the first one strictly below `bottom`,
+    for an elementwise carrier, computed on the stacked trace.
 
     The positivity check and the `<=` scan run on all rows at once.  The
     reversed cumulative sum adds the elements in the order of the right fold
     in `_suffix_sums` (float addition is commutative), so every suffix sum is
-    bit-identical to it.  `spec.eq` still decides ties, on the rows that the
-    scan finds `<=` the bottom rung, so the tolerance lives in one place.
+    bit-identical to it.  `spec.eq` decides ties, on carrier values, for the
+    rows that the scan finds `<=` the bottom rung.
     """
-    xs = np.asarray(trace.elements)
-    bad = np.flatnonzero(~np.all(xs >= spec.identity, axis=1))
-    if bad.size:
-        raise _not_positive(int(bad[0]), xs[bad[0]])
+    xs = _rows(trace.elements)
+    positive = xs >= _rows([spec.identity])
+    if not positive.all():
+        i = int(np.flatnonzero(~positive.all(axis=1))[0])
+        raise _not_positive(i, trace.elements[i])
     tails = np.cumsum(xs[::-1], axis=0)[::-1]
-    below = np.flatnonzero(np.all(tails <= bottom, axis=1))
-    witness = next((int(i) for i in below if not spec.eq(tails[i], bottom)), None)
+    below = np.flatnonzero((tails <= _rows([bottom])).all(axis=1))
+    tie = lambda row: spec.eq(_as_carrier(row, spec.identity), bottom)
+    witness = next((int(i) for i in below if not tie(tails[i])), None)
     return tails, witness
 
 
@@ -255,22 +292,25 @@ def cauchy_series_window_report(
     window [N, end]; the check therefore only needs the suffix sums.  Over an
     elementwise carrier they are computed on the stacked trace, with the same
     additions in the same order as the per-element right fold and the same
-    `eq` deciding ties, so the decision, witness and window are the same.
+    equality rule deciding ties, so the decision, witness and window are the
+    same; the window's sum is returned as a carrier value.
     """
     if len(trace.elements) == 0:
         raise ValueError("empty trace")
     bottom = ladder.bottom
     if spec.elementwise:
         tails, witness = _stacked_suffix_scan(trace, bottom, spec)
+        window_sum = lambda i: _as_carrier(tails[i], spec.identity)
     else:
         _require_positive(trace.elements, spec)
         tails = _suffix_sums(trace, spec)
         witness = next((i for i, t in enumerate(tails) if spec.strictly_below(t, bottom)), None)
+        window_sum = tails.__getitem__
     n = len(tails)
     if witness is not None and witness + 1 <= trace.budget:
         return Decision.NULL, witness + 1, None
     start = min(trace.budget, n) - 1
-    offending = (start + 1, n, tails[start]) if start >= 0 else None
+    offending = (start + 1, n, window_sum(start)) if start >= 0 else None
     if n >= trace.budget:
         return Decision.NOT_NULL_WITHIN, None, offending
     return Decision.INDETERMINATE, None, offending
@@ -315,11 +355,11 @@ def _pair_repr(*items: Any) -> str:
 
 def _stacked_axioms(identity: np.ndarray) -> dict[str, Callable[..., np.ndarray]]:
     """The axioms of `validate_monoid` over an elementwise carrier, on
-    stacked arguments: row t of each argument is trial t, and each axiom
-    returns one verdict per row.  `+`, `<=` on every entry, `close_entries`
-    on every entry and `np.maximum` are the carrier's own operations, so
-    each row's verdict is the per-trial predicate's."""
-    identity = identity.reshape(-1)
+    stacked arguments (`_rows`): row t of each argument is trial t, and each
+    axiom returns one verdict per row.  `+`, `<=` on every entry,
+    `close_entries` on every entry and `np.maximum` are the carrier's own
+    operations, so each row's verdict is the per-trial predicate's (`max`
+    differs from `np.maximum` only where a NaN fails `leq` either way)."""
 
     def leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a <= b).all(axis=1)
@@ -373,8 +413,8 @@ def validate_monoid(
     samples = list(samples)
     checks: list[CheckResult] = []
     if spec.elementwise:
-        stacked = np.stack(samples).reshape(len(samples), -1)
-        on_rows = _stacked_axioms(np.asarray(spec.identity))
+        stacked = _rows(samples)
+        on_rows = _stacked_axioms(_rows([spec.identity]))
 
     def axiom(name: str, arity: int, predicate: Callable[..., bool]) -> None:
         idx, settle = choice_indices(rng, len(samples), trials * arity)
@@ -394,51 +434,26 @@ def validate_monoid(
                 CheckResult(name, False, trials=failing + 1, counterexample=_pair_repr(*args))
             )
 
-    axiom(
-        "associativity",
-        3,
-        lambda a, b, c: spec.eq(
-            spec.combine(spec.combine(a, b), c), spec.combine(a, spec.combine(b, c))
-        ),
-    )
-    axiom(
-        "identity",
-        1,
-        lambda x: spec.eq(spec.combine(spec.identity, x), x)
-        and spec.eq(spec.combine(x, spec.identity), x),
-    )
-    axiom("order_reflexive", 1, lambda x: spec.leq(x, x))
-    axiom(
-        "order_transitive",
-        3,
-        lambda a, b, c: not (spec.leq(a, b) and spec.leq(b, c)) or spec.leq(a, c),
-    )
-    axiom(
-        "order_antisymmetric",
-        2,
-        lambda a, b: not (spec.leq(a, b) and spec.leq(b, a)) or spec.eq(a, b),
-    )
+    leq, eq, add, identity = spec.leq, spec.eq, spec.combine, spec.identity
+    axiom("associativity", 3, lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))))
+    axiom("identity", 1, lambda x: eq(add(identity, x), x) and eq(add(x, identity), x))
+    axiom("order_reflexive", 1, lambda x: leq(x, x))
+    axiom("order_transitive", 3, lambda a, b, c: not (leq(a, b) and leq(b, c)) or leq(a, c))
+    axiom("order_antisymmetric", 2, lambda a, b: not (leq(a, b) and leq(b, a)) or eq(a, b))
     axiom(
         "order_compatibility",
         4,
-        lambda x1, y1, x2, y2: not (spec.leq(x1, y1) and spec.leq(x2, y2))
-        or spec.leq(spec.combine(x1, x2), spec.combine(y1, y2)),
+        lambda x1, y1, x2, y2: not (leq(x1, y1) and leq(x2, y2)) or leq(add(x1, x2), add(y1, y2)),
     )
     if spec.sup is not None:
 
         def riesz(a: Any, b: Any, z: Any) -> bool:
             s = spec.sup(a, b)
-            if not (spec.leq(a, s) and spec.leq(b, s)):
-                return False
-            if spec.leq(a, z) and spec.leq(b, z) and not spec.leq(s, z):
-                return False
-            return True
+            return leq(a, s) and leq(b, s) and not (leq(a, z) and leq(b, z) and not leq(s, z))
 
         axiom("riesz_supremum", 3, riesz)
 
-    positive = [
-        x for x in samples if spec.is_positive(x) and not spec.eq(x, spec.identity)
-    ]
+    positive = [x for x in samples if spec.is_positive(x) and not eq(x, identity)]
     checks.append(
         CheckResult(
             "positive_cone_nontrivial",
@@ -452,56 +467,24 @@ def validate_monoid(
 
 def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
     """Check positivity, strict descent, and the halving property of a ladder."""
-    if not ladder.rungs:
+    rungs = ladder.rungs
+    if not rungs:
         raise ValueError("ladder must be non-empty")
     checks: list[CheckResult] = []
 
-    bad = next(
-        (
-            (i, r)
-            for i, r in enumerate(ladder.rungs)
-            if not (spec.is_positive(r) and not spec.eq(r, spec.identity))
-        ),
-        None,
-    )
-    checks.append(
-        CheckResult(
-            "positivity",
-            bad is None,
-            trials=len(ladder.rungs),
-            counterexample=None if bad is None else f"rung {bad[0]}: {format_value(bad[1])}",
-        )
-    )
+    positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
+    bad = next((i for i, r in enumerate(rungs) if not positive(r)), None)
+    text = None if bad is None else f"rung {bad}: {format_value(rungs[bad])}"
+    checks.append(CheckResult("positivity", bad is None, len(rungs), text))
 
-    pairs = enumerate(zip(ladder.rungs, ladder.rungs[1:]))
-    bad = next(((i, hi, lo) for i, (hi, lo) in pairs if not spec.strictly_below(lo, hi)), None)
-    checks.append(
-        CheckResult(
-            "strict_descent",
-            bad is None,
-            trials=max(len(ladder.rungs) - 1, 0),
-            counterexample=None
-            if bad is None
-            else f"rungs {bad[0]},{bad[0] + 1}: {_pair_repr(bad[1], bad[2])}",
-        )
-    )
+    bad = _not_descending(spec, rungs)
+    text = None if bad is None else f"rungs {bad},{bad + 1}: {_pair_repr(*rungs[bad : bad + 2])}"
+    checks.append(CheckResult("strict_descent", bad is None, len(rungs) - 1, text))
 
-    bad = None
-    for i, eps in enumerate(ladder.rungs[:-1]):
-        witnessed = any(
-            spec.leq(spec.combine(delta, delta), eps) for delta in ladder.rungs
-        )
-        if not witnessed:
-            bad = (i, eps)
-            break
-    checks.append(
-        CheckResult(
-            "halving",
-            bad is None,
-            trials=max(len(ladder.rungs) - 1, 0),
-            counterexample=None
-            if bad is None
-            else f"no rung delta with delta+delta <= rung {bad[0]} ({format_value(bad[1])})",
-        )
-    )
+    halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in rungs)
+    bad = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
+    text = None
+    if bad is not None:
+        text = f"no rung delta with delta+delta <= rung {bad} ({format_value(rungs[bad])})"
+    checks.append(CheckResult("halving", bad is None, len(rungs) - 1, text))
     return ValidationReport(subject="test ladder", checks=tuple(checks))

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
-from ._util import below_entries, close_eq, format_value, generic_eq
+from ._util import below_entries, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -380,7 +380,7 @@ class FWSampler:
 
     A sampler of float candidates may also give their stacked form, both
     fields, which lets `falsify_frechet_wilson` screen its trials in bulk
-    when the space's monoid is the real scalar one:
+    when the space's monoid is elementwise over floats:
     - `stack(keys)`: the candidates of a list of keys as float arrays with a
       row per key.  A strong chain is its points, continued past its length
       to one width, and the lengths; a weak or standard candidate is its
@@ -396,11 +396,6 @@ class FWSampler:
 
     def __call__(self, rng: random.Random) -> Any:
         return self.build(self.draw(rng))
-
-
-def _real_scalar(m: MonoidSpec) -> bool:
-    """Whether m adds, orders and compares as the real scalar monoid: (+, <=, close_eq())."""
-    return (m.combine, m.leq, m.eq) == (operator.add, operator.le, close_eq())
 
 
 def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestLadder) -> np.ndarray:
@@ -478,7 +473,7 @@ def falsify_frechet_wilson(
     computed only when every trace before it is null: the second premise's
     after a null first premise, the conclusion's after a null second one.
 
-    An `FWSampler` with a stacked form, over the real scalar monoid, is
+    An `FWSampler` with a stacked form, over an elementwise float monoid, is
     screened in chunks (`_screened`), and only the trials the screen flags
     are built and decided.  Any other `FWSampler`'s key is decided once, on
     the first trial to draw it (`first_occurrences`); any other sampler's
@@ -499,7 +494,7 @@ def falsify_frechet_wilson(
     d = space.distance
     rng = child_rng(seed, f"fw-{level}")
     stacked = isinstance(sampler, FWSampler) and None not in (sampler.stack, sampler.distance)
-    if stacked and _real_scalar(m):
+    if stacked and m.elementwise and isinstance(m.identity, float):
         candidates = _screened(sampler, rng, level, trials, m, ladder)
     elif isinstance(sampler, FWSampler):
         keys = first_occurrences(sampler.draw(rng) for _ in range(trials))
@@ -722,15 +717,14 @@ def _weakest_kind(spaces: Sequence[DistanceSpaceSpec]) -> SpaceKind:
 _call = getattr(operator, "call", lambda f, *args: f(*args))
 
 
-def _add_entries(a: tuple, b: tuple) -> tuple:
-    """The combine of a product of real monoids (+, <=, close_eq()), told by identity."""
-    return tuple(map(operator.add, a, b))
-
-
 def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
-    """Coordinatewise product of monoids on tuples, by the factors' callables or `_add_entries`."""
+    """Coordinatewise product of monoids on tuples, by the factors' callables.
+    A product of elementwise float monoids is elementwise itself."""
     factors = tuple(factors)
-    real = all(map(_real_scalar, factors))
+    descr = "product(" + ", ".join(m.carrier_descr for m in factors) + ")"
+    identity = tuple(m.identity for m in factors)
+    if all(m.elementwise and isinstance(m.identity, float) for m in factors):
+        return MonoidSpec.real_entrywise(descr, identity)
     combines, leqs, eqs, sups = (
         tuple(getattr(m, op) for m in factors) for op in ("combine", "leq", "eq", "sup")
     )
@@ -750,14 +744,7 @@ def product_monoid(factors: Sequence[MonoidSpec]) -> MonoidSpec:
         def sup(a: tuple, b: tuple) -> tuple:  # noqa: F811
             return tuple(map(_call, sups, a, b))
 
-    return MonoidSpec(
-        carrier_descr="product(" + ", ".join(m.carrier_descr for m in factors) + ")",
-        combine=_add_entries if real else combine,
-        identity=tuple(m.identity for m in factors),
-        leq=leq,
-        sup=sup,
-        eq=eq,
-    )
+    return MonoidSpec(descr, combine, identity, leq, sup, eq)
 
 
 def product_ladder(ladders: Sequence[TestLadder], monoid: MonoidSpec) -> TestLadder:

@@ -11,7 +11,7 @@ import monofix.monoid
 import monofix.spaces
 from monofix import MonoidSpec, SpaceKind, validate_monoid, validate_space
 from monofix._rng import child_rng, choice_indices, distinct_draws
-from monofix._util import close_eq, format_value
+from monofix._util import format_value
 from monofix.catalog import MONOID_NAMES, SPACE_NAMES, get_monoid, get_space
 from monofix.monoid import _pair_repr
 from monofix.reporting import CheckResult, ValidationReport
@@ -204,14 +204,8 @@ BREAKING_VECTORS = (
     np.array([0.5, np.nan, 0.5]),
     np.array([2.0, 0.0, 1.0]),
 )
-BREAKING_SPEC = MonoidSpec(
-    carrier_descr="real 3-vectors with an overflow and a NaN among the samples",
-    combine=lambda a, b: a + b,
-    identity=np.zeros(3),
-    leq=lambda a, b: bool((a <= b).all()),
-    sup=np.maximum,
-    eq=close_eq(),
-    elementwise=True,
+BREAKING_SPEC = MonoidSpec.real_entrywise(
+    "real 3-vectors with an overflow and a NaN among the samples", np.zeros(3)
 )
 MONOID_CASES = {name: (e.spec, e.samples) for name in MONOID_NAMES for e in [get_monoid(name)]}
 MONOID_CASES["breaking vectors"] = (BREAKING_SPEC, BREAKING_VECTORS)

@@ -331,7 +331,8 @@ def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
             v = weighted @ v
             matvecs += 1
 
-    per_element = replace(grid_function_monoid(len(grid)), elementwise=False)
+    spec = grid_function_monoid(len(grid))
+    per_element = replace(spec, combine=lambda a, b: spec.combine(a, b))  # not elementwise
     budget = max(1, n_max // 2)
     trace = MTrace(elements=tuple(increments), budget=budget)
     _, witness, _ = cauchy_series_window_report(trace, grid_ladder(len(grid)), per_element)

@@ -1,4 +1,5 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
+import math
 import operator
 import random
 import warnings
@@ -23,7 +24,7 @@ from monofix import (
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
 from monofix.monoid import _require_positive, cauchy_series_window_report
 from monofix.spaces import diagonal, relation_compose, relation_monoid
-from monofix._util import close_eq, format_value
+from monofix._util import close_entries, close_eq, format_value
 
 REAL = real_nonneg_monoid()
 LADDER16 = TestLadder.build(REAL, [1.0, 0.5, 0.25, 0.125, 0.0625])
@@ -234,6 +235,13 @@ def brute_null_trace(xs, budget, ladder, spec):
 RUNG_TIES = (2.0**-20, 2.0**-20 * (1.0 - 1e-12))
 
 
+def _constant(spec, v):
+    """The element of spec's carrier with every entry v."""
+    if isinstance(spec.identity, np.ndarray):
+        return np.full(spec.identity.shape, v)
+    return (v,) * len(spec.identity) if isinstance(spec.identity, tuple) else v
+
+
 def _grid_element(rng):
     if rng.random() < 0.2:
         return np.full(3, rng.choice(RUNG_TIES))
@@ -261,8 +269,8 @@ def test_trace_decisions_match_brute_force_windows(name):
     cases += [[element(rng)] + [rng.choice(small) for _ in range(rng.randint(0, 7))] for _ in range(60)]
     if spec.elementwise:
         # the last suffix sum ties with the bottom rung
-        cases += [[np.full(3, 0.25), np.full(3, tie)] for tie in RUNG_TIES]
-        per_element = replace(spec, elementwise=False)
+        cases += [[_constant(spec, 0.25), _constant(spec, tie)] for tie in RUNG_TIES]
+        per_element = replace(spec, combine=lambda a, b: spec.combine(a, b))  # not elementwise
     seen = set()
     for xs in cases:
         n = len(xs)
@@ -278,10 +286,13 @@ def test_trace_decisions_match_brute_force_windows(name):
                 assert window[:2] == (start, end) and spec.eq(window[2], total), (xs, budget)
                 assert not spec.strictly_below(total, ladder.bottom)
             if spec.elementwise:
-                # the stacked path makes the additions of the per-element fold
+                # the stacked path makes the additions of the per-element fold,
+                # and returns the window's sum as a value of the carrier
                 d, w, win = cauchy_series_window_report(trace, ladder, per_element)
                 assert (d, w) == (decision, witness) and (win is None) == (window is None)
-                assert win is None or (win[:2] == window[:2] and np.array_equal(win[2], window[2]))
+                if win is not None:
+                    assert win[:2] == window[:2] and type(win[2]) is type(window[2])
+                    assert format_value(win[2]) == format_value(window[2])
             null = is_null_trace(trace, ladder, spec)
             assert null is brute_null_trace(xs, budget, ladder, spec), (xs, budget)
             seen.add((decision, null))
@@ -420,13 +431,25 @@ CLOSE_VALUES = (
 INT64 = np.iinfo(np.int64)
 
 
+def _rule(x, y):
+    # the equality of float carriers, on two Python floats: equal values,
+    # else two finite values within 1e-12 + 1e-9 * max(|x|, |y|)
+    if x == y:
+        return True
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return False
+    return abs(x - y) <= 1e-12 + 1e-9 * max(abs(x), abs(y))
+
+
 def _allclose(a, b):
-    # np.allclose itself warns when a - b overflows
-    with np.errstate(over="ignore"):
-        return bool(np.allclose(a, b, rtol=1e-9, atol=1e-12))
+    # `_rule` on every pair of broadcast entries, ints made floats
+    pairs = zip(*(np.asarray(x).ravel().tolist() for x in np.broadcast_arrays(a, b)))
+    return all(_rule(float(x), float(y)) for x, y in pairs)
 
 
 def test_close_eq_on_arrays_is_allclose():
+    # arrays, scalars against arrays and tuples of them, in both orders, as
+    # the per-entry oracle of the one symmetric rule
     eq = close_eq()
     rng = random.Random("close_eq")
     pairs = []
@@ -444,18 +467,46 @@ def test_close_eq_on_arrays_is_allclose():
         warnings.simplefilter("error", RuntimeWarning)
         for a, b in pairs:
             want = _allclose(a, b)
-            assert eq(a, b) is want, (a, b)
+            assert eq(a, b) is want and eq(b, a) is want, (a, b)
             seen.add(want)
         for (a1, b1), (a2, b2) in zip(pairs[::2], pairs[1::2]):
-            assert eq((a1, a2), (b1, b2)) is (_allclose(a1, b1) and _allclose(a2, b2))
+            want = _allclose(a1, b1) and _allclose(a2, b2)
+            assert eq((a1, a2), (b1, b2)) is want and eq((b1, b2), (a1, a2)) is want
     assert seen == {True, False}
+
+
+def test_close_eq_on_scalars_is_the_rule():
+    eq = close_eq()
+    for x in CLOSE_VALUES:
+        for y in CLOSE_VALUES:
+            assert eq(x, y) is _rule(x, y), (x, y)
+            assert bool(close_entries(x, y)) is _rule(x, y), (x, y)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [(INF, 1.0, False), (-INF, 1.0, False), (INF, 1e308, False), (-INF, -1e308, False),
+     (INF, -INF, False), (INF, INF, True), (-INF, -INF, True), (NAN, NAN, False),
+     (NAN, 1.0, False), (NAN, INF, False)],
+)
+def test_a_non_finite_value_equals_only_itself(a, b, want):
+    eq = close_eq()
+    for x, y in ((a, b), (b, a)):
+        assert eq(x, y) is want
+        assert eq((x, 0.5), (y, 0.5)) is want and eq((0.5, x), (0.5, y)) is want
+        assert eq(np.array([x, 0.5]), np.array([y, 0.5])) is want
+        assert eq(np.array([x, 0.5]), y) is (want and eq(0.5, y))
+        assert close_entries(np.array([x, 0.5]), np.array([y, 0.5])).tolist() == [want, True]
 
 
 @pytest.mark.parametrize("bad", [-5e-7, -1e10, float("nan")])
 def test_grid_trace_outside_positive_cone_raises_as_per_element(bad):
     entry = get_monoid("grid_function{3}")
     spec, ladder = entry.spec, entry.ladder
-    per_element = replace(spec, elementwise=False)
+    per_element = replace(spec, combine=lambda a, b: spec.combine(a, b))  # not elementwise
     rng = random.Random(repr(bad))
     for _ in range(20):
         xs = [_grid_element(rng) for _ in range(rng.randint(1, 8))]
@@ -641,20 +692,34 @@ def _catalog_ladder(kind: str, name: str):
         _catalog_ladder("monoid", "relation{8}"),
         _catalog_ladder("space", "uniform_pseudometric{8}"),
         _catalog_ladder("space", "gauge{3}"),
-        # not descending: each rung not below its predecessor restarts at delta 0
-        (REAL, (0.25, 1.0, 0.5, 0.125, 2.0, 0.0625, 0.0625)),
         # a rung without a witness, and one below it that inherits none
-        (REAL, (1.0, 0.45, 0.3, 0.2, 0.9, 0.1)),
+        (REAL, (1.0, 0.45, 0.3, 0.2, 0.15, 0.1)),
         (REAL, (1.0, 0.9, 0.8)),
-        # incomparable relation rungs
-        (relation_monoid(tuple(range(3))), (
-            diagonal(range(3)) | {(0, 1)}, diagonal(range(3)) | {(1, 2)}, diagonal(range(3)) | {(0, 1), (1, 2), (0, 2)},
-        )),
     ],
-    ids=["dyadic", "product", "relation", "uniform", "gauge", "not-descending", "no-witness", "none", "incomparable"],
+    ids=["dyadic", "product", "relation", "uniform", "gauge", "no-witness", "none"],
 )
 def test_ladder_build_equals_the_quadratic_search(spec, rungs):
     assert TestLadder.build(spec, rungs).halving_witness == quadratic_witnesses(spec, tuple(rungs))
+
+
+@pytest.mark.parametrize(
+    "spec, rungs, message",
+    [
+        (REAL, (0.25, 1.0, 0.5, 0.125, 2.0, 0.0625), "rungs 0,1 do not strictly descend: 0.25, 1.0"),
+        # a tie within the tolerance of close_eq is not a descent
+        (REAL, (1.0, 0.5, 0.5 * (1 - 1e-12), 0.1), "rungs 1,2 do not strictly descend: 0.5, 0.4999"),
+        (
+            relation_monoid(tuple(range(3))),
+            (diagonal(range(3)) | {(0, 1), (1, 2), (0, 2)}, diagonal(range(3)) | {(0, 1)},
+             diagonal(range(3)) | {(1, 2)}),
+            "rungs 1,2 do not strictly descend: ",
+        ),
+    ],
+    ids=["not-descending", "tie", "incomparable"],
+)
+def test_ladder_build_refuses_rungs_that_do_not_descend(spec, rungs, message):
+    with pytest.raises(ValueError, match=message):
+        TestLadder.build(spec, rungs)
 
 
 def test_ladder_build_resumes_at_the_previous_witness():

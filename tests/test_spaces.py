@@ -7,9 +7,15 @@ import random
 import numpy as np
 import pytest
 
+import monofix.engine
+import monofix.monoid
+import monofix.spaces
 from monofix import (
     Decision,
     DistanceSpaceSpec,
+    Grid,
+    LambdaSequence,
+    MapSpec,
     MTrace,
     PointTrace,
     SpaceKind,
@@ -22,11 +28,14 @@ from monofix import (
     entourage_distance,
     falsify_frechet_wilson,
     gauge_space,
+    grid_space,
     is_cauchy_sequence,
     is_null_trace,
     is_cw_sequence,
     make_uniform_from_pseudometric,
     product_space,
+    solve_sequential,
+    validate_monoid,
     validate_space,
     validate_zeta,
 )
@@ -38,9 +47,10 @@ from monofix.catalog import (
     real_nonneg_monoid,
 )
 from monofix._rng import child_rng
-from monofix._util import ATOL, RTOL, close_entries, close_eq, format_value
+from monofix._util import ATOL, RTOL, add_entries, close_entries, close_eq, format_value
 from monofix.reporting import Counterexample
-from monofix.spaces import FW_LEVELS, FWSampler, _add_entries, diagonal, full_relation, product_monoid
+from monofix.monoid import cauchy_series_window_report
+from monofix.spaces import FW_LEVELS, FWSampler, diagonal, full_relation, product_monoid
 
 REAL_ABS = get_space("real_abs")
 SNOWFLAKE = get_space("snowflake")
@@ -86,6 +96,18 @@ def test_triangle_snowflake_violation():
     assert d(0.0, 2.0) == 4.0 and d(0.0, 1.0) + d(1.0, 2.0) == 2.0
     rep = check_triangle(SNOWFLAKE.space, [(0.0, 2.0, 1.0)])
     assert not rep.ok
+
+
+def test_triangle_infinite_distance_fails():
+    # three points with d(0,1) = inf while d(0,2) + d(2,1) = 2: inf is not
+    # <= 2, and a non-finite value equals only itself, so no tie forgives it
+    table = {frozenset((0, 1)): math.inf, frozenset((0, 2)): 1.0, frozenset((1, 2)): 1.0}
+    dist = lambda x, y: 0.0 if x == y else table[frozenset((x, y))]
+    space = dataclasses.replace(REAL_ABS.space, distance=dist, point_descr="three points")
+    rep = check_triangle(space, [(0, 2, 1), (0, 1, 2)])
+    (check,) = rep.checks
+    assert not rep.ok and check.trials == 2
+    assert check.counterexample == "x=0 y=1 z=2 d(x,y)=inf d(x,z)+d(z,y)=2.0"
 
 
 def test_triangle_entourage_space_exhaustive():
@@ -724,13 +746,13 @@ def test_fw_screen_outside_the_cone_as_the_scalar_loop(level, role, bad):
             assert kind == "raised" and last == bad_trial, bad_trial
             message = f"trace element at index {N_POINTS // 2} is not in the positive cone: "
             assert text == repr(message + format_value(bad))
-        elif role == "endpoint" and bad != -0.5:
-            # NaN and -inf are not strictly below the first rung: a witness
+        elif role == "endpoint" and math.isnan(bad):
+            # NaN is not strictly below the first rung: a witness
             assert text.endswith(f"found on trial {bad_trial}')") and last == bad_trial
         else:
-            # a NaN step makes a NaN sum and a -inf step a -inf one, neither
-            # strictly below the bottom rung; after a -0.5 step the sum is,
-            # but the endpoint stays strictly below every rung
+            # a NaN step makes a NaN sum, not strictly below the bottom rung;
+            # after a -0.5 or -inf step the sum is, but the endpoint stays
+            # strictly below every rung, as a -0.5 or -inf endpoint is
             assert (kind, text) == ("returned", "None"), bad_trial
 
 
@@ -746,13 +768,14 @@ def test_fw_screen_breaks_ties_as_close_eq(level):
     # the bottom rung b lies where ATOL dominates the band of close_eq; the
     # conclusion's last distance c is far below b, just outside the band, a
     # tie inside it, in the sliver of the band that |c - b| <= ATOL + RTOL*c
-    # (numpy's form, with c as the second argument) misses, or above b
+    # (numpy's isclose, with c as the second argument) misses, or above b
     b = 1e-11
     band = ATOL + RTOL * b
     lasts = (b / 2, b - band * (1 + 1e-6), b - band / 2, b - band * (1 - RTOL / 2), b + 2 * band)
     eq = close_eq()
     assert [eq(c, b) for c in lasts] == [False, False, True, True, False]
-    assert not close_entries(b, lasts[3])
+    assert not np.isclose(b, lasts[3], rtol=RTOL, atol=ATOL)
+    assert close_entries(b, lasts[3]) and close_entries(lasts[3], b)  # one symmetric rule
     weights = (0.9, 0.04, 0.02, 0.02, 0.02)
     ladder = TestLadder.build(REAL_ABS.space.monoid, [0.5, 0.25, b])
     space = dataclasses.replace(REAL_ABS.space, ladder=ladder)
@@ -780,12 +803,12 @@ def test_fw_screen_breaks_ties_as_close_eq(level):
 
 
 def test_fw_screen_scans_every_rung():
-    # a ladder need not descend: here the upper rung 2**-40 lies below ATOL,
-    # so no endpoint at or above 0 is strictly below it (ATOL makes a small
-    # one a tie), and that rung, not the bottom rung 1/16, decides; chains
-    # of steps amp/32 have a sum below 1/16 for amp below about 0.24
-    m = REAL_ABS.space.monoid
-    space = dataclasses.replace(REAL_ABS.space, ladder=TestLadder.build(m, [2.0**-40, 2.0**-4]))
+    # a ladder made by the constructor need not descend: here the upper rung
+    # 2**-40 lies below ATOL, so no endpoint at or above 0 is strictly below
+    # it (ATOL makes a small one a tie), and that rung, not the bottom rung
+    # 1/16, decides; chains of steps amp/32 have a sum below 1/16 for amp
+    # below about 0.24
+    space = dataclasses.replace(REAL_ABS.space, ladder=TestLadder((2.0**-40, 2.0**-4), (None, 0)))
 
     def make(seen):
         def build(key):
@@ -1074,11 +1097,12 @@ def test_product_monoid_matches_generator_reference(names):
 
 
 def test_product_of_real_monoids_adds_entries():
-    # _add_entries marks the products whose combine is + on every entry, with
-    # <= and close_eq() as order and equality: only real factors qualify
+    # a product of elementwise float monoids is elementwise itself: + on
+    # every entry, with <= and close_eq() as order and equality; a factor
+    # with another callback, or one that is not a float monoid, is not
     real = get_monoid("real_nonneg")
     got = product_monoid([real.spec, real.spec])
-    assert got.combine is _add_entries
+    assert got.elementwise and got.combine is add_entries
     reference = reference_product_monoid([real.spec, real.spec])[0]
     for a, b in itertools.product(itertools.product(real.samples, repeat=2), repeat=2):
         assert repr(got.combine(a, b)) == repr(reference(a, b))
@@ -1087,11 +1111,104 @@ def test_product_of_real_monoids_adds_entries():
         dict(combine=lambda a, b: a + b),
         dict(leq=lambda a, b: a <= b),
         dict(eq=close_eq(1e-6)),
+        dict(sup=None),
     ):
         other = dataclasses.replace(real.spec, **changed)
-        assert product_monoid([real.spec, other]).combine is not _add_entries, changed
-    for name in ("relation{8}", "product{real_nonneg,real_nonneg}"):
-        assert product_monoid([real.spec, get_monoid(name).spec]).combine is not _add_entries
+        assert not product_monoid([real.spec, other]).elementwise, changed
+    for name in ("relation{8}", "product{real_nonneg,real_nonneg}", "real_vector{3}"):
+        assert not product_monoid([real.spec, get_monoid(name).spec]).elementwise, name
+
+
+def _one_replaced(spec, callback):
+    """spec with `callback` replaced by a wrapper that calls it: the same
+    monoid, told apart from an elementwise one."""
+    f = getattr(spec, callback)
+    return dataclasses.replace(spec, **{callback: lambda a, b: f(a, b)})
+
+
+def _constant_of(spec, v):
+    """The element of spec's float carrier with every entry v."""
+    if isinstance(spec.identity, np.ndarray):
+        return np.full(spec.identity.shape, v)
+    return (v,) * len(spec.identity) if isinstance(spec.identity, tuple) else v
+
+
+def _vector_solve(space):
+    """A series solve of x -> A x + 1 on two coordinates with |A| as the
+    matrix of its step operator, on tuples or on arrays."""
+    a = np.array([[0.3, -0.2], [-0.2, 0.3]])
+    w = np.abs(a)
+    if isinstance(space.monoid.identity, tuple):
+        f = MapSpec(apply=lambda p: tuple((a @ np.array(p) + 1.0).tolist()), description="affine")
+        op, x0 = (lambda v: tuple((w @ np.array(v)).tolist())), (-10.0, 10.0)
+    else:
+        f, op, x0 = MapSpec(apply=lambda x: a @ x + 1.0, description="affine"), (lambda v: w @ v), np.array([-10.0, 10.0])
+    lam = LambdaSequence.constant(op, matrix=w)
+    rep = solve_sequential(space, f, lam, x0, "series", 200)
+    return rep.status, rep.diagnostics, format_value(rep.fixed_point), rep.iterations
+
+
+# name in the catalog, the space whose monoid it is, and the fast paths that
+# the unchanged monoid takes: stacked axioms and suffix sums always, the
+# falsifier screen on scalars, the geometric tail decision on vectors
+REAL_CARRIERS = {
+    "scalar": ("real_nonneg", lambda: get_space("squared").space, {"_screened"}),
+    "tuple": (
+        "product{real_nonneg,real_nonneg}",
+        lambda: product_space([REAL_ABS.space, REAL_ABS.space], "coordinatewise"),
+        {"_geometric_witness"},
+    ),
+    "array": ("real_vector{2}", lambda: grid_space(Grid.trapezoid(0.0, 1.0, 2)), {"_geometric_witness"}),
+}
+
+
+@pytest.fixture
+def fast_paths(monkeypatch):
+    """The names of the fast paths taken, in order."""
+    taken = []
+    for module, name in (
+        (monofix.monoid, "_stacked_axioms"),
+        (monofix.monoid, "_stacked_suffix_scan"),
+        (monofix.spaces, "_screened"),
+        (monofix.engine, "_geometric_witness"),
+    ):
+
+        def spy(*args, _real=getattr(module, name), _name=name):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("callback", ["combine", "leq", "eq", "sup"])
+@pytest.mark.parametrize("carrier", REAL_CARRIERS)
+def test_replacing_one_real_callback_takes_the_generic_paths(carrier, callback, fast_paths):
+    name, make_space, vector_or_scalar = REAL_CARRIERS[carrier]
+    entry, space = get_monoid(name), make_space()
+
+    def outcomes(spec, space):
+        found = [validate_monoid(spec, entry.samples, 200, seed=3)]
+        for values, budget in (([0.5**k for k in range(1, 60)], 30), ([0.3] * 12, 6)):
+            trace = MTrace.of([_constant_of(spec, v) for v in values], budget)
+            decision, witness, window = cauchy_series_window_report(trace, entry.ladder, spec)
+            total = None if window is None else (type(window[2]), format_value(window[2]))
+            found.append((decision, witness, window and window[:2], total))
+        if carrier == "scalar":  # a counterexample: (x-y)^2 breaks the strong property
+            sampler = get_space("squared").fw_sampler("strong")
+            found.append(repr(falsify_frechet_wilson(space, "strong", sampler, 300, seed=1)))
+        else:
+            found.append(_vector_solve(space))
+        return found
+
+    assert entry.spec.elementwise and space.monoid.elementwise
+    want = outcomes(entry.spec, space)
+    assert set(fast_paths) == {"_stacked_axioms", "_stacked_suffix_scan"} | vector_or_scalar
+    fast_paths.clear()
+    spec = _one_replaced(entry.spec, callback)
+    assert not spec.elementwise
+    got = outcomes(spec, dataclasses.replace(space, monoid=_one_replaced(space.monoid, callback)))
+    assert fast_paths == [] and got == want
 
 
 def test_product_mixed_monoids_rejected():

@@ -18,12 +18,17 @@ change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
 the environment that the runs report, and each side's `wc -l src/monofix/*.py`
-total (`src_lines`), which it prints.  After a workload's pairs, each side
-runs `tools/op_times.py` for its default number of timed passes, and the
-summary records that number (`op_passes`), each reference key's median
-wall time and traced counts per side, over that fixed op sequence, and each
-op kind's mean median per side (`op_kinds`).  It then prints a line per op
-kind, slowest parent first: both sides' mean medians and change / parent.
+total (`src_lines`), which it prints.  After a workload's pairs, it
+runs `tools/op_times.py` in `OP_ROUNDS` short rounds of `OP_PASSES` timed
+passes per side, the sides alternating as in the pairs (parent first on even
+rounds), so that a drift of the machine's speed reaches both sides alike.
+The summary records those numbers (`op_rounds`, `op_passes`), each
+reference key's median over the rounds of its round medians, those round
+medians and its traced counts per side (`op_times`, over that fixed op
+sequence), each op kind's mean median per side (`op_kinds`) and each op
+kind's change / parent ratio in every round (`op_kind_ratios`).  It then
+prints a line per op kind, slowest parent first: both sides' mean medians,
+change / parent, and the least and largest ratio of a round.
 """
 from __future__ import annotations
 
@@ -36,6 +41,10 @@ import tempfile
 from pathlib import Path
 
 from op_times import PASSES, kinds, op_times
+
+# op_times' default number of timed passes, split into alternating rounds
+OP_ROUNDS = 4
+OP_PASSES = PASSES // OP_ROUNDS
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -73,13 +82,46 @@ def summarise(runs: dict, better: dict) -> dict:
     return out
 
 
-def print_kinds(workload: str, per_kind: dict) -> None:
-    """A line per op kind, slowest parent first: both sides' times and their ratio."""
+def alternating_op_times(roots: dict, workload: str, rounds: int, passes: int) -> dict:
+    """`op_times` of both sides in `rounds` rounds of `passes` timed passes,
+    parent first on even rounds and change first on odd ones; per side, the
+    results of each round."""
+    found: dict = {side: [] for side in roots}
+    for i in range(rounds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            found[side].append(op_times(roots[side], workload, passes))
+    return found
+
+
+def merge_rounds(rounds: list) -> dict:
+    """Each key's median of its round medians, those medians, and its counts
+    (the same in every round, the op sequence being fixed)."""
+    return {
+        key: {
+            "median_s": statistics.median(found[key]["median_s"] for found in rounds),
+            "round_medians_s": [found[key]["median_s"] for found in rounds],
+            "counts": rounds[0][key]["counts"],
+        }
+        for key in rounds[0]
+    }
+
+
+def kind_ratios(found: dict) -> dict:
+    """Each op kind's change / parent ratio of mean medians, round by round."""
+    per_round = [(kinds(p), kinds(c)) for p, c in zip(found["parent"], found["change"])]
+    nan = float("nan")  # a kind only the parent has
+    return {kind: [c.get(kind, nan) / p[kind] for p, c in per_round] for kind in per_round[0][0]}
+
+
+def print_kinds(workload: str, per_kind: dict, ratios: dict) -> None:
+    """A line per op kind, slowest parent first: both sides' times, their
+    ratio and the range of the rounds' ratios."""
     parent, change = per_kind["parent"], per_kind["change"]
     for kind in sorted(parent, key=parent.get, reverse=True):
         p, c = parent[kind], change.get(kind, float("nan"))  # a kind only the parent has
         times = f"parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}"
-        print(f"{workload} {kind}: {times}", flush=True)
+        spread = f"rounds {min(ratios[kind]):.3f}-{max(ratios[kind]):.3f}"
+        print(f"{workload} {kind}: {times} {spread}", flush=True)
 
 
 def src_lines(root: Path) -> int:
@@ -136,15 +178,16 @@ def main(argv: list[str] | None = None) -> int:
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
-            summary["workloads"][workload]["op_passes"] = PASSES
-            found = {
-                side: op_times(root, workload)
-                for side, root in (("parent", parent_root), ("change", change_root))
-            }
-            summary["workloads"][workload]["op_times"] = found
-            per_kind = {side: kinds(ops) for side, ops in found.items()}
-            summary["workloads"][workload]["op_kinds"] = per_kind
-            print_kinds(workload, per_kind)
+            roots = {"parent": parent_root, "change": change_root}
+            found = alternating_op_times(roots, workload, OP_ROUNDS, OP_PASSES)
+            merged = {side: merge_rounds(rounds) for side, rounds in found.items()}
+            per_kind = {side: kinds(ops) for side, ops in merged.items()}
+            ratios = kind_ratios(found)
+            summary["workloads"][workload].update(
+                op_rounds=OP_ROUNDS, op_passes=OP_PASSES, op_times=merged,
+                op_kinds=per_kind, op_kind_ratios=ratios,
+            )
+            print_kinds(workload, per_kind, ratios)
             summary.setdefault("environment", runs["change"][0]["info"]["environment"])
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {args.out}")
