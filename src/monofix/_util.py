@@ -51,10 +51,10 @@ def close_eq(rel: float = RTOL, abs_: float = ATOL):
     inf = math.inf
 
     def eq(a: Any, b: Any) -> bool:
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return len(a) == len(b) and all(map(eq, a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return bool(close_entries(a, b, rel, abs_).all())
-        if isinstance(a, tuple) and isinstance(b, tuple):
-            return len(a) == len(b) and all(eq(x, y) for x, y in zip(a, b))
         return a == b or abs(a - b) <= abs_ + rel * max(abs(a), abs(b)) < inf
 
     return eq
