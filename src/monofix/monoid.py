@@ -269,10 +269,9 @@ def _stacked_suffix_scan(
     bit-identical to it.  `spec.eq` decides ties, on carrier values, for the
     rows that the scan finds `<=` the bottom rung.
     """
-    xs = _rows(trace.elements)
-    positive = xs >= _rows([spec.identity])
-    if not positive.all():
-        i = int(np.flatnonzero(~positive.all(axis=1))[0])
+    xs, identity = _rows(trace.elements), _rows([spec.identity])
+    if not (xs >= identity).all():  # no (n, m) mask outlives the check
+        i = int(np.flatnonzero(~(xs >= identity).all(axis=1))[0])
         raise _not_positive(i, trace.elements[i])
     tails = np.cumsum(xs[::-1], axis=0)[::-1]
     below = np.flatnonzero((tails <= _rows([bottom])).all(axis=1))
