@@ -26,9 +26,9 @@ RTOL, ATOL = 1e-9, 1e-12
 def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.ndarray:
     """`close_eq`'s rule, entry by entry: a == b, or |a - b| <= abs_ + rel *
     max(|a|, |b|) with that band finite.  Both sides are made inexact first,
-    as `np.isclose` makes them.  inf - inf, NaN and overflowing differences
-    are not warned about: they only ever decide "not close" or are overruled
-    by a == b.
+    so that integer entries neither wrap in a - b nor overflow in |a|.
+    inf - inf, NaN and overflowing differences are not warned about: they
+    only ever decide "not close" or are overruled by a == b.
     """
     a, b = np.asarray(a), np.asarray(b)
     a = a.astype(np.result_type(a, 1.0), copy=False)
