@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +21,12 @@ def child_rng(root: int, label: str) -> random.Random:
     return random.Random(derive_seed(root, label))
 
 
+def words(rng: random.Random, k: int) -> np.ndarray:
+    """The next k 32-bit Mersenne Twister words of `rng`, in order:
+    `getrandbits(32 * k)` returns them least significant first."""
+    return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
+
+
 def choice_indices(
     rng: random.Random, n: int, count: int
 ) -> tuple[np.ndarray, Callable[[int], None]]:
@@ -29,13 +35,11 @@ def choice_indices(
     first d of those calls would have.
 
     `choice` takes one 32-bit Mersenne Twister word per try, keeps its top
-    n.bit_length() bits and retries while they are not below n.
-    `getrandbits(32 * k)` returns k such words in the same order, least
-    significant first, so the tries are read off its bytes and the
-    rejections applied to all of them at once.  The indices are uint32.
-    Until `settle` is called, `rng` may have run past the draws; `settle(d)`
-    restores the state saved on entry and replays the words of the first d
-    draws.
+    n.bit_length() bits and retries while they are not below n.  The tries
+    are read off `words` and the rejections applied to all of them at once.
+    The indices are uint32.  Until `settle` is called, `rng` may have run
+    past the draws; `settle(d)` restores the state saved on entry and
+    replays the words of the first d draws.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -43,14 +47,13 @@ def choice_indices(
         raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
     saved = rng.getstate()
     bits = n.bit_length()
-    tries, kept = b"", ()
+    tries, kept = np.zeros(0, dtype="<u4"), ()
     while len(kept) < count:
         # a try is kept with probability n / 2**bits; draw the expected
         # number for the rest and an eighth more, rarely a second time
         rest = count - len(kept)
-        k = (rest << bits) // n + (rest >> 3) + 32
-        tries += rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-        shifted = np.frombuffer(tries, dtype="<u4") >> (32 - bits)
+        tries = np.concatenate((tries, words(rng, (rest << bits) // n + (rest >> 3) + 32)))
+        shifted = tries >> (32 - bits)
         kept = np.flatnonzero(shifted < n)
     kept = kept[:count]
 
@@ -60,6 +63,91 @@ def choice_indices(
             rng.getrandbits(32 * (int(kept[d - 1]) + 1))
 
     return shifted[kept], settle
+
+
+def _unit_floats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`random()` of the word pairs (a, b): ((a >> 5) * 2**26 + (b >> 6)) /
+    2**53.  The integer is below 2**53, so the float division is exact."""
+    a, b = a.astype(np.uint64) >> 5, b.astype(np.uint64) >> 6
+    return (a * (1 << 26) + b) / float(1 << 53)
+
+
+class WordBlock:
+    """A block of 32-bit words read as the `random` module's draws read
+    them, at arrays of positions.  A draw that runs past the block ends past
+    it, at len(words) or later, and its values are then meaningless.
+
+    - `kept(n, p, j)`: `_randbelow(n)` (`randrange`, `randint`, `choice`)
+      takes one word per try, keeps its top n.bit_length() bits and retries
+      while they are not below n.  The position of the try that the j-th
+      (from 0) of successive draws from p keeps.
+    - `value(n, at)`: the value of the try at `at`.
+    - `random(p)`: the value of `random()` from p, which takes the two
+      words at p and p + 1.
+    """
+
+    def __init__(self, block: np.ndarray) -> None:
+        self.words = block
+        self._tries: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def _tries_of(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positions of the kept tries, then len(words); the number of
+        kept tries before each position; each word's value."""
+        if n not in self._tries:
+            if not 1 <= n < 1 << 32:
+                raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
+            values = self.words >> (32 - n.bit_length())
+            ok = values < n
+            kept = np.append(np.flatnonzero(ok), len(ok))
+            self._tries[n] = (kept, np.concatenate(((0,), np.cumsum(ok))), np.append(values, 0))
+        return self._tries[n]
+
+    def kept(self, n: int, p: np.ndarray, j: Any = 0) -> np.ndarray:
+        kept, before, _ = self._tries_of(n)
+        return kept.take(before.take(p, mode="clip") + j, mode="clip")
+
+    def value(self, n: int, at: np.ndarray) -> np.ndarray:
+        return self._tries_of(n)[2].take(at, mode="clip")
+
+    def random(self, p: np.ndarray) -> np.ndarray:
+        return _unit_floats(self.words.take(p, mode="clip"), self.words.take(p + 1, mode="clip"))
+
+
+def replay(
+    rng: random.Random, count: int, per_trial: int, end: Callable[[WordBlock, np.ndarray], np.ndarray]
+) -> tuple[WordBlock, np.ndarray]:
+    """The words of `count` trials of draws from `rng`, drawn at once, and
+    the position of each trial's first word; `rng` is left after the last
+    trial, as the trials would leave it.
+
+    A trial is a fixed program of draws that each take whole words, as
+    `randint`, `choice` and `random` do.  `end(block, p)` runs it on a
+    `WordBlock` from an array p of first words and returns each trial's
+    end, the position after its last word.  Run from every word of the
+    block, it maps each word to the first word of the next trial, and the
+    trials start at word 0, its image, its image's image, and so on.
+    `per_trial` is a guess of the words a trial takes; a block too short
+    for `count` trials is doubled.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    saved = rng.getstate()
+    block = WordBlock(words(rng, count * per_trial + 64))
+    while True:
+        size = len(block.words)
+        # a trial that runs past the block ends at size + 1, which maps to itself
+        ends = np.minimum(end(block, np.arange(size)), size + 1)
+        following = memoryview(np.append(ends, (size + 1, size + 1)))
+        p, starts = 0, [0] * count
+        for t in range(count):
+            starts[t] = p
+            p = following[p]
+        if p <= size:
+            break
+        block = WordBlock(np.concatenate((block.words, words(rng, size))))
+    rng.setstate(saved)
+    rng.getrandbits(32 * p)
+    return block, np.array(starts)
 
 
 def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]]:
@@ -80,13 +168,7 @@ def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """The values of n calls `rng.random()`, drawn at once.
-
-    `random()` takes two 32-bit words a, b and returns
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53; `getrandbits(64 * n)` returns
-    the same words in the same order, least significant first.  The integer
-    is below 2**53, so the float division is exact, as in `random()`.
-    """
-    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
-    a, b = words[0::2].astype(np.uint64) >> 5, words[1::2].astype(np.uint64) >> 6
-    return (a * (1 << 26) + b) / float(1 << 53)
+    """The values of n calls `rng.random()`, drawn at once: each takes two
+    words, in order."""
+    pairs = words(rng, 2 * n)
+    return _unit_floats(pairs[0::2], pairs[1::2])

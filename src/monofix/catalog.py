@@ -6,6 +6,7 @@ prefix and exist so that the validators have something to catch.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -15,7 +16,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import child_rng
+from ._rng import WordBlock, child_rng, replay, uniforms
 from .engine import CaristiData, LambdaSequence, MeirKeelerData, next_rung_choice
 from .fredholm import grid_function_monoid, grid_ladder
 from .monoid import MonoidSpec, MTrace, TestLadder, dyadic_ladder
@@ -272,17 +273,18 @@ _SQUARES_ROW = np.array(_SQUARES)
 _STEPS_ROW = np.arange(32, dtype=float)
 
 
-def _columns(keys: list, width: int) -> np.ndarray:
-    """The float keys' entries as `width` columns of a row per key."""
-    flat = np.fromiter(itertools.chain.from_iterable(keys), float, len(keys) * width)
-    return flat.reshape(len(keys), width).T
+def _uniform(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """`rng.uniform(a, b)` for the `random()` values u: a + (b - a) * u."""
+    return a + (b - a) * u
 
 
 def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool = False):
     """The real-line samplers: keyed, with the stacked form that `distance`,
     the space's distance on float arrays, completes.  Keys: strong
-    (n, a, sign, h), weak and standard (z, amp)."""
+    (n, a, sign, h), weak and standard (z, amp); their stacked draws give
+    the same floats from the same words (`_rng.replay`, `_rng.uniforms`)."""
     bottom = space.ladder.rungs[-1]
+    low = 0.0 if nonneg else -2.0
 
     def factory(level: str) -> FWSampler:
         if level == "strong":
@@ -293,7 +295,7 @@ def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool 
                     h = rng.uniform(0.0, 2.0 * bottom / n)
                 else:
                     h = rng.uniform(0.0, 1.2 * math.sqrt(bottom / n))
-                a = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
+                a = rng.uniform(low, 2.0)
                 sign = 1.0 if nonneg or rng.random() < 0.5 else -1.0
                 return n, a, sign, h
 
@@ -301,16 +303,27 @@ def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool 
                 n, a, sign, h = key
                 return [a + sign * i * h for i in range(n)]
 
-            def stack(keys: list) -> tuple:
-                n, a, sign, h = _columns(keys, 4)
+            def stack(rng: random.Random, count: int) -> tuple:
+                # draw's words: randint(2, 32), 2 + _randbelow(31), then
+                # three or four random() of two words each
+                fixed = 6 if nonneg else 8
+                block, p = replay(rng, count, fixed + 2, lambda block, p: block.kept(31, p) + 1 + fixed)
+                at = block.kept(31, p)
+                n = block.value(31, at).astype(int) + 2
+                # the sign's random() is past the trial when nonneg, and unused
+                coin, u, ua, us = block.random(at[:, None] + np.arange(1, 9, 2)).T
+                width = n.astype(float)
+                h = _uniform(0.0, np.where(coin < 0.5, 2.0 * bottom / width, 1.2 * np.sqrt(bottom / width)), u)
+                a = _uniform(low, 2.0, ua)
+                sign = np.ones(count) if nonneg else np.where(us < 0.5, 1.0, -1.0)
                 # each chain continued to 32 points
-                return a[:, None] + sign[:, None] * _STEPS_ROW * h[:, None], n.astype(int)
+                rows = lambda i, j: (a[i:j, None] + sign[i:j, None] * _STEPS_ROW * h[i:j, None], n[i:j])
+                return rows, lambda i: (int(n[i]), float(a[i]), float(sign[i]), float(h[i]))
 
             return FWSampler(draw, build, stack, distance)
 
         def draw(rng: random.Random) -> tuple:
-            z = rng.uniform(0.0, 2.0) if nonneg else rng.uniform(-2.0, 2.0)
-            return z, rng.uniform(0.1, 1.0)
+            return rng.uniform(low, 2.0), rng.uniform(0.1, 1.0)
 
         def build(key: tuple):
             z, amp = key
@@ -325,15 +338,83 @@ def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool 
             # amp / (2 * sq) == (amp / sq) / 2: halving a float is exact
             return xs, [z + q / 2 for q in qs], ys
 
-        def stack(keys: list) -> tuple:
-            z, amp = _columns(keys, 2)[:, :, None]
-            qs = amp / _SQUARES_ROW
-            xs, ys = z + qs, z - qs
-            if nonneg:
-                xs, ys = abs(xs), abs(ys)
-            return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
+        def stack(rng: random.Random, count: int) -> tuple:
+            u = uniforms(rng, 2 * count)
+            zs, amps = _uniform(low, 2.0, u[0::2, None]), _uniform(0.1, 1.0, u[1::2, None])
+
+            def rows(i: int, j: int) -> tuple:
+                z, qs = zs[i:j], amps[i:j] / _SQUARES_ROW
+                xs, ys = z + qs, z - qs
+                if nonneg:
+                    xs, ys = abs(xs), abs(ys)
+                return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
+
+            return rows, lambda i: (float(zs[i, 0]), float(amps[i, 0]))
 
         return FWSampler(draw, build, stack, distance)
+
+    return factory
+
+
+# The longest chain of the finite-carrier samplers.
+_MAX_CHAIN = 6
+
+
+def _finite_fw_sampler(pts: tuple):
+    """The samplers of a finite carrier: a chain of 2 to 6 points, keyed by
+    the chain, and by a point z unless the level is strong.  A weak or
+    standard candidate repeats the chain (and its reverse) eight times, so
+    the last six of its columns hold every column and the last; its stacked
+    form is those columns, as indices into `pts`."""
+
+    def factory(level: str) -> FWSampler:
+        def draw(r: random.Random):
+            n = r.randint(2, _MAX_CHAIN)
+            chain = tuple(r.choice(pts) for _ in range(n))
+            return chain if level == "strong" else (chain, r.choice(pts))
+
+        def build(key):
+            if level == "strong":
+                return list(key)
+            chain, z = key
+            xs = list(chain) * 8
+            ys = list(reversed(chain)) * 8
+            if level == "weak":
+                return xs, ys, z
+            return xs, [z] * len(xs), ys
+
+        if level == "strong":
+            return FWSampler(draw, build)
+
+        def chain_of(block: WordBlock, p: np.ndarray) -> tuple:
+            """n, and the first word of the chain's choices, for trials from
+            p: randint(2, 6) is 2 + _randbelow(5), then n + 1 choice(pts),
+            the chain's and z's."""
+            at = block.kept(_MAX_CHAIN - 1, p)
+            return block.value(_MAX_CHAIN - 1, at) + 2, at + 1
+
+        def end(block: WordBlock, p: np.ndarray) -> np.ndarray:
+            n, first = chain_of(block, p)
+            return block.kept(len(pts), first, n) + 1
+
+        def stack(rng: random.Random, count: int) -> tuple:
+            block, p = replay(rng, count, 12, end)
+            n, first = chain_of(block, p)
+            # the chain at columns 0 to n - 1, z at column n
+            values = block.value(len(pts), block.kept(len(pts), first[:, None], np.arange(_MAX_CHAIN + 1)))
+            z = values[np.arange(count), n]
+            # the last columns of each candidate, of each chain repeat
+            last = (np.arange(_MAX_CHAIN) - _MAX_CHAIN) % n[:, None]
+            xs = np.take_along_axis(values, last, 1)
+            ys = np.take_along_axis(values, n[:, None] - 1 - last, 1)
+            zs = z[:, None]
+
+            def rows(i: int, j: int) -> tuple:
+                return (xs[i:j], ys[i:j], zs[i:j]) if level == "weak" else (xs[i:j], zs[i:j], ys[i:j])
+
+            return rows, lambda i: (tuple(pts[j] for j in values[i, : n[i]].tolist()), pts[int(z[i])])
+
+        return FWSampler(draw, build, stack, points=pts)
 
     return factory
 
@@ -429,6 +510,14 @@ _REAL_SPACES = {
 }
 
 
+@functools.lru_cache(maxsize=4)
+def _entourage_space(pts: tuple) -> DistanceSpaceSpec:
+    """The entourage space of `hierarchical_rho` on the points, built once:
+    every call shares its distances, so the memo of `relation_compose` finds
+    their products by identity rather than by comparing relations."""
+    return make_uniform_from_pseudometric(pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125])[0]
+
+
 def get_space(name: str) -> SpaceEntry:
     base, arg = _parse_name(
         name, ("real_abs", "snowflake", "squared", "dislocated_max", "broken_pseudo_as_distance")
@@ -462,34 +551,12 @@ def get_space(name: str) -> SpaceEntry:
         )
     if base == "uniform_pseudometric":
         pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))
-        space, _ladder = make_uniform_from_pseudometric(
-            pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125]
-        )
-
-        def factory(level: str) -> FWSampler:
-            # keyed by the chain, and by z unless the level is strong
-            def draw(r: random.Random):
-                n = r.randint(2, 6)
-                chain = tuple(r.choice(pts) for _ in range(n))
-                return chain if level == "strong" else (chain, r.choice(pts))
-
-            def build(key):
-                if level == "strong":
-                    return list(key)
-                chain, z = key
-                xs = list(chain) * 8
-                ys = list(reversed(chain)) * 8
-                if level == "weak":
-                    return xs, ys, z
-                return xs, [z] * len(xs), ys
-
-            return FWSampler(draw, build)
-
+        space = _entourage_space(pts)
         return SpaceEntry(
             name=name,
             space=space,
             samples=tuple(pts),
-            fw_sampler=factory,
+            fw_sampler=_finite_fw_sampler(pts),
             finite_carrier=tuple(pts),
         )
     if base == "gauge":

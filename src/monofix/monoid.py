@@ -10,6 +10,7 @@ within a witness budget".
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -22,6 +23,24 @@ from ._util import REAL_ENTRYWISE, close_entries, format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
 
 
+@functools.lru_cache(maxsize=256)
+def relation_compose(a: frozenset, b: frozenset) -> frozenset:
+    """The relation {(x, y): (x, z) in a and (z, y) in b for some z}.
+
+    The last 256 products are kept: `check_triangle` over an entourage space
+    composes the same few distances for every triple of points.
+    """
+    succ: dict[Any, list] = {}
+    for u, v in b:
+        succ.setdefault(u, []).append(v)
+    return frozenset((x, y) for x, z in a for y in succ.get(z, ()))
+
+
+# The (combine, leq, eq, sup) of the relation monoids: composition, and
+# inclusion, equality and union of frozensets of pairs.
+RELATIONAL = (relation_compose, operator.le, operator.eq, operator.or_)
+
+
 @dataclass(frozen=True)
 class MonoidSpec:
     """A partially ordered monoid.
@@ -31,8 +50,9 @@ class MonoidSpec:
     silently coerced.  `sup` is optional and, when present, must return the
     least upper bound of its arguments.  `eq` is the carrier equality; float
     carriers use a tolerant equality so that rounding does not break the
-    algebraic axioms.  `elementwise`, read from the callbacks, marks the
-    real-entrywise carriers, which the fast paths check on stacked arrays.
+    algebraic axioms.  `elementwise` and `relational`, read from the
+    callbacks, mark the real-entrywise and the relation carriers, which the
+    fast paths check on stacked arrays.
 
     Every callback must be deterministic: the validators decide each
     distinct draw once and give its repeats the same verdict.
@@ -55,6 +75,15 @@ class MonoidSpec:
         ops = REAL_ENTRYWISE.get(type(self.identity))
         mine = (self.combine, self.leq, self.eq, self.sup)
         return ops is not None and all(map(operator.is_, mine, ops))
+
+    @property
+    def relational(self) -> bool:
+        """Whether the identity is a frozenset and `combine`, `leq`, `eq` and
+        `sup` are `RELATIONAL`: the monoid of relations, frozensets of pairs,
+        under composition and inclusion, with union as supremum.  A
+        `replace()` of any callback turns its fast path off."""
+        mine = (self.combine, self.leq, self.eq, self.sup)
+        return isinstance(self.identity, frozenset) and all(map(operator.is_, mine, RELATIONAL))
 
     @classmethod
     def real_entrywise(cls, carrier_descr: str, identity: Any) -> "MonoidSpec":
@@ -352,34 +381,94 @@ def _pair_repr(*items: Any) -> str:
     return ", ".join(format_value(x) for x in items)
 
 
-def _stacked_axioms(identity: np.ndarray) -> dict[str, Callable[..., np.ndarray]]:
-    """The axioms of `validate_monoid` over an elementwise carrier, on
-    stacked arguments (`_rows`): row t of each argument is trial t, and each
-    axiom returns one verdict per row.  `+`, `<=` on every entry,
-    `close_entries` on every entry and `np.maximum` are the carrier's own
-    operations, so each row's verdict is the per-trial predicate's (`max`
-    differs from `np.maximum` only where a NaN fails `leq` either way)."""
-
-    def leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a <= b).all(axis=1)
-
-    def eq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return close_entries(a, b).all(axis=1)
+def _stacked_axioms(
+    identity: np.ndarray, add: Callable, leq: Callable, eq: Callable, sup: Callable
+) -> dict[str, Callable[..., np.ndarray]]:
+    """The axioms of `validate_monoid` on stacked arguments: trial t is the
+    element t of each argument, and each axiom returns one verdict per
+    trial.  `add`, `leq`, `eq` and `sup` are the carrier's operations on
+    stacked elements, so each trial's verdict is the per-trial predicate's."""
 
     def riesz(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-        s = np.maximum(a, b)
+        s = sup(a, b)
         return leq(a, s) & leq(b, s) & ~(leq(a, z) & leq(b, z) & ~leq(s, z))
 
     return {
-        "associativity": lambda a, b, c: eq((a + b) + c, a + (b + c)),
-        "identity": lambda x: eq(identity + x, x) & eq(x + identity, x),
+        "associativity": lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))),
+        "identity": lambda x: eq(add(identity, x), x) & eq(add(x, identity), x),
         "order_reflexive": lambda x: leq(x, x),
         "order_transitive": lambda a, b, c: ~(leq(a, b) & leq(b, c)) | leq(a, c),
         "order_antisymmetric": lambda a, b: ~(leq(a, b) & leq(b, a)) | eq(a, b),
         "order_compatibility": lambda x1, y1, x2, y2: ~(leq(x1, y1) & leq(x2, y2))
-        | leq(x1 + x2, y1 + y2),
+        | leq(add(x1, x2), add(y1, y2)),
         "riesz_supremum": riesz,
     }
+
+
+def _relation_matrices(relations: Sequence[frozenset]) -> np.ndarray:
+    """Relations as stacked boolean point x point matrices, indexed over the
+    points that appear in them."""
+    points = dict.fromkeys(p for r in relations for pair in r for p in pair)
+    index = {p: i for i, p in enumerate(points)}
+    n = len(index)
+    out = np.zeros((len(relations), n * n), dtype=bool)
+    for row, r in zip(out, relations):
+        row[[index[a] * n + index[b] for a, b in r]] = True
+    return out.reshape(len(relations), n, n)
+
+
+def _compose_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked `relation_compose`: the boolean matrix product, as a count
+    of paths in float32 by the BLAS, which is positive where one exists."""
+    return np.matmul(a, b, dtype=np.float32) > 0
+
+
+# A chunk of trials stacks at most this many entries per argument.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
+    """The samples stacked, the axioms on stacked arguments and the trials
+    per chunk, over an elementwise or a relational carrier; else None.
+
+    Elementwise: a float row per element; `+`, `<=` on every entry,
+    `close_entries` on every entry and `np.maximum` (`max` differs from it
+    only where a NaN fails `leq` either way).  Relational: a boolean point x
+    point matrix per relation; the matrix product, "no entry of a & ~b",
+    entrywise equality and `|`.
+    """
+    if spec.elementwise:
+        rows, identity = _rows(samples), _rows([spec.identity])
+        ops = (
+            np.add,
+            lambda a, b: (a <= b).all(axis=1),
+            lambda a, b: close_entries(a, b).all(axis=1),
+            np.maximum,
+        )
+    elif spec.relational:
+        matrices = _relation_matrices([*samples, spec.identity])
+        rows, identity = matrices[:-1], matrices[-1]
+        ops = (
+            _compose_stacked,
+            lambda a, b: ~(a & ~b).any(axis=(1, 2)),
+            lambda a, b: (a == b).all(axis=(1, 2)),
+            np.logical_or,
+        )
+    else:
+        return None
+    chunk = max(1, _CHUNK_ENTRIES // max(1, identity.size))
+    return rows, _stacked_axioms(identity, *ops), chunk
+
+
+def _first_false(verdicts: Callable, rows: np.ndarray, idx: np.ndarray, arity: int, chunk: int) -> Optional[int]:
+    """The first trial whose verdict on the stacked samples rows[idx] is
+    False, or None; `chunk` trials at a time."""
+    for start in range(0, len(idx), chunk * arity):
+        part = idx[start : start + chunk * arity]
+        bad = np.flatnonzero(~verdicts(*(rows[part[j::arity]] for j in range(arity))))
+        if bad.size:
+            return start // arity + int(bad[0])
+    return None
 
 
 def validate_monoid(
@@ -398,11 +487,12 @@ def validate_monoid(
     `rng.choice(samples)` would pick.  Each axiom draws the indices of all
     its trials at once (`choice_indices`) and leaves `rng` where the
     per-trial loop would stop: after the failing trial, or after the last.
-    Over an elementwise carrier each axiom is evaluated once, on the stacked
-    samples of every trial, and the first False row is the failing trial;
-    other carriers call the predicate once per distinct draw: on the first
-    trial to draw each tuple of sample indices (`distinct_draws`).  Draws,
-    verdicts and counterexamples are those of the per-trial loop.
+    Over an elementwise or a relational carrier each axiom is evaluated on
+    the stacked samples of a chunk of trials at a time (`_stacked_carrier`),
+    and the first False verdict is the failing trial; other carriers call
+    the predicate once per distinct draw: on the first trial to draw each
+    tuple of sample indices (`distinct_draws`).  Draws, verdicts and
+    counterexamples are those of the per-trial loop.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -411,15 +501,13 @@ def validate_monoid(
     rng = child_rng(seed, "validate_monoid")
     samples = list(samples)
     checks: list[CheckResult] = []
-    if spec.elementwise:
-        stacked = _rows(samples)
-        on_rows = _stacked_axioms(_rows([spec.identity]))
+    stacked = _stacked_carrier(spec, samples)
 
     def axiom(name: str, arity: int, predicate: Callable[..., bool]) -> None:
         idx, settle = choice_indices(rng, len(samples), trials * arity)
-        if spec.elementwise:
-            bad = np.flatnonzero(~on_rows[name](*(stacked[idx[j::arity]] for j in range(arity))))
-            failing = int(bad[0]) if bad.size else None
+        if stacked is not None:
+            rows, on_rows, chunk = stacked
+            failing = _first_false(on_rows[name], rows, idx, arity, chunk)
         else:
             draws = ((t, map(samples.__getitem__, key)) for t, key in distinct_draws(idx, arity))
             failing = next((t for t, args in draws if not predicate(*args)), None)

@@ -29,6 +29,7 @@ from .monoid import (
     _tail_decision,
     cauchy_series_check,
     is_null_trace,
+    relation_compose,
 )
 from .reporting import CheckResult, Counterexample, Decision, ValidationReport
 
@@ -378,81 +379,136 @@ class FWSampler:
     """A keyed sampler: `draw(rng)`, which makes the random calls and returns
     a small hashable key, and `build(key)`, the candidate.
 
-    A sampler of float candidates may also give their stacked form, both
-    fields, which lets `falsify_frechet_wilson` screen its trials in bulk
-    when the space's monoid is elementwise over floats:
-    - `stack(keys)`: the candidates of a list of keys as float arrays with a
-      row per key.  A strong chain is its points, continued past its length
-      to one width, and the lengths; a weak or standard candidate is its
-      three sequences, of one width (weak's z as a column).
-    - `distance(a, b)`: the space's distance on float arrays, entry for
-      entry bit for bit what it gives on the same floats.
+    It may also give its candidates' stacked form, which lets
+    `falsify_frechet_wilson` screen its trials in bulk:
+    - `stack(rng, count)`: the keys of `count` calls of `draw`, drawn at
+      once and leaving `rng` as those calls would, as `rows(i, j)`, the
+      stacked candidates of keys i to j - 1, and `key(i)`, key i.  A strong
+      chain is its points, continued past its length to one width, and the
+      lengths.  A weak or standard candidate is its three sequences as
+      columns of one width (weak's z as a column); every column is a column
+      of the candidate, its last included as the last, and the width is at
+      least 2 when the candidate's length is.
+    - `distance(a, b)`: rows of floats; the space's distance on float
+      arrays, entry for entry bit for bit what it gives on the same floats.
+      The space's monoid must be elementwise over floats.
+    - `points`: rows of indices into `points`, a finite carrier, at the
+      weak and standard levels.  The space's distance and monoid must be
+      defined on every pair of its points.
     """
 
     draw: Callable[[random.Random], Any]
     build: Callable[[Any], Any]
-    stack: Optional[Callable[[list], tuple]] = None
+    stack: Optional[Callable[[random.Random, int], tuple]] = None
     distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    points: Optional[tuple] = None
 
     def __call__(self, rng: random.Random) -> Any:
         return self.build(self.draw(rng))
 
 
-def _screen(level: str, rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestLadder) -> np.ndarray:
-    """The trials of a stacked chunk on which the scalar loop of
-    `falsify_frechet_wilson` would not `continue`: a counterexample, or a
-    distance outside the positive cone of a trace it decides."""
+def _float_cone(distance: Callable, m: MonoidSpec, bottom: float) -> Callable:
+    """`_screen`'s cone from a distance on float arrays."""
+
+    def cone(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = distance(us, vs)
+        return m.identity <= d.min(axis=1), below_entries(d[:, -1], bottom)  # a NaN minimum is not
+
+    return cone
+
+
+def _table_cone(space: DistanceSpaceSpec, points: tuple, bottom: Any) -> Callable:
+    """`_screen`'s cone on rows of indices into `points`: point x point
+    tables of `is_positive` and `strictly_below(., bottom)` of the distance,
+    which the scalar loop decides for the same distances."""
+    m = space.monoid
+    dists = [[space.distance(p, q) for q in points] for p in points]
+    positive = np.array([[m.is_positive(x) for x in row] for row in dists], dtype=bool)
+    below = np.array([[m.strictly_below(x, bottom) for x in row] for row in dists], dtype=bool)
+    return lambda us, vs: (positive[us, vs].all(axis=1), below[us[:, -1], vs[:, -1]])
+
+
+def _screen(rows: tuple, cone: Callable) -> np.ndarray:
+    """The weak or standard trials of a stacked chunk on which the scalar
+    loop of `falsify_frechet_wilson` would not `continue`: a counterexample,
+    or a distance outside the positive cone of a trace it decides.
+    `cone(us, vs)` gives, per trial, whether the distances between the
+    sequences us and vs are all in the positive cone, and whether the last
+    is strictly below the bottom rung."""
+    heads, middles, tails = rows
+    flags = np.zeros(len(heads), dtype=bool)
+    if heads.shape[1] < 2:
+        return flags
+    live = ~flags  # every trace decided so far is null
     with np.errstate(all="ignore"):
-        if level == "strong":
-            points, lengths = rows
-            k = np.arange(len(lengths))
-            steps = distance(points[:, :-1], points[:, 1:])
-            # m.fold from the identity: column j holds the sum of the first j steps
-            sums = np.cumsum(np.column_stack((np.full(len(k), m.identity), steps)), axis=1)
-            total = sums[k, lengths - 1]
-            endpoint = distance(points[:, 0], points[k, lengths - 1])
-            # every rung, as the scalar scan: a ladder need not descend
-            above = ~below_entries(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
-            return (lengths >= 2) & below_entries(total, ladder.bottom) & above
-        heads, middles, tails = rows
-        flags = np.zeros(len(heads), dtype=bool)
-        if heads.shape[1] < 2:
-            return flags
-        live = ~flags  # every trace decided so far is null
         for i, (us, vs) in enumerate(((heads, middles), (middles, tails), (heads, tails))):
             if not live.any():
                 break
-            d = distance(us, vs)
-            positive = m.identity <= d.min(axis=1)  # a NaN minimum is not
-            null = positive & below_entries(d[:, -1], ladder.bottom)
+            positive, below = cone(us, vs)
+            null = positive & below
             flags |= live & ~(positive if i < 2 else null)
             live &= null
-        return flags
+    return flags
+
+
+def _screen_chains(rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestLadder) -> np.ndarray:
+    """The strong trials of a stacked chunk of float chains on which the
+    scalar loop would not `continue`: the counterexamples."""
+    points, lengths = rows
+    k = np.arange(len(lengths))
+    with np.errstate(all="ignore"):
+        steps = distance(points[:, :-1], points[:, 1:])
+        # m.fold from the identity: column j holds the sum of the first j steps
+        sums = np.cumsum(np.column_stack((np.full(len(k), m.identity), steps)), axis=1)
+        total = sums[k, lengths - 1]
+        endpoint = distance(points[:, 0], points[k, lengths - 1])
+        # every rung, as the scalar scan: a ladder need not descend
+        above = ~below_entries(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
+        return (lengths >= 2) & below_entries(total, ladder.bottom) & above
 
 
 # The first trials are decided one by one: a screened chunk costs more than
 # deciding four trials, and a falsified property is often falsified at once.
-# From then on a chunk brings the trials drawn to 16, then doubles them, 256
-# trials at most: 256 weak or standard candidates of 48 points make 96 KiB
-# arrays.
-_UNSCREENED, _FIRST_CHUNK, _CHUNK_CAP = 4, 16, 256
+# Then the keys are drawn at once up to the next multiple of 1024 trials,
+# and screened in chunks that end at multiples of 256 trials: 256 weak or
+# standard candidates of 48 points make 96 KiB arrays.
+_UNSCREENED, _DRAWN, _CHUNK = 4, 1024, 256
 
 
 def _screened(
-    sampler: FWSampler, rng: random.Random, level: str, trials: int, m: MonoidSpec, ladder: TestLadder
+    sampler: FWSampler, rng: random.Random, trials: int, screen: Callable[[tuple], np.ndarray]
 ) -> Iterable[tuple[int, Any]]:
     """(trial, candidate) for each of the first trials and each later trial
-    the screen flags, in order; the keys are drawn one trial at a time, as
-    the scalar loop draws them."""
+    that `screen` flags in its chunk, in order."""
     done = min(_UNSCREENED, trials)
     for trial in range(done):
         yield trial, sampler(rng)
     while done < trials:
-        size = min(max(done, _FIRST_CHUNK - done), _CHUNK_CAP, trials - done)
-        keys = [sampler.draw(rng) for _ in range(size)]
-        for i in np.flatnonzero(_screen(level, sampler.stack(keys), sampler.distance, m, ladder)):
-            yield done + int(i), sampler.build(keys[i])
-        done += size
+        drawn = min(_DRAWN - done % _DRAWN, trials - done)
+        rows, key = sampler.stack(rng, drawn)
+        for start in range(-(done % _CHUNK), drawn, _CHUNK):
+            lo, hi = max(start, 0), min(start + _CHUNK, drawn)
+            for i in lo + np.flatnonzero(screen(rows(lo, hi))):
+                yield done + int(i), sampler.build(key(int(i)))
+        done += drawn
+
+
+def _screen_of(space: DistanceSpaceSpec, level: str, sampler: Any) -> Optional[Callable]:
+    """The screen of a stacked chunk of the sampler's trials, or None: over
+    a finite carrier at the weak and standard levels, or over an elementwise
+    float monoid."""
+    if not isinstance(sampler, FWSampler) or sampler.stack is None:
+        return None
+    m, ladder = space.monoid, space.ladder
+    if sampler.points is not None and level != "strong":
+        cone = _table_cone(space, sampler.points, ladder.bottom)
+    elif sampler.distance is not None and m.elementwise and isinstance(m.identity, float):
+        if level == "strong":
+            return lambda rows: _screen_chains(rows, sampler.distance, m, ladder)
+        cone = _float_cone(sampler.distance, m, ladder.bottom)
+    else:
+        return None
+    return lambda rows: _screen(rows, cone)
 
 
 def falsify_frechet_wilson(
@@ -473,9 +529,10 @@ def falsify_frechet_wilson(
     computed only when every trace before it is null: the second premise's
     after a null first premise, the conclusion's after a null second one.
 
-    An `FWSampler` with a stacked form, over an elementwise float monoid, is
-    screened in chunks (`_screened`), and only the trials the screen flags
-    are built and decided.  Any other `FWSampler`'s key is decided once, on
+    An `FWSampler` with a stacked form over an elementwise float monoid, or
+    over a finite carrier at the weak and standard levels, is screened in
+    chunks (`_screened`), and only the trials the screen flags are built
+    and decided.  Any other `FWSampler`'s key is decided once, on
     the first trial to draw it (`first_occurrences`); any other sampler's
     candidate, on every trial.  The loop below is the only one to decide a
     candidate, so the verdict, its trial and its message are those of
@@ -493,9 +550,9 @@ def falsify_frechet_wilson(
     bottom = ladder.bottom
     d = space.distance
     rng = child_rng(seed, f"fw-{level}")
-    stacked = isinstance(sampler, FWSampler) and None not in (sampler.stack, sampler.distance)
-    if stacked and m.elementwise and isinstance(m.identity, float):
-        candidates = _screened(sampler, rng, level, trials, m, ladder)
+    screen = _screen_of(space, level, sampler)
+    if screen is not None:
+        candidates = _screened(sampler, rng, trials, screen)
     elif isinstance(sampler, FWSampler):
         keys = first_occurrences(sampler.draw(rng) for _ in range(trials))
         candidates = ((trial, sampler.build(key)) for trial, key in keys)
@@ -563,17 +620,6 @@ def falsify_frechet_wilson(
 # Entourage spaces over the relation monoid
 
 
-def relation_compose(a: frozenset, b: frozenset) -> frozenset:
-    succ: dict[Any, list] = {}
-    for u, v in b:
-        succ.setdefault(u, []).append(v)
-    out = set()
-    for x, z in a:
-        for y in succ.get(z, ()):
-            out.add((x, y))
-    return frozenset(out)
-
-
 def diagonal(points: Iterable[Any]) -> frozenset:
     return frozenset((p, p) for p in points)
 
@@ -592,23 +638,13 @@ def relation_monoid(points: Sequence[Any], identity: Optional[frozenset] = None)
     on kernel-saturated relations.
     """
     ident = diagonal(points) if identity is None else frozenset(identity)
-    cache: dict[tuple[frozenset, frozenset], frozenset] = {}
-
-    def combine(a: frozenset, b: frozenset) -> frozenset:
-        key = (a, b)
-        got = cache.get(key)
-        if got is None:
-            got = relation_compose(a, b)
-            cache[key] = got
-        return got
-
     return MonoidSpec(
         carrier_descr=f"relations on {len(points)} points (compose, ordered by inclusion)",
-        combine=combine,
+        combine=relation_compose,
         identity=ident,
         leq=operator.le,
-        sup=lambda a, b: a | b,
-        eq=lambda a, b: a == b,
+        sup=operator.or_,
+        eq=operator.eq,
     )
 
 

@@ -570,9 +570,9 @@ def test_fw_conclusion_outside_the_cone_raises_as_reference(level):
 # The stacked screen of the real-line samplers
 
 REAL_LINE = ("real_abs", "snowflake", "squared", "dislocated_max")
-# around the end of the unscreened trials (4), of the first chunk (16) and
-# of the first chunk at the cap (256 trials from trial 256 on)
-SCREEN_TRIALS = (1, 3, 4, 5, 15, 16, 17, 255, 256, 257, 511, 512, 513, 1000)
+# around the end of the unscreened trials (4), of the screened chunks (every
+# 256 trials) and of the keys drawn at once (every 1024 trials)
+SCREEN_TRIALS = (1, 3, 4, 5, 15, 16, 17, 255, 256, 257, 511, 512, 513, 1000, 1024, 1025, 1100)
 
 
 def plain(sampler):
@@ -604,13 +604,19 @@ def test_fw_screen_matches_the_scalar_loop(level, name):
 @pytest.mark.parametrize("level", FW_LEVELS)
 @pytest.mark.parametrize("name", REAL_LINE)
 def test_fw_stacked_rows_are_the_built_candidates(level, name):
-    # rows, lengths and array distances, bit for bit, padding excluded
+    # the keys and the generator state of scalar draws; rows, lengths and
+    # array distances, bit for bit, padding excluded
     entry = get_space(name)
     sampler, d = entry.fw_sampler(level), entry.space.distance
     for seed in range(4):
-        rng = random.Random(seed)
-        keys = [sampler.draw(rng) for _ in range(300)]
-        rows = sampler.stack(keys)
+        rng, scalar = random.Random(seed), random.Random(seed)
+        rows_of, key = sampler.stack(rng, 300)
+        keys = [sampler.draw(scalar) for _ in range(300)]
+        assert rng.getstate() == scalar.getstate(), seed
+        assert repr([key(i) for i in range(300)]) == repr(keys), seed
+        rows = rows_of(0, 300)
+        for i, j in ((0, 1), (17, 150), (299, 300)):  # a slice's rows are its keys'
+            assert [bits(r[i:j]) for r in rows] == [bits(r) for r in rows_of(i, j)], (seed, i, j)
         if level == "strong":
             points, lengths = rows
             steps = sampler.distance(points[:, :-1], points[:, 1:])
@@ -636,19 +642,93 @@ def test_fw_stacked_rows_are_the_built_candidates(level, name):
                 assert bits(got[i]) == bits(list(map(d, cand[u], cand[v]))), (seed, i, u, v)
 
 
-def stacked_sampler(level, draw, build, distance):
-    """A keyed sampler whose stacked form is its built candidates' rows."""
+FINITE = ("uniform_pseudometric{8}", "uniform_pseudometric{64}")
 
-    def stack(keys):
+
+@pytest.mark.parametrize("level", ["weak", "standard"])
+@pytest.mark.parametrize("name", FINITE)
+def test_finite_stacked_rows_are_the_last_columns(level, name):
+    # the keys and the generator state of scalar draws; the rows index the
+    # points of the built candidate's last columns, its last column last
+    entry = get_space(name)
+    sampler = entry.fw_sampler(level)
+    pts = np.array(sampler.points)
+    assert sampler.points == entry.finite_carrier and sampler.distance is None
+    for seed in range(4):
+        rng, scalar = random.Random(seed), random.Random(seed)
+        rows_of, key = sampler.stack(rng, 300)
+        keys = [sampler.draw(scalar) for _ in range(300)]
+        assert rng.getstate() == scalar.getstate(), seed
+        assert repr([key(i) for i in range(300)]) == repr(keys), seed
+        rows = rows_of(0, 300)
+        width = rows[0].shape[1]
+        for i, k in enumerate(keys):
+            cand = sampler.build(k)
+            if level == "weak":
+                cand = (cand[0], cand[1], [cand[2]])
+            for row, seq in zip(rows, cand):
+                assert pts[row[i]].tolist() == seq[-row.shape[1]:], (seed, i)
+            assert width >= 2 and len(cand[0]) >= width and len(set(cand[0])) <= width
+        for i, j in ((0, 1), (17, 150), (299, 300)):
+            assert [r[i:j].tolist() for r in rows] == [r.tolist() for r in rows_of(i, j)], (seed, i, j)
+
+
+def near_distance(near):
+    """The entourage space's distance, except that a pair in `near` is at
+    the diagonal and any other pair of distinct points at the full
+    relation: "near" is not transitive, which the weak and standard
+    properties need."""
+    pts = tuple(range(8))
+    low, high = diagonal(pts), full_relation(pts)
+    return lambda x, y: low if x == y or {x, y} in near else high
+
+
+@pytest.mark.parametrize("level", ["weak", "standard"])
+@pytest.mark.parametrize("case", ["falsified", "outside the cone"])
+def test_finite_screen_matches_the_keyed_loop(level, case):
+    # 0 ~ 1 ~ 2 and 0 !~ 2 falsify both properties, at a trial whose chain
+    # ends and z are those three points, about one trial in 250; the empty
+    # relation between 3 and 5 is outside the positive cone
+    entry = get_space("uniform_pseudometric{8}")
+    near = [{0, 1}, {1, 2}]
+    distance = near_distance(near)
+    if case == "outside the cone":
+        distance = (lambda d: lambda x, y: frozenset() if {x, y} == {3, 5} else d(x, y))(distance)
+    space = dataclasses.replace(entry.space, distance=distance)
+    sampler = entry.fw_sampler(level)
+    keyed = dataclasses.replace(sampler, stack=None, points=None)
+    found = []
+    for seed in range(8):
+        for trials in (1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 1024, 1025):
+            want = _outcome(lambda: falsify_frechet_wilson(space, level, keyed, trials, seed=seed))
+            got = _outcome(lambda: falsify_frechet_wilson(space, level, sampler, trials, seed=seed))
+            assert repr(got) == repr(want), (seed, trials)
+        found.append(want)
+    if case == "falsified":
+        trials = sorted(int(cex.detail.rsplit(" ", 1)[1]) for kind, cex in found if cex is not None)
+        assert trials[0] >= 4 and trials[-1] >= 256, trials  # found by the screen, in and past the first chunk
+    else:
+        assert {kind for kind, _ in found} == {"raised"}
+        assert all(text.endswith("is not in the positive cone: {}") for _, text in found)
+
+
+def stacked_sampler(level, draw, build, distance):
+    """A keyed sampler whose stacked form is its built candidates' rows,
+    drawn one key at a time."""
+
+    def stack(rng, count):
+        keys = [draw(rng) for _ in range(count)]
         cands = [build(key) for key in keys]
         if level == "strong":
             width = max(map(len, cands))
             points = np.array([c + [c[-1]] * (width - len(c)) for c in cands])
-            return points, np.array([len(c) for c in cands])
-        heads, middles, tails = zip(*cands)
-        if level == "weak":
-            tails = [[z] for z in tails]
-        return tuple(np.array(s, dtype=float) for s in (heads, middles, tails))
+            rows = (points, np.array([len(c) for c in cands]))
+        else:
+            heads, middles, tails = zip(*cands)
+            if level == "weak":
+                tails = [[z] for z in tails]
+            rows = tuple(np.array(s, dtype=float) for s in (heads, middles, tails))
+        return (lambda i, j: tuple(r[i:j] for r in rows)), keys.__getitem__
 
     return FWSampler(draw, build, stack, distance)
 
@@ -1209,6 +1289,21 @@ def test_replacing_one_real_callback_takes_the_generic_paths(carrier, callback, 
     assert not spec.elementwise
     got = outcomes(spec, dataclasses.replace(space, monoid=_one_replaced(space.monoid, callback)))
     assert fast_paths == [] and got == want
+
+
+@pytest.mark.parametrize("callback", ["combine", "leq", "eq", "sup"])
+def test_replacing_one_relation_callback_takes_the_keyed_path(callback, fast_paths):
+    # an identity short of the diagonal, so that the identity axiom fails
+    pts = tuple(range(8))
+    entry = get_monoid("relation{8}")
+    spec = dataclasses.replace(entry.spec, identity=diagonal(pts[1:]))
+    assert spec.relational
+    want = validate_monoid(spec, entry.samples, 200, seed=3)
+    assert fast_paths == ["_stacked_axioms"] and not want.ok
+    fast_paths.clear()
+    replaced = _one_replaced(spec, callback)
+    assert not replaced.relational
+    assert validate_monoid(replaced, entry.samples, 200, seed=3) == want and fast_paths == []
 
 
 def test_product_mixed_monoids_rejected():

@@ -19,16 +19,18 @@ win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
 the environment that the runs report, and each side's `wc -l src/monofix/*.py`
 total (`src_lines`), which it prints.  After a workload's pairs, it
-runs `tools/op_times.py` in `OP_ROUNDS` short rounds of `OP_PASSES` timed
-passes per side, the sides alternating as in the pairs (parent first on even
-rounds), so that a drift of the machine's speed reaches both sides alike.
-The summary records those numbers (`op_rounds`, `op_passes`), each
-reference key's median over the rounds of its round medians, those round
-medians and its traced counts per side (`op_times`, over that fixed op
-sequence), each op kind's mean median per side (`op_kinds`) and each op
-kind's change / parent ratio in every round (`op_kind_ratios`).  It then
-prints a line per op kind, slowest parent first: both sides' mean medians,
-change / parent, and the least and largest ratio of a round.
+times each reference key in `OP_PASSES` passes per side through two
+`tools/op_times.py` servers, one per side, that take turns op by op (the
+parent first on even passes), so that a drift of the machine's speed
+reaches both sides alike even when it is faster than a pass.  The summary
+records those numbers (`op_passes`, and `op_rounds`, the blocks of
+consecutive passes that the ratios below are taken over), each reference
+key's median, quartiles, median in each round and traced counts per side
+(`op_times`, over that fixed op sequence), each op kind's mean median per
+side (`op_kinds`) and each op kind's change / parent ratio in every round
+(`op_kind_ratios`).  It then prints a line per op kind, slowest parent
+first: both sides' mean medians, change / parent, and the least and largest
+ratio of a round.
 """
 from __future__ import annotations
 
@@ -40,11 +42,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from op_times import PASSES, kinds, op_times
+from op_times import PASSES, Server, kinds, summary
 
-# op_times' default number of timed passes, split into alternating rounds
-OP_ROUNDS = 4
-OP_PASSES = PASSES // OP_ROUNDS
+# op_times' default number of timed passes, read as 4 rounds of consecutive passes
+OP_PASSES, OP_ROUNDS = PASSES, 4
 
 
 def run(root: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -82,35 +83,50 @@ def summarise(runs: dict, better: dict) -> dict:
     return out
 
 
-def alternating_op_times(roots: dict, workload: str, rounds: int, passes: int) -> dict:
-    """`op_times` of both sides in `rounds` rounds of `passes` timed passes,
-    parent first on even rounds and change first on odd ones; per side, the
-    results of each round."""
-    found: dict = {side: [] for side in roots}
-    for i in range(rounds):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            found[side].append(op_times(roots[side], workload, passes))
-    return found
-
-
-def merge_rounds(rounds: list) -> dict:
-    """Each key's median of its round medians, those medians, and its counts
-    (the same in every round, the op sequence being fixed)."""
+def interleaved_op_times(roots: dict, workload: str, passes: int) -> dict:
+    """Per side, each key's wall times over `passes` passes and its traced
+    counts.  The two sides' servers take turns op by op, the parent first on
+    even passes and the change first on odd ones."""
+    with Server(roots["parent"], workload) as parent, Server(roots["change"], workload) as change:
+        servers = {"parent": parent, "change": change}
+        if parent.keys != change.keys:
+            raise SystemExit(f"{workload}: the two sides issue different op sequences")
+        times: dict = {side: [[] for _ in parent.keys] for side in servers}
+        for k in range(passes):
+            for i in range(len(parent.keys)):
+                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                    times[side][i].append(servers[side].run(i))
+        counts = {side: server.traced_counts() for side, server in servers.items()}
     return {
-        key: {
-            "median_s": statistics.median(found[key]["median_s"] for found in rounds),
-            "round_medians_s": [found[key]["median_s"] for found in rounds],
-            "counts": rounds[0][key]["counts"],
-        }
-        for key in rounds[0]
+        side: {key: (times[side][i], counts[side][i]) for i, key in enumerate(parent.keys)}
+        for side in servers
     }
 
 
-def kind_ratios(found: dict) -> dict:
+def rounds_of(times: list, rounds: int) -> list:
+    """The times split into `rounds` blocks of consecutive passes."""
+    size = len(times) // rounds
+    return [times[r * size : (r + 1) * size] for r in range(rounds)]
+
+
+def merge(found: dict, rounds: int) -> dict:
+    """Each key's median and quartiles, its median in each round, and its
+    counts."""
+    out = {}
+    for key, (times, counts) in found.items():
+        out[key] = summary(times, counts)
+        out[key]["round_medians_s"] = [statistics.median(r) for r in rounds_of(times, rounds)]
+    return out
+
+
+def kind_ratios(merged: dict, rounds: int) -> dict:
     """Each op kind's change / parent ratio of mean medians, round by round."""
-    per_round = [(kinds(p), kinds(c)) for p, c in zip(found["parent"], found["change"])]
-    nan = float("nan")  # a kind only the parent has
-    return {kind: [c.get(kind, nan) / p[kind] for p, c in per_round] for kind in per_round[0][0]}
+    per_round = [
+        tuple(kinds({key: {"median_s": m["round_medians_s"][r]} for key, m in merged[side].items()})
+              for side in ("parent", "change"))
+        for r in range(rounds)
+    ]
+    return {kind: [c[kind] / p[kind] for p, c in per_round] for kind in per_round[0][0]}
 
 
 def print_kinds(workload: str, per_kind: dict, ratios: dict) -> None:
@@ -118,7 +134,7 @@ def print_kinds(workload: str, per_kind: dict, ratios: dict) -> None:
     ratio and the range of the rounds' ratios."""
     parent, change = per_kind["parent"], per_kind["change"]
     for kind in sorted(parent, key=parent.get, reverse=True):
-        p, c = parent[kind], change.get(kind, float("nan"))  # a kind only the parent has
+        p, c = parent[kind], change[kind]
         times = f"parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}"
         spread = f"rounds {min(ratios[kind]):.3f}-{max(ratios[kind]):.3f}"
         print(f"{workload} {kind}: {times} {spread}", flush=True)
@@ -179,10 +195,10 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
             roots = {"parent": parent_root, "change": change_root}
-            found = alternating_op_times(roots, workload, OP_ROUNDS, OP_PASSES)
-            merged = {side: merge_rounds(rounds) for side, rounds in found.items()}
+            found = interleaved_op_times(roots, workload, OP_PASSES)
+            merged = {side: merge(ops, OP_ROUNDS) for side, ops in found.items()}
             per_kind = {side: kinds(ops) for side, ops in merged.items()}
-            ratios = kind_ratios(found)
+            ratios = kind_ratios(merged, OP_ROUNDS)
             summary["workloads"][workload].update(
                 op_rounds=OP_ROUNDS, op_passes=OP_PASSES, op_times=merged,
                 op_kinds=per_kind, op_kind_ratios=ratios,

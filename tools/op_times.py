@@ -24,6 +24,10 @@ The JSON written to --out, or printed, maps each key to
 each op kind, a key's first two words (`fw-weak omega_counterexample{128}`),
 to the mean of its keys' medians; "rotation_s" is their sum, the time of one
 op of every kind.
+
+`Server` runs the same child on request instead: after the checked pass, it
+times one op at a time as its owner asks, so that two checkouts' children can
+take turns op by op (`tools/bench_pairs.py`).
 """
 from __future__ import annotations
 
@@ -46,66 +50,143 @@ CHILD_ENV = (
 )
 
 
-def time_ops(workload: str, passes: int, scratch: Path) -> dict:
-    """The per-key times and counts of one workload; runs in the child."""
-    from perfbench import ops, tracing, workload as harness
+class Session:
+    """One workload's fixed op sequence, ready to run in this process."""
 
-    reference = json.loads(harness.REFERENCE.read_text())
-    configs = ops.write_inputs(workload, 0, scratch / "inputs")
-    sequence = ops.every_op(workload, configs)
-    outs = [scratch / str(i) for i in range(len(sequence))]
-    tracer = tracing.Tracer()
+    def __init__(self, workload: str, scratch: Path) -> None:
+        from perfbench import ops, tracing, workload as harness
 
-    def run_pass(check: bool = False) -> list[float]:
-        """One pass; each op's wall time."""
-        times = []
-        for i, (op, out) in enumerate(zip(sequence, outs)):
-            if out.is_dir():
-                for path in out.iterdir():
-                    os.truncate(path, 0)
-            tracer.request = i
-            t0 = time.perf_counter()
-            result = ops.execute(op, out)
-            times.append(time.perf_counter() - t0)
-            failure = harness.check(harness.Record(op, 0.0, result, None, out), reference) if check else None
+        self.ops, self.harness, self.tracing = ops, harness, tracing
+        self.reference = json.loads(harness.REFERENCE.read_text())
+        configs = ops.write_inputs(workload, 0, scratch / "inputs")
+        self.sequence = ops.every_op(workload, configs)
+        self.outs = [scratch / str(i) for i in range(len(self.sequence))]
+
+    def run(self, i: int, check: bool = False) -> float:
+        """Op i once; its wall time.  With `check`, its outcome must be the
+        reference's."""
+        op, out = self.sequence[i], self.outs[i]
+        if out.is_dir():
+            for path in out.iterdir():
+                os.truncate(path, 0)
+        t0 = time.perf_counter()
+        result = self.ops.execute(op, out)
+        elapsed = time.perf_counter() - t0
+        if check:
+            failure = self.harness.check(self.harness.Record(op, 0.0, result, None, out), self.reference)
             if failure is not None:
                 raise SystemExit(f"op_times: {failure}")
-        return times
+        return elapsed
 
-    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-        run_pass(check=True)
-        timed = list(zip(*(run_pass() for _ in range(passes))))
+    def run_pass(self, check: bool = False) -> list[float]:
+        return [self.run(i, check) for i in range(len(self.sequence))]
+
+    def traced_counts(self) -> list[dict]:
+        """Each op's traced calls per layer function and work counts, over
+        one pass."""
+        tracer = self.tracing.Tracer()
         tracer.install()
         try:
-            run_pass()
+            for i in range(len(self.sequence)):
+                tracer.request = i
+                self.run(i)
         finally:
             tracer.uninstall()
-    grouped = tracing.per_request(tracer.spans, tracer.counts)
-    result = {}
-    for i, op in enumerate(sequence):
-        q1, _, q3 = statistics.quantiles(timed[i], n=4) if passes > 1 else timed[i] * 3
-        result[op.key] = {
-            "median_s": statistics.median(timed[i]),
-            "q1_s": q1,
-            "q3_s": q3,
-            "counts": dict(sorted(grouped[i].items())),
-        }
-    return result
+        grouped = self.tracing.per_request(tracer.spans, tracer.counts)
+        return [dict(sorted(grouped[i].items())) for i in range(len(self.sequence))]
 
 
-def op_times(root: Path, workload: str, passes: int = PASSES) -> dict:
-    """Run the child for the checkout at `root`; returns its per-key results."""
+def time_ops(workload: str, passes: int, scratch: Path) -> dict:
+    """The per-key times and counts of one workload; runs in the child."""
+    session = Session(workload, scratch)
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        session.run_pass(check=True)
+        timed = list(zip(*(session.run_pass() for _ in range(passes))))
+        counts = session.traced_counts()
+    return {
+        op.key: summary(timed[i], counts[i]) for i, op in enumerate(session.sequence)
+    }
+
+
+def summary(times: list[float], counts: dict) -> dict:
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    return {"median_s": statistics.median(times), "q1_s": q1, "q3_s": q3, "counts": counts}
+
+
+def serve(workload: str, scratch: Path) -> None:
+    """Answer requests from stdin, one JSON line each on stdout; runs in the
+    child.  First, after the checked pass, the list of keys; then `run I`
+    gives op I's wall time, and `trace` each op's counts."""
+    reply = sys.stdout
+    session = Session(workload, scratch)
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        session.run_pass(check=True)
+        print(json.dumps([op.key for op in session.sequence]), file=reply, flush=True)
+        for line in sys.stdin:
+            request = line.split()
+            answer = session.run(int(request[1])) if request[0] == "run" else session.traced_counts()
+            print(json.dumps(answer), file=reply, flush=True)
+
+
+def child_command(root: Path, workload: str) -> tuple[list[str], dict]:
+    """The argv and environment of a child for the checkout at `root`, less
+    its mode arguments."""
     env = json.loads(subprocess.run(
         [sys.executable, "-c", CHILD_ENV, str(root), workload],
         cwd=root, capture_output=True, text=True, check=True,
     ).stdout)
+    return [sys.executable, __file__, "--workload", workload, "--root", str(root)], env
+
+
+def op_times(root: Path, workload: str, passes: int = PASSES) -> dict:
+    """Run the child for the checkout at `root`; returns its per-key results."""
+    argv, env = child_command(root, workload)
     with tempfile.TemporaryDirectory(prefix="op-times-") as scratch:
-        argv = [sys.executable, __file__, "--workload", workload, "--passes", str(passes)]
-        argv += ["--root", str(root), "--child", scratch]
+        argv += ["--passes", str(passes), "--child", scratch]
         out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"op_times: {root}: {workload}: {out.stderr.strip()[-2000:]}")
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+class Server:
+    """A child for the checkout at `root` that times one op per request;
+    `keys` lists the ops, in order.  Use it as a context manager."""
+
+    def __init__(self, root: Path, workload: str) -> None:
+        argv, env = child_command(root, workload)
+        self._scratch = tempfile.TemporaryDirectory(prefix="op-times-")
+        self._proc = subprocess.Popen(
+            argv + ["--serve", self._scratch.name], cwd=root, env=env, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        self.root = root
+        self.keys = self._read()
+
+    def _read(self):
+        line = self._proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"op_times: {self.root}: {self._proc.stderr.read().strip()[-2000:]}")
+        return json.loads(line)
+
+    def _ask(self, request: str):
+        self._proc.stdin.write(request + "\n")
+        self._proc.stdin.flush()
+        return self._read()
+
+    def run(self, i: int) -> float:
+        return self._ask(f"run {i}")
+
+    def traced_counts(self) -> list[dict]:
+        return self._ask("trace")
+
+    def __enter__(self) -> "Server":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._proc.stdin.close()
+        self._proc.wait()
+        self._scratch.cleanup()
 
 
 def kinds(ops: dict) -> dict:
@@ -123,13 +204,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--root", type=Path, default=Path.cwd())
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--child", type=Path, default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--serve", type=Path, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
     root = args.root.resolve()
-    if args.child is not None:
+    if args.child is not None or args.serve is not None:
         sys.path.insert(0, str(root))
-        print(json.dumps(time_ops(args.workload, args.passes, args.child)))
+        if args.serve is not None:
+            serve(args.workload, args.serve)
+        else:
+            print(json.dumps(time_ops(args.workload, args.passes, args.child)))
         return 0
     found = op_times(root, args.workload, args.passes)
     table = kinds(found)
