@@ -26,7 +26,7 @@ class Decision(Enum):
         return self is Decision.NULL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     name: str
     passed: bool
@@ -41,7 +41,7 @@ class CheckResult:
         return f"FAIL {self.name}: {self.counterexample or self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     subject: str
     checks: tuple[CheckResult, ...]
