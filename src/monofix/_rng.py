@@ -27,49 +27,18 @@ def words(rng: random.Random, k: int) -> np.ndarray:
     return np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), dtype="<u4")
 
 
-def choice_indices(
-    rng: random.Random, n: int, count: int
-) -> tuple[np.ndarray, Callable[[int], None]]:
-    """The indices of `count` calls `rng.choice(seq)` on a sequence of length
-    n, drawn at once, and `settle(d)`, which leaves `rng` exactly as the
-    first d of those calls would have.
-
-    `choice` takes one 32-bit Mersenne Twister word per try, keeps its top
-    n.bit_length() bits and retries while they are not below n.  The tries
-    are read off `words` and the rejections applied to all of them at once.
-    The indices are uint32.  Until `settle` is called, `rng` may have run
-    past the draws; `settle(d)` restores the state saved on entry and
-    replays the words of the first d draws.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not 1 <= n < 1 << 32:
-        raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
-    saved = rng.getstate()
-    bits = n.bit_length()
-    tries, kept = np.zeros(0, dtype="<u4"), ()
-    while len(kept) < count:
-        # a try is kept with probability n / 2**bits; draw the expected
-        # number for the rest and an eighth more, rarely a second time
-        rest = count - len(kept)
-        tries = np.concatenate((tries, words(rng, (rest << bits) // n + (rest >> 3) + 32)))
-        shifted = tries >> (32 - bits)
-        kept = np.flatnonzero(shifted < n)
-    kept = kept[:count]
-
-    def settle(d: int) -> None:
-        rng.setstate(saved)
-        if d:
-            rng.getrandbits(32 * (int(kept[d - 1]) + 1))
-
-    return shifted[kept], settle
-
-
 def _unit_floats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`random()` of the word pairs (a, b): ((a >> 5) * 2**26 + (b >> 6)) /
     2**53.  The integer is below 2**53, so the float division is exact."""
     a, b = a.astype(np.uint64) >> 5, b.astype(np.uint64) >> 6
     return (a * (1 << 26) + b) / float(1 << 53)
+
+
+def _bits(n: int) -> int:
+    """The bits that `_randbelow(n)` keeps of each 32-bit word it tries."""
+    if not 1 <= n < 1 << 32:
+        raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
+    return n.bit_length()
 
 
 class WordBlock:
@@ -94,9 +63,7 @@ class WordBlock:
         """The positions of the kept tries, then len(words); the number of
         kept tries before each position; each word's value."""
         if n not in self._tries:
-            if not 1 <= n < 1 << 32:
-                raise ValueError("n must be between 1 and 2**32 - 1")  # one word per try
-            values = self.words >> (32 - n.bit_length())
+            values = self.words >> (32 - _bits(n))
             ok = values < n
             kept = np.append(np.flatnonzero(ok), len(ok))
             self._tries[n] = (kept, np.concatenate(((0,), np.cumsum(ok))), np.append(values, 0))
@@ -144,10 +111,47 @@ def replay(
             p = following[p]
         if p <= size:
             break
-        block = WordBlock(np.concatenate((block.words, words(rng, size))))
+        block = _longer(rng, block)
+    _advance(rng, saved, p)
+    return block, np.array(starts)
+
+
+def _longer(rng: random.Random, block: WordBlock) -> WordBlock:
+    """`block` followed by as many more words of `rng`."""
+    return WordBlock(np.concatenate((block.words, words(rng, len(block.words)))))
+
+
+def _advance(rng: random.Random, saved: tuple, p: int) -> None:
+    """Leave `rng` p words after the state `saved`."""
     rng.setstate(saved)
     rng.getrandbits(32 * p)
-    return block, np.array(starts)
+
+
+def choice_indices(
+    rng: random.Random, n: int, count: int
+) -> tuple[np.ndarray, Callable[[int], None]]:
+    """The indices of `count` calls `rng.choice(seq)` on a sequence of length
+    n, drawn at once, and `settle(d)`, which leaves `rng` exactly as the
+    first d of those calls would have.
+
+    The draws are successive `_randbelow(n)` tries on one `WordBlock`, read
+    as `replay` reads them.  Until `settle` is called, `rng` may have run
+    past the draws.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    # a try is kept with probability n / 2**bits; draw the expected number
+    # and an eighth more
+    guess = (count << _bits(n)) // n + (count >> 3) + 32
+    saved = rng.getstate()
+    block = WordBlock(words(rng, guess))
+    while (at := block.kept(n, 0, np.arange(count)))[-1] >= len(block.words):
+        block = _longer(rng, block)
+
+    def settle(d: int) -> None:
+        _advance(rng, saved, int(at[d - 1]) + 1 if d else 0)
+
+    return block.value(n, at), settle
 
 
 def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]]:

@@ -6,7 +6,6 @@ prefix and exist so that the validators have something to catch.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -510,14 +509,6 @@ _REAL_SPACES = {
 }
 
 
-@functools.lru_cache(maxsize=4)
-def _entourage_space(pts: tuple) -> DistanceSpaceSpec:
-    """The entourage space of `hierarchical_rho` on the points, built once:
-    every call shares its distances, so the memo of `relation_compose` finds
-    their products by identity rather than by comparing relations."""
-    return make_uniform_from_pseudometric(pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125])[0]
-
-
 def get_space(name: str) -> SpaceEntry:
     base, arg = _parse_name(
         name, ("real_abs", "snowflake", "squared", "dislocated_max", "broken_pseudo_as_distance")
@@ -551,7 +542,9 @@ def get_space(name: str) -> SpaceEntry:
         )
     if base == "uniform_pseudometric":
         pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))
-        space = _entourage_space(pts)
+        space, _ladder = make_uniform_from_pseudometric(
+            pts, hierarchical_rho, [1.0, 0.5, 0.25, 0.125]
+        )
         return SpaceEntry(
             name=name,
             space=space,

@@ -10,7 +10,6 @@ within a witness budget".
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -23,17 +22,30 @@ from ._util import REAL_ENTRYWISE, close_entries, format_value, generic_eq
 from .reporting import CheckResult, Decision, ValidationReport
 
 
-@functools.lru_cache(maxsize=256)
+# The last products of `relation_compose`, the most recent last.  A hit is
+# stored again under the operands it was asked for, so that the next call
+# with those objects finds it by identity rather than by comparing relations.
+_COMPOSED: dict[tuple[frozenset, frozenset], frozenset] = {}
+_COMPOSED_MAX = 32
+
+
 def relation_compose(a: frozenset, b: frozenset) -> frozenset:
     """The relation {(x, y): (x, z) in a and (z, y) in b for some z}.
 
-    The last 256 products are kept: `check_triangle` over an entourage space
+    The last 32 products are kept: `check_triangle` over an entourage space
     composes the same few distances for every triple of points.
     """
-    succ: dict[Any, list] = {}
-    for u, v in b:
-        succ.setdefault(u, []).append(v)
-    return frozenset((x, y) for x, z in a for y in succ.get(z, ()))
+    key = (a, b)
+    got = _COMPOSED.pop(key, None)
+    if got is None:
+        succ: dict[Any, list] = {}
+        for u, v in b:
+            succ.setdefault(u, []).append(v)
+        got = frozenset((x, y) for x, z in a for y in succ.get(z, ()))
+        if len(_COMPOSED) >= _COMPOSED_MAX:
+            del _COMPOSED[next(iter(_COMPOSED))]
+    _COMPOSED[key] = got
+    return got
 
 
 # The (combine, leq, eq, sup) of the relation monoids: composition, and
@@ -423,19 +435,21 @@ def _compose_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, dtype=np.float32) > 0
 
 
-# A chunk of trials stacks at most this many entries per argument.
+# A chunk of relational trials stacks at most this many entries per argument.
 _CHUNK_ENTRIES = 1 << 16
 
 
 def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
     """The samples stacked, the axioms on stacked arguments and the trials
-    per chunk, over an elementwise or a relational carrier; else None.
+    per chunk (None: all at once), over an elementwise or a relational
+    carrier; else None.
 
     Elementwise: a float row per element; `+`, `<=` on every entry,
     `close_entries` on every entry and `np.maximum` (`max` differs from it
     only where a NaN fails `leq` either way).  Relational: a boolean point x
     point matrix per relation; the matrix product, "no entry of a & ~b",
-    entrywise equality and `|`.
+    entrywise equality and `|`, in chunks of at most `_CHUNK_ENTRIES`
+    entries per argument.
     """
     if spec.elementwise:
         rows, identity = _rows(samples), _rows([spec.identity])
@@ -445,6 +459,7 @@ def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
             lambda a, b: close_entries(a, b).all(axis=1),
             np.maximum,
         )
+        chunk = None
     elif spec.relational:
         matrices = _relation_matrices([*samples, spec.identity])
         rows, identity = matrices[:-1], matrices[-1]
@@ -454,9 +469,9 @@ def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
             lambda a, b: (a == b).all(axis=(1, 2)),
             np.logical_or,
         )
+        chunk = max(1, _CHUNK_ENTRIES // max(1, identity.size))
     else:
         return None
-    chunk = max(1, _CHUNK_ENTRIES // max(1, identity.size))
     return rows, _stacked_axioms(identity, *ops), chunk
 
 
@@ -488,8 +503,9 @@ def validate_monoid(
     its trials at once (`choice_indices`) and leaves `rng` where the
     per-trial loop would stop: after the failing trial, or after the last.
     Over an elementwise or a relational carrier each axiom is evaluated on
-    the stacked samples of a chunk of trials at a time (`_stacked_carrier`),
-    and the first False verdict is the failing trial; other carriers call
+    the stacked samples of all its trials, or of a chunk of them at a time
+    over relations (`_stacked_carrier`), and the first False verdict is the
+    failing trial; other carriers call
     the predicate once per distinct draw: on the first trial to draw each
     tuple of sample indices (`distinct_draws`).  Draws, verdicts and
     counterexamples are those of the per-trial loop.
@@ -507,7 +523,7 @@ def validate_monoid(
         idx, settle = choice_indices(rng, len(samples), trials * arity)
         if stacked is not None:
             rows, on_rows, chunk = stacked
-            failing = _first_false(on_rows[name], rows, idx, arity, chunk)
+            failing = _first_false(on_rows[name], rows, idx, arity, chunk or trials)
         else:
             draws = ((t, map(samples.__getitem__, key)) for t, key in distinct_draws(idx, arity))
             failing = next((t for t, args in draws if not predicate(*args)), None)

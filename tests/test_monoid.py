@@ -1,4 +1,5 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
+import itertools
 import math
 import operator
 import random
@@ -8,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import monofix.monoid
 from monofix import (
     Decision,
     MTrace,
@@ -52,6 +54,20 @@ def test_relation_composition_matches_brute_force():
     spec = relation_monoid(pts)
     rep = validate_monoid(spec, [delta, r1, r2, expected], trials=2000, seed=2)
     assert rep.ok, rep.render()
+
+
+def test_relation_composition_memo_is_bounded_and_exact():
+    # equal relations that are distinct objects, and more pairs than the
+    # memo keeps, compose exactly
+    rng = random.Random(5)
+    pts = range(6)
+    rels = [frozenset(p for p in itertools.product(pts, pts) if rng.random() < 0.3) for _ in range(12)]
+    for _ in range(3):
+        for a in rels:
+            for b in rels:
+                a2, b2 = frozenset(list(a)), frozenset(list(b))
+                assert relation_compose(a, b) == relation_compose(a2, b2) == brute_compose(a, b)
+    assert len(monofix.monoid._COMPOSED) <= monofix.monoid._COMPOSED_MAX
 
 
 def test_broken_subtraction_reports_associativity_counterexample():
