@@ -716,10 +716,7 @@ def make_uniform_from_pseudometric(
         raise ValueError("all sublevel relations equal the kernel; no usable rungs")
     ladder = TestLadder.build(monoid, rungs)
 
-    # one object per distinct distance, so that the memo of `relation_compose`
-    # finds the products of equal distances by identity
-    interned: dict[frozenset, frozenset] = {}
-    table = {a: {b: interned.setdefault(r := entourage_distance(base, a, b), r) for b in pts} for a in pts}
+    table = {a: {b: entourage_distance(base, a, b) for b in pts} for a in pts}
     separating = kernel == diagonal(pts)
     if base[-1] == kernel:
         kind = SpaceKind.DISTANCE if separating else SpaceKind.PSEUDO
