@@ -26,13 +26,13 @@ from .reporting import CheckResult, Decision, ValidationReport
 # stored again under the operands it was asked for, so that the next call
 # with those objects finds it by identity rather than by comparing relations.
 _COMPOSED: dict[tuple[frozenset, frozenset], frozenset] = {}
-_COMPOSED_MAX = 32
+_COMPOSED_MAX = 64
 
 
 def relation_compose(a: frozenset, b: frozenset) -> frozenset:
     """The relation {(x, y): (x, z) in a and (z, y) in b for some z}.
 
-    The last 32 products are kept: `check_triangle` over an entourage space
+    The last 64 products are kept: `check_triangle` over an entourage space
     composes the same few distances for every triple of points.
     """
     key = (a, b)
