@@ -46,10 +46,12 @@ class WordBlock:
     them, at arrays of positions.  A draw that runs past the block ends past
     it, at len(words) or later, and its values are then meaningless.
 
-    - `kept(n, p, j)`: `_randbelow(n)` (`randrange`, `randint`, `choice`)
-      takes one word per try, keeps its top n.bit_length() bits and retries
-      while they are not below n.  The position of the try that the j-th
-      (from 0) of successive draws from p keeps.
+    - `tries(n)`: `_randbelow(n)` (`randrange`, `randint`, `choice`) takes
+      one word per try, keeps its top n.bit_length() bits and retries while
+      they are not below n.  The positions of the kept tries, then
+      len(words); and each word's value as a try.
+    - `kept(n, p, j)`: the position of the try that the j-th (from 0) of
+      successive draws from p keeps.
     - `value(n, at)`: the value of the try at `at`.
     - `random(p)`: the value of `random()` from p, which takes the two
       words at p and p + 1.
@@ -57,24 +59,24 @@ class WordBlock:
 
     def __init__(self, block: np.ndarray) -> None:
         self.words = block
-        self._tries: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._before: dict[int, np.ndarray] = {}
 
-    def _tries_of(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The positions of the kept tries, then len(words); the number of
-        kept tries before each position; each word's value."""
+    def tries(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n not in self._tries:
             values = self.words >> (32 - _bits(n))
-            ok = values < n
-            kept = np.append(np.flatnonzero(ok), len(ok))
-            self._tries[n] = (kept, np.concatenate(((0,), np.cumsum(ok))), np.append(values, 0))
+            self._tries[n] = (np.append(np.flatnonzero(values < n), len(values)), values)
         return self._tries[n]
 
     def kept(self, n: int, p: np.ndarray, j: Any = 0) -> np.ndarray:
-        kept, before, _ = self._tries_of(n)
-        return kept.take(before.take(p, mode="clip") + j, mode="clip")
+        kept, values = self.tries(n)
+        if n not in self._before:
+            # the number of kept tries before each position, and before len(words)
+            self._before[n] = np.concatenate(((0,), np.cumsum(values < n)))
+        return kept.take(self._before[n].take(p, mode="clip") + j, mode="clip")
 
     def value(self, n: int, at: np.ndarray) -> np.ndarray:
-        return self._tries_of(n)[2].take(at, mode="clip")
+        return self.tries(n)[1].take(at, mode="clip")
 
     def random(self, p: np.ndarray) -> np.ndarray:
         return _unit_floats(self.words.take(p, mode="clip"), self.words.take(p + 1, mode="clip"))
@@ -145,7 +147,7 @@ def choice_indices(
     guess = (count << _bits(n)) // n + (count >> 3) + 32
     saved = rng.getstate()
     block = WordBlock(words(rng, guess))
-    while (at := block.kept(n, 0, np.arange(count)))[-1] >= len(block.words):
+    while (at := block.tries(n)[0][:count])[-1] >= len(block.words):
         block = _longer(rng, block)
 
     def settle(d: int) -> None:
