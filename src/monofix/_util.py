@@ -2,7 +2,6 @@
 Collatz-Wielandt quotients."""
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Any
@@ -23,8 +22,8 @@ def generic_eq(a: Any, b: Any) -> bool:
 RTOL, ATOL = 1e-9, 1e-12
 
 
-def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.ndarray:
-    """`close_eq`'s rule, entry by entry: a == b, or |a - b| <= abs_ + rel *
+def close_entries(a: Any, b: Any) -> np.ndarray:
+    """`close_eq`'s rule, entry by entry: a == b, or |a - b| <= ATOL + RTOL *
     max(|a|, |b|) with that band finite.  Both sides are made inexact first,
     so that integer entries neither wrap in a - b nor overflow in |a|.
     inf - inf, NaN and overflowing differences are not warned about: they
@@ -34,30 +33,24 @@ def close_entries(a: Any, b: Any, rel: float = RTOL, abs_: float = ATOL) -> np.n
     a = a.astype(np.result_type(a, 1.0), copy=False)
     b = b.astype(np.result_type(b, 1.0), copy=False)
     with np.errstate(invalid="ignore", over="ignore"):
-        band = abs_ + rel * np.maximum(abs(a), abs(b))
+        band = ATOL + RTOL * np.maximum(abs(a), abs(b))
         return (abs(a - b) <= band) & (band < math.inf) | (a == b)
 
 
-@functools.lru_cache(maxsize=None)  # one function per tolerance pair
-def close_eq(rel: float = RTOL, abs_: float = ATOL):
+def close_eq(a: Any, b: Any) -> bool:
     """Tolerant equality for float-based carriers (scalars, tuples, arrays).
 
-    Two floats are equal when a == b, or when |a - b| <= abs_ + rel *
+    Two floats are equal when a == b, or when |a - b| <= ATOL + RTOL *
     max(|a|, |b|) and that band is finite.  The rule is symmetric; a
     non-finite value (a band of inf) equals only itself, and NaN equals
     nothing.  Tuples are equal entry by entry; arrays are equal when every
     entry is `close_entries`, the same rule evaluated by numpy.
     """
-    inf = math.inf
-
-    def eq(a: Any, b: Any) -> bool:
-        if isinstance(a, tuple) and isinstance(b, tuple):
-            return len(a) == len(b) and all(map(eq, a, b))
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool(close_entries(a, b, rel, abs_).all())
-        return a == b or abs(a - b) <= abs_ + rel * max(abs(a), abs(b)) < inf
-
-    return eq
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(close_eq, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(close_entries(a, b).all())
+    return a == b or abs(a - b) <= ATOL + RTOL * max(abs(a), abs(b)) < math.inf
 
 
 def below_entries(x: np.ndarray, rung: Any) -> np.ndarray:
@@ -90,13 +83,13 @@ def leq_arrays(a: np.ndarray, b: np.ndarray) -> bool:
 
 # The (combine, leq, eq, sup) of the real-entrywise carriers, by the type of
 # their identity: floats, tuples of floats and float arrays, added by +,
-# ordered by <= and compared by close_eq() entry by entry, with the entrywise
+# ordered by <= and compared by close_eq entry by entry, with the entrywise
 # max as supremum.  `MonoidSpec.elementwise` holds exactly when a monoid's
 # four callbacks are one row of this table.
 REAL_ENTRYWISE = {
-    float: (operator.add, operator.le, close_eq(), max),
-    tuple: (add_entries, leq_entries, close_eq(), max_entries),
-    np.ndarray: (np.add, leq_arrays, close_eq(), np.maximum),
+    float: (operator.add, operator.le, close_eq, max),
+    tuple: (add_entries, leq_entries, close_eq, max_entries),
+    np.ndarray: (np.add, leq_arrays, close_eq, np.maximum),
 }
 
 

@@ -229,7 +229,7 @@ def get_monoid(name: str) -> MonoidEntry:
             combine=lambda a, b: a - b,
             identity=0.0,
             leq=operator.le,
-            eq=close_eq(),
+            eq=close_eq,
         )
         return MonoidEntry(
             name=name,
@@ -625,7 +625,7 @@ def default_sample_pairs(ladder: TestLadder) -> tuple:
 
 
 def get_map(name: str) -> MapEntry:
-    halve = LambdaSequence.constant(lambda t: t / 2.0, description="t -> t/2")
+    halve = LambdaSequence.constant(lambda t: t / 2.0)
     maps = {
         # name: map, description, x0_default, monotone_x0, Caristi potential,
         # step operators of the sequential and monotone drivers
@@ -634,10 +634,7 @@ def get_map(name: str) -> MapEntry:
             lambda x: x / 2.0 + 1.0, "x -> x/2 + 1", 0.0, 0.0, lambda x: 2.0 * abs(x - 2.0), halve
         ),
         "increment": (lambda x: x + 1.0, "x -> x + 1", 0.0, 0.0, abs, halve),
-        "identity": (
-            lambda x: x, "x -> x", 5.0, 5.0, abs,
-            LambdaSequence.constant(lambda t: t, description="t -> t"),
-        ),
+        "identity": (lambda x: x, "x -> x", 5.0, 5.0, abs, LambdaSequence.constant(lambda t: t)),
     }
     if name not in maps:
         raise KeyError(f"unknown map {name!r}")

@@ -389,7 +389,6 @@ def cmd_solve_coupled(args: argparse.Namespace) -> int:
     # operator is this matrix on the positive cone
     lam = LambdaSequence.constant(
         lambda d: (lu * d[0] + lv * d[1], lu * d[1] + lv * d[0]),
-        description=f"coupled coefficients ({lu}, {lv})",
         matrix=np.array([[lu, lv], [lv, lu]]),
     )
     space = catalog.get_space("real_abs").space
@@ -413,6 +412,8 @@ def cmd_check_space(args: argparse.Namespace) -> int:
         entry = catalog.get_space(args.name)
     except KeyError as exc:
         raise ConfigError(exc.args[0], field="name")
+    if args.fw is not None and entry.fw_sampler is None:
+        raise ConfigError(f"space {args.name!r} has no falsification sampler", field="fw")
     out = Path(args.out)
     failed = False
     lines = [f"command=check-space name={args.name} seed={args.seed}"]
@@ -430,8 +431,6 @@ def cmd_check_space(args: argparse.Namespace) -> int:
             )
 
     if args.fw is not None:
-        if entry.fw_sampler is None:
-            raise ConfigError(f"space {args.name!r} has no falsification sampler", field="fw")
         cex = falsify_frechet_wilson(
             entry.space, args.fw, entry.fw_sampler(args.fw), args.trials, seed=args.seed
         )

@@ -41,7 +41,6 @@ class SolveStatus(str, Enum):
 class MapSpec:
     apply: Callable[[Any], Any]
     order_leq: Optional[Callable[[Any, Any], bool]] = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,13 @@ class LambdaSequence:
 
     op_at: Callable[[int], Callable[[Any], Any]]
     commuting: bool = False
-    description: str = ""
     matrix: Optional[np.ndarray] = None
 
     @classmethod
     def constant(
-        cls, op: Callable[[Any], Any], description: str = "", matrix: Optional[np.ndarray] = None
+        cls, op: Callable[[Any], Any], matrix: Optional[np.ndarray] = None
     ) -> "LambdaSequence":
-        return cls(op_at=lambda n: op, commuting=True, description=description, matrix=matrix)
+        return cls(op_at=lambda n: op, commuting=True, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -523,7 +521,7 @@ def _geometric_witness(
     the literal 2*budget-term trace.
 
     `spec` must add, order and compare float vectors entry by entry (+, <=
-    and close_eq(), as `solve_sequential` checks).  The terms v_n = W^n d0
+    and close_eq, as `solve_sequential` checks).  The terms v_n = W^n d0
     (W = lam.matrix) come one at a time from `lam.op_at(n)` on the
     carrier's own values, arrays or tuples, and are read with `np.asarray`
     (no copy of an array); `spec.eq` decides ties on carrier values.
@@ -643,9 +641,17 @@ def _geometric_witness(
 SEQ_MODES = ("series", "orbit_bounded")
 
 
-def _escapes(trace: IterationTrace, step: int) -> str:
-    d = format_value(trace.consec.elements[step])
-    return f"d(x_{step}, x_{step + 1})={d} escapes the step operator bound"
+def _step_witness(trace: IterationTrace, step: int) -> str:
+    """What the violated condition says of the step (x_k, x_k+1); the
+    distance of that step for a condition of the caller's own."""
+    condition, points = trace.violated, trace.points
+    if condition == "chain_monotonicity":
+        x, y = format_value(points[step]), format_value(points[step + 1])
+        return f"x_{step}={x} is not below x_{step + 1}={y}"
+    if condition == "non_finite_iterate":
+        return f"x_{step + 1}={format_value(points[step + 1])} is not finite"
+    d = f"d(x_{step}, x_{step + 1})={format_value(trace.consec.elements[step])}"
+    return f"{d} escapes the step operator bound" if condition == "graduated_contraction" else d
 
 
 def solve_sequential(
@@ -692,7 +698,7 @@ def solve_sequential(
     horizon = 2 * budget
     violated = extra_step_check(0, x0, x1) if extra_step_check is not None else None
     if violated is not None:
-        return _step_violated(_seed_trace(x0, x1, d0, budget, violated), _escapes, diagnostics)
+        return _step_violated(_seed_trace(x0, x1, d0, budget, violated), _step_witness, diagnostics)
 
     ordered_pairs = [
         (ladder.bottom, m.combine(ladder.bottom, ladder.bottom)),
@@ -717,7 +723,7 @@ def solve_sequential(
         if m.eq(d0, m.identity):
             diagnostics.append("seed is already fixed; series check trivial")
         else:
-            found = None  # the tail bound needs float vectors: entrywise +, <= and close_eq()
+            found = None  # the tail bound needs float vectors: entrywise +, <= and close_eq
             if lam.matrix is not None and m.elementwise and not isinstance(m.identity, float):
                 found = _geometric_witness(lam, d0, ladder, m, budget)
             if found is not None:
@@ -783,7 +789,7 @@ def solve_sequential(
 
     trace = picard_iterate(space, f, x0, budget, step_check=series_check)
     if trace.violated is not None:
-        return _step_violated(trace, _escapes, diagnostics)
+        return _step_violated(trace, _step_witness, diagnostics)
 
     if mode == "orbit_bounded":
         pts = trace.points
@@ -1027,7 +1033,7 @@ def solve_parametrized(
         raise ValueError("the monotone driver needs a point order; ParamConfig has none")
     reports: dict = {}
     for omega in omegas:
-        fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x), description=f"omega={omega}")
+        fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x))
         x0 = config.x0(omega) if callable(config.x0) else config.x0
         try:
             rep = solve_with_driver(config.driver, config.space, fmap, x0, config.budget, **data)

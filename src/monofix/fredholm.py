@@ -496,10 +496,8 @@ def solve_fredholm(
     def finite(_k: int, _cur: np.ndarray, nxt: np.ndarray) -> Optional[str]:
         return None if np.isfinite(nxt).all() else "non_finite_iterate"
 
-    fmap = MapSpec(apply=apply, description="Fredholm integral operator")
-    lam = LambdaSequence.constant(
-        lambda v: weighted @ v, description="linear majorant operator", matrix=weighted
-    )
+    fmap = MapSpec(apply=apply)
+    lam = LambdaSequence.constant(lambda v: weighted @ v, matrix=weighted)
     report = solve_sequential(
         space, fmap, lam, fvec.copy(), mode="series", budget=budget, extra_step_check=finite
     )

@@ -80,7 +80,7 @@ class MonoidSpec:
     @property
     def elementwise(self) -> bool:
         """Whether `combine`, `leq`, `eq` and `sup` are the `REAL_ENTRYWISE`
-        row of the identity's type: +, <=, close_eq() and max on every entry
+        row of the identity's type: +, <=, close_eq and max on every entry
         of a float, a tuple of floats or a float array.  The fast paths over
         such a carrier work on stacked float arrays; a `replace()` of any
         callback turns them off."""

@@ -123,11 +123,7 @@ def solve_multiple_fixed_point(
             return math.nan
 
     lifted = sigma_lift(s, coordinate)
-    fmap = MapSpec(
-        apply=lifted,
-        order_leq=lambda x, y: p_order_leq(s, x, y, operator.le),
-        description="sigma-lift",
-    )
+    fmap = MapSpec(apply=lifted, order_leq=lambda x, y: p_order_leq(s, x, y, operator.le))
     return solve_monotone(pspace, fmap, lam, x0, "series", budget, extra_step_check=_non_finite)
 
 

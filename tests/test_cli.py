@@ -449,6 +449,16 @@ def test_check_space_bad_name_parameter_is_config_error(tmp_path, capsys, name):
     assert not (tmp_path / "o").exists()
 
 
+def test_check_space_fw_without_a_sampler_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(monofix.cli, "validate_space", lambda *a, **k: pytest.fail("ran the axioms"))
+    argv = ["check-space", "broken_pseudo_as_distance", "--axioms", "--fw", "weak", "--trials", "50"]
+    assert run([*argv, "--seed", "0", "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field 'fw': space 'broken_pseudo_as_distance' has no falsification sampler\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_name_error_is_the_message_itself(tmp_path, capsys):
     assert run(["check-space", "gauge{0}", "--seed", "0", "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err == (

@@ -301,6 +301,21 @@ def test_sequential_contraction_step_violation():
     rep = solve_sequential(SPACE, MapSpec(apply=HALVING.fn), lam, 8.0, "series", 100)
     assert rep.status is SolveStatus.HYPOTHESIS_VIOLATED
     assert rep.violation.condition == "graduated_contraction"
+    assert rep.violation.witness == "d(x_1, x_2)=2.0 escapes the step operator bound"
+
+
+@pytest.mark.parametrize(
+    "condition, witness",
+    [("non_finite_iterate", "x_3=inf is not finite"), ("own_check", "d(x_2, x_3)=inf")],
+)
+def test_sequential_step_witness_follows_the_condition(condition, witness):
+    # the orbit 8, 4, 2, inf: halving until it falls below 3; a condition
+    # of the caller's own is witnessed by the step's distance
+    f = MapSpec(apply=lambda x: x / 2.0 if x >= 3.0 else math.inf)
+    check = lambda _k, _cur, nxt: None if math.isfinite(nxt) else condition
+    rep = solve_sequential(SPACE, f, HALVING.lam, 8.0, "series", 100, extra_step_check=check)
+    assert (rep.violation.step, rep.violation.condition) == (2, condition)
+    assert rep.violation.witness == witness
 
 
 def test_sequential_unbounded_orbit_violates():
@@ -367,6 +382,16 @@ def test_monotone_seed_above_fixed_point_violates():
     assert rep.status is SolveStatus.HYPOTHESIS_VIOLATED
     assert rep.violation.step == 0
     assert rep.violation.condition == "seed_order"
+
+
+def test_monotone_chain_violation_names_the_unordered_points():
+    # the orbit 0, 1, 0.5: d(x_1, x_2) = 0.5 is within lambda(d0) = 0.5, so
+    # only the order fails
+    f = MapSpec(apply=lambda x: x + 1.0 if x < 1.0 else 0.5, order_leq=lambda a, b: a <= b)
+    rep = solve_monotone(SPACE, f, get_map("affine_to_two").lam, 0.0, "series", 200)
+    assert rep.to_text().splitlines()[1] == (
+        "violation step=1 condition=chain_monotonicity x_1=1.0 is not below x_2=0.5"
+    )
 
 
 def test_monotone_identity_certifies_trivially():

@@ -466,7 +466,7 @@ def _allclose(a, b):
 def test_close_eq_on_arrays_is_allclose():
     # arrays, scalars against arrays and tuples of them, in both orders, as
     # the per-entry oracle of the one symmetric rule
-    eq = close_eq()
+    eq = close_eq
     rng = random.Random("close_eq")
     pairs = []
     for _ in range(400):
@@ -492,7 +492,7 @@ def test_close_eq_on_arrays_is_allclose():
 
 
 def test_close_eq_on_scalars_is_the_rule():
-    eq = close_eq()
+    eq = close_eq
     for x in CLOSE_VALUES:
         for y in CLOSE_VALUES:
             assert eq(x, y) is _rule(x, y), (x, y)
@@ -509,7 +509,7 @@ INF, NAN = math.inf, math.nan
      (NAN, 1.0, False), (NAN, INF, False)],
 )
 def test_a_non_finite_value_equals_only_itself(a, b, want):
-    eq = close_eq()
+    eq = close_eq
     for x, y in ((a, b), (b, a)):
         assert eq(x, y) is want
         assert eq((x, 0.5), (y, 0.5)) is want and eq((0.5, x), (0.5, y)) is want

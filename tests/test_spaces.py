@@ -91,11 +91,14 @@ def test_triangle_real_random_triples():
 
 
 def test_triangle_snowflake_violation():
-    # hand oracle: d(0,2) = 4 while d(0,1) + d(1,2) = 2
+    # hand oracle: d(0,2) = 4 while d(0,1) + d(1,2) = 2, after a tie
+    # d(0,1) = 1 = d(0,0.5) + d(0.5,1) that passes
     d = SNOWFLAKE.space.distance
     assert d(0.0, 2.0) == 4.0 and d(0.0, 1.0) + d(1.0, 2.0) == 2.0
-    rep = check_triangle(SNOWFLAKE.space, [(0.0, 2.0, 1.0)])
-    assert not rep.ok
+    rep = check_triangle(SNOWFLAKE.space, [(0.0, 1.0, 0.5), (0.0, 2.0, 1.0)])
+    (check,) = rep.checks
+    assert not rep.ok and check.trials == 2
+    assert check.render() == "FAIL triangle: x=0.0 y=2.0 z=1.0 d(x,y)=4.0 d(x,z)+d(z,y)=2.0"
 
 
 def test_triangle_infinite_distance_fails():
@@ -130,13 +133,17 @@ def test_zeta_triangle_doubled_sum_on_squared_distance():
     for x, y, z in triples:
         assert (x - y) ** 2 <= 2 * (x - z) ** 2 + 2 * (z - y) ** 2 + 1e-12
     zspec = ZetaSpec(phi=lambda a: a, zeta=lambda a, b: 2 * (a + b))
-    assert check_zeta_triangle(SQUARED.space, zspec, triples).ok
+    rep = check_zeta_triangle(SQUARED.space, zspec, triples)
+    assert rep.ok and rep.checks[0].render() == "PASS zeta_triangle [500 trials]"
 
 
 def test_zeta_triangle_plain_sum_on_squared_distance_fails():
     zspec = ZetaSpec(phi=lambda a: a, zeta=lambda a, b: a + b)
     rep = check_zeta_triangle(SQUARED.space, zspec, [(0.0, 2.0, 1.0)])
     assert not rep.ok  # 4 > 1 + 1
+    (check,) = rep.checks
+    assert check.trials == 1
+    assert check.render() == "FAIL zeta_triangle: x=0.0 y=2.0 z=1.0 phi(d(x,y))=4.0 zeta=2.0"
 
 
 def test_validate_zeta_battery():
@@ -852,7 +859,7 @@ def test_fw_screen_breaks_ties_as_close_eq(level):
     b = 1e-11
     band = ATOL + RTOL * b
     lasts = (b / 2, b - band * (1 + 1e-6), b - band / 2, b - band * (1 - RTOL / 2), b + 2 * band)
-    eq = close_eq()
+    eq = close_eq
     assert [eq(c, b) for c in lasts] == [False, False, True, True, False]
     assert not np.isclose(b, lasts[3], rtol=RTOL, atol=ATOL)
     assert close_entries(b, lasts[3]) and close_entries(lasts[3], b)  # one symmetric rule
@@ -1178,7 +1185,7 @@ def test_product_monoid_matches_generator_reference(names):
 
 def test_product_of_real_monoids_adds_entries():
     # a product of elementwise float monoids is elementwise itself: + on
-    # every entry, with <= and close_eq() as order and equality; a factor
+    # every entry, with <= and close_eq as order and equality; a factor
     # with another callback, or one that is not a float monoid, is not
     real = get_monoid("real_nonneg")
     got = product_monoid([real.spec, real.spec])
@@ -1190,7 +1197,7 @@ def test_product_of_real_monoids_adds_entries():
         dict(combine=max),
         dict(combine=lambda a, b: a + b),
         dict(leq=lambda a, b: a <= b),
-        dict(eq=close_eq(1e-6)),
+        dict(eq=lambda a, b: close_eq(a, b)),  # the same rule, another function
         dict(sup=None),
     ):
         other = dataclasses.replace(real.spec, **changed)
@@ -1219,10 +1226,10 @@ def _vector_solve(space):
     a = np.array([[0.3, -0.2], [-0.2, 0.3]])
     w = np.abs(a)
     if isinstance(space.monoid.identity, tuple):
-        f = MapSpec(apply=lambda p: tuple((a @ np.array(p) + 1.0).tolist()), description="affine")
+        f = MapSpec(apply=lambda p: tuple((a @ np.array(p) + 1.0).tolist()))
         op, x0 = (lambda v: tuple((w @ np.array(v)).tolist())), (-10.0, 10.0)
     else:
-        f, op, x0 = MapSpec(apply=lambda x: a @ x + 1.0, description="affine"), (lambda v: w @ v), np.array([-10.0, 10.0])
+        f, op, x0 = MapSpec(apply=lambda x: a @ x + 1.0), (lambda v: w @ v), np.array([-10.0, 10.0])
     lam = LambdaSequence.constant(op, matrix=w)
     rep = solve_sequential(space, f, lam, x0, "series", 200)
     return rep.status, rep.diagnostics, format_value(rep.fixed_point), rep.iterations

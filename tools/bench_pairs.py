@@ -17,9 +17,10 @@ median and quartiles (`statistics.quantiles(values, n=4)`), the pairs the
 change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
-the environment that the runs report, and each side's `wc -l src/monofix/*.py`
-total (`src_lines`), which it prints.  After a workload's pairs, it
-times each reference key in `OP_PASSES` passes per side through two
+the environment that the runs report, each side's `wc -l src/monofix/*.py`
+total (`src_lines`) and its settable values (`src_options`, see
+`src_options`), which it prints.  After a workload's pairs, it times each
+reference key in `OP_PASSES` passes per side through two
 `tools/op_times.py` servers, one per side, that take turns op by op (the
 parent first on even passes), so that a drift of the machine's speed
 reaches both sides alike even when it is faster than a pass.  The summary
@@ -35,6 +36,7 @@ ratio of a round.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -145,6 +147,34 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "monofix").glob("*.py"))
 
 
+def _optional(fn: ast.FunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def _public(node: ast.stmt, kind: type) -> bool:
+    return isinstance(node, kind) and not node.name.startswith("_")
+
+
+def src_options(root: Path) -> int:
+    """The optional parameters of the public functions and methods of
+    `src/monofix/*.py`, plus the defaulted fields of its public
+    `@dataclass` classes."""
+    count = 0
+    for path in (root / "src" / "monofix").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if _public(node, ast.FunctionDef):
+                count += _optional(node)
+            elif _public(node, ast.ClassDef):
+                decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+                dataclass = any(getattr(d, "id", None) == "dataclass" for d in decorators)
+                for item in node.body:
+                    if _public(item, ast.FunctionDef):
+                        count += _optional(item)
+                    elif dataclass and isinstance(item, ast.AnnAssign) and item.value is not None:
+                        count += 1
+    return count
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout.strip()
 
@@ -180,9 +210,10 @@ def main(argv: list[str] | None = None) -> int:
         parent_root.mkdir()
         git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent)
         subprocess.run(["tar", "-xf", f"{tmp}/parent.tar", "-C", str(parent_root)], check=True)
-        lines = {"parent": src_lines(parent_root), "change": src_lines(change_root)}
-        summary["src_lines"] = lines
-        print(f"src_lines: parent {lines['parent']} change {lines['change']}", flush=True)
+        roots = {"parent": parent_root, "change": change_root}
+        for name, measure in (("src_lines", src_lines), ("src_options", src_options)):
+            summary[name] = {side: measure(root) for side, root in roots.items()}
+            print(f"{name}: parent {summary[name]['parent']} change {summary[name]['change']}", flush=True)
         for workload in args.workload:
             runs: dict = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
@@ -194,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
-            roots = {"parent": parent_root, "change": change_root}
             found = interleaved_op_times(roots, workload, OP_PASSES)
             merged = {side: merge(ops, OP_ROUNDS) for side, ops in found.items()}
             per_kind = {side: kinds(ops) for side, ops in merged.items()}
