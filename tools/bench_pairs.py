@@ -212,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run(["tar", "-xf", f"{tmp}/parent.tar", "-C", str(parent_root)], check=True)
         roots = {"parent": parent_root, "change": change_root}
         for name, measure in (("src_lines", src_lines), ("src_options", src_options)):
-            summary[name] = {side: measure(root) for side, root in roots.items()}
-            print(f"{name}: parent {summary[name]['parent']} change {summary[name]['change']}", flush=True)
+            summary[name] = sides = {side: measure(root) for side, root in roots.items()}
+            print(f"{name}: parent {sides['parent']} change {sides['change']}", flush=True)
         for workload in args.workload:
             runs: dict = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
