@@ -169,8 +169,14 @@ def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]
 
 
 def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
-    """`first_occurrences` of the tuples idx[t * arity : (t + 1) * arity]."""
-    return first_occurrences(zip(*[iter(idx.tolist())] * arity))
+    """`first_occurrences` of the tuples idx[t * arity : (t + 1) * arity] of
+    nonnegative integers, by one `np.unique` of an integer code per tuple
+    (or of the tuples, a slower sort, when a code could overflow)."""
+    draws = idx.reshape(-1, arity)
+    n = int(idx.max()) + 1
+    codes = draws @ n ** np.arange(arity) if n**arity < 1 << 62 else draws
+    first = np.sort(np.unique(codes, return_index=True, axis=None if codes.ndim == 1 else 0)[1])
+    return zip(first.tolist(), map(tuple, draws[first].tolist()))
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:

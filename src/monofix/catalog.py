@@ -456,17 +456,32 @@ def interleaved_sequence(length: int) -> list[tuple]:
     return out
 
 
+def _omega_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`omega_distance` on float codes of the points, n_k as k, w_k as -k
+    and inf as 0, bit for bit: 1.0 / k**2 of the natural's index, else of
+    the marked point's, with k * k exact below 2**26."""
+    k = np.where(a > 0, a, np.where(b > 0, b, -(a + b)))
+    with np.errstate(divide="ignore"):  # k is 0 only at (inf, inf), where a == b
+        return np.where(a == b, 0.0, np.where(a * b > 0, 1.0, 1.0 / (k * k)))
+
+
 def _omega_fw_sampler(n_max: int):
-    # keyed: a chain by k, a weak draw by (start, coin), a standard one by start
+    """Keyed: a chain by k, a weak draw by (start, coin), a standard one by
+    start.  The weak and standard stacked form is a row per distinct key of
+    min(64, n_max - 1) points (any start), coded as `_omega_distances` reads them."""
+    top = max(1, n_max - 65)
+    steps = np.arange(min(64, n_max - 1), dtype=float)
+
     def factory(level: str) -> FWSampler:
         if level == "strong":
             return FWSampler(
                 lambda rng: rng.randint(2, n_max - 1), lambda k: [("n", k), ("w", k), ("n", k + 1)]
             )
+        weak = level == "weak"
 
         def draw(rng: random.Random):
-            start = rng.randint(1, max(1, n_max - 65))
-            return (start, rng.random() < 0.5) if level == "weak" else start
+            start = rng.randint(1, top)
+            return (start, rng.random() < 0.5) if weak else start
 
         def build(key):
             start, coin = key if level == "weak" else (key, True)
@@ -477,7 +492,20 @@ def _omega_fw_sampler(n_max: int):
                 return xs, zs, ("inf",)
             return xs, zs, [("n", start + i + 1) for i in range(n)]
 
-        return FWSampler(draw, build)
+        def stack(rng: random.Random, count: int) -> tuple:
+            # draw's words: randint(1, top) is 1 + _randbelow(top), then weak's random() of two
+            tail = 2 if weak else 0
+            block, p = replay(rng, count, 1 + tail, lambda block, p: block.kept(top, p) + 1 + tail)
+            at = block.kept(top, p)
+            starts = block.value(top, at).astype(int) + 1
+            coins = block.random(at + 1) < 0.5 if weak else np.ones(count, dtype=bool)
+            keys, row_of = np.unique(2 * starts + coins, return_inverse=True)
+            xs = keys[:, None] // 2 + steps
+            zs = np.where(keys[:, None] % 2 == 1, -xs, 0.0)
+            rows = (xs, zs, np.zeros((len(keys), 1)) if weak else xs + 1)
+            return rows, lambda i: (int(starts[i]), bool(coins[i])) if weak else int(starts[i]), row_of
+
+        return FWSampler(draw, build, stack, _omega_distances)
 
     return factory
 

@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from . import catalog
-from ._util import format_value
+from ._util import ATOL, format_value
 from .engine import (
     CLI_DRIVER_NAMES,
     IterationTrace,
@@ -42,7 +42,7 @@ from .fredholm import (
     grid_ladder,
     solve_fredholm,
 )
-from .monoid import MAX_LADDER_DEPTH, cauchy_series_check, dyadic_ladder, is_null_trace
+from .monoid import cauchy_series_check, dyadic_ladder, is_null_trace
 from .multifix import coupled_fixed_point
 from .reporting import Decision
 from .spaces import (
@@ -243,6 +243,9 @@ def _expression(text: str, variables: tuple, line: Optional[int], field: str) ->
 MAX_BUDGET = MAX_CERTIFICATE_TERMS // 2
 # The validators draw all trials at once, and the falsifier keeps each distinct draw.
 MAX_TRIALS = 1_000_000
+# The deepest dyadic ladder whose bottom rung 2**-depth is above ATOL (39): no
+# nonnegative sum is strictly below a deeper one, so its solve never certifies.
+MAX_SOLVE_LADDER_DEPTH = -math.frexp(ATOL)[1]
 
 # One row per config key: (key, type, default, minimum, maximum).
 FREDHOLM_TABLE = (
@@ -252,7 +255,7 @@ FREDHOLM_TABLE = (
     ("kernel", str, REQUIRED, None, None),
     ("majorant", str, None, None, None),  # required for expr kernels
     ("f", str, "0", None, None),
-    ("ladder_depth", int, 20, 1, MAX_LADDER_DEPTH),
+    ("ladder_depth", int, 20, 1, MAX_SOLVE_LADDER_DEPTH),
     ("budget", int, 200, 1, MAX_BUDGET),
     ("certificate_budget", int, 800, 1, MAX_CERTIFICATE_TERMS),
     ("seed", int, 0, None, None),

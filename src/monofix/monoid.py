@@ -435,8 +435,33 @@ def _compose_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, dtype=np.float32) > 0
 
 
-# A chunk of relational trials stacks at most this many entries per argument.
+# A chunk of relational trials stacks at most this many entries per
+# argument, and a table of relation products at most 16 times as many.
 _CHUNK_ENTRIES = 1 << 16
+
+
+def _relation_ops(relations: Sequence[frozenset]) -> tuple[tuple, int]:
+    """The composition, inclusion, equality and union of stacked relations,
+    given as indices into `relations` or as boolean point x point matrices,
+    and the entries of a matrix.  Two index arguments compose by a lookup in
+    a table of every product of two relations, composed once if it fits."""
+    matrices = _relation_matrices(relations)
+    of = lambda x: x if x.dtype == bool else matrices[x]
+    fits = len(matrices) ** 2 * matrices[0].size <= 16 * _CHUNK_ENTRIES
+    products = _compose_stacked(matrices[:, None], matrices[None]) if fits else None
+
+    def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if products is not None and bool not in (a.dtype, b.dtype):
+            return products[a, b]
+        return _compose_stacked(of(a), of(b))
+
+    ops = (
+        compose,
+        lambda a, b: ~(of(a) & ~of(b)).any(axis=(1, 2)),
+        lambda a, b: (of(a) == of(b)).all(axis=(1, 2)),
+        lambda a, b: of(a) | of(b),
+    )
+    return ops, matrices[0].size
 
 
 def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
@@ -446,10 +471,9 @@ def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
 
     Elementwise: a float row per element; `+`, `<=` on every entry,
     `close_entries` on every entry and `np.maximum` (`max` differs from it
-    only where a NaN fails `leq` either way).  Relational: a boolean point x
-    point matrix per relation; the matrix product, "no entry of a & ~b",
-    entrywise equality and `|`, in chunks of at most `_CHUNK_ENTRIES`
-    entries per argument.
+    only where a NaN fails `leq` either way).  Relational: an index per
+    relation into the samples and the identity (`_relation_ops`), in chunks
+    of at most `_CHUNK_ENTRIES` matrix entries per argument.
     """
     if spec.elementwise:
         rows, identity = _rows(samples), _rows([spec.identity])
@@ -461,15 +485,9 @@ def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
         )
         chunk = None
     elif spec.relational:
-        matrices = _relation_matrices([*samples, spec.identity])
-        rows, identity = matrices[:-1], matrices[-1]
-        ops = (
-            _compose_stacked,
-            lambda a, b: ~(a & ~b).any(axis=(1, 2)),
-            lambda a, b: (a == b).all(axis=(1, 2)),
-            np.logical_or,
-        )
-        chunk = max(1, _CHUNK_ENTRIES // max(1, identity.size))
+        ops, size = _relation_ops([*samples, spec.identity])
+        rows, identity = np.arange(len(samples)), np.intp(len(samples))
+        chunk = max(1, _CHUNK_ENTRIES // size)
     else:
         return None
     return rows, _stacked_axioms(identity, *ops), chunk
@@ -568,24 +586,48 @@ def validate_monoid(
     return ValidationReport(subject=spec.carrier_descr, checks=tuple(checks))
 
 
+def _stacked_ladder(spec: MonoidSpec, rungs: tuple) -> tuple[list, list, list]:
+    """`validate_ladder`'s per-rung verdicts over an elementwise carrier, all
+    at once, by `+`, `<=` and `close_entries` on every entry."""
+    r, identity = _rows(rungs), _rows([spec.identity])
+    positive = (identity <= r).all(axis=1) & ~close_entries(r, identity).all(axis=1)
+    descends = (r[1:] <= r[:-1]).all(axis=1) & ~close_entries(r[1:], r[:-1]).all(axis=1)
+    eps, doubles = r[:-1], r + r
+    # the (eps, delta) comparisons, for as many rungs eps at a time as a chunk holds
+    step = max(1, _CHUNK_ENTRIES // doubles.size)
+    halved = [(doubles <= eps[i : i + step, None]).all(axis=2).any(axis=1) for i in range(0, len(eps), step)]
+    return positive.tolist(), descends.tolist(), [ok for part in halved for ok in part.tolist()]
+
+
 def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
-    """Check positivity, strict descent, and the halving property of a ladder."""
+    """Check positivity, strict descent, and the halving property of a ladder.
+
+    Each check reports its first failing rung.  Over an elementwise carrier
+    the three are decided for all rungs at once (`_stacked_ladder`); other
+    carriers call the monoid's callbacks rung by rung up to the first
+    failing rung, and the halving search up to the first rung that halves.
+    """
     rungs = ladder.rungs
     if not rungs:
         raise ValueError("ladder must be non-empty")
+    if spec.elementwise:
+        positive, descends, halved = _stacked_ladder(spec, rungs)
+    else:
+        positive = (spec.is_positive(r) and not spec.eq(r, spec.identity) for r in rungs)
+        descends = (spec.strictly_below(lo, hi) for hi, lo in zip(rungs, rungs[1:]))
+        halved = (any(spec.leq(spec.combine(d, d), eps) for d in rungs) for eps in rungs[:-1])
+    first_bad = lambda verdicts: next((i for i, ok in enumerate(verdicts) if not ok), None)
     checks: list[CheckResult] = []
 
-    positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
-    bad = next((i for i, r in enumerate(rungs) if not positive(r)), None)
+    bad = first_bad(positive)
     text = None if bad is None else f"rung {bad}: {format_value(rungs[bad])}"
     checks.append(CheckResult("positivity", bad is None, len(rungs), text))
 
-    bad = _not_descending(spec, rungs)
+    bad = first_bad(descends)
     text = None if bad is None else f"rungs {bad},{bad + 1}: {_pair_repr(*rungs[bad : bad + 2])}"
     checks.append(CheckResult("strict_descent", bad is None, len(rungs) - 1, text))
 
-    halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in rungs)
-    bad = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
+    bad = first_bad(halved)
     text = None
     if bad is not None:
         text = f"no rung delta with delta+delta <= rung {bad} ({format_value(rungs[bad])})"

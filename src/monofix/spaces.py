@@ -122,9 +122,10 @@ def validate_space(
     would pick, two per trial for the pair checks and one for
     `equal_implies_zero`.  Each check draws the indices of all its trials at
     once (`choice_indices`) and leaves `rng` where the per-trial loop would
-    stop: after the failing trial, or after the last.  The distances are
-    computed once per distinct draw, on the first trial to draw each tuple
-    of sample indices (`distinct_draws`), so the draws, verdicts and
+    stop: after the failing trial, or after the last.  A check decides only
+    the first trial to draw each tuple of sample indices, in trial order
+    (`distinct_draws`), and each ordered pair of samples is measured at most
+    once per call, shared by all checks, so the draws, verdicts and
     counterexamples are those of the per-trial loop.
     """
     if trials < 1:
@@ -135,11 +136,12 @@ def validate_space(
     samples = list(samples)
     m = space.monoid
     checks: list[CheckResult] = []
+    d = functools.cache(lambda i, j: space.distance(samples[i], samples[j]))  # by sample index
 
     def sampled(name: str, arity: int, predicate: Callable[..., Optional[str]]) -> None:
         idx, settle = choice_indices(rng, len(samples), trials * arity)
         for t, key in distinct_draws(idx, arity):
-            issue = predicate(*map(samples.__getitem__, key))
+            issue = predicate(*key)
             if issue is not None:
                 settle((t + 1) * arity)
                 checks.append(CheckResult(name, False, trials=t + 1, counterexample=issue))
@@ -147,43 +149,35 @@ def validate_space(
         settle(trials * arity)
         checks.append(CheckResult(name, True, trials=trials))
 
+    text = lambda i: format_value(samples[i])
     sampled(
         "symmetry",
         2,
-        lambda x, y: None
-        if m.eq(space.distance(x, y), space.distance(y, x))
-        else f"d({format_value(x)},{format_value(y)}) != d({format_value(y)},{format_value(x)})",
+        lambda i, j: None if m.eq(d(i, j), d(j, i)) else f"d({text(i)},{text(j)}) != d({text(j)},{text(i)})",
     )
     sampled(
         "positivity",
         2,
-        lambda x, y: None
-        if m.is_positive(space.distance(x, y))
-        else f"d({format_value(x)},{format_value(y)}) outside the positive cone",
+        lambda i, j: None if m.is_positive(d(i, j)) else f"d({text(i)},{text(j)}) outside the positive cone",
     )
 
     if space.kind in (SpaceKind.DISLOCATED, SpaceKind.DISTANCE):
         sampled(
             "zero_implies_equal",
             2,
-            lambda x, y: None
-            if not m.eq(space.distance(x, y), m.identity) or space.point_eq(x, y)
-            else f"d=identity for distinct {format_value(x)}, {format_value(y)}",
+            lambda i, j: None
+            if not m.eq(d(i, j), m.identity) or space.point_eq(samples[i], samples[j])
+            else f"d=identity for distinct {text(i)}, {text(j)}",
         )
     if space.kind in (SpaceKind.PSEUDO, SpaceKind.DISTANCE):
         sampled(
             "equal_implies_zero",
             1,
-            lambda x: None
-            if m.eq(space.distance(x, x), m.identity)
-            else f"d(x,x) != identity for x={format_value(x)}",
+            lambda i: None if m.eq(d(i, i), m.identity) else f"d(x,x) != identity for x={text(i)}",
         )
     if space.kind is SpaceKind.DISLOCATED:
-        dislocated = sum(
-            1
-            for x in rng.choices(samples, k=min(trials, 256))
-            if not m.eq(space.distance(x, x), m.identity)
-        )
+        picked = rng.choices(range(len(samples)), k=min(trials, 256))
+        dislocated = sum(1 for i in picked if not m.eq(d(i, i), m.identity))
         checks.append(
             CheckResult(
                 "dislocation_observed",
@@ -352,15 +346,18 @@ class FWSampler:
     `falsify_frechet_wilson` screen its trials in bulk:
     - `stack(rng, count)`: the keys of `count` calls of `draw`, drawn at
       once and leaving `rng` as those calls would, as `rows(i, j)`, the
-      stacked candidates of keys i to j - 1, and `key(i)`, key i.  A strong
-      chain is its points, continued past its length to one width, and the
-      lengths.  A weak or standard candidate is its three sequences as
-      columns of one width (weak's z as a column); every column is a column
-      of the candidate, its last included as the last, and the width is at
-      least 2 when the candidate's length is.
-    - `distance(a, b)`: rows of floats; the space's distance on float
-      arrays, entry for entry bit for bit what it gives on the same floats.
-      The space's monoid must be elementwise over floats.
+      stacked candidates of keys i to j - 1, and `key(i)`, key i.  Keys
+      that repeat may come instead as `rows`, the stacked candidates of the
+      distinct keys, `key(i)` and `row_of`, the row of each key i.  A
+      strong chain is its points, continued past its length to one width,
+      and the lengths.  A weak or standard candidate is its three sequences
+      as columns of one width (weak's z as a column); every column is a
+      column of the candidate, its last included as the last, and the width
+      is at least 2 when the candidate's length is.
+    - `distance(a, b)`: rows of floats, each a point or the float code of
+      one; the space's distance on float arrays, entry for entry bit for
+      bit what it gives on the points.  The space's monoid must be
+      elementwise over floats.
     - `points`: rows of indices into `points`, a finite carrier, at the
       weak and standard levels.  The space's distance and monoid must be
       defined on every pair of its points.
@@ -454,10 +451,12 @@ def _screened(
         yield trial, sampler(rng)
     while done < trials:
         drawn = min(_DRAWN - done % _DRAWN, trials - done)
-        rows, key = sampler.stack(rng, drawn)
+        rows, key, *row_of = sampler.stack(rng, drawn)
+        # rows of the distinct keys are screened at once, and a trial flagged with its key
+        flags = screen(rows)[row_of[0]] if row_of else None
         for start in range(-(done % _CHUNK), drawn, _CHUNK):
             lo, hi = max(start, 0), min(start + _CHUNK, drawn)
-            for i in lo + np.flatnonzero(screen(rows(lo, hi))):
+            for i in lo + np.flatnonzero(flags[lo:hi] if row_of else screen(rows(lo, hi))):
                 yield done + int(i), sampler.build(key(int(i)))
         done += drawn
 

@@ -432,6 +432,9 @@ def test_validate_monoid_combines_once_per_distinct_draw():
 
 
 def test_validate_space_measures_once_per_distinct_draw():
+    # each ordered pair of samples is measured at most once per call, the
+    # first time a check's first draw of a tuple needs it: the checks in
+    # order, each over its distinct draws in trial order
     log = []
 
     def distance(x, y):
@@ -440,20 +443,22 @@ def test_validate_space_measures_once_per_distinct_draw():
 
     real = get_monoid("real_nonneg")
     space = monofix.spaces.DistanceSpaceSpec(
-        "logged reals", distance, SpaceKind.PSEUDO, real.spec, real.ladder
+        "logged reals", distance, SpaceKind.DISTANCE, real.spec, real.ladder
     )
     samples, trials = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0), 80
     rng = child_rng(5, "validate_space")
-    symmetry, positivity, reflexive = (
-        [key for key, _ in first_draws(rng, 6, trials, arity)] for arity in (2, 2, 1)
+    symmetry, positivity, zero, reflexive = (
+        [key for key, _ in first_draws(rng, 6, trials, arity)] for arity in (2, 2, 2, 1)
     )
-    want = [p for x, y in symmetry for p in ((samples[x], samples[y]), (samples[y], samples[x]))]
-    want += [(samples[x], samples[y]) for x, y in positivity]
-    want += [(samples[x], samples[x]) for x, in reflexive]
+    needed = [p for x, y in symmetry for p in ((x, y), (y, x))]
+    needed += positivity + zero + [(x, x) for x, in reflexive]
+    want = [(samples[x], samples[y]) for x, y in dict.fromkeys(needed)]
     report = validate_space(space, samples, trials, seed=5)
-    assert report.ok
+    assert report.ok and [c.name for c in report.checks] == [
+        "symmetry", "positivity", "zero_implies_equal", "equal_implies_zero"
+    ]
     assert log == want
-    assert len(positivity) < trials and len(reflexive) < trials
+    assert len(want) < len(needed) and len(reflexive) < trials
 
 
 def test_first_failing_trial_is_the_first_draw_of_the_failing_tuple(created_rngs):

@@ -497,11 +497,12 @@ def test_nodes_above_the_cap_is_config_error(tmp_path, capsys, nodes):
 
 @pytest.mark.parametrize(
     "key, value, cap",
-    [("certificate_budget", 10**10, 16384), ("ladder_depth", 1075, 1074), ("ladder_depth", 10**8, 1074)],
+    [("certificate_budget", 10**10, 16384), ("ladder_depth", 40, 39), ("ladder_depth", 1075, 39)],
 )
 def test_solve_fredholm_count_above_its_cap_is_config_error(tmp_path, capsys, key, value, cap):
     # 16384 terms at 8192 nodes make a 1 GiB certificate block; a ladder one
-    # rung deeper than 1074 has the bottom rung 2**-1075 == 0.0
+    # rung deeper than 39 has the bottom rung 2**-40 below ATOL, so no
+    # nonnegative sum is strictly below it, and 2**-1075 == 0.0
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"nodes = 11\nkernel = product_ts\n{key} = {value}\n")
     assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
@@ -511,13 +512,15 @@ def test_solve_fredholm_count_above_its_cap_is_config_error(tmp_path, capsys, ke
 
 
 def test_deepest_ladder_ends_with_a_record(tmp_path, capsys):
-    # 2**-1074 is the smallest positive float: the bottom rung of depth 1074
+    # 2**-39 is the smallest dyadic rung above ATOL: the bottom rung of the
+    # deepest ladder a solve accepts, and still one that a sum can be below
     cfg = tmp_path / "deep.cfg"
-    cfg.write_text("nodes = 11\nkernel = product_ts\nf = t\nladder_depth = 1074\n")
+    cfg.write_text("nodes = 11\nkernel = product_ts\nf = t\nladder_depth = 39\n")
     out = tmp_path / "o"
-    assert run(["solve-fredholm", cfg, "--out", out]) in (0, 1)
+    assert run(["solve-fredholm", cfg, "--out", out]) == 0
     assert capsys.readouterr().err == ""
-    assert (out / "report.txt").exists() and (out / "certificate.csv").exists()
+    assert "status=certified" in (out / "report.txt").read_text().splitlines()
+    assert (out / "certificate.csv").exists()
 
 
 @pytest.mark.parametrize("module", ["monofix", "monofix.cli"])

@@ -744,3 +744,69 @@ def test_ladder_build_resumes_at_the_previous_witness():
     counted = replace(spec, combine=lambda a, b: calls.append(1) or spec.combine(a, b))
     TestLadder.build(counted, rungs)
     assert len(rungs) == 20 and len(calls) <= 2 * len(rungs)
+
+
+# ---------------------------------------------------------------------------
+# the stacked forms of the validators against their scalar loops
+
+
+@pytest.mark.parametrize("name", ["relation{8}", "relation{64}"])
+def test_relation_product_table_is_relation_compose(name):
+    # every product of two of the samples and the identity, read from the
+    # table, and every product of one of those with a sample, composed
+    entry = get_monoid(name)
+    rels = [*entry.samples, entry.spec.identity]
+    (compose, *_), _ = monofix.monoid._relation_ops(rels)
+    a, b = (x.ravel() for x in np.indices((len(rels), len(rels))))
+    pairs = [relation_compose(rels[i], rels[j]) for i, j in zip(a.tolist(), b.tolist())]
+    triples = [relation_compose(p, rels[j]) for p, j in zip(pairs, b.tolist())]
+    want = monofix.monoid._relation_matrices([*rels, *pairs, *triples])[len(rels) :]
+    got = compose(a, b)
+    assert (np.concatenate((got, compose(got, b))) == want).all()
+    assert all(brute_compose(rels[i], rels[j]) == p for i, j, p in zip(a.tolist(), b.tolist(), pairs))
+
+
+def _grid_rungs(heights, m=8):
+    return tuple(np.full(m, h) for h in heights)
+
+
+GRID, VECTOR = get_monoid("grid_function{8}"), get_monoid("real_vector{3}")
+PAIR = get_monoid("product{real_nonneg,real_nonneg}")
+# (monoid, rungs, the checks that fail); the ladders are built by the
+# constructor, which checks nothing
+STACKED_LADDERS = {
+    "grid_function{8}": (GRID.spec, GRID.ladder.rungs, set()),
+    "real_vector{3}": (VECTOR.spec, VECTOR.ladder.rungs, set()),
+    "no halving at rung 4": (REAL, (1.0, 0.45, 0.3, 0.2, 0.15, 0.1), {"halving"}),
+    "grid, no halving at rung 4, in chunks": (
+        monofix.monoid.MonoidSpec.real_entrywise("grid", np.zeros(4096)),
+        _grid_rungs((1.0, 0.45, 0.3, 0.2, 0.15, 0.1), 4096),
+        {"halving"},
+    ),
+    "not descending": (REAL, (0.25, 1.0, 0.5, 0.125, 2.0, 0.0625), {"strict_descent"}),
+    "grid, a tie within close_eq": (
+        GRID.spec, _grid_rungs((1.0, 0.5, 0.5 * (1 - 1e-12), 0.1)), {"strict_descent"}
+    ),
+    "vector, an entry rises": (
+        VECTOR.spec, tuple(map(np.array, ((1.0, 1.0, 1.0), (0.5, 1.5, 0.5), (0.25, 0.25, 0.25)))),
+        {"strict_descent"},
+    ),
+    "pair, an entry rises": (PAIR.spec, ((1.0, 1.0), (0.5, 1.5), (0.25, 0.25)), {"strict_descent"}),
+    "not positive": (REAL, (0.5, 0.0, -0.25, math.nan), {"positivity", "strict_descent"}),
+    "grid, a negative entry": (
+        GRID.spec, (np.full(8, 0.5), np.array([0.25] * 7 + [-1e-300])), {"positivity"}
+    ),
+    "one rung": (REAL, (0.5,), set()),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_LADDERS)
+def test_stacked_ladder_check_matches_the_scalar_loop(name):
+    spec, rungs, failing = STACKED_LADDERS[name]
+    ladder = TestLadder(tuple(rungs), (None,) * len(rungs))
+    # the same callbacks, but not the `REAL_ENTRYWISE` row: the scalar loop
+    scalar = replace(spec, combine=lambda a, b: spec.combine(a, b))
+    assert spec.elementwise and not scalar.elementwise
+    got, want = validate_ladder(spec, ladder), validate_ladder(scalar, ladder)
+    assert got == want and got.render() == want.render()
+    assert {c.name for c in got.failures} == failing

@@ -336,7 +336,9 @@ def test_fw_omega_weak_measures_only_distinct_draws():
         return OMEGA.space.distance(x, y)
 
     space = dataclasses.replace(OMEGA.space, distance=dist)
-    sampler, trials = OMEGA.fw_sampler("weak"), 1000
+    # the keyed loop, without the stacked screen
+    stacked, trials = OMEGA.fw_sampler("weak"), 1000
+    sampler = FWSampler(stacked.draw, stacked.build)
     rng = child_rng(0, "fw-weak")
     distinct = list(dict.fromkeys(sampler.draw(rng) for _ in range(trials)))
     assert len(distinct) < trials // 4
@@ -488,6 +490,22 @@ def test_omega_distance_matches_per_kind_reference():
         assert repr(OMEGA.space.distance(x, y)) == repr(reference_omega_distance(x, y)), (x, y)
 
 
+def omega_code(p):
+    """The float code of an omega point in its stacked rows."""
+    return 0.0 if p == ("inf",) else float(p[1] if p[0] == "n" else -p[1])
+
+
+@pytest.mark.parametrize("n", [3, 128, 10**6])
+def test_omega_array_distance_is_the_scalar_distance_bit_for_bit(n):
+    sampler = get_space(f"omega_counterexample{{{n}}}").fw_sampler("weak")
+    ks = range(1, n + 1) if n <= 128 else (1, 2, 3, 4095, 4096, n - 1, n)  # all points, or some
+    points = [("inf",)] + [(kind, k) for kind in ("n", "w") for k in ks]
+    codes = np.array([omega_code(p) for p in points])
+    got = sampler.distance(codes[:, None], codes[None, :])
+    want = [[OMEGA.space.distance(x, y) for y in points] for x in points]
+    assert bits(got) == bits(want)
+
+
 def test_uniform_distance_matches_tuple_keyed_table():
     pts = tuple(range(8))
     thresholds = [1.0, 0.5, 0.25, 0.125]
@@ -591,39 +609,72 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("level", FW_LEVELS)
-@pytest.mark.parametrize("name", REAL_LINE)
+# the omega spaces whose start range (one start up to n_max = 66) and row
+# width (n_max - 1 below 65 points) change; 1100 draws one start in 1035
+OMEGA_SIZES = (3, 66, 67, 128, 1100)
+STACKED_FW_CHECKS = [(name, level) for name in REAL_LINE for level in FW_LEVELS] + [
+    (f"omega_counterexample{{{n}}}", level) for n in OMEGA_SIZES for level in ("weak", "standard")
+]
+
+
+def late_omega_ladder(n):
+    """A one-rung ladder below which a standard omega candidate's premises
+    fall only at the largest start, so that its counterexamples come late."""
+    top, width = max(1, n - 65), min(64, n - 1)
+    return TestLadder(((top + width - 1.5) ** -2,), (None,))
+
+
+@pytest.mark.parametrize("name,level", STACKED_FW_CHECKS)
 def test_fw_screen_matches_the_scalar_loop(level, name):
     entry = get_space(name)
     sampler = entry.fw_sampler(level)
     assert sampler.stack is not None and sampler.distance is not None
-    for seed in range(8):
+    spaces = [entry.space]
+    if name.startswith("omega") and level == "standard":
+        spaces.append(dataclasses.replace(entry.space, ladder=late_omega_ladder(int(name[21:-1]))))
+    late = []
+    for space, seed in itertools.product(spaces, range(8)):
         # the plain loop decides trials in order and stops at the first
         # witness: over fewer trials it finds that witness or nothing
-        found = falsify_frechet_wilson(entry.space, level, plain(sampler), max(SCREEN_TRIALS), seed=seed)
+        found = falsify_frechet_wilson(space, level, plain(sampler), max(SCREEN_TRIALS), seed=seed)
         first = math.inf if found is None else int(found.detail.rsplit(" ", 1)[1])
         for trials in SCREEN_TRIALS:
             want = found if first < trials else None
-            cex = falsify_frechet_wilson(entry.space, level, sampler, trials, seed=seed)
+            cex = falsify_frechet_wilson(space, level, sampler, trials, seed=seed)
             assert cex == want and repr(cex) == repr(want), (seed, trials)
+        if space is not entry.space:
+            late.append(first)
+    if name == "omega_counterexample{1100}" and level == "standard":
+        # found by the screen in the first chunk and past it, and not found
+        # in the keys drawn past the first 1024
+        assert 4 <= min(late) < 256 < sorted(late)[-3] < 1024 < max(late), late
 
 
-@pytest.mark.parametrize("level", FW_LEVELS)
-@pytest.mark.parametrize("name", REAL_LINE)
+@pytest.mark.parametrize("name,level", STACKED_FW_CHECKS)
 def test_fw_stacked_rows_are_the_built_candidates(level, name):
     # the keys and the generator state of scalar draws; rows, lengths and
     # array distances, bit for bit, padding excluded
     entry = get_space(name)
     sampler, d = entry.fw_sampler(level), entry.space.distance
+    code = omega_code if name.startswith("omega") else float
     for seed in range(4):
+        for count in (1, 4, 5, 256, 257, 1024):  # the generator state alone
+            rng, scalar = random.Random(seed), random.Random(seed)
+            sampler.stack(rng, count)
+            keys = [sampler.draw(scalar) for _ in range(count)]
+            assert rng.getstate() == scalar.getstate(), (seed, count)
         rng, scalar = random.Random(seed), random.Random(seed)
-        rows_of, key = sampler.stack(rng, 300)
+        rows_of, key, *row_of = sampler.stack(rng, 300)
         keys = [sampler.draw(scalar) for _ in range(300)]
         assert rng.getstate() == scalar.getstate(), seed
         assert repr([key(i) for i in range(300)]) == repr(keys), seed
-        rows = rows_of(0, 300)
-        for i, j in ((0, 1), (17, 150), (299, 300)):  # a slice's rows are its keys'
-            assert [bits(r[i:j]) for r in rows] == [bits(r) for r in rows_of(i, j)], (seed, i, j)
+        if row_of:  # a row per distinct key, and each key's row
+            assert len(set(keys)) == len(rows_of[0]) == max(row_of[0]) + 1 and len(row_of[0]) == 300
+            rows = tuple(r[row_of[0]] for r in rows_of)
+        else:
+            rows = rows_of(0, 300)
+            for i, j in ((0, 1), (17, 150), (299, 300)):  # a slice's rows are its keys'
+                assert [bits(r[i:j]) for r in rows] == [bits(r) for r in rows_of(i, j)], (seed, i, j)
         if level == "strong":
             points, lengths = rows
             steps = sampler.distance(points[:, :-1], points[:, 1:])
@@ -644,7 +695,7 @@ def test_fw_stacked_rows_are_the_built_candidates(level, name):
             cand = sampler.build(key)
             if level == "weak":
                 cand = (cand[0], cand[1], [cand[2]] * len(cand[0]))
-            assert [bits(s[i]) for s in seqs] == [bits(c) for c in cand], (seed, i)
+            assert [bits(s[i]) for s in seqs] == [bits(list(map(code, c))) for c in cand], (seed, i)
             for (u, v), got in zip(traces, dists):
                 assert bits(got[i]) == bits(list(map(d, cand[u], cand[v]))), (seed, i, u, v)
 

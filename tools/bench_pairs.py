@@ -28,10 +28,12 @@ records those numbers (`op_passes`, and `op_rounds`, the blocks of
 consecutive passes that the ratios below are taken over), each reference
 key's median, quartiles, median in each round and traced counts per side
 (`op_times`, over that fixed op sequence), each op kind's mean median per
-side (`op_kinds`) and each op kind's change / parent ratio in every round
-(`op_kind_ratios`).  It then prints a line per op kind, slowest parent
-first: both sides' mean medians, change / parent, and the least and largest
-ratio of a round.
+side (`op_kinds`), each side's sum of those, the time of one op of every
+kind (`op_rotation_s`), with change / parent (`op_rotation_ratio`), and
+each op kind's change / parent ratio in every round (`op_kind_ratios`).  It
+then prints a line per op kind, slowest parent first: both sides' mean
+medians, change / parent, and the least and largest ratio of a round; and a
+line with both sides' rotation and their ratio.
 """
 from __future__ import annotations
 
@@ -229,11 +231,18 @@ def main(argv: list[str] | None = None) -> int:
             merged = {side: merge(ops, OP_ROUNDS) for side, ops in found.items()}
             per_kind = {side: kinds(ops) for side, ops in merged.items()}
             ratios = kind_ratios(merged, OP_ROUNDS)
+            rotation = {side: sum(times.values()) for side, times in per_kind.items()}
             summary["workloads"][workload].update(
                 op_rounds=OP_ROUNDS, op_passes=OP_PASSES, op_times=merged,
-                op_kinds=per_kind, op_kind_ratios=ratios,
+                op_kinds=per_kind, op_rotation_s=rotation,
+                op_rotation_ratio=rotation["change"] / rotation["parent"], op_kind_ratios=ratios,
             )
             print_kinds(workload, per_kind, ratios)
+            print(
+                f"{workload} rotation: parent {rotation['parent'] * 1e3:.3f} ms "
+                f"change {rotation['change'] * 1e3:.3f} ms ratio {rotation['change'] / rotation['parent']:.3f}",
+                flush=True,
+            )
             summary.setdefault("environment", runs["change"][0]["info"]["environment"])
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {args.out}")
