@@ -170,13 +170,16 @@ def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]
 
 def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
     """`first_occurrences` of the tuples idx[t * arity : (t + 1) * arity] of
-    nonnegative integers, by one `np.unique` of an integer code per tuple
-    (or of the tuples, a slower sort, when a code could overflow)."""
+    nonnegative integers: of the first 4 one by one, since a failing check
+    often fails at once, then of the rest by one `np.unique` of an integer
+    code per tuple (or of the tuples, a slower sort, if a code could overflow)."""
     draws = idx.reshape(-1, arity)
+    yield from first_occurrences(map(tuple, draws[:4].tolist()))
     n = int(idx.max()) + 1
     codes = draws @ n ** np.arange(arity) if n**arity < 1 << 62 else draws
     first = np.sort(np.unique(codes, return_index=True, axis=None if codes.ndim == 1 else 0)[1])
-    return zip(first.tolist(), map(tuple, draws[first].tolist()))
+    first = first[first >= 4]
+    yield from zip(first.tolist(), map(tuple, draws[first].tolist()))
 
 
 def uniforms(rng: random.Random, n: int) -> np.ndarray:

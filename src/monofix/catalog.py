@@ -457,9 +457,8 @@ def interleaved_sequence(length: int) -> list[tuple]:
 
 
 def _omega_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`omega_distance` on float codes of the points, n_k as k, w_k as -k
-    and inf as 0, bit for bit: 1.0 / k**2 of the natural's index, else of
-    the marked point's, with k * k exact below 2**26."""
+    """`omega_distance`, bit for bit, on float codes of the points (n_k: k,
+    w_k: -k, inf: 0): 1.0 / k**2 of the natural's index, else the marked point's."""
     k = np.where(a > 0, a, np.where(b > 0, b, -(a + b)))
     with np.errstate(divide="ignore"):  # k is 0 only at (inf, inf), where a == b
         return np.where(a == b, 0.0, np.where(a * b > 0, 1.0, 1.0 / (k * k)))

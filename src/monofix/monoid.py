@@ -435,8 +435,7 @@ def _compose_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, dtype=np.float32) > 0
 
 
-# A chunk of relational trials stacks at most this many entries per
-# argument, and a table of relation products at most 16 times as many.
+# A chunk of relational trials stacks at most this many entries per argument.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -444,7 +443,8 @@ def _relation_ops(relations: Sequence[frozenset]) -> tuple[tuple, int]:
     """The composition, inclusion, equality and union of stacked relations,
     given as indices into `relations` or as boolean point x point matrices,
     and the entries of a matrix.  Two index arguments compose by a lookup in
-    a table of every product of two relations, composed once if it fits."""
+    a table of every product of two relations, composed once if it holds at
+    most 16 chunks' entries."""
     matrices = _relation_matrices(relations)
     of = lambda x: x if x.dtype == bool else matrices[x]
     fits = len(matrices) ** 2 * matrices[0].size <= 16 * _CHUNK_ENTRIES
@@ -586,9 +586,9 @@ def validate_monoid(
     return ValidationReport(subject=spec.carrier_descr, checks=tuple(checks))
 
 
-def _stacked_ladder(spec: MonoidSpec, rungs: tuple) -> tuple[list, list, list]:
-    """`validate_ladder`'s per-rung verdicts over an elementwise carrier, all
-    at once, by `+`, `<=` and `close_entries` on every entry."""
+def _stacked_ladder(spec: MonoidSpec, rungs: tuple) -> tuple[Optional[int], ...]:
+    """`validate_ladder`'s first failing rung of each check (None: it passes)
+    over an elementwise carrier: `+`, `<=` and `close_entries` on all rungs at once."""
     r, identity = _rows(rungs), _rows([spec.identity])
     positive = (identity <= r).all(axis=1) & ~close_entries(r, identity).all(axis=1)
     descends = (r[1:] <= r[:-1]).all(axis=1) & ~close_entries(r[1:], r[:-1]).all(axis=1)
@@ -596,38 +596,38 @@ def _stacked_ladder(spec: MonoidSpec, rungs: tuple) -> tuple[list, list, list]:
     # the (eps, delta) comparisons, for as many rungs eps at a time as a chunk holds
     step = max(1, _CHUNK_ENTRIES // doubles.size)
     halved = [(doubles <= eps[i : i + step, None]).all(axis=2).any(axis=1) for i in range(0, len(eps), step)]
-    return positive.tolist(), descends.tolist(), [ok for part in halved for ok in part.tolist()]
+    halved = np.concatenate([np.ones(0, dtype=bool), *halved])
+    return tuple(None if ok.all() else int(np.argmin(ok)) for ok in (positive, descends, halved))
 
 
 def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
     """Check positivity, strict descent, and the halving property of a ladder.
 
-    Each check reports its first failing rung.  Over an elementwise carrier
-    the three are decided for all rungs at once (`_stacked_ladder`); other
-    carriers call the monoid's callbacks rung by rung up to the first
-    failing rung, and the halving search up to the first rung that halves.
+    Each check reports its first failing rung.  An elementwise carrier's
+    rungs are checked all at once (`_stacked_ladder`), others rung by rung.
     """
     rungs = ladder.rungs
     if not rungs:
         raise ValueError("ladder must be non-empty")
     if spec.elementwise:
-        positive, descends, halved = _stacked_ladder(spec, rungs)
+        bad_positive, bad_descent, bad_halving = _stacked_ladder(spec, rungs)
     else:
-        positive = (spec.is_positive(r) and not spec.eq(r, spec.identity) for r in rungs)
-        descends = (spec.strictly_below(lo, hi) for hi, lo in zip(rungs, rungs[1:]))
-        halved = (any(spec.leq(spec.combine(d, d), eps) for d in rungs) for eps in rungs[:-1])
-    first_bad = lambda verdicts: next((i for i, ok in enumerate(verdicts) if not ok), None)
+        positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
+        bad_positive = next((i for i, r in enumerate(rungs) if not positive(r)), None)
+        bad_descent = _not_descending(spec, rungs)
+        halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in rungs)
+        bad_halving = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
     checks: list[CheckResult] = []
 
-    bad = first_bad(positive)
+    bad = bad_positive
     text = None if bad is None else f"rung {bad}: {format_value(rungs[bad])}"
     checks.append(CheckResult("positivity", bad is None, len(rungs), text))
 
-    bad = first_bad(descends)
+    bad = bad_descent
     text = None if bad is None else f"rungs {bad},{bad + 1}: {_pair_repr(*rungs[bad : bad + 2])}"
     checks.append(CheckResult("strict_descent", bad is None, len(rungs) - 1, text))
 
-    bad = first_bad(halved)
+    bad = bad_halving
     text = None
     if bad is not None:
         text = f"no rung delta with delta+delta <= rung {bad} ({format_value(rungs[bad])})"

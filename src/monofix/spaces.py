@@ -346,14 +346,13 @@ class FWSampler:
     `falsify_frechet_wilson` screen its trials in bulk:
     - `stack(rng, count)`: the keys of `count` calls of `draw`, drawn at
       once and leaving `rng` as those calls would, as `rows(i, j)`, the
-      stacked candidates of keys i to j - 1, and `key(i)`, key i.  Keys
-      that repeat may come instead as `rows`, the stacked candidates of the
-      distinct keys, `key(i)` and `row_of`, the row of each key i.  A
-      strong chain is its points, continued past its length to one width,
-      and the lengths.  A weak or standard candidate is its three sequences
-      as columns of one width (weak's z as a column); every column is a
-      column of the candidate, its last included as the last, and the width
-      is at least 2 when the candidate's length is.
+      stacked candidates of keys i to j - 1, and `key(i)`, key i; or, for
+      keys that repeat, `rows` of the distinct keys, `key(i)` and `row_of`,
+      each key's row.  A strong chain is its points, continued past its
+      length to one width, and the lengths.  A weak or standard candidate is
+      its three sequences as columns of one width (weak's z as a column);
+      every column is a column of the candidate, its last included as the
+      last, and the width is at least 2 when the candidate's length is.
     - `distance(a, b)`: rows of floats, each a point or the float code of
       one; the space's distance on float arrays, entry for entry bit for
       bit what it gives on the points.  The space's monoid must be

@@ -661,7 +661,8 @@ def test_fw_stacked_rows_are_the_built_candidates(level, name):
         for count in (1, 4, 5, 256, 257, 1024):  # the generator state alone
             rng, scalar = random.Random(seed), random.Random(seed)
             sampler.stack(rng, count)
-            keys = [sampler.draw(scalar) for _ in range(count)]
+            for _ in range(count):
+                sampler.draw(scalar)
             assert rng.getstate() == scalar.getstate(), (seed, count)
         rng, scalar = random.Random(seed), random.Random(seed)
         rows_of, key, *row_of = sampler.stack(rng, 300)
