@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
@@ -53,10 +53,30 @@ def close_eq(a: Any, b: Any) -> bool:
     return a == b or abs(a - b) <= ATOL + RTOL * max(abs(a), abs(b)) < math.inf
 
 
-def below_entries(x: np.ndarray, rung: Any) -> np.ndarray:
-    """The scalar `strictly_below(x, rung)` of `close_eq`'s carriers, entry
-    by entry: x <= rung and not `close_entries`."""
-    return (x <= rung) & ~close_entries(x, rung)
+def leq_rows(a: np.ndarray, b: Any) -> np.ndarray:
+    """The order of `close_eq`'s carriers on rows: `<=` along the last axis."""
+    return (a <= b).all(axis=-1)
+
+
+def close_rows(a: Any, b: Any) -> np.ndarray:
+    """`close_eq` on rows: `close_entries` along the last axis."""
+    return close_entries(a, b).all(axis=-1)
+
+
+def below_rows(a: np.ndarray, b: Any) -> np.ndarray:
+    """`strictly_below` of `close_eq`'s carriers on rows (a scalar is a row
+    of one entry): `leq_rows` and not `close_rows`."""
+    return leq_rows(a, b) & ~close_rows(a, b)
+
+
+def first_below(rows: np.ndarray, rung: Any) -> Optional[int]:
+    """The first row `below_rows` the rung, or None.  Only the rows that
+    `leq_rows` it are tested for a tie, one at a time, up to the first that
+    is not one, so `close_entries` never sees the whole block."""
+    for i in np.flatnonzero(leq_rows(rows, rung)):
+        if not close_rows(rows[i], rung):
+            return int(i)
+    return None
 
 
 def close_band(rung: np.ndarray) -> np.ndarray:

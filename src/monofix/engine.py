@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import close_band, format_value, generic_eq, ratio_bounds
+from ._util import below_rows, close_band, first_below, format_value, generic_eq, ratio_bounds
 from .monoid import (
     MonoidSpec,
     MTrace,
@@ -514,17 +514,18 @@ def lambda_product_trace(
 
 
 def _geometric_witness(
-    lam: LambdaSequence, d0: Any, ladder: TestLadder, spec: MonoidSpec, budget: int
+    lam: LambdaSequence, d0: Any, ladder: TestLadder, budget: int
 ) -> Optional[tuple[int, int, np.ndarray]]:
     """The witness of the composed-product series of a matrix sequence,
     decided from a proven geometric tail, or None to leave the decision to
     the literal 2*budget-term trace.
 
-    `spec` must add, order and compare float vectors entry by entry (+, <=
-    and close_eq, as `solve_sequential` checks).  The terms v_n = W^n d0
+    The monoid must add, order and compare float vectors entry by entry (+,
+    <= and close_eq, as `solve_sequential` checks), so that its
+    `strictly_below` is `below_rows`.  The terms v_n = W^n d0
     (W = lam.matrix) come one at a time from `lam.op_at(n)` on the
     carrier's own values, arrays or tuples, and are read with `np.asarray`
-    (no copy of an array); `spec.eq` decides ties on carrier values.
+    (no copy of an array).
     After term K, the widened quotient h of (v_{K-1}, v_K) (`ratio_bounds`,
     v_0 = d0; its widening covers the m-term sums of a tuple operator too)
     gives W v_{K-1} <= h v_{K-1}, so v_{K+j} <= h^j v_K for W >= 0, and when
@@ -532,7 +533,7 @@ def _geometric_witness(
     exactly zero v_K has an exactly zero tail.  Start N is then the witness
     when
       - the right fold of v_K, ..., v_N onto `tail` is strictly below the
-        bottom rung (`<=` on every entry, `spec.eq` deciding ties), and
+        bottom rung, and
       - N - 1 is ruled out: the right fold of v_K, ..., v_{N-1} alone is
         not strictly below it.
     The window check of `cauchy_series_window_report` folds its suffix sums
@@ -562,9 +563,7 @@ def _geometric_witness(
     (NaN included), every start up to the budget is ruled out, or no K up
     to 2*budget settles the witness.
     """
-    rung = ladder.bottom
-    bottom = np.asarray(rung, dtype=float)
-    carrier = (lambda a: a) if isinstance(d0, np.ndarray) else (lambda a: tuple(a.tolist()))
+    bottom = np.asarray(ladder.bottom, dtype=float)
     value, v = d0, np.asarray(d0, dtype=float)  # the last term, as computed and as an array
     dead = ~lam.matrix.any(axis=1)
     scratch = np.empty((1, len(v)))
@@ -608,12 +607,11 @@ def _geometric_witness(
         window = terms[ruled:][::-1]  # v_K, ..., v_{ruled+1}
         if window:
             sums = np.cumsum(np.array(window), axis=0)[::-1]
-            below = np.flatnonzero(np.all(sums <= bottom, axis=1))
-            first = next((int(i) for i in below if not spec.eq(carrier(sums[i]), rung)), len(sums))
-            ruled += first
+            first = first_below(sums, bottom)
+            ruled += len(sums) if first is None else first
             if ruled >= budget:
                 return None
-            suffix = sums[first] if first < len(sums) else np.zeros_like(v)
+            suffix = np.zeros_like(v) if first is None else sums[first]
             base, low, high = float(suffix[watch]), float(suffix.min()), float(suffix.max())
         if math.isinf(top) or not hopeless():  # the first quotient seeds the term bounds
             if v.any():
@@ -630,7 +628,7 @@ def _geometric_witness(
         bound = tail.copy()
         for term in window[: k - ruled]:
             bound += term
-        if np.all(bound <= bottom) and not spec.eq(carrier(bound), rung):
+        if below_rows(bound, bottom):
             return ruled + 1, k, tail
         if ruled < k:  # watch the entry of the candidate's bound nearest its rung
             watch = int(np.argmax(bound - bottom))
@@ -725,7 +723,7 @@ def solve_sequential(
         else:
             found = None  # the tail bound needs float vectors: entrywise +, <= and close_eq
             if lam.matrix is not None and m.elementwise and not isinstance(m.identity, float):
-                found = _geometric_witness(lam, d0, ladder, m, budget)
+                found = _geometric_witness(lam, d0, ladder, budget)
             if found is not None:
                 decision, witness, offending = Decision.NULL, found[0], None
             else:

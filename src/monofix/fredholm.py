@@ -76,7 +76,10 @@ class KernelSpec:
     All three callables must broadcast over numpy arrays and be pointwise:
     each value may depend only on its own t, s (and x), because Q and g are
     evaluated on row blocks of the node grid and on arrays of sampled
-    points.  The built-in kernels and the expression sub-language are.
+    points.  An entry of an array value of Q or g must equal the value of
+    the scalar call at its point, bit for bit: the majorant audit reports
+    its failures from the arrays.  The built-in kernels and the expression
+    sub-language are.
     """
 
     Q: Callable[[Any, Any], Any]
@@ -409,29 +412,15 @@ def residual(k: KernelSpec, grid: Grid, x: np.ndarray) -> float:
     return float(np.max(np.abs(x - rhs)))
 
 
-def _majorant_trial(k: KernelSpec, t: float, s: float, x: float, y: float) -> Optional[str]:
-    """The majorant inequality at one sampled point, in scalars: the failure
-    message, or None."""
-    lhs = abs(float(k.g(t, s, x)) - float(k.g(t, s, y)))
-    bound = float(k.Q(t, s)) * abs(x - y)
-    # negated, so that a NaN on either side fails the audit
-    if not lhs <= bound + 1e-9 * (1.0 + bound):
-        return (
-            f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: "
-            f"|g(t,s,x)-g(t,s,y)|={lhs!r} > Q(t,s)|x-y|={bound!r}"
-        )
-    return None
-
-
 def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> Optional[str]:
     """|g(t,s,x) - g(t,s,y)| <= Q(t,s)|x - y| at `trials` sampled points.
 
     Each trial draws t, s, x, y as four `rng.uniform` calls would; all are
     drawn at once (`uniforms`) and Q and g are evaluated once on the arrays,
-    whose entries are those of scalar calls.  The first failing trial is
-    rendered from its scalars, as a loop of scalar trials renders it.  A
-    complex g raises InvalidKernel, naming the first sampled (t, s) with an
-    imaginary part.
+    whose entries are those of scalar calls (`KernelSpec`).  The first
+    failing trial is rendered from its entries of the arrays, as a loop of
+    scalar trials renders it.  A complex g raises InvalidKernel, naming the
+    first sampled (t, s) with an imaginary part.
     """
     rng = child_rng(seed, "majorant-audit")
     low = np.array([grid.nodes[0], grid.nodes[0], -4.0, -4.0])
@@ -443,8 +432,16 @@ def _audit_majorant(k: KernelSpec, grid: Grid, seed: int, trials: int = 400) -> 
         g = _real_g(k)
         lhs = np.abs(np.asarray(g(t, s, x), dtype=float) - g(t, s, y))
         bound = np.asarray(k.Q(t, s), dtype=float) * np.abs(x - y)
+        # negated, so that a NaN on either side fails the audit
         failing = np.flatnonzero(~(lhs <= bound + 1e-9 * (1.0 + bound)))
-    return _majorant_trial(k, *map(float, draws[failing[0]])) if failing.size else None
+    if not failing.size:
+        return None
+    i = failing[0]  # a Q or g constant in its arguments gives a 0-d array
+    t, s, x, y, lhs, bound = (float(a[i]) for a in np.broadcast_arrays(t, s, x, y, lhs, bound))
+    return (
+        f"majorant inequality fails at t={t!r} s={s!r} x={x!r} y={y!r}: "
+        f"|g(t,s,x)-g(t,s,y)|={lhs!r} > Q(t,s)|x-y|={bound!r}"
+    )
 
 
 def solve_fredholm(

@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ._rng import child_rng, choice_indices, distinct_draws
-from ._util import REAL_ENTRYWISE, close_entries, format_value, generic_eq
+from ._util import REAL_ENTRYWISE, below_rows, close_rows, first_below, format_value, generic_eq, leq_rows
 from .reporting import CheckResult, Decision, ValidationReport
 
 
@@ -220,13 +220,6 @@ def _require_positive(trace_elements: Sequence[Any], spec: MonoidSpec) -> None:
             raise _not_positive(i, x)
 
 
-def _null_at_length(xs: Sequence[Any], bottom: Any, spec: MonoidSpec) -> bool:
-    """Whether a trace whose budget is its length is NULL: `_require_positive`
-    on every element, then the last element strictly below `bottom`."""
-    _require_positive(xs, spec)
-    return spec.strictly_below(xs[-1], bottom)
-
-
 def _tail_decision(row_is_bad: Callable[[int], bool], rows: int, n: int, budget: int) -> Decision:
     """The verdict of a last-bad-row rule, read from the tail.
 
@@ -304,21 +297,17 @@ def _stacked_suffix_scan(
     """Suffix sums, a row each, and the first one strictly below `bottom`,
     for an elementwise carrier, computed on the stacked trace.
 
-    The positivity check and the `<=` scan run on all rows at once.  The
-    reversed cumulative sum adds the elements in the order of the right fold
-    in `_suffix_sums` (float addition is commutative), so every suffix sum is
-    bit-identical to it.  `spec.eq` decides ties, on carrier values, for the
-    rows that the scan finds `<=` the bottom rung.
+    The positivity check runs on all rows at once.  The reversed cumulative
+    sum adds the elements in the order of the right fold in `_suffix_sums`
+    (float addition is commutative), so every suffix sum is bit-identical
+    to it, and `first_below` finds the first one strictly below the rung.
     """
     xs, identity = _rows(trace.elements), _rows([spec.identity])
     if not (xs >= identity).all():  # no (n, m) mask outlives the check
-        i = int(np.flatnonzero(~(xs >= identity).all(axis=1))[0])
+        i = int(np.argmin(leq_rows(identity, xs)))
         raise _not_positive(i, trace.elements[i])
     tails = np.cumsum(xs[::-1], axis=0)[::-1]
-    below = np.flatnonzero((tails <= _rows([bottom])).all(axis=1))
-    tie = lambda row: spec.eq(_as_carrier(row, spec.identity), bottom)
-    witness = next((int(i) for i in below if not tie(tails[i])), None)
-    return tails, witness
+    return tails, first_below(tails, _rows([bottom])[0])
 
 
 def cauchy_series_window_report(
@@ -469,20 +458,15 @@ def _stacked_carrier(spec: MonoidSpec, samples: list) -> Optional[tuple]:
     per chunk (None: all at once), over an elementwise or a relational
     carrier; else None.
 
-    Elementwise: a float row per element; `+`, `<=` on every entry,
-    `close_entries` on every entry and `np.maximum` (`max` differs from it
-    only where a NaN fails `leq` either way).  Relational: an index per
-    relation into the samples and the identity (`_relation_ops`), in chunks
-    of at most `_CHUNK_ENTRIES` matrix entries per argument.
+    Elementwise: a float row per element; `+`, `leq_rows`, `close_rows`
+    and `np.maximum` (`max` differs from it only where a NaN fails `leq`
+    either way).  Relational: an index per relation into the samples and
+    the identity (`_relation_ops`), in chunks of at most `_CHUNK_ENTRIES`
+    matrix entries per argument.
     """
     if spec.elementwise:
         rows, identity = _rows(samples), _rows([spec.identity])
-        ops = (
-            np.add,
-            lambda a, b: (a <= b).all(axis=1),
-            lambda a, b: close_entries(a, b).all(axis=1),
-            np.maximum,
-        )
+        ops = (np.add, leq_rows, close_rows, np.maximum)
         chunk = None
     elif spec.relational:
         ops, size = _relation_ops([*samples, spec.identity])
@@ -588,14 +572,13 @@ def validate_monoid(
 
 def _stacked_ladder(spec: MonoidSpec, rungs: tuple) -> tuple[Optional[int], ...]:
     """`validate_ladder`'s first failing rung of each check (None: it passes)
-    over an elementwise carrier: `+`, `<=` and `close_entries` on all rungs at once."""
+    over an elementwise carrier: `+`, `leq_rows` and `below_rows` on all rungs at once."""
     r, identity = _rows(rungs), _rows([spec.identity])
-    positive = (identity <= r).all(axis=1) & ~close_entries(r, identity).all(axis=1)
-    descends = (r[1:] <= r[:-1]).all(axis=1) & ~close_entries(r[1:], r[:-1]).all(axis=1)
+    positive, descends = below_rows(identity, r), below_rows(r[1:], r[:-1])
     eps, doubles = r[:-1], r + r
     # the (eps, delta) comparisons, for as many rungs eps at a time as a chunk holds
     step = max(1, _CHUNK_ENTRIES // doubles.size)
-    halved = [(doubles <= eps[i : i + step, None]).all(axis=2).any(axis=1) for i in range(0, len(eps), step)]
+    halved = [leq_rows(doubles, eps[i : i + step, None]).any(axis=1) for i in range(0, len(eps), step)]
     halved = np.concatenate([np.ones(0, dtype=bool), *halved])
     return tuple(None if ok.all() else int(np.argmin(ok)) for ok in (positive, descends, halved))
 

@@ -20,12 +20,11 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
-from ._util import below_entries, format_value, generic_eq
+from ._util import below_rows, format_value, generic_eq
 from .monoid import (
     MonoidSpec,
     MTrace,
     TestLadder,
-    _null_at_length,
     _tail_decision,
     cauchy_series_check,
     is_null_trace,
@@ -377,7 +376,7 @@ def _float_cone(distance: Callable, m: MonoidSpec, bottom: float) -> Callable:
 
     def cone(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = distance(us, vs)
-        return m.identity <= d.min(axis=1), below_entries(d[:, -1], bottom)  # a NaN minimum is not
+        return m.identity <= d.min(axis=1), below_rows(d[:, -1:], bottom)  # a NaN minimum is not
 
     return cone
 
@@ -427,9 +426,10 @@ def _screen_chains(rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestL
         sums = np.cumsum(np.column_stack((np.full(len(k), m.identity), steps)), axis=1)
         total = sums[k, lengths - 1]
         endpoint = distance(points[:, 0], points[k, lengths - 1])
-        # every rung, as the scalar scan: a ladder need not descend
-        above = ~below_entries(endpoint[:, None], np.asarray(ladder.rungs)).all(axis=1)
-        return (lengths >= 2) & below_entries(total, ladder.bottom) & above
+        # every rung, a row each, as the scalar scan: a ladder need not descend
+        rungs = np.asarray(ladder.rungs)[:, None]
+        above = ~below_rows(endpoint[:, None, None], rungs).all(axis=1)
+        return (lengths >= 2) & below_rows(total[:, None], ladder.bottom) & above
 
 
 # The first trials are decided one by one: a screened chunk costs more than
@@ -516,6 +516,7 @@ def falsify_frechet_wilson(
     ladder = space.ladder
     bottom = ladder.bottom
     d = space.distance
+    null = lambda xs: is_null_trace(MTrace(xs, len(xs)), ladder, m) is Decision.NULL
     rng = child_rng(seed, f"fw-{level}")
     screen = _screen_of(space, level, sampler)
     if screen is not None:
@@ -564,12 +565,12 @@ def falsify_frechet_wilson(
                 continue
             heads, middles, tails = heads[:n], middles[:n], tails[:n]
             # each trace has budget n, so it is NULL or NOT_NULL_WITHIN
-            if not _null_at_length(list(map(d, heads, middles)), bottom, m):
+            if not null(tuple(map(d, heads, middles))):
                 continue
-            if not _null_at_length(list(map(d, middles, tails)), bottom, m):
+            if not null(tuple(map(d, middles, tails))):
                 continue
-            concl = list(map(d, heads, tails))
-            if not _null_at_length(concl, bottom, m):
+            concl = tuple(map(d, heads, tails))
+            if not null(concl):
                 return Counterexample(
                     kind=f"fw-{level}",
                     points=(heads, middles, tails),

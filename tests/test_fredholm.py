@@ -621,7 +621,7 @@ def test_geometric_witness_matches_the_literal_decision(k, m):
         decision, want, _ = cauchy_series_window_report(
             MTrace(literal[: 2 * budget], budget), ladder, spec
         )
-        found = _geometric_witness(lam, d0, ladder, spec, budget)
+        found = _geometric_witness(lam, d0, ladder, budget)
         # the tail settles every witness the literal window finds, and only those
         assert (found is not None) == (decision is Decision.NULL), budget
         if found is None:
@@ -664,25 +664,26 @@ BOTTOM = 2.0**-20
     ids=["inside-eq-band", "inside-eq-band-two-rates", "equal-at-one-entry"],
 )
 def test_geometric_witness_on_ties(weighted, d0, witness):
-    problem = matrix_problem(weighted, d0)
-    trace = lambda_product_trace(problem[0], problem[1], 400, budget=200)
-    assert cauchy_series_window_report(trace, *problem[2:])[:2] == (Decision.NULL, witness)
-    assert _geometric_witness(*problem, 200)[0] == witness
+    lam, d0, ladder, spec = matrix_problem(weighted, d0)
+    trace = lambda_product_trace(lam, d0, 400, budget=200)
+    assert cauchy_series_window_report(trace, ladder, spec)[:2] == (Decision.NULL, witness)
+    assert _geometric_witness(lam, d0, ladder, 200)[0] == witness
 
 
 def test_geometric_witness_falls_back():
-    lam, d0, ladder, spec = series_problem(kernel_t(0.5), 101)
+    lam, d0, ladder, _ = series_problem(kernel_t(0.5), 101)
     nan = d0.copy()
     nan[7] = np.nan
-    assert _geometric_witness(lam, nan, ladder, spec, 200) is None
+    assert _geometric_witness(lam, nan, ladder, 200) is None
     # a witness past the budget is left to the literal window
-    assert _geometric_witness(lam, d0, ladder, spec, 19) is None
-    lam, d0, ladder, spec = series_problem(kernel_t(1.1), 101)
-    assert _geometric_witness(lam, d0, ladder, spec, 200) is None
+    assert _geometric_witness(lam, d0, ladder, 19) is None
+    lam, d0, ladder, _ = series_problem(kernel_t(1.1), 101)
+    assert _geometric_witness(lam, d0, ladder, 200) is None
     # quotients of exactly 1, as taken and once widened by 3 eps, prove nothing
     eps = float(np.finfo(float).eps)
     for q in (1.0, 1.0 - 3 * eps):
-        assert _geometric_witness(*matrix_problem([[q]], [2.0**-100]), 200) is None
+        lam, d0, ladder, _ = matrix_problem([[q]], [2.0**-100])
+        assert _geometric_witness(lam, d0, ladder, 200) is None
 
 
 def counting_series(monkeypatch) -> dict:

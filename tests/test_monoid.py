@@ -1,14 +1,17 @@
 """Monoid axioms, ladders, and trace decisions against independent oracles."""
+import ast
 import itertools
 import math
 import operator
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monofix._util
 import monofix.monoid
 from monofix import (
     Decision,
@@ -26,7 +29,7 @@ from monofix import (
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
 from monofix.monoid import _require_positive, cauchy_series_window_report
 from monofix.spaces import diagonal, relation_compose, relation_monoid
-from monofix._util import close_entries, close_eq, format_value
+from monofix._util import ATOL, RTOL, below_rows, close_entries, close_eq, first_below, format_value
 
 REAL = real_nonneg_monoid()
 LADDER16 = TestLadder.build(REAL, [1.0, 0.5, 0.25, 0.125, 0.0625])
@@ -516,6 +519,92 @@ def test_a_non_finite_value_equals_only_itself(a, b, want):
         assert eq(np.array([x, 0.5]), np.array([y, 0.5])) is want
         assert eq(np.array([x, 0.5]), y) is (want and eq(0.5, y))
         assert close_entries(np.array([x, 0.5]), np.array([y, 0.5])).tolist() == [want, True]
+
+
+# entries of rungs: the ATOL and the RTOL parts of the band of close_eq
+# dominate in turn, then ATOL itself (r - band lies exactly on the band's
+# edge), a subnormal and a signed zero
+RUNG_ENTRIES = (2.0**-20, 1.0, 1e-3, ATOL, 5e-324, -0.0)
+
+
+def _near(r):
+    """Entries that probe "strictly below" at a rung entry r: r, 1 ulp either
+    side of r -/+ (ATOL + RTOL |r|), non-finite values, signed zeros,
+    subnormals and an entry far below."""
+    edges = [r - (ATOL + RTOL * abs(r)), r + (ATOL + RTOL * abs(r))]
+    ulps = [np.nextafter(e, to) for e in edges for to in (-math.inf, math.inf)]
+    specials = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308]
+    return [r, *edges, *ulps, *specials, r / 4 - 1.0]
+
+
+def _probe_rows(rung, rng):
+    """Rows against a rung row: every entry from `_near`, one probed entry
+    among ties or among far-below entries, and random mixes."""
+    near = [_near(r) for r in rung.tolist()]
+    rows = []
+    for j, values in enumerate(near):
+        for v in values:
+            for fill in (rung, rung / 4 - 1.0):
+                row = fill.copy()
+                row[j] = v
+                rows.append(row)
+    rows += [np.array([rng.choice(values) for values in near]) for _ in range(300)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "name, carrier",
+    [
+        ("real_nonneg", lambda row: float(row[0])),
+        ("grid_function{3}", lambda row: row.copy()),
+        ("product{real_nonneg,real_nonneg}", lambda row: tuple(row.tolist())),
+    ],
+)
+def test_row_helpers_are_strictly_below(name, carrier, monkeypatch):
+    # the stacked rule of every fast path against the scalar one of the
+    # monoid: below_rows on every row, and first_below on blocks of rows,
+    # which tests for ties only the rows <= the rung, one at a time, up to
+    # the first that is not a tie
+    spec = get_monoid(name).spec
+    width = len(np.atleast_1d(spec.identity))
+    shapes = []
+    close = monofix._util.close_entries
+    monkeypatch.setattr(monofix._util, "close_entries", lambda a, b: shapes.append(np.shape(a)) or close(a, b))
+    rng = random.Random(name)
+    seen = set()
+    for turn in range(len(RUNG_ENTRIES)):
+        rung = np.array([RUNG_ENTRIES[(turn + j) % len(RUNG_ENTRIES)] for j in range(width)])
+        rows = _probe_rows(rung, rng)
+        below = lambda row: spec.strictly_below(carrier(row), carrier(rung))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            want = [below(row) for row in rows]
+            assert below_rows(rows, rung).tolist() == want
+            leq = [spec.leq(carrier(row), carrier(rung)) for row in rows]
+            seen |= set(zip(leq, want))
+            order = list(range(len(rows)))
+            for start in range(0, len(rows), 8):
+                rng.shuffle(order)
+                block = order[:8]
+                first = next((i for i, j in enumerate(block) if want[j]), None)
+                shapes.clear()
+                assert first_below(rows[block], rung) == first
+                ties = sum(leq[j] for j in block[: len(block) if first is None else first + 1])
+                assert shapes == [(width,)] * ties
+    # rows above or beside the rung, ties and rows strictly below all occur
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+def test_close_entries_is_called_in_util_only():
+    # the stacked "strictly below" of every fast path is one rule in _util
+    package = Path(monofix.monoid.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in nodes}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "close_entries" not in names, path.name
 
 
 @pytest.mark.parametrize("bad", [-5e-7, -1e10, float("nan")])

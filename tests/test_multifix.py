@@ -302,7 +302,7 @@ def test_geometric_witness_on_tuples_is_the_literal_one(lu, lv):
         _, n = _literal(elements, 400)
         for budget in sorted({1, 400, *([n - 1, n] if n else [])} - {0}):
             decision, witness = _literal(elements, budget)
-            found = _geometric_witness(lam, d0, COUPLED.ladder, COUPLED.monoid, budget)
+            found = _geometric_witness(lam, d0, COUPLED.ladder, budget)
             if d0 == PERRON_D0 and lu + lv < 1.0 and budget == 400:
                 assert found is not None
             if found is None:
@@ -321,11 +321,11 @@ def test_geometric_witness_on_tuples_is_the_literal_one(lu, lv):
 
 
 def test_geometric_witness_on_tuples_falls_back():
-    ladder, spec = COUPLED.ladder, COUPLED.monoid
+    ladder = COUPLED.ladder
     for lu, lv in ((0.5, 0.5), (0.7, 0.3), (0.7, 0.7)):  # lu + lv >= 1
-        assert _geometric_witness(_matrix_lam(lu, lv), CRITERION_8_D0, ladder, spec, 400) is None
+        assert _geometric_witness(_matrix_lam(lu, lv), CRITERION_8_D0, ladder, 400) is None
     for d0 in ((math.nan, 4.0), (6.0, math.nan)):
-        assert _geometric_witness(_matrix_lam(0.3, 0.2), d0, ladder, spec, 400) is None
+        assert _geometric_witness(_matrix_lam(0.3, 0.2), d0, ladder, 400) is None
 
 
 def _counting_series(monkeypatch) -> dict:
