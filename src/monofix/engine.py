@@ -20,7 +20,6 @@ import numpy as np
 
 from ._util import below_rows, close_band, first_below, format_value, generic_eq, ratio_bounds
 from .monoid import (
-    MonoidSpec,
     MTrace,
     TestLadder,
     cauchy_series_window_report,

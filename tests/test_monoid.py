@@ -567,9 +567,9 @@ def test_row_helpers_are_strictly_below(name, carrier, monkeypatch):
     # the first that is not a tie
     spec = get_monoid(name).spec
     width = len(np.atleast_1d(spec.identity))
-    shapes = []
-    close = monofix._util.close_entries
-    monkeypatch.setattr(monofix._util, "close_entries", lambda a, b: shapes.append(np.shape(a)) or close(a, b))
+    shapes, close = [], monofix._util.close_entries  # the shape of each row compared
+    spy = lambda a, b: shapes.append(np.shape(a)) or close(a, b)
+    monkeypatch.setattr(monofix._util, "close_entries", spy)
     rng = random.Random(name)
     seen = set()
     for turn in range(len(RUNG_ENTRIES)):
@@ -583,7 +583,7 @@ def test_row_helpers_are_strictly_below(name, carrier, monkeypatch):
             leq = [spec.leq(carrier(row), carrier(rung)) for row in rows]
             seen |= set(zip(leq, want))
             order = list(range(len(rows)))
-            for start in range(0, len(rows), 8):
+            for _ in range(len(rows) // 8):  # blocks of 8 shuffled rows
                 rng.shuffle(order)
                 block = order[:8]
                 first = next((i for i, j in enumerate(block) if want[j]), None)
