@@ -188,8 +188,8 @@ def certificate_csv(cert: ConvergenceCertificate) -> str:
 def certificate_text(cert: ConvergenceCertificate) -> str:
     return (
         f"verdict={cert.verdict.value}\n"
-        f"spectral_radius_oracle={cert.spectral_radius!r}\n"
         f"spectral_bracket={cert.spectral_bracket[0]!r},{cert.spectral_bracket[1]!r}\n"
+        f"spectral_bracket_pairs={cert.spectral_bracket_pairs}\n"
         f"tail_window_max={cert.tail_window_max!r}\n"
         f"witness_index={cert.witness_index}\n"
         f"overflow={cert.overflow}\n"

@@ -559,8 +559,10 @@ def _geometric_witness(
 
     Returns (N, K, tail) at the first K that settles N <= budget.  Returns
     None when a term is not finite, a usable quotient is not below 1
-    (NaN included), every start up to the budget is ruled out, or no K up
-    to 2*budget settles the witness.
+    (NaN included), every start up to the budget is ruled out, no K up to
+    2*budget settles the witness, or the suffix sums of the exact checks
+    would take more than 2*budget rows in all: the literal window's suffix
+    sums take that many, and the check's sums never cost more.
     """
     bottom = np.asarray(ladder.bottom, dtype=float)
     value, v = d0, np.asarray(d0, dtype=float)  # the last term, as computed and as an array
@@ -571,6 +573,7 @@ def _geometric_witness(
     floor, ceil = float(band.min()) / margin, float(band.max()) * margin
     terms: list[np.ndarray] = []
     ruled = 0  # every start N <= ruled is ruled out
+    summed = 0  # rows the exact checks' suffix sums have taken
     watch, base = 0, 0.0  # the candidate's suffix at the watched entry
     low, high = 0.0, math.inf  # bounds on every entry of the candidate's suffix
     least, top, lo, hi = 0.0, math.inf, 0.0, 1.0  # bounds on the entries of a term; quotients
@@ -604,6 +607,9 @@ def _geometric_witness(
         if not np.isfinite(v).all():
             return None
         window = terms[ruled:][::-1]  # v_K, ..., v_{ruled+1}
+        summed += len(window)
+        if summed > 2 * budget:
+            return None
         if window:
             sums = np.cumsum(np.array(window), axis=0)[::-1]
             first = first_below(sums, bottom)
@@ -672,7 +678,8 @@ def solve_sequential(
     the check stops at the first term whose geometric tail bound settles the
     same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
     not below 1, a term that is not finite, a witness past the budget, or
-    no settling term within 2*budget), the literal trace decides.
+    no settling term within 2*budget terms or 2*budget rows summed), the
+    literal trace decides.
     mode="orbit_bounded": requires a constructible bound on sampled orbit pair
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.

@@ -102,8 +102,9 @@ class ConvergenceCertificate:
     from the Cauchy-series check alone.  `spectral_bracket` (lo, hi) is the
     independent oracle, recorded regardless of the verdict: lo <= rho(W) <= hi
     for the weighted kernel matrix W, from the Collatz-Wielandt quotients of
-    consecutive increments.  It is (0, 0) when W vanishes and (0, inf) when
-    no increment was usable.
+    the `spectral_bracket_pairs` usable pairs of consecutive increments.  It
+    is (0, 0) when W vanishes (no pair is taken) and (0, inf) when no pair
+    was usable.
     """
 
     partial_sums: np.ndarray
@@ -111,6 +112,7 @@ class ConvergenceCertificate:
     sup_partials: tuple[float, ...]
     tail_window_max: float
     spectral_bracket: tuple[float, float]
+    spectral_bracket_pairs: int
     verdict: CertificateVerdict
     overflow: bool = False
     witness_index: Optional[int] = None
@@ -266,40 +268,10 @@ def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpace
     )
 
 
-# Rows of the increment block that the certificate and its spectral bracket
-# take at a time.  A series that overflows is cut at its first overflowing
-# term, after computing at most this many increments past it.
+# Rows of the increment block that the certificate reads at a time, right
+# after their matvecs.  A series that overflows is cut at its first
+# overflowing term, after computing at most this many increments past it.
 BLOCK_ROWS = 64
-
-
-def _spectral_bracket(
-    weighted: np.ndarray, increments: np.ndarray, scratch: np.ndarray
-) -> tuple[float, float]:
-    """Collatz-Wielandt bounds on the spectral radius of W >= 0.
-
-    `increments` holds consecutive iterates x, Wx, W^2 x, ... as rows.  For
-    x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i.  Each usable
-    pair of consecutive increments (x, Wx) gives such bounds (`ratio_bounds`,
-    widened for rounding); the tightest over all usable pairs are kept.
-    Rows where W vanishes identically are dropped: W is block triangular
-    with a zero block there, so the rest keeps its nonzero spectrum, and
-    every increment is exactly zero on those rows (each entry sums the
-    products that make the zero row of W).  The pairs are taken BLOCK_ROWS
-    at a time, with `scratch` (BLOCK_ROWS x m) for their quotients.
-    """
-    live = np.any(weighted != 0.0, axis=1)
-    if not live.any():
-        return 0.0, 0.0
-    lows, highs = [], []
-    for start in range(0, len(increments) - 1, BLOCK_ROWS):
-        y = increments[start + 1 : start + 1 + BLOCK_ROWS]
-        x = increments[start : start + len(y)]
-        lo, hi, usable = ratio_bounds(x, y, ~live, scratch[: len(y)])
-        lows.append(lo[usable])
-        highs.append(hi[usable])
-    if not any(len(low) for low in lows):
-        return 0.0, math.inf
-    return float(np.max(np.concatenate(lows))), float(np.min(np.concatenate(highs)))
 
 
 def _running_sums(rows: np.ndarray, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -323,16 +295,28 @@ def certify_convergence(
 
     The increments are the rows of one (n_max, m) block, filled BLOCK_ROWS
     rows at a time by the matvec chain W v; once an increment is exactly
-    zero, the rest are copies of it (W is finite).  After each such group of
-    rows come its partial sums and sup norms, with the additions of a
-    term-by-term loop in the same order, so every value is the same to the
-    bit.  Partial sums overflowing the float range (or OVERFLOW_LIMIT) abort
-    with the overflow flag set, at the first overflowing term.  The
-    increment trace carries a witness budget of n_max // 2 so that the
-    evidence extends past any accepted witness; the grid-function monoid
-    checks it as one array.  `operator` is k assembled on the grid, when the
-    caller already has it; otherwise it is assembled here (raising
-    InvalidKernel on bad kernel data).
+    zero, the rest are copies of it (W is finite).  One pass reads each such
+    group of rows once, right after its matvecs, for
+      - its partial sums and sup norms, added as a term-by-term loop adds
+        them, in the same order, so every value is the same to the bit;
+      - the overflow cut: partial sums overflowing the float range (or
+        OVERFLOW_LIMIT) abort with the overflow flag set, at the first
+        overflowing term;
+      - the Collatz-Wielandt quotients of its consecutive pairs, the pair
+        across the group's first row included: for x > 0, min_i (Wx)_i / x_i
+        <= rho(W) <= max_i (Wx)_i / x_i, widened for rounding by
+        `ratio_bounds`, and the tightest over all usable pairs are kept;
+      - its share of the tail window, the terms from min(budget, n) - 1 on,
+        added from the left onto zero.
+    The quotients drop the rows where W vanishes identically: W is block
+    triangular with a zero block there, so the rest keeps its nonzero
+    spectrum, and every increment is exactly zero on those rows (each entry
+    sums the products that make the zero row of W).  When W vanishes no
+    pair is taken.  The increment trace carries a witness budget of
+    n_max // 2 so that the evidence extends past any accepted witness; the
+    grid-function monoid checks it as one array.  `operator` is k assembled
+    on the grid, when the caller already has it; otherwise it is assembled
+    here (raising InvalidKernel on bad kernel data).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -340,6 +324,7 @@ def certify_convergence(
         operator = DiscreteKernel.assemble(k, grid)
     weighted = operator.weighted
     m = len(grid)
+    dead = ~weighted.any(axis=1)
     block = np.empty((n_max, m))
     block[0] = operator.integrated
     sup_inc = np.empty(n_max)
@@ -347,6 +332,9 @@ def certify_convergence(
     sums = np.empty((BLOCK_ROWS, m))
     scratch = np.empty((BLOCK_ROWS, m))
     partial = np.zeros(m)
+    tail = np.zeros(m)
+    budget = max(1, n_max // 2)
+    low, high, pairs = -math.inf, math.inf, 0  # the spectral bracket so far
     n = n_max
     overflow = False
     filled = 1
@@ -372,28 +360,32 @@ def certify_convergence(
             if bad.size:
                 n = start + int(bad[0]) + 1
                 overflow = True
-                partial = running[bad[0]].copy()
+            end, first = min(stop, n), max(start, 1)
+            partial = running[end - 1 - start].copy()
+            if end > first and not dead.all():
+                x, y = block[first - 1 : end - 1], block[first:end]
+                lo, hi, usable = ratio_bounds(x, y, dead, scratch[: end - first])
+                low = max(low, float(lo.max(initial=-math.inf, where=usable)))
+                high = min(high, float(hi.min(initial=math.inf, where=usable)))
+                pairs += int(np.count_nonzero(usable))
+            cutoff = max(start, min(budget, n) - 1)
+            if cutoff < end:
+                tail = _running_sums(block[cutoff:end], tail, scratch)[-1].copy()
+            if overflow:
                 break
-            partial = running[-1].copy()
-    increments = block[:n]
+    bracket = (low, high) if pairs else (0.0, 0.0 if dead.all() else math.inf)
 
-    budget = max(1, n_max // 2)
-    trace = MTrace(elements=increments, budget=budget)
+    trace = MTrace(elements=block[:n], budget=budget)
     decision, witness, _ = cauchy_series_window_report(trace, ladder, grid_function_monoid(m))
     certified = decision is Decision.NULL and not overflow
-
-    cutoff = min(budget, n) - 1
-    tail = np.zeros(m)
-    for start in range(cutoff, n, BLOCK_ROWS):
-        tail = _running_sums(increments[start : start + BLOCK_ROWS], tail, sums)[-1].copy()
-    tail_window_max = float(np.max(np.abs(tail)))
 
     return ConvergenceCertificate(
         partial_sums=partial,
         sup_increments=tuple(sup_inc[:n].tolist()),
         sup_partials=tuple(sup_part[:n].tolist()),
-        tail_window_max=tail_window_max,
-        spectral_bracket=_spectral_bracket(weighted, increments, scratch),
+        tail_window_max=float(np.max(np.abs(tail))),
+        spectral_bracket=bracket,
+        spectral_bracket_pairs=pairs,
         verdict=CertificateVerdict.CERTIFIED
         if certified
         else CertificateVerdict.NOT_CERTIFIED_WITHIN,

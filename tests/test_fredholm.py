@@ -1,6 +1,7 @@
 """Quadrature grid, iterated kernels, certificates, and the integral solver."""
 import tracemalloc
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from monofix import (
 from monofix import MTrace, engine, fredholm
 from monofix._rng import child_rng
 from monofix.expr import compile_expression
-from monofix._util import ratio_bounds
+from monofix._util import format_value, ratio_bounds
+from monofix.cli import main
 from monofix.engine import _geometric_witness, lambda_product_trace
 from monofix.fredholm import DiscreteKernel, grid_function_monoid, kernel_matrix
 from monofix.monoid import cauchy_series_window_report
@@ -288,22 +290,23 @@ def test_solve_assembles_the_kernel_once(monkeypatch):
     assert calls == [51]
 
 
-def reference_bracket(weighted: np.ndarray, iterates: np.ndarray) -> tuple[float, float]:
-    """The Collatz-Wielandt bracket over all consecutive pairs at once."""
+def reference_bracket(weighted: np.ndarray, iterates: np.ndarray) -> tuple[tuple[float, float], int]:
+    """The Collatz-Wielandt bracket over all consecutive pairs at once, and
+    the number of usable pairs (none is taken when W vanishes)."""
     live = np.any(weighted != 0.0, axis=1)
     if not live.any():
-        return 0.0, 0.0
+        return (0.0, 0.0), 0
     iterates = iterates[:, live]
     x, y = iterates[:-1], iterates[1:]
     usable = np.all(x >= np.finfo(float).tiny, axis=1) & np.all(np.isfinite(y), axis=1)
     if not usable.any():
-        return 0.0, float("inf")
+        return (0.0, float("inf")), 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quotients = y / x
     lo = float(np.max(np.min(quotients, axis=1)[usable]))
     hi = float(np.min(np.max(quotients, axis=1)[usable]))
     slack = (weighted.shape[1] + 2) * float(np.finfo(float).eps)
-    return lo * (1.0 - slack), hi * (1.0 + slack)
+    return (lo * (1.0 - slack), hi * (1.0 + slack)), int(usable.sum())
 
 
 def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
@@ -341,12 +344,14 @@ def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
     tail = np.zeros(len(grid))
     for inc in increments[cutoff:]:
         tail = tail + inc
+    bracket, pairs = reference_bracket(weighted, np.array(increments))
     return dict(
         partial_sums=partial,
         sup_increments=tuple(sup_inc),
         sup_partials=tuple(sup_part),
         tail_window_max=float(np.max(np.abs(tail))),
-        spectral_bracket=reference_bracket(weighted, np.array(increments)),
+        spectral_bracket=bracket,
+        spectral_bracket_pairs=pairs,
         witness_index=witness,
         overflow=overflow,
         matvecs=matvecs,
@@ -372,12 +377,28 @@ ZERO_KERNEL = KernelSpec(Q=lambda t, s: 0.0 * t * s, g=lambda t, s, x: 0.0 * x, 
     ],
 )
 def test_certificate_matches_term_by_term_reference(k, m, terms, monkeypatch):
+    check_against_reference(k, m, 800, terms, monkeypatch)
+
+
+# Blocks of 64 rows.  n_max 1: one term and no pair.  65: a last block of
+# one row, whose pair reaches across the boundary, and a tail window from
+# row 31 that does too.  129: two full blocks and a row, with the tail window
+# from row 63, the last row of a block.  t*s has a dead row at t = 0, and
+# constant 1.1 grows without overflowing in 129 terms.
+@pytest.mark.parametrize("n_max", [1, 65, 129])
+@pytest.mark.parametrize("k", [TS, constant_kernel(1.1)], ids=["product_ts", "constant-1.1"])
+def test_short_certificate_matches_term_by_term_reference(k, n_max, monkeypatch):
+    check_against_reference(k, 101, n_max, n_max, monkeypatch)
+
+
+def check_against_reference(k: KernelSpec, m: int, n_max: int, terms: int, monkeypatch) -> None:
+    """Every certificate field against `reference_certificate`, and its matvecs."""
     grid = Grid.trapezoid(0.0, 1.0, m)
-    want = reference_certificate(k, grid, 800)
+    want = reference_certificate(k, grid, n_max)
     matvecs = []
     dot = np.dot
     monkeypatch.setattr(np, "dot", lambda *a, **kw: matvecs.append(1) or dot(*a, **kw))
-    cert = certify_convergence(k, grid, grid_ladder(m), 800)
+    cert = certify_convergence(k, grid, grid_ladder(m), n_max)
     monkeypatch.undo()
 
     assert len(cert.sup_increments) == terms
@@ -387,6 +408,7 @@ def test_certificate_matches_term_by_term_reference(k, m, terms, monkeypatch):
         "sup_partials",
         "tail_window_max",
         "spectral_bracket",
+        "spectral_bracket_pairs",
         "witness_index",
         "overflow",
     ):
@@ -687,14 +709,20 @@ def test_geometric_witness_falls_back():
 
 
 def counting_series(monkeypatch) -> dict:
-    """Count the literal traces and the W applications of the geometric decision."""
-    seen = dict(literal=0, applied=0, terms=None)
+    """Count the literal traces, and the W applications and rows summed
+    (by `np.cumsum`) of the geometric decision."""
+    seen = dict(literal=0, applied=0, rows=0, terms=None)
     literal = engine.lambda_product_trace
     geometric = engine._geometric_witness
+    cumsum = np.cumsum
 
     def counted_literal(*args, **kwargs):
         seen["literal"] += 1
         return literal(*args, **kwargs)
+
+    def counted_cumsum(a, *args, **kwargs):
+        seen["rows"] += len(a)
+        return cumsum(a, *args, **kwargs)
 
     def counted_geometric(lam, *args):
         def op_at(n):
@@ -704,7 +732,9 @@ def counting_series(monkeypatch) -> dict:
 
             return apply
 
-        found = geometric(replace(lam, op_at=op_at), *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "cumsum", counted_cumsum)
+            found = geometric(replace(lam, op_at=op_at), *args)
         seen["terms"] = found and found[1]
         return found
 
@@ -723,16 +753,68 @@ def test_certified_solve_decides_its_series_from_the_tail(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "k, budget",
-    [(kernel_t(1.1), 200), (kernel_t(0.5), 19)],
+    "k, budget, applied, rows",
+    # constant 1.1 gives up at its first term, which is above the rung, so
+    # no exact check sums a row
+    [(kernel_t(1.1), 200, 1, 0), (kernel_t(0.5), 19, 38, 20)],
     ids=["forced-divergent", "budget-below-witness"],
 )
-def test_series_falls_back_to_the_literal_window(k, budget, monkeypatch):
+def test_series_falls_back_to_the_literal_window(k, budget, applied, rows, monkeypatch):
     seen = counting_series(monkeypatch)
     x, report, _ = solve_fredholm(k, Grid.trapezoid(0.0, 1.0, 101), budget=budget, force=True)
     assert report.status is SolveStatus.BUDGET_EXHAUSTED
     assert seen["literal"] == 1 and seen["terms"] is None
+    assert (seen["applied"], seen["rows"]) == (applied, rows)
     assert report.diagnostics[-1].startswith(f"window [{budget},{2 * budget}] of the composed-product")
+
+
+def volterra(c: float) -> KernelSpec:
+    """Q = c [s <= t], with f = t."""
+    return KernelSpec(Q=lambda t, s: c * (s <= t), g=lambda t, s, x: c * (s <= t) * x, f=lambda t: t)
+
+
+def literal_series(k: KernelSpec, m: int, budget: int = 200):
+    """The decision, witness and window of the solve's literal trace."""
+    lam, d0, ladder, spec = series_problem(k, m)
+    trace = lambda_product_trace(lam, d0, 2 * budget, budget=budget)
+    return cauchy_series_window_report(trace, ladder, spec)
+
+
+def series_note(decision: Decision, witness: Optional[int], window) -> str:
+    """The solve's note on its series check, from the literal decision."""
+    if decision is Decision.NULL:
+        return f"composed-product series is Cauchy within budget (witness N={witness})"
+    n0, n1, s = window
+    return f"window [{n0},{n1}] of the composed-product series sums to {format_value(s)}, not strictly below the bottom rung"
+
+
+@pytest.mark.parametrize("m", [101, 401])
+@pytest.mark.parametrize("c", [5.0, 20.0, 40.0])
+def test_volterra_series_costs_no_more_than_the_literal_window(c, m, monkeypatch):
+    # W is lower triangular, so rho(W) = c w_max < 1, but its terms grow for a
+    # while before they decay: the tail bound settles the witness late or
+    # not at all, and the literal 2*budget-term window sums 2*budget rows
+    decision, witness, window = literal_series(volterra(c), m)
+    seen = counting_series(monkeypatch)
+    x, report, _ = solve_fredholm(volterra(c), Grid.trapezoid(0.0, 1.0, m), force=True)
+    assert series_note(decision, witness, window) in report.diagnostics
+    assert seen["rows"] <= 400
+    assert seen["literal"] == (seen["terms"] is None)
+
+
+@pytest.mark.parametrize("m", [101, 401])
+def test_volterra_expr_kernel_through_the_cli(m, tmp_path):
+    q = "10*(t-s+abs(t-s))"
+    cfg = tmp_path / "volterra.cfg"
+    cfg.write_text(f"nodes = {m}\nkernel = expr {q}*x\nmajorant = {q}\nf = t\n")
+    decision, witness, window = literal_series(expr_kernel(f"{q}*x", q), m)
+    assert main(["solve-fredholm", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert f"note: {series_note(decision, witness, window)}" in lines
+    # W is strictly lower triangular (rho = 0): the first pair of increments
+    # is the only usable one, and no line calls its upper end an oracle
+    assert "spectral_bracket_pairs=1" in lines
+    assert not any(line.startswith("spectral_radius_oracle=") for line in lines)
 
 
 def test_nan_iterate_is_a_violation():
