@@ -803,12 +803,14 @@ def test_volterra_series_costs_no_more_than_the_literal_window(c, m, monkeypatch
 
 
 @pytest.mark.parametrize("m", [101, 401])
-def test_volterra_expr_kernel_through_the_cli(m, tmp_path):
+def test_volterra_expr_kernel_through_the_cli(m, tmp_path, monkeypatch):
     q = "10*(t-s+abs(t-s))"
     cfg = tmp_path / "volterra.cfg"
     cfg.write_text(f"nodes = {m}\nkernel = expr {q}*x\nmajorant = {q}\nf = t\n")
     decision, witness, window = literal_series(expr_kernel(f"{q}*x", q), m)
+    seen = counting_series(monkeypatch)
     assert main(["solve-fredholm", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert seen["rows"] <= 400
     lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
     assert f"note: {series_note(decision, witness, window)}" in lines
     # W is strictly lower triangular (rho = 0): the first pair of increments
