@@ -31,7 +31,8 @@ OVERFLOW_LIMIT = 1e12
 # A solve holds two m x m float arrays, W and the Picard loop's work array:
 # 1 GiB at this many nodes.
 MAX_NODES = 8192
-# The certificate holds one (terms, m) float block: 1 GiB at MAX_NODES.
+# The certificate holds two (terms, m) float arrays at a time, the increments
+# and its work array or the window report's suffix sums: 2 GiB at MAX_NODES.
 MAX_CERTIFICATE_TERMS = 16384
 
 
@@ -268,21 +269,6 @@ def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpace
     )
 
 
-# Rows of the increment block that the certificate reads at a time, right
-# after their matvecs.  A series that overflows is cut at its first
-# overflowing term, after computing at most this many increments past it.
-BLOCK_ROWS = 64
-
-
-def _running_sums(rows: np.ndarray, carry: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[k] = carry + rows[0] + ... + rows[k], added left to right, the
-    additions of `carry = carry + row` row by row; returns out[:len(rows)]."""
-    sums = out[: len(rows)]
-    np.add(carry, rows[0], out=sums[0])
-    sums[1:] = rows[1:]
-    return np.add.accumulate(sums, axis=0, out=sums)
-
-
 def certify_convergence(
     k: KernelSpec,
     grid: Grid,
@@ -293,21 +279,27 @@ def certify_convergence(
 ) -> ConvergenceCertificate:
     """Accumulate the integrated iterated kernels and check the series.
 
-    The increments are the rows of one (n_max, m) block, filled BLOCK_ROWS
-    rows at a time by the matvec chain W v; once an increment is exactly
-    zero, the rest are copies of it (W is finite).  One pass reads each such
-    group of rows once, right after its matvecs, for
-      - its partial sums and sup norms, added as a term-by-term loop adds
-        them, in the same order, so every value is the same to the bit;
-      - the overflow cut: partial sums overflowing the float range (or
-        OVERFLOW_LIMIT) abort with the overflow flag set, at the first
-        overflowing term;
-      - the Collatz-Wielandt quotients of its consecutive pairs, the pair
-        across the group's first row included: for x > 0, min_i (Wx)_i / x_i
-        <= rho(W) <= max_i (Wx)_i / x_i, widened for rounding by
-        `ratio_bounds`, and the tightest over all usable pairs are kept;
-      - its share of the tail window, the terms from min(budget, n) - 1 on,
-        added from the left onto zero.
+    First the matvec chain fills the rows of one (n_max, m) block with the
+    increments, each W times the one before.  They are nonnegative (Q is
+    validated nonnegative and finite, the weights are nonnegative), so the
+    chain stops on a row's largest entry, read by `argmax`: at 0 the row is
+    exactly zero and the remaining rows are copies of it; not finite or
+    above OVERFLOW_LIMIT, the row gets no matvec, since its partial sum is
+    at least as large and the series is cut there or earlier.
+
+    Then one pass over the filled rows, with one work array of their size
+    that is released before the Cauchy check, computes
+      - the partial sums, added left to right onto +0.0 as a term-by-term
+        loop adds them, so every value is the same to the bit, and the sup
+        norms of the sums and of the increments;
+      - the overflow cut, with the overflow flag set, at the first partial
+        sum that is not finite or exceeds OVERFLOW_LIMIT;
+      - the tail window, the terms from min(budget, n) - 1 on, added the
+        same way;
+      - the Collatz-Wielandt quotients of the consecutive pairs up to the
+        cut: for x > 0, min_i (Wx)_i / x_i <= rho(W) <= max_i (Wx)_i / x_i,
+        widened for rounding by `ratio_bounds`, and the tightest over all
+        usable pairs are kept.
     The quotients drop the rows where W vanishes identically: W is block
     triangular with a zero block there, so the rest keeps its nonzero
     spectrum, and every increment is exactly zero on those rows (each entry
@@ -327,52 +319,48 @@ def certify_convergence(
     dead = ~weighted.any(axis=1)
     block = np.empty((n_max, m))
     block[0] = operator.integrated
-    sup_inc = np.empty(n_max)
-    sup_part = np.empty(n_max)
-    sums = np.empty((BLOCK_ROWS, m))
-    scratch = np.empty((BLOCK_ROWS, m))
-    partial = np.zeros(m)
-    tail = np.zeros(m)
     budget = max(1, n_max // 2)
-    low, high, pairs = -math.inf, math.inf, 0  # the spectral bracket so far
-    n = n_max
-    overflow = False
     filled = 1
     # Overflow is detected from the partial sums and reported by the flag;
     # terms computed past the first overflowing one are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_max, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_max)
-            while filled < stop:
-                prev = block[filled - 1]
-                if np.count_nonzero(prev):
-                    np.dot(weighted, prev, out=block[filled])
-                    filled += 1
-                else:
-                    block[filled:] = prev
-                    filled = n_max
-            rows = block[start:stop]
-            running = _running_sums(rows, partial, sums)
-            np.max(np.abs(rows, out=scratch[: len(rows)]), axis=1, out=sup_inc[start:stop])
-            np.max(np.abs(running, out=scratch[: len(rows)]), axis=1, out=sup_part[start:stop])
-            chunk = sup_part[start:stop]
-            bad = np.flatnonzero(~np.isfinite(chunk) | (chunk > OVERFLOW_LIMIT))
-            if bad.size:
-                n = start + int(bad[0]) + 1
-                overflow = True
-            end, first = min(stop, n), max(start, 1)
-            partial = running[end - 1 - start].copy()
-            if end > first and not dead.all():
-                x, y = block[first - 1 : end - 1], block[first:end]
-                lo, hi, usable = ratio_bounds(x, y, dead, scratch[: end - first])
-                low = max(low, float(lo.max(initial=-math.inf, where=usable)))
-                high = min(high, float(hi.min(initial=math.inf, where=usable)))
-                pairs += int(np.count_nonzero(usable))
-            cutoff = max(start, min(budget, n) - 1)
-            if cutoff < end:
-                tail = _running_sums(block[cutoff:end], tail, scratch)[-1].copy()
-            if overflow:
+        while filled < n_max:
+            prev = block[filled - 1]
+            top = prev[prev.argmax()]
+            if not top <= OVERFLOW_LIMIT:  # a NaN included
                 break
+            if top == 0:
+                block[filled:] = prev
+                filled = n_max
+                break
+            np.dot(weighted, prev, out=block[filled])
+            filled += 1
+
+        rows, work = block[:filled], np.empty((filled, m))
+        sup_inc = np.abs(rows, out=work).max(axis=1)
+        np.add(rows[0], 0.0, out=work[0])
+        work[1:] = rows[1:]
+        np.add.accumulate(work, axis=0, out=work)
+        sup_part = work.max(axis=1)  # the sums are +0.0 or more
+        bad = np.flatnonzero(~np.isfinite(sup_part) | (sup_part > OVERFLOW_LIMIT))
+        overflow = bool(bad.size)
+        n = int(bad[0]) + 1 if overflow else filled
+        partial = work[n - 1].copy()
+
+        cutoff = min(budget, n) - 1
+        window = work[: n - cutoff]
+        np.add(rows[cutoff], 0.0, out=window[0])
+        window[1:] = rows[cutoff + 1 : n]
+        np.add.accumulate(window, axis=0, out=window)
+        tail_window_max = float(np.max(np.abs(window[-1])))
+
+        low, high, pairs = -math.inf, math.inf, 0
+        if n > 1 and not dead.all():
+            lo, hi, usable = ratio_bounds(rows[: n - 1], rows[1:n], dead, work[: n - 1])
+            low = float(lo.max(initial=-math.inf, where=usable))
+            high = float(hi.min(initial=math.inf, where=usable))
+            pairs = int(np.count_nonzero(usable))
+        del work, window  # released before the window report's suffix sums
     bracket = (low, high) if pairs else (0.0, 0.0 if dead.all() else math.inf)
 
     trace = MTrace(elements=block[:n], budget=budget)
@@ -383,7 +371,7 @@ def certify_convergence(
         partial_sums=partial,
         sup_increments=tuple(sup_inc[:n].tolist()),
         sup_partials=tuple(sup_part[:n].tolist()),
-        tail_window_max=float(np.max(np.abs(tail))),
+        tail_window_max=tail_window_max,
         spectral_bracket=bracket,
         spectral_bracket_pairs=pairs,
         verdict=CertificateVerdict.CERTIFIED

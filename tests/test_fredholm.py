@@ -311,8 +311,9 @@ def reference_bracket(weighted: np.ndarray, iterates: np.ndarray) -> tuple[tuple
 
 def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
     """The certificate term by term, one increment array per term, with the
-    per-element monoid path: the loop the block computation replaced.
-    Returns the certificate's fields and the number of matvecs made."""
+    per-element monoid path: the loop the array computation replaced.
+    Returns the certificate's fields and the number of matvecs made, the
+    chain of an overflowing series followed past its cut."""
     operator = DiscreteKernel.assemble(k, grid)
     weighted = operator.weighted
     v = operator.integrated
@@ -332,6 +333,13 @@ def reference_certificate(k: KernelSpec, grid: Grid, n_max: int) -> dict:
             break
         if sup_inc[-1] != 0.0:
             v = weighted @ v
+            matvecs += 1
+    if overflow:
+        # the chain goes on past the cut, to the first increment whose
+        # largest entry is not finite or exceeds OVERFLOW_LIMIT
+        while matvecs < n_max - 1 and 0.0 < np.max(v) <= fredholm.OVERFLOW_LIMIT:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = weighted @ v
             matvecs += 1
 
     spec = grid_function_monoid(len(grid))
@@ -380,10 +388,9 @@ def test_certificate_matches_term_by_term_reference(k, m, terms, monkeypatch):
     check_against_reference(k, m, 800, terms, monkeypatch)
 
 
-# Blocks of 64 rows.  n_max 1: one term and no pair.  65: a last block of
-# one row, whose pair reaches across the boundary, and a tail window from
-# row 31 that does too.  129: two full blocks and a row, with the tail window
-# from row 63, the last row of a block.  t*s has a dead row at t = 0, and
+# Short series.  n_max 1: one term, no pair, and a tail window of that one
+# term.  65 and 129: odd lengths, whose tail windows start at rows 31 and 63
+# (the witness budget is n_max // 2).  t*s has a dead row at t = 0, and
 # constant 1.1 grows without overflowing in 129 terms.
 @pytest.mark.parametrize("n_max", [1, 65, 129])
 @pytest.mark.parametrize("k", [TS, constant_kernel(1.1)], ids=["product_ts", "constant-1.1"])
@@ -414,8 +421,9 @@ def check_against_reference(k: KernelSpec, m: int, n_max: int, terms: int, monke
     ):
         assert getattr(cert, field) == want[field], field
     if want["overflow"]:
-        # cut at the first overflowing term, at most one block of rows past it
-        assert want["matvecs"] <= len(matvecs) <= want["matvecs"] + fredholm.BLOCK_ROWS
+        # no matvec after the first increment whose largest entry is not
+        # finite or exceeds OVERFLOW_LIMIT
+        assert len(matvecs) == want["matvecs"]
     else:
         # no matvec after the first exactly zero increment, nor after the
         # last term (the loop made one there and discarded it)
@@ -996,6 +1004,21 @@ def test_no_grid_sized_temporaries(monkeypatch):
     assert peak_bytes(apply, grid.nodes) < grid_bytes // 8
     # the assembly keeps the one m x m array it fills
     assert peak_bytes(DiscreteKernel.assemble, TS, grid) < grid_bytes * 9 // 8
+
+
+@pytest.mark.parametrize("k", [TS, constant_kernel(0.9)], ids=["product_ts", "constant-0.9"])
+def test_certificate_holds_two_increment_arrays_at_a_time(k):
+    # the increments, then the one pass's work array or the window report's
+    # suffix sums, never both
+    m, terms = 401, 800
+    grid, ladder = Grid.trapezoid(0.0, 1.0, m), grid_ladder(m)
+    operator = DiscreteKernel.assemble(k, grid)
+
+    def certify():
+        return certify_convergence(k, grid, ladder, terms, operator=operator)
+
+    assert certify().verdict is CertificateVerdict.CERTIFIED
+    assert peak_bytes(certify) < terms * m * 8 * 5 // 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,21 @@ range relative to its median.  It also records the seeds, the revisions and
 the environment that the runs report, each side's `wc -l src/monofix/*.py`
 total (`src_lines`) and its settable values (`src_options`, see
 `src_options`), which it prints.  After a workload's pairs, it times each
-reference key in `OP_PASSES` passes per side through two
-`tools/op_times.py` servers, one per side, that take turns op by op (the
-parent first on even passes), so that a drift of the machine's speed
-reaches both sides alike even when it is faster than a pass.  The summary
-records those numbers (`op_passes`, and `op_rounds`, the blocks of
-consecutive passes that the ratios below are taken over), each reference
-key's median, quartiles, median in each round and traced counts per side
-(`op_times`, over that fixed op sequence), each op kind's mean median per
-side (`op_kinds`), each side's sum of those, the time of one op of every
-kind (`op_rotation_s`), with change / parent (`op_rotation_ratio`), and
-each op kind's change / parent ratio in every round (`op_kind_ratios`).  It
+reference key in `OP_PASSES` passes per side, in `OP_ROUNDS` rounds of
+consecutive passes.  Each round starts a fresh pair of `tools/op_times.py`
+servers, one per side, that take turns op by op (the parent first on even
+passes), so that a drift of the machine's speed reaches both sides alike
+even when it is faster than a pass, and so that no one pair of processes
+sets a kind's ratio.  The summary records those numbers (`op_passes`,
+`op_rounds`), each reference key's median, quartiles, median in each round
+and traced counts per side (`op_times`, over that fixed op sequence), each
+op kind's mean median per side (`op_kinds`), each side's sum of those, the
+time of one op of every kind (`op_rotation_s`), with change / parent
+(`op_rotation_ratio`), each op kind's change / parent ratio in every round
+(`op_kind_ratios`) and the median of those (`op_kind_ratio_medians`).  It
 then prints a line per op kind, slowest parent first: both sides' mean
-medians, change / parent, and the least and largest ratio of a round; and a
-line with both sides' rotation and their ratio.
+medians, the median of the rounds' ratios and their range; and a line with
+both sides' rotation and their ratio.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from op_times import PASSES, Server, kinds, summary
 
-# op_times' default number of timed passes, read as 4 rounds of consecutive passes
+# op_times' default number of timed passes, in 4 rounds of a fresh server pair each
 OP_PASSES, OP_ROUNDS = PASSES, 4
 
 
@@ -87,20 +88,26 @@ def summarise(runs: dict, better: dict) -> dict:
     return out
 
 
-def interleaved_op_times(roots: dict, workload: str, passes: int) -> dict:
+def interleaved_op_times(roots: dict, workload: str, passes: int, rounds: int) -> dict:
     """Per side, each key's wall times over `passes` passes and its traced
-    counts.  The two sides' servers take turns op by op, the parent first on
-    even passes and the change first on odd ones."""
-    with Server(roots["parent"], workload) as parent, Server(roots["change"], workload) as change:
-        servers = {"parent": parent, "change": change}
-        if parent.keys != change.keys:
-            raise SystemExit(f"{workload}: the two sides issue different op sequences")
-        times: dict = {side: [[] for _ in parent.keys] for side in servers}
-        for k in range(passes):
-            for i in range(len(parent.keys)):
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    times[side][i].append(servers[side].run(i))
-        counts = {side: server.traced_counts() for side, server in servers.items()}
+    counts.  The passes run in `rounds` rounds of consecutive passes, each
+    through a fresh pair of servers, one per side, that take turns op by
+    op, the parent first on even passes and the change first on odd ones;
+    the counts come from the last round's pair."""
+    size = passes // rounds
+    times: dict = {}
+    for r in range(rounds):
+        with Server(roots["parent"], workload) as parent, Server(roots["change"], workload) as change:
+            servers = {"parent": parent, "change": change}
+            if parent.keys != change.keys:
+                raise SystemExit(f"{workload}: the two sides issue different op sequences")
+            for side in servers:
+                times.setdefault(side, [[] for _ in parent.keys])
+            for k in range(r * size, (r + 1) * size):
+                for i in range(len(parent.keys)):
+                    for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                        times[side][i].append(servers[side].run(i))
+            counts = {side: server.traced_counts() for side, server in servers.items()}
     return {
         side: {key: (times[side][i], counts[side][i]) for i, key in enumerate(parent.keys)}
         for side in servers
@@ -134,14 +141,14 @@ def kind_ratios(merged: dict, rounds: int) -> dict:
 
 
 def print_kinds(workload: str, per_kind: dict, ratios: dict) -> None:
-    """A line per op kind, slowest parent first: both sides' times, their
-    ratio and the range of the rounds' ratios."""
+    """A line per op kind, slowest parent first: both sides' times, the
+    median of the rounds' change / parent ratios and their range."""
     parent, change = per_kind["parent"], per_kind["change"]
     for kind in sorted(parent, key=parent.get, reverse=True):
-        p, c = parent[kind], change[kind]
-        times = f"parent {p * 1e3:.3f} ms change {c * 1e3:.3f} ms ratio {c / p:.3f}"
+        times = f"parent {parent[kind] * 1e3:.3f} ms change {change[kind] * 1e3:.3f} ms"
+        ratio = f"ratio {statistics.median(ratios[kind]):.3f}"
         spread = f"rounds {min(ratios[kind]):.3f}-{max(ratios[kind]):.3f}"
-        print(f"{workload} {kind}: {times} {spread}", flush=True)
+        print(f"{workload} {kind}: {times} {ratio} {spread}", flush=True)
 
 
 def src_lines(root: Path) -> int:
@@ -227,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
             summary["workloads"][workload] = summarise(runs, better)
-            found = interleaved_op_times(roots, workload, OP_PASSES)
+            found = interleaved_op_times(roots, workload, OP_PASSES, OP_ROUNDS)
             merged = {side: merge(ops, OP_ROUNDS) for side, ops in found.items()}
             per_kind = {side: kinds(ops) for side, ops in merged.items()}
             ratios = kind_ratios(merged, OP_ROUNDS)
@@ -236,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                 op_rounds=OP_ROUNDS, op_passes=OP_PASSES, op_times=merged,
                 op_kinds=per_kind, op_rotation_s=rotation,
                 op_rotation_ratio=rotation["change"] / rotation["parent"], op_kind_ratios=ratios,
+                op_kind_ratio_medians={kind: statistics.median(r) for kind, r in ratios.items()},
             )
             print_kinds(workload, per_kind, ratios)
             print(
