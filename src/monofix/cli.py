@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import operator
@@ -274,9 +275,13 @@ COUPLED_TABLE = (
 def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     cfg, lines = read_config(Path(args.config).read_text(), FREDHOLM_TABLE)
     a, b, m = cfg["interval_a"], cfg["interval_b"], cfg["nodes"]
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    grid = None
+    with contextlib.suppress(ValueError), np.errstate(all="ignore"):  # b - a may overflow
+        if math.isfinite(a) and math.isfinite(b) and a < b:
+            grid = Grid.trapezoid(a, b, m)
+    if grid is None:
         raise ConfigError(
-            f"the interval must be finite with interval_a < interval_b, not [{a!r}, {b!r}]",
+            f"need a finite interval_a < interval_b with {m} distinct nodes, not [{a!r}, {b!r}]",
             line=lines["interval_b"],
             field="interval_b",
         )
@@ -314,7 +319,6 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     fline = lines["f"]
     f_expr = _expression(cfg["f"], ("t",), fline, "f")
 
-    grid = Grid.trapezoid(a, b, m)
     kernel = KernelSpec(Q=q, g=g, f=lambda t: f_expr(t) * np.ones_like(np.asarray(t, dtype=float)))
     ladder = grid_ladder(m, cfg["ladder_depth"])
     out = Path(args.out)

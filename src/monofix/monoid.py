@@ -10,6 +10,7 @@ within a witness budget".
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -22,30 +23,17 @@ from ._util import REAL_ENTRYWISE, below_rows, close_rows, first_below, format_v
 from .reporting import CheckResult, Decision, ValidationReport
 
 
-# The last products of `relation_compose`, the most recent last.  A hit is
-# stored again under the operands it was asked for, so that the next call
-# with those objects finds it by identity rather than by comparing relations.
-_COMPOSED: dict[tuple[frozenset, frozenset], frozenset] = {}
-_COMPOSED_MAX = 64
-
-
+@functools.lru_cache(maxsize=64)
 def relation_compose(a: frozenset, b: frozenset) -> frozenset:
     """The relation {(x, y): (x, z) in a and (z, y) in b for some z}.
 
     The last 64 products are kept: `check_triangle` over an entourage space
     composes the same few distances for every triple of points.
     """
-    key = (a, b)
-    got = _COMPOSED.pop(key, None)
-    if got is None:
-        succ: dict[Any, list] = {}
-        for u, v in b:
-            succ.setdefault(u, []).append(v)
-        got = frozenset((x, y) for x, z in a for y in succ.get(z, ()))
-        if len(_COMPOSED) >= _COMPOSED_MAX:
-            del _COMPOSED[next(iter(_COMPOSED))]
-    _COMPOSED[key] = got
-    return got
+    succ: dict[Any, list] = {}
+    for u, v in b:
+        succ.setdefault(u, []).append(v)
+    return frozenset((x, y) for x, z in a for y in succ.get(z, ()))
 
 
 # The (combine, leq, eq, sup) of the relation monoids: composition, and

@@ -13,7 +13,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -766,91 +766,59 @@ def product_space(spaces: Sequence[DistanceSpaceSpec], mode: str) -> DistanceSpa
     """
     if not spaces:
         raise ValueError("need at least one factor")
-    kind = _weakest_kind(spaces)
-    descr = " x ".join(s.point_descr for s in spaces)
+    coordinatewise = mode == "coordinatewise"
+    if coordinatewise:
+        m = product_monoid([s.monoid for s in spaces])
+        ladder, fold = product_ladder([s.ladder for s in spaces], m), tuple
+    elif mode in ("sigma", "vee"):
+        m, ladder = _shared_monoid(spaces), spaces[0].ladder
+        if mode == "vee" and m.sup is None:
+            raise ValueError("vee product needs a supremum on the shared monoid")
+        fold = m.fold if mode == "sigma" else lambda parts: functools.reduce(m.sup, parts)
+    else:
+        raise ValueError(f"unknown product mode {mode!r}")
+
+    def dist(a: tuple, b: tuple) -> Any:
+        return fold(s.distance(x, y) for s, x, y in zip(spaces, a, b))
 
     def point_eq(a: tuple, b: tuple) -> bool:
         return all(s.point_eq(x, y) for s, x, y in zip(spaces, a, b))
 
-    if mode in ("sigma", "vee"):
-        m = _shared_monoid(spaces)
-        if mode == "vee" and m.sup is None:
-            raise ValueError("vee product needs a supremum on the shared monoid")
-        fold = m.fold if mode == "sigma" else lambda parts: functools.reduce(m.sup, parts)
-
-        def dist(a: tuple, b: tuple) -> Any:
-            return fold(s.distance(x, y) for s, x, y in zip(spaces, a, b))
-
-        return DistanceSpaceSpec(
-            point_descr=f"{mode}-product({descr})",
-            distance=dist,
-            kind=kind,
-            monoid=m,
-            ladder=spaces[0].ladder,
-            point_eq=point_eq,
-            weierstrass_capable=all(s.weierstrass_capable for s in spaces),
-        )
-    if mode == "coordinatewise":
-        pm = product_monoid([s.monoid for s in spaces])
-        pl = product_ladder([s.ladder for s in spaces], pm)
-
-        def dist(a: tuple, b: tuple) -> tuple:
-            return tuple(s.distance(x, y) for s, x, y in zip(spaces, a, b))
-
-        return DistanceSpaceSpec(
-            point_descr=f"coordinatewise-product({descr})",
-            distance=dist,
-            kind=kind,
-            monoid=pm,
-            ladder=pl,
-            point_eq=point_eq,
-            weierstrass_capable=all(s.weierstrass_capable for s in spaces),
-            regular_order=all(s.regular_order for s in spaces),
-            co_regular_order=all(s.co_regular_order for s in spaces),
-        )
-    raise ValueError(f"unknown product mode {mode!r}")
+    return DistanceSpaceSpec(
+        point_descr=f"{mode}-product(" + " x ".join(s.point_descr for s in spaces) + ")",
+        distance=dist,
+        kind=_weakest_kind(spaces),
+        monoid=m,
+        ladder=ladder,
+        point_eq=point_eq,
+        weierstrass_capable=all(s.weierstrass_capable for s in spaces),
+        regular_order=coordinatewise and all(s.regular_order for s in spaces),
+        co_regular_order=coordinatewise and all(s.co_regular_order for s in spaces),
+    )
 
 
 def gauge_space(
     pseudo_spaces: Sequence[DistanceSpaceSpec],
     samples: Optional[Sequence[Any]] = None,
 ) -> DistanceSpaceSpec:
-    """Bundle pseudo-distances on one carrier into a product-monoid distance.
+    """Bundle pseudo-distances on one carrier into a product-monoid distance:
+    the coordinatewise product of the factors, read on its diagonal.
 
     The result is declared a distance space only when the sampled separation
     condition holds (some factor separates every sampled distinct pair);
     otherwise it stays pseudo.
     """
-    if not pseudo_spaces:
-        raise ValueError("need at least one factor")
-    pm = product_monoid([s.monoid for s in pseudo_spaces])
-    pl = product_ladder([s.ladder for s in pseudo_spaces], pm)
-
-    def dist(x: Any, y: Any) -> tuple:
-        return tuple(s.distance(x, y) for s in pseudo_spaces)
-
-    kind = SpaceKind.PSEUDO
-    if samples:
-        separating = True
-        for x, y in itertools.combinations(samples, 2):
-            if pseudo_spaces[0].point_eq(x, y):
-                continue
-            if all(
-                s.monoid.eq(s.distance(x, y), s.monoid.identity) for s in pseudo_spaces
-            ):
-                separating = False
-                break
-        if separating:
-            kind = SpaceKind.DISTANCE
-
-    return DistanceSpaceSpec(
-        point_descr=f"gauge({pseudo_spaces[0].point_descr}; {len(pseudo_spaces)} factors)",
-        distance=dist,
-        kind=kind,
-        monoid=pm,
-        ladder=pl,
+    product = product_space(pseudo_spaces, "coordinatewise")
+    k = len(pseudo_spaces)
+    separating = samples and all(
+        pseudo_spaces[0].point_eq(x, y)
+        or not all(s.monoid.eq(s.distance(x, y), s.monoid.identity) for s in pseudo_spaces)
+        for x, y in itertools.combinations(samples, 2)
+    )
+    return replace(
+        product,
+        point_descr=f"gauge({pseudo_spaces[0].point_descr}; {k} factors)",
+        distance=lambda x, y: product.distance((x,) * k, (y,) * k),
+        kind=SpaceKind.DISTANCE if separating else SpaceKind.PSEUDO,
         point_eq=pseudo_spaces[0].point_eq,
-        weierstrass_capable=all(s.weierstrass_capable for s in pseudo_spaces),
-        regular_order=all(s.regular_order for s in pseudo_spaces),
-        co_regular_order=all(s.co_regular_order for s in pseudo_spaces),
     )

@@ -134,12 +134,25 @@ def test_solve_fredholm_complex_g_blames_the_kernel_line(tmp_path, capsys, monke
         ("certificate_budget = 0\n", "certificate_budget"),
         ("ladder_depth = 0\n", "ladder_depth"),
         ("interval_a = 1\ninterval_b = 0\n", "interval_b"),
+        # intervals with no grid of that many strictly increasing nodes
+        ("interval_a = -1e308\ninterval_b = 1e308\n", "interval_b"),
+        ("interval_a = 1\ninterval_b = 1.0000000000000002\nnodes = 3\n", "interval_b"),
+        ("interval_a = 0\ninterval_b = 1e-320\nnodes = 8192\n", "interval_b"),
     ],
-    ids=["budget-negative", "certificate-budget-zero", "ladder-depth-zero", "interval-reversed"],
+    ids=[
+        "budget-negative",
+        "certificate-budget-zero",
+        "ladder-depth-zero",
+        "interval-reversed",
+        "interval-length-overflows",
+        "interval-one-ulp",
+        "interval-subnormal",
+    ],
 )
 def test_solve_fredholm_out_of_range_number_is_config_error(tmp_path, capsys, lines, field):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nodes = 41\nkernel = product_ts\nf = t\n" + lines)
+    nodes = "" if "nodes = " in lines else "nodes = 41\n"
+    cfg.write_text(nodes + "kernel = product_ts\nf = t\n" + lines)
     assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: line ") and f"field {field!r}" in err

@@ -39,7 +39,10 @@ COUNTS = st.one_of(
 )
 NUMBERS = st.one_of(
     st.floats(-1e3, 1e3).map(repr),
-    st.sampled_from(["0", "-0.0", "1", "nan", "inf", "-inf", "1e999", "1e308", "5e-324", "", "x", "1,5"]),
+    st.sampled_from([
+        "0", "-0.0", "1", "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "5e-324", "1e-320",
+        "1.0000000000000002", "", "x", "1,5",
+    ]),
 )
 BOOLEANS = st.sampled_from(["true", "False", "yes", "NO", "1", "0", "maybe", ""])
 

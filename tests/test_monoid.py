@@ -70,7 +70,7 @@ def test_relation_composition_memo_is_bounded_and_exact():
             for b in rels:
                 a2, b2 = frozenset(list(a)), frozenset(list(b))
                 assert relation_compose(a, b) == relation_compose(a2, b2) == brute_compose(a, b)
-    assert len(monofix.monoid._COMPOSED) <= monofix.monoid._COMPOSED_MAX
+    assert relation_compose.cache_info().currsize <= 64
 
 
 def test_broken_subtraction_reports_associativity_counterexample():

@@ -1385,6 +1385,34 @@ def test_gauge_separating_vs_single_factor():
     assert g.kind is SpaceKind.PSEUDO
 
 
+def test_gauge_is_the_coordinatewise_product_on_the_diagonal():
+    factors = [
+        DistanceSpaceSpec(
+            point_descr="plane",
+            distance=lambda x, y, i=i: abs(x[i] - y[i]),
+            kind=SpaceKind.PSEUDO,
+            monoid=real_nonneg_monoid(),
+            ladder=dyadic_ladder(8 + i),
+            weierstrass_capable=True,
+            regular_order=True,
+            co_regular_order=i == 0,
+        )
+        for i in range(2)
+    ]
+    product = product_space(factors, "coordinatewise")
+    g = gauge_space(factors, samples=[(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    assert g.point_descr == "gauge(plane; 2 factors)" and g.kind is SpaceKind.DISTANCE
+    x, y = (0.0, 1.0), (2.0, 4.0)
+    assert g.distance(x, y) == product.distance((x, x), (y, y)) == (2.0, 3.0)
+    assert g.monoid.carrier_descr == product.monoid.carrier_descr and g.monoid.elementwise
+    assert g.ladder.rungs == product.ladder.rungs and len(g.ladder.rungs) == 8
+    flags = ("weierstrass_capable", "regular_order", "co_regular_order")
+    assert [getattr(g, f) for f in flags] == [True, True, False]
+    assert g.point_eq((0.0, 1.0), (0.0, 1.0)) and not g.point_eq((0.0, 1.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="at least one factor"):
+        gauge_space([])
+
+
 def test_gauge_convergence_matches_plain_metric():
     entry = get_space("gauge{3}")
     rng = random.Random(14)
