@@ -10,8 +10,6 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
-import pytest
-
 import monofix.monoid
 from monofix import catalog
 
