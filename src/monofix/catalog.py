@@ -10,7 +10,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .spaces import (
     DistanceSpaceSpec,
     FWSampler,
     SpaceKind,
+    full_relation,
     make_uniform_from_pseudometric,
     product_ladder,
     product_monoid,
@@ -58,7 +59,7 @@ class SpaceEntry:
 @dataclass(frozen=True)
 class MapEntry:
     name: str
-    space_name: str
+    space: DistanceSpaceSpec
     fn: Callable[[float], float]
     descr: str
     x0_default: float
@@ -108,10 +109,6 @@ def _int_param(name: str, arg: Optional[str], default: int, low: int, high: int)
 
 def real_nonneg_monoid() -> MonoidSpec:
     return MonoidSpec.real_entrywise("nonnegative reals (+, 0, <=)", 0.0)
-
-
-def real_vector_monoid(dim: int) -> MonoidSpec:
-    return MonoidSpec.real_entrywise(f"real {dim}-vectors (pointwise + and <=)", np.zeros(dim))
 
 
 _HIER_POINTS = tuple(range(8))
@@ -178,7 +175,7 @@ def get_monoid(name: str) -> MonoidEntry:
         )
     if base == "real_vector":
         dim = _int_param(name, arg, 3, 1, MAX_DIM)
-        spec = real_vector_monoid(dim)
+        spec = MonoidSpec.real_entrywise(f"real {dim}-vectors (pointwise + and <=)", np.zeros(dim))
         rng = child_rng(0, f"real_vector{dim}-samples")
         samples = [np.zeros(dim), np.ones(dim), np.arange(dim, dtype=float)]
         samples += [
@@ -212,13 +209,15 @@ def get_monoid(name: str) -> MonoidEntry:
             rungs = [s for s in (samples[3], samples[2], samples[1]) if s != spec.identity]
         else:
             delta = diagonal(pts)
-            full = frozenset((a, b) for a in pts for b in pts)
+            full = full_relation(pts)
             samples = (delta, full)
             rungs = [full]
         ladder = TestLadder.build(spec, rungs)
         return MonoidEntry(name=name, spec=spec, ladder=ladder, samples=tuple(samples))
     if base == "product":
-        parts = [get_monoid(p.strip()) for p in (arg or "real_nonneg,real_nonneg").split(",")]
+        if arg == "":
+            raise KeyError(f"{name!r}: need at least one factor")
+        parts = [get_monoid(p.strip()) for p in ("real_nonneg,real_nonneg" if arg is None else arg).split(",")]
         spec = product_monoid([p.spec for p in parts])
         ladder = product_ladder([p.ladder for p in parts], spec)
         combos = list(itertools.product(*[p.samples[:4] for p in parts]))
@@ -582,16 +581,13 @@ def get_space(name: str) -> SpaceEntry:
     if base == "gauge":
         scales = [1.0, 0.5, 2.0, 0.25, 4.0]
         scales = scales[: _int_param(name, arg, 3, 1, len(scales))]
+        real_abs = get_space("real_abs").space
         factors = [
-            DistanceSpaceSpec(
+            replace(
+                real_abs,
                 point_descr=f"reals with {c}|x-y|",
                 distance=(lambda c_: lambda x, y: c_ * abs(x - y))(c),
                 kind=SpaceKind.PSEUDO,
-                monoid=real_nonneg_monoid(),
-                ladder=dyadic_ladder(20),
-                weierstrass_capable=True,
-                regular_order=True,
-                co_regular_order=True,
             )
             for c in scales
         ]
@@ -599,7 +595,7 @@ def get_space(name: str) -> SpaceEntry:
         space = gauge_space(factors, samples=samples)
         return SpaceEntry(name=name, space=space, samples=samples)
     if base == "product":
-        parts = (arg or "real_abs,real_abs,sigma").split(",")
+        parts = ("real_abs,real_abs,sigma" if arg is None else arg).split(",")
         mode = parts[-1].strip()
         factor_entries = [get_space(p.strip()) for p in parts[:-1]]
         try:
@@ -669,7 +665,7 @@ def get_map(name: str) -> MapEntry:
     space = get_space("real_abs").space
     return MapEntry(
         name=name,
-        space_name="real_abs",
+        space=space,
         fn=fn,
         descr=descr,
         x0_default=x0,

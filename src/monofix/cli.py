@@ -47,7 +47,6 @@ from .monoid import cauchy_series_check, dyadic_ladder, is_null_trace
 from .multifix import coupled_fixed_point
 from .reporting import Decision
 from .spaces import (
-    DistanceSpaceSpec,
     PointTrace,
     converges_to,
     falsify_frechet_wilson,
@@ -264,8 +263,8 @@ FREDHOLM_TABLE = (
 )
 COUPLED_TABLE = (
     ("f", str, REQUIRED, None, None),
-    ("x0", float, REQUIRED, None, None),
-    ("y0", float, REQUIRED, None, None),
+    ("x0", finite_float, REQUIRED, None, None),
+    ("y0", finite_float, REQUIRED, None, None),
     ("lam_u", finite_float, REQUIRED, 0.0, None),
     ("lam_v", finite_float, REQUIRED, 0.0, None),
     ("budget", int, 200, 1, MAX_BUDGET),
@@ -357,13 +356,11 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
     return _finish_solve(out, report, header, "solve-fredholm")
 
 
-def _solve_catalog_map(
-    entry: catalog.MapEntry, space: DistanceSpaceSpec, driver: str, x0: float, budget: int
-) -> SolveReport:
-    """Run a catalog map through the named driver, with the map's own data."""
+def _solve_catalog_map(entry: catalog.MapEntry, driver: str, x0: float, budget: int) -> SolveReport:
+    """Run a catalog map through the named driver, on its space and with its own data."""
     return solve_with_driver(
         driver,
-        space,
+        entry.space,
         MapSpec(apply=entry.fn, order_leq=operator.le),
         x0,
         budget,
@@ -376,11 +373,10 @@ def _solve_catalog_map(
 
 def cmd_solve_map(args: argparse.Namespace) -> int:
     entry = catalog.get_map(args.map)  # argparse takes only catalog names
-    space = catalog.get_space(entry.space_name).space
     x0 = args.x0 if args.x0 is not None else entry.x0_for(args.driver)
     out = Path(args.out)
     with np.errstate(all="ignore"):
-        report = _solve_catalog_map(entry, space, args.driver, x0, args.budget)
+        report = _solve_catalog_map(entry, args.driver, x0, args.budget)
 
     if report.trace is not None:
         _write(out, "trace.csv", trace_csv(report.trace))
@@ -507,9 +503,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
         )
     elif name == "driver_agreement":
         entry = catalog.get_map("halving")
-        space = catalog.get_space(entry.space_name).space
+        space = entry.space
         reports = {
-            driver: _solve_catalog_map(entry, space, driver, entry.x0_for(driver), 200)
+            driver: _solve_catalog_map(entry, driver, entry.x0_for(driver), 200)
             for driver in ("sequential", "caristi", "meir-keeler", "monotone")
         }
         lines = [f"demo=driver_agreement map={entry.descr}"]

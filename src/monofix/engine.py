@@ -666,7 +666,6 @@ def solve_sequential(
     budget: int,
     second_seed: Optional[Any] = None,
     extra_step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
-    x1: Optional[Any] = None,
 ) -> SolveReport:
     """Orbitwise contraction driver through a sequence of monotone operators.
 
@@ -684,9 +683,8 @@ def solve_sequential(
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
     `extra_step_check` runs on every step, the seed step (x0, f(x0)) first,
-    before its distance is used.  f is applied to x0 once, or not at all when
-    the caller passes that step as `x1`: the orbits from x0 reuse it, so f
-    must be deterministic.
+    before its distance is used.  f is applied to x0 once: the orbits from x0
+    reuse that step, so f must be deterministic.
     """
     if mode not in SEQ_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -694,8 +692,7 @@ def solve_sequential(
     ladder = space.ladder
     diagnostics: list[str] = []
     apply = f.apply
-    if x1 is None:
-        x1 = apply(x0)
+    x1 = apply(x0)
     # every orbit from x0 starts with this step: take it once
     f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
     d0 = space.distance(x0, x1)
@@ -885,9 +882,9 @@ def solve_monotone(
             return "chain_monotonicity"
         return issue
 
-    report = solve_sequential(
-        space, f, lam, x0, mode, budget, extra_step_check=chain_check, x1=fx0
-    )
+    # the seed step is taken: solve_sequential reads it from this map
+    seeded = replace(f, apply=lambda x: fx0 if x is x0 else f.apply(x))
+    report = solve_sequential(space, seeded, lam, x0, mode, budget, extra_step_check=chain_check)
 
     if report.status is SolveStatus.CERTIFIED and report.trace is not None:
         pts = report.trace.points
@@ -910,53 +907,20 @@ def solve_monotone(
 # ---------------------------------------------------------------------------
 # Driver dispatch
 
-# Adapters by library name, each with the datum it cannot run without.  Each
-# looks its driver up in this module when called, so a wrapper installed on
-# the module attribute sees the call.
-_DRIVERS: dict[str, tuple[str, Callable[..., SolveReport]]] = {
-    "meir_keeler": (
-        "meir_keeler",
-        lambda space, f, x0, budget, data: solve_meir_keeler(
-            space, f, data["meir_keeler"], x0, list(data["sample_pairs"]), budget
-        ),
-    ),
-    "caristi": (
-        "caristi",
-        lambda space, f, x0, budget, data: solve_caristi(space, f, data["caristi"], x0, budget),
-    ),
-    "sequential": (
-        "lam",
-        lambda space, f, x0, budget, data: solve_sequential(
-            space, f, data["lam"], x0, data["mode"], budget
-        ),
-    ),
-    "monotone": (
-        "lam",
-        lambda space, f, x0, budget, data: solve_monotone(
-            space, f, data["lam"], x0, data["mode"], budget
-        ),
-    ),
-}
-
-# The command line spells meir_keeler as meir-keeler; both spellings work.
-CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVERS)
+# The drivers by library name.  The command line spells meir_keeler as
+# meir-keeler; both spellings work.
+_DRIVER_NAMES = ("meir_keeler", "caristi", "sequential", "monotone")
+CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVER_NAMES)
 
 
-def _driver_data(lam, mode, caristi, meir_keeler, sample_pairs) -> dict[str, Any]:
-    """The data the driver adapters read, by name (see `solve_with_driver`)."""
-    return dict(
-        lam=lam, mode=mode, caristi=caristi, meir_keeler=meir_keeler, sample_pairs=sample_pairs
-    )
-
-
-def _driver_key(name: str, data: Mapping[str, Any]) -> str:
-    """The table key of a driver name.  Raises ValueError for an unknown name
-    and when `data` lacks the datum that driver reads."""
+def _checked_driver(name: str, lam, caristi, meir_keeler) -> str:
+    """The library name of a driver name.  Raises ValueError for an unknown
+    name and when the datum that driver reads is None."""
     key = name.replace("-", "_")
-    if key not in _DRIVERS:
-        raise ValueError(f"unknown driver {name!r}; expected one of {', '.join(_DRIVERS)}")
-    needed = _DRIVERS[key][0]
-    if data[needed] is None:
+    if key not in _DRIVER_NAMES:
+        raise ValueError(f"unknown driver {name!r}; expected one of {', '.join(_DRIVER_NAMES)}")
+    needed = key if key in ("caristi", "meir_keeler") else "lam"
+    if {"lam": lam, "caristi": caristi, "meir_keeler": meir_keeler}[needed] is None:
         raise ValueError(f"driver {name!r} needs {needed}, which was not given")
     return key
 
@@ -978,8 +942,13 @@ def solve_with_driver(
     monotone), `caristi`, or `meir_keeler` and `sample_pairs`.  An unknown
     driver name, or a missing `lam`, `caristi` or `meir_keeler` for the
     driver that reads it, raises ValueError."""
-    data = _driver_data(lam, mode, caristi, meir_keeler, sample_pairs)
-    return _DRIVERS[_driver_key(driver, data)][1](space, f, x0, budget, data)
+    key = _checked_driver(driver, lam, caristi, meir_keeler)
+    if key == "meir_keeler":
+        return solve_meir_keeler(space, f, meir_keeler, x0, list(sample_pairs), budget)
+    if key == "caristi":
+        return solve_caristi(space, f, caristi, x0, budget)
+    solve = solve_sequential if key == "sequential" else solve_monotone
+    return solve(space, f, lam, x0, mode, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,17 +999,17 @@ def solve_parametrized(
     a driver whose datum (`lam`, `caristi` or `meir_keeler`) is missing
     raises ValueError before any row is solved.
     """
-    data = _driver_data(
-        config.lam, config.mode, config.caristi, config.meir_keeler, config.sample_pairs
-    )
-    if _driver_key(config.driver, data) == "monotone":
+    if _checked_driver(config.driver, config.lam, config.caristi, config.meir_keeler) == "monotone":
         raise ValueError("the monotone driver needs a point order; ParamConfig has none")
     reports: dict = {}
     for omega in omegas:
         fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x))
         x0 = config.x0(omega) if callable(config.x0) else config.x0
         try:
-            rep = solve_with_driver(config.driver, config.space, fmap, x0, config.budget, **data)
+            rep = solve_with_driver(
+                config.driver, config.space, fmap, x0, config.budget, lam=config.lam, mode=config.mode,
+                caristi=config.caristi, meir_keeler=config.meir_keeler, sample_pairs=config.sample_pairs,
+            )
         except ValueError as exc:
             rep = _violated(None, -1, "precondition", "", [f"precondition failed: {exc}"])
         reports[omega] = rep

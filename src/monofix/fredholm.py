@@ -115,8 +115,8 @@ class ConvergenceCertificate:
     spectral_bracket: tuple[float, float]
     spectral_bracket_pairs: int
     verdict: CertificateVerdict
-    overflow: bool = False
-    witness_index: Optional[int] = None
+    overflow: bool
+    witness_index: Optional[int]
 
     @property
     def spectral_radius(self) -> float:

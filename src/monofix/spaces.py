@@ -22,13 +22,13 @@ import numpy as np
 from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
 from ._util import below_rows, format_value, generic_eq
 from .monoid import (
+    RELATIONAL,
     MonoidSpec,
     MTrace,
     TestLadder,
     _tail_decision,
     cauchy_series_check,
     is_null_trace,
-    relation_compose,
 )
 from .reporting import CheckResult, Counterexample, Decision, ValidationReport
 
@@ -606,14 +606,9 @@ def relation_monoid(points: Sequence[Any], identity: Optional[frozenset] = None)
     on kernel-saturated relations.
     """
     ident = diagonal(points) if identity is None else frozenset(identity)
-    return MonoidSpec(
-        carrier_descr=f"relations on {len(points)} points (compose, ordered by inclusion)",
-        combine=relation_compose,
-        identity=ident,
-        leq=operator.le,
-        sup=operator.or_,
-        eq=operator.eq,
-    )
+    combine, leq, eq, sup = RELATIONAL
+    descr = f"relations on {len(points)} points (compose, ordered by inclusion)"
+    return MonoidSpec(descr, combine, ident, leq, sup, eq)
 
 
 def entourage_distance(base: Sequence[frozenset], x: Any, y: Any) -> frozenset:

@@ -1,6 +1,7 @@
 """Guards on what the benchmark harness in `perfbench/` relies on.
 
-The tracer must not turn off a fast path it times, and every recorded
+The tracer must not turn off a fast path it times, it must see every
+driver that `solve_with_driver` dispatches to, and every recorded
 outcome of `perfbench/reference.json` that does not depend on the BLAS
 thread count must replay unchanged.
 """
@@ -11,7 +12,8 @@ from io import StringIO
 from pathlib import Path
 
 import monofix.monoid
-from monofix import catalog
+from monofix import catalog, cli
+from monofix.engine import CLI_DRIVER_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
@@ -45,6 +47,21 @@ def replayed_ops(tmp_path: Path):
     for workload in ("audit-trials", "cli-mix"):
         configs = write_inputs(workload, 0, tmp_path / workload)
         yield from (op for op in every_op(workload, configs) if not op.key.startswith("solve-fredholm"))
+
+
+def test_tracer_sees_every_driver(tmp_path):
+    for driver in CLI_DRIVER_NAMES:
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            argv = ["solve-map", "--map", "halving", "--driver", driver, "--out", str(tmp_path / driver)]
+            with redirect_stdout(StringIO()):
+                assert cli.main(argv) == 0, driver
+        finally:
+            tracer.uninstall()
+        calls = {label: times["calls"] for label, times in tracing.layer_times(tracer.spans).items()}
+        assert calls["engine.solve_with_driver"] == 1, driver
+        assert calls["engine.solve_" + driver.replace("-", "_")] == 1, driver
 
 
 def test_replayed_outcomes_equal_the_reference(tmp_path):

@@ -452,6 +452,7 @@ def test_counts_below_one_exit_two(tmp_path, capsys, argv):
         "real_abs{3}",
         "product{real_abs,real_abs,zzz}",
         "product{real_abs,uniform_pseudometric{8},sigma}",
+        "product{}",
     ],
 )
 def test_check_space_bad_name_parameter_is_config_error(tmp_path, capsys, name):
@@ -585,11 +586,14 @@ def test_certificate_csv_matches_row_by_row_writer(kernel):
         ("budget", "-5", 6, "must be at least 1: -5"),
         ("budget", "8193", 6, "must be at most 8192: 8193"),
         ("budget", str(10**9), 6, f"must be at most 8192: {10**9}"),
+        *[(key, value, line, f"not a finite number: {value!r}")
+          for key, line in (("x0", 2), ("y0", 3)) for value in ("nan", "inf", "-inf", "1e999")],
     ],
 )
 def test_solve_coupled_bad_coefficient_or_budget_is_config_error(tmp_path, capsys, key, value, line, message):
-    # the step operator must map the positive cone into itself, and a series
-    # its tail bound cannot settle is traced to 2*budget terms
+    # the step operator must map the positive cone into itself, a series its
+    # tail bound cannot settle is traced to 2*budget terms, and a seed that is
+    # not finite would be reported as a violation of f
     cfg = tmp_path / "coupled.cfg"
     cfg.write_text("".join(
         f"{key} = {value}\n" if row.startswith(f"{key} =") else row + "\n"

@@ -27,8 +27,8 @@ from monofix import (
     validate_monoid,
 )
 from monofix.catalog import get_monoid, hierarchical_rho, real_nonneg_monoid
-from monofix.monoid import _require_positive, cauchy_series_window_report
-from monofix.spaces import diagonal, relation_compose, relation_monoid
+from monofix.monoid import _require_positive, cauchy_series_window_report, relation_compose
+from monofix.spaces import diagonal, relation_monoid
 from monofix._util import ATOL, RTOL, below_rows, close_entries, close_eq, first_below, format_value
 
 REAL = real_nonneg_monoid()
@@ -330,7 +330,10 @@ def test_budget_zero_admits_no_start_index():
 
 @pytest.mark.parametrize(
     "name",
-    ["real_vector{x}", "real_vector{0}", "grid_function{0}", "relation{1}", "real_nonneg{2}", "product{real_nonneg,zzz}"],
+    [
+        "real_vector{x}", "real_vector{0}", "grid_function{0}", "relation{1}", "real_nonneg{2}",
+        "product{real_nonneg,zzz}", "product{}",
+    ],
 )
 def test_get_monoid_rejects_bad_name_parameters(name):
     with pytest.raises(KeyError):

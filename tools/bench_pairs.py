@@ -3,12 +3,17 @@
     python3 tools/bench_pairs.py --parent REV --pairs 10 --first-seed 7301 \\
         --seconds 30 --workload audit-trials --out BENCH_N.json
 
-Run from the root of a monofix checkout.  The change side is this checkout's
-working tree.  The parent side is `git archive REV` unpacked into a temporary
-directory, a plain copy of the committed files that leaves nothing in `.git`,
-and that directory is removed at the end.  Pair i runs both sides with seed
-first-seed + i: the parent first on even pairs, the change first on odd ones,
-so that a drift of the machine's speed favours neither side.  Each run is
+Run from the root of a monofix checkout.  Both sides run from plain copies
+of committed files, unpacked by `git archive` into sibling directories of a
+temporary directory, `parent` and `change`, so that the two trees differ
+only in their files and not in where they sit; the temporary directory is
+removed at the end.  The parent side is REV.  The change side is the working
+tree of tracked files (a `git stash create` commit, which leaves the working
+tree and the stash list as they are), or HEAD when that tree is clean: add
+untracked files with `git add` first, or the change side runs without them.
+Pair i runs both sides with seed first-seed + i: the parent first on even
+pairs, the change first on odd ones, so that a drift of the machine's speed
+favours neither side.  Each run is
 
     python3 -m perfbench.run --workload W --seed S --seconds T --trace 0
 
@@ -17,7 +22,7 @@ median and quartiles (`statistics.quantiles(values, n=4)`), the pairs the
 change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
 range relative to its median.  It also records the seeds, the revisions and
-the environment that the runs report, each side's `wc -l src/monofix/*.py`
+the environment that the runs report, each tree's `wc -l src/monofix/*.py`
 total (`src_lines`) and its settable values (`src_options`, see
 `src_options`), which it prints.  After a workload's pairs, it times each
 reference key in `OP_PASSES` passes per side, in `OP_ROUNDS` rounds of
@@ -200,11 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 
-    change_root = Path.cwd()
-    declared = json.loads((change_root / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
     better = {metric["name"]: metric["better"] for metric in declared}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     dirty = git("status", "--porcelain", "--untracked-files=no")
+    change = git("stash", "create") or "HEAD"
     summary: dict = {
         "parent": git("rev-parse", args.parent),
         "change": git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else ""),
@@ -214,12 +219,12 @@ def main(argv: list[str] | None = None) -> int:
         "order": "parent first on even pairs (0-based), change first on odd pairs",
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp) / "tree"
-        parent_root.mkdir()
-        git("archive", "--format=tar", "-o", f"{tmp}/parent.tar", args.parent)
-        subprocess.run(["tar", "-xf", f"{tmp}/parent.tar", "-C", str(parent_root)], check=True)
-        roots = {"parent": parent_root, "change": change_root}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, rev in (("parent", args.parent), ("change", change)):
+            roots[side].mkdir()
+            git("archive", "--format=tar", "-o", f"{tmp}/{side}.tar", rev)
+            subprocess.run(["tar", "-xf", f"{tmp}/{side}.tar", "-C", str(roots[side])], check=True)
         for name, measure in (("src_lines", src_lines), ("src_options", src_options)):
             summary[name] = sides = {side: measure(root) for side, root in roots.items()}
             print(f"{name}: parent {sides['parent']} change {sides['change']}", flush=True)
@@ -228,8 +233,7 @@ def main(argv: list[str] | None = None) -> int:
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    root = parent_root if side == "parent" else change_root
-                    runs[side].append(run(root, workload, seed, args.seconds))
+                    runs[side].append(run(roots[side], workload, seed, args.seconds))
                     got = runs[side][-1]["result"]["metrics"]
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
