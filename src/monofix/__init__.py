@@ -38,7 +38,6 @@ from .engine import (
     LambdaSequence,
     MapSpec,
     MeirKeelerData,
-    ParamConfig,
     ParamResult,
     SolveReport,
     SolveStatus,

@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import WordBlock, child_rng, replay, uniforms
 from .engine import CaristiData, LambdaSequence, MeirKeelerData, next_rung_choice
 from .fredholm import grid_function_monoid, grid_ladder
-from .monoid import MonoidSpec, MTrace, TestLadder, dyadic_ladder
+from .monoid import MonoidSpec, TestLadder, dyadic_ladder
 from ._util import close_eq
 from .spaces import (
     DistanceSpaceSpec,
@@ -41,8 +41,6 @@ class MonoidEntry:
     spec: MonoidSpec
     ladder: TestLadder
     samples: tuple
-    null_battery: tuple = ()
-    notnull_battery: tuple = ()
     broken: bool = False
 
 
@@ -146,32 +144,14 @@ def _relation_samples(points: Sequence[int]) -> tuple:
     return (delta, sublevel(0.25), sublevel(0.5), sublevel(1.0), *extras)
 
 
-def _real_batteries() -> tuple[tuple, tuple]:
-    # equal lengths, and every trace (hence every pairwise sum) falls well
-    # below the depth-20 rung inside the common prefix
-    null = (
-        MTrace.of([2.0 ** -(n + 1) for n in range(80)]),
-        MTrace.of([5.0 * 3.0 ** -(n + 1) for n in range(80)]),
-        MTrace.of([0.0] * 80),
-    )
-    notnull = (
-        MTrace.of([0.3] * 40),
-        MTrace.of([0.5 + 1.0 / (n + 1) for n in range(40)]),
-    )
-    return null, notnull
-
-
 def get_monoid(name: str) -> MonoidEntry:
     base, arg = _parse_name(name, ("real_nonneg", "broken_subtraction"))
     if base == "real_nonneg":
-        null, notnull = _real_batteries()
         return MonoidEntry(
             name=name,
             spec=real_nonneg_monoid(),
             ladder=dyadic_ladder(20),
             samples=(0.0, 1.0, 2.5, 0.25, 1.0 / 3.0, 0.7, 5.0, 0.001, 12.0, 0.0625),
-            null_battery=null,
-            notnull_battery=notnull,
         )
     if base == "real_vector":
         dim = _int_param(name, arg, 3, 1, MAX_DIM)
@@ -188,19 +168,7 @@ def get_monoid(name: str) -> MonoidEntry:
         rng = child_rng(0, f"grid_function{m}-samples")
         samples = [np.zeros(m), np.full(m, 0.5), np.linspace(0, 1, m)]
         samples += [np.array([rng.uniform(0, 2) for _ in range(m)]) for _ in range(7)]
-        null = (
-            MTrace.of([np.full(m, 2.0 ** -(n + 1)) for n in range(80)]),
-            MTrace.of([np.full(m, 0.7 * 2.0 ** -(n + 1)) for n in range(80)]),
-        )
-        notnull = (MTrace.of([np.full(m, 0.3)] * 40),)
-        return MonoidEntry(
-            name=name,
-            spec=spec,
-            ladder=grid_ladder(m),
-            samples=tuple(samples),
-            null_battery=null,
-            notnull_battery=notnull,
-        )
+        return MonoidEntry(name=name, spec=spec, ladder=grid_ladder(m), samples=tuple(samples))
     if base == "relation":
         pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))
         spec = relation_monoid(pts)
@@ -427,7 +395,7 @@ def omega_distance(x: tuple, y: tuple) -> float:
     return 1.0 / (x[1] if kx == "n" or ky == "inf" else y[1]) ** 2
 
 
-def omega_space(n_max: int = 128) -> DistanceSpaceSpec:
+def omega_space(n_max: int) -> DistanceSpaceSpec:
     """Naturals, a parallel copy of marked points, and one point at infinity.
 
     Distinct naturals sit at distance one from each other while both copies

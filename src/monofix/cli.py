@@ -253,7 +253,7 @@ FREDHOLM_TABLE = (
     ("interval_b", float, 1.0, None, None),
     ("nodes", int, 101, 2, MAX_NODES),
     ("kernel", str, REQUIRED, None, None),
-    ("majorant", str, None, None, None),  # required for expr kernels
+    ("majorant", str, None, None, None),  # required for expr kernels, refused for others
     ("f", str, "0", None, None),
     ("ladder_depth", int, 20, 1, MAX_SOLVE_LADDER_DEPTH),
     ("budget", int, 200, 1, MAX_BUDGET),
@@ -314,6 +314,9 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
         qdescr = f"expr {parts[1]}"
     else:
         raise ConfigError(f"unknown kernel {kname!r}", line=kline, field="kernel")
+    if kname != "expr" and cfg["majorant"] is not None:
+        message = f"only an expr kernel takes a majorant, not {kname}"
+        raise ConfigError(message, line=lines["majorant"], field="majorant")
 
     fline = lines["f"]
     f_expr = _expression(cfg["f"], ("t",), fline, "f")

@@ -163,14 +163,15 @@ def picard_iterate(
     f: MapSpec,
     x0: Any,
     budget: int,
-    step_check: Optional[Callable[[int, Any, Any], Optional[str]]] = None,
+    step_check: Optional[Callable[[int, Any, Any, Any], Optional[str]]] = None,
 ) -> IterationTrace:
     """Iterate x -> f(x) at most `budget` times.
 
     Stops early when the point repeats exactly or once the consecutive
     distance has stayed strictly below the bottom rung for `STOP_WINDOW`
-    steps in a row.  `step_check(k, x_k, x_{k+1})` may return the name of a
-    violated condition; iteration stops there and the flag records it.
+    steps in a row.  `step_check(k, x_k, x_{k+1}, d(x_k, x_{k+1}))` may
+    return the name of a violated condition; iteration stops there and the
+    flag records it.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -189,7 +190,7 @@ def picard_iterate(
         points.append(nxt)
         consec.append(d)
         if step_check is not None:
-            violated = step_check(k, cur, nxt)
+            violated = step_check(k, cur, nxt, d)
             if violated is not None:
                 flags.append(f"violated:{violated}")
                 stopped = True
@@ -450,8 +451,7 @@ def solve_caristi(
     phi0 = cd.potential(x0)
     running = {"sum": m.identity}
 
-    def check(k: int, cur: Any, nxt: Any) -> Optional[str]:
-        d = space.distance(cur, nxt)
+    def check(k: int, cur: Any, nxt: Any, d: Any) -> Optional[str]:
         lhs = m.combine(cd.eta(d), cd.potential(nxt))
         if not m.leq(lhs, cd.potential(cur)):
             return "potential_descent"
@@ -682,20 +682,22 @@ def solve_sequential(
     mode="orbit_bounded": requires a constructible bound on sampled orbit pair
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
-    `extra_step_check` runs on every step, the seed step (x0, f(x0)) first,
-    before its distance is used.  f is applied to x0 once: the orbits from x0
-    reuse that step, so f must be deterministic.
+    `extra_step_check` runs once on every step, the seed step (x0, f(x0))
+    first, before its distance is used.  f is applied to x0 and that step is
+    measured once: the orbits from x0 reuse both, so f and the distance must
+    be deterministic.
     """
     if mode not in SEQ_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     m = space.monoid
     ladder = space.ladder
     diagnostics: list[str] = []
-    apply = f.apply
+    apply, distance = f.apply, space.distance
     x1 = apply(x0)
-    # every orbit from x0 starts with this step: take it once
+    d0 = distance(x0, x1)
+    # every orbit from x0 starts with this step: take and measure it once
     f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
-    d0 = space.distance(x0, x1)
+    space = replace(space, distance=lambda x, y: d0 if x is x0 and y is x1 else distance(x, y))
     horizon = 2 * budget
     violated = extra_step_check(0, x0, x1) if extra_step_check is not None else None
     if violated is not None:
@@ -775,12 +777,11 @@ def solve_sequential(
 
     prev_d = {"d": None}
 
-    def series_check(k: int, cur: Any, nxt: Any) -> Optional[str]:
-        if extra_step_check is not None:
+    def series_check(k: int, cur: Any, nxt: Any, d: Any) -> Optional[str]:
+        if extra_step_check is not None and k > 0:  # the seed step is checked above
             issue = extra_step_check(k, cur, nxt)
             if issue is not None:
                 return issue
-        d = space.distance(cur, nxt)
         if mode == "series" and prev_d["d"] is not None:
             allowed = lam.op_at(k)(prev_d["d"])
             if not (m.leq(d, allowed) or m.eq(d, allowed)):
@@ -877,6 +878,8 @@ def solve_monotone(
         return _violated(seed, 0, "seed_order", witness, ())
 
     def chain_check(k: int, cur: Any, nxt: Any) -> Optional[str]:
+        if k == 0:  # the seed step is checked above
+            return None
         issue = extra_step_check(k, cur, nxt) if extra_step_check is not None else None
         if issue is None and not leq(cur, nxt):
             return "chain_monotonicity"
@@ -913,14 +916,14 @@ _DRIVER_NAMES = ("meir_keeler", "caristi", "sequential", "monotone")
 CLI_DRIVER_NAMES = tuple(name.replace("_", "-") for name in _DRIVER_NAMES)
 
 
-def _checked_driver(name: str, lam, caristi, meir_keeler) -> str:
+def _checked_driver(name: str, data: Mapping[str, Any]) -> str:
     """The library name of a driver name.  Raises ValueError for an unknown
-    name and when the datum that driver reads is None."""
+    name and when the datum that driver reads is missing from `data` or None."""
     key = name.replace("-", "_")
     if key not in _DRIVER_NAMES:
         raise ValueError(f"unknown driver {name!r}; expected one of {', '.join(_DRIVER_NAMES)}")
     needed = key if key in ("caristi", "meir_keeler") else "lam"
-    if {"lam": lam, "caristi": caristi, "meir_keeler": meir_keeler}[needed] is None:
+    if data.get(needed) is None:
         raise ValueError(f"driver {name!r} needs {needed}, which was not given")
     return key
 
@@ -942,7 +945,7 @@ def solve_with_driver(
     monotone), `caristi`, or `meir_keeler` and `sample_pairs`.  An unknown
     driver name, or a missing `lam`, `caristi` or `meir_keeler` for the
     driver that reads it, raises ValueError."""
-    key = _checked_driver(driver, lam, caristi, meir_keeler)
+    key = _checked_driver(driver, {"lam": lam, "caristi": caristi, "meir_keeler": meir_keeler})
     if key == "meir_keeler":
         return solve_meir_keeler(space, f, meir_keeler, x0, list(sample_pairs), budget)
     if key == "caristi":
@@ -956,30 +959,6 @@ def solve_with_driver(
 
 
 @dataclass(frozen=True)
-class ParamConfig:
-    """How to solve each member of a parametrized family.
-
-    `driver` is sequential, caristi or meir_keeler (meir-keeler also works);
-    the data fields feed that driver, as in `solve_with_driver`.  The
-    monotone driver is not available here: it needs a point order, which a
-    ParamConfig does not carry.  `x0` may be a point or a callable of the
-    parameter.  `admissible` is an optional predicate over the assembled
-    parameter -> fixed point table.
-    """
-
-    space: DistanceSpaceSpec
-    driver: str = "sequential"
-    x0: Any = None
-    budget: int = 200
-    mode: str = "series"
-    lam: Optional[LambdaSequence] = None
-    caristi: Optional[CaristiData] = None
-    meir_keeler: Optional[MeirKeelerData] = None
-    sample_pairs: tuple = ()
-    admissible: Optional[Callable[[Mapping[Any, Any]], bool]] = None
-
-
-@dataclass(frozen=True)
 class ParamResult:
     reports: dict
     admissible: Optional[bool]
@@ -989,42 +968,49 @@ class ParamResult:
 def solve_parametrized(
     family: Callable[[Any, Any], Any],
     omegas: Sequence[Any],
-    config: ParamConfig,
+    driver: str,
+    space: DistanceSpaceSpec,
+    x0: Any,
+    budget: int,
+    *,
+    admissible: Optional[Callable[[Mapping[Any, Any]], bool]] = None,
+    **driver_data: Any,
 ) -> ParamResult:
     """Solve x = family(omega, x) for each parameter value independently.
 
-    Per-parameter failures are isolated into their own reports.  When every
-    row certifies, the admissibility predicate (if any) is evaluated on the
-    assembled fixed-point table.  An unknown driver, the monotone driver, or
-    a driver whose datum (`lam`, `caristi` or `meir_keeler`) is missing
-    raises ValueError before any row is solved.
+    Each row runs `solve_with_driver(driver, space, f, x0, budget,
+    **driver_data)`; `driver` is sequential, caristi or meir_keeler
+    (meir-keeler also works), and `x0` may be a point or a callable of the
+    parameter.  Per-parameter failures are isolated into their own reports.
+    When every row certifies, the admissibility predicate (if any) is
+    evaluated on the assembled parameter -> fixed point table.  An unknown
+    driver, the monotone driver (it needs a point order, which a family
+    does not carry), or a driver whose datum (`lam`, `caristi` or
+    `meir_keeler`) is missing raises ValueError before any row is solved.
     """
-    if _checked_driver(config.driver, config.lam, config.caristi, config.meir_keeler) == "monotone":
-        raise ValueError("the monotone driver needs a point order; ParamConfig has none")
+    if _checked_driver(driver, driver_data) == "monotone":
+        raise ValueError("the monotone driver needs a point order; a family has none")
     reports: dict = {}
     for omega in omegas:
         fmap = MapSpec(apply=lambda x, _o=omega: family(_o, x))
-        x0 = config.x0(omega) if callable(config.x0) else config.x0
+        start = x0(omega) if callable(x0) else x0
         try:
-            rep = solve_with_driver(
-                config.driver, config.space, fmap, x0, config.budget, lam=config.lam, mode=config.mode,
-                caristi=config.caristi, meir_keeler=config.meir_keeler, sample_pairs=config.sample_pairs,
-            )
+            rep = solve_with_driver(driver, space, fmap, start, budget, **driver_data)
         except ValueError as exc:
             rep = _violated(None, -1, "precondition", "", [f"precondition failed: {exc}"])
         reports[omega] = rep
 
-    admissible = None
+    verdict = None
     diagnostics: list[str] = []
-    if config.admissible is not None:
+    if admissible is not None:
         if all(r.status is SolveStatus.CERTIFIED for r in reports.values()):
             table = {o: r.fixed_point for o, r in reports.items()}
-            admissible = bool(config.admissible(table))
-            diagnostics.append(f"admissibility predicate: {admissible}")
+            verdict = bool(admissible(table))
+            diagnostics.append(f"admissibility predicate: {verdict}")
         else:
             diagnostics.append(
                 "admissibility not evaluated: some rows failed to certify"
             )
     return ParamResult(
-        reports=reports, admissible=admissible, diagnostics=tuple(diagnostics)
+        reports=reports, admissible=verdict, diagnostics=tuple(diagnostics)
     )

@@ -249,11 +249,10 @@ def grid_function_monoid(m: int) -> MonoidSpec:
 
 def grid_ladder(m: int, depth: int = 20) -> TestLadder:
     """Constant grid functions at the heights of `dyadic_ladder(depth)`."""
-    heights = dyadic_ladder(depth)
-    return TestLadder(tuple(np.full(m, h) for h in heights.rungs), heights.halving_witness)
+    return TestLadder(tuple(np.full(m, h) for h in dyadic_ladder(depth).rungs))
 
 
-def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpaceSpec:
+def grid_space(grid: Grid, ladder: TestLadder) -> DistanceSpaceSpec:
     m = len(grid)
     monoid = grid_function_monoid(m)
     return DistanceSpaceSpec(
@@ -261,7 +260,7 @@ def grid_space(grid: Grid, ladder: Optional[TestLadder] = None) -> DistanceSpace
         distance=lambda x, y: np.abs(x - y),
         kind=SpaceKind.DISTANCE,
         monoid=monoid,
-        ladder=ladder if ladder is not None else grid_ladder(m),
+        ladder=ladder,
         point_eq=lambda x, y: bool(np.array_equal(x, y)),
         weierstrass_capable=True,
         regular_order=True,

@@ -114,19 +114,15 @@ def _not_descending(spec: MonoidSpec, rungs: Sequence[Any]) -> Optional[int]:
 class TestLadder:
     """A finite descending chain of strictly positive monoid elements.
 
-    `halving_witness[i]` is the index of a rung delta with
-    combine(delta, delta) <= rungs[i], or None when no rung qualifies.  A
-    witness is required for every rung except the bottom one: the bottom rung
-    is the truncation point of the chain, so nothing below it is available.
-    `build` refuses rungs that do not strictly descend, and starts each
-    rung's search at the previous rung's witness (transitivity; None carries
-    forward).
+    `build` refuses rungs that do not strictly descend; `validate_ladder`
+    checks positivity, descent and the halving property (every rung but the
+    bottom one, the truncation point of the chain, has a rung delta with
+    combine(delta, delta) <= it).
     """
 
     __test__ = False  # not a test class, despite the name
 
     rungs: tuple
-    halving_witness: tuple[Optional[int], ...]
 
     @property
     def bottom(self) -> Any:
@@ -142,14 +138,7 @@ class TestLadder:
         if bad is not None:
             pair = _pair_repr(*rungs[bad : bad + 2])
             raise ValueError(f"ladder rungs {bad},{bad + 1} do not strictly descend: {pair}")
-        halves = lambda j, eps: spec.leq(spec.combine(rungs[j], rungs[j]), eps)
-        witnesses: list[Optional[int]] = []
-        start: Optional[int] = 0
-        for eps in rungs:
-            if start is not None:  # None: no rung halves the one above, nor this one
-                start = next((j for j in range(start, len(rungs)) if halves(j, eps)), None)
-            witnesses.append(start)
-        return cls(rungs=rungs, halving_witness=tuple(witnesses))
+        return cls(rungs=rungs)
 
 
 # The deepest dyadic ladder whose bottom rung, 2**-1074, is a positive float.
@@ -160,9 +149,7 @@ def dyadic_ladder(depth: int = 20) -> TestLadder:
     """The standard real ladder 1/2, 1/4, ..., 2**-depth, depth 1 to 1074."""
     if not 1 <= depth <= MAX_LADDER_DEPTH:
         raise ValueError(f"ladder depth must be from 1 to {MAX_LADDER_DEPTH}, not {depth}")
-    rungs = tuple(2.0 ** -(i + 1) for i in range(depth))
-    witnesses = tuple(i + 1 if i + 1 < depth else None for i in range(depth))
-    return TestLadder(rungs=rungs, halving_witness=witnesses)
+    return TestLadder(rungs=tuple(2.0 ** -(i + 1) for i in range(depth)))
 
 
 @dataclass(frozen=True)

@@ -793,8 +793,7 @@ def product_space(spaces: Sequence[DistanceSpaceSpec], mode: str) -> DistanceSpa
 
 
 def gauge_space(
-    pseudo_spaces: Sequence[DistanceSpaceSpec],
-    samples: Optional[Sequence[Any]] = None,
+    pseudo_spaces: Sequence[DistanceSpaceSpec], samples: Sequence[Any]
 ) -> DistanceSpaceSpec:
     """Bundle pseudo-distances on one carrier into a product-monoid distance:
     the coordinatewise product of the factors, read on its diagonal.

@@ -98,8 +98,9 @@ def test_solve_fredholm_malformed_config(tmp_path):
         ("kernel = expr 0.1*(t-0.5)*x\nmajorant = 0.1*(t-0.5)\nf = t\n", "majorant"),  # negative
         ("kernel = constant -0.5\nf = 1\n", "kernel"),
         ("kernel = product_ts\nf = 1/t\n", "f"),
+        ("kernel = constant 0.5\nmajorant = 1\nf = t\n", "majorant"),  # a built-in kernel has its own
     ],
-    ids=["majorant-not-finite", "majorant-negative", "kernel-negative", "f-not-finite"],
+    ids=["majorant-not-finite", "majorant-negative", "kernel-negative", "f-not-finite", "majorant-not-expr"],
 )
 def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, lines, field):
     cfg = tmp_path / "bad.cfg"

@@ -10,7 +10,6 @@ from monofix import (
     LambdaSequence,
     MapSpec,
     MeirKeelerData,
-    ParamConfig,
     SolveStatus,
     cauchy_series_check,
     dyadic_ladder,
@@ -62,7 +61,7 @@ def test_picard_divergent_uses_full_budget():
 def test_picard_records_the_violated_condition():
     f = MapSpec(apply=lambda x: x / 2 + 1)
     trace = picard_iterate(
-        SPACE, f, 0.0, budget=50, step_check=lambda k, cur, nxt: "too_far" if k == 2 else None
+        SPACE, f, 0.0, budget=50, step_check=lambda k, cur, nxt, d: "too_far" if k == 2 else None
     )
     assert trace.violated == "too_far"
     assert trace.flags == ("ok", "ok", "violated:too_far")
@@ -318,6 +317,25 @@ def test_sequential_step_witness_follows_the_condition(condition, witness):
     assert rep.violation.witness == witness
 
 
+@pytest.mark.parametrize("driver", ["sequential", "monotone", "caristi"])
+def test_each_step_is_checked_and_measured_once(driver):
+    # halving takes 26 steps: one distance per step, the seed step's
+    # measured by the driver, and one for the residual
+    calls, seed_checks = [], []
+    counted = replace(SPACE, distance=lambda x, y: calls.append((x, y)) or SPACE.distance(x, y))
+    f = MapSpec(apply=HALVING.fn, order_leq=lambda a, b: a <= b)
+    x0 = HALVING.x0_for(driver)
+    if driver == "caristi":
+        rep = solve_caristi(counted, f, HALVING.caristi, x0, 200)
+    else:
+        check = lambda k, _cur, _nxt: seed_checks.append(k) if k == 0 else None
+        solve = solve_sequential if driver == "sequential" else solve_monotone
+        rep = solve(counted, f, HALVING.lam, x0, "series", 200, extra_step_check=check)
+        assert seed_checks == [0]
+    assert (rep.status, rep.iterations) == (SolveStatus.CERTIFIED, 26)
+    assert len(calls) == 27 and len(set(calls)) == 27
+
+
 def test_sequential_unbounded_orbit_violates():
     lam = LambdaSequence.constant(lambda t: t / 2)
     rep = solve_sequential(SPACE, MapSpec(apply=lambda x: x + 1), lam, 0.0, "orbit_bounded", 60)
@@ -448,18 +466,14 @@ def test_monotone_supremum_uniqueness_diagnostics():
 
 def test_parametrized_affine_family():
     family = lambda omega, x: x / 2 + omega
-    cfg = ParamConfig(
-        space=SPACE,
-        driver="sequential",
-        x0=0.0,
-        budget=200,
+    result = solve_parametrized(
+        family, [0.0, 1.0, 2.0], "sequential", SPACE, 0.0, 200,
         mode="series",
         lam=LambdaSequence.constant(lambda t: t / 2),
         admissible=lambda table: all(
             table[a] <= table[b] for a, b in zip(sorted(table), sorted(table)[1:])
         ),
     )
-    result = solve_parametrized(family, [0.0, 1.0, 2.0], cfg)
     # closed form oracle: fixed point is 2 omega
     for omega, rep in result.reports.items():
         assert rep.status is SolveStatus.CERTIFIED
@@ -467,33 +481,34 @@ def test_parametrized_affine_family():
     assert result.admissible is True
 
 
+def test_parametrized_takes_x0_of_the_parameter():
+    # each row starts at its own fixed point 2 omega, so none iterates
+    family = lambda omega, x: x / 2 + omega
+    lam = LambdaSequence.constant(lambda t: t / 2)
+    result = solve_parametrized(family, [0.0, 1.0, 2.0], "sequential", SPACE, lambda omega: 2 * omega, 50, lam=lam)
+    for omega, rep in result.reports.items():
+        assert (rep.status, rep.fixed_point, rep.iterations) == (SolveStatus.CERTIFIED, 2 * omega, 0)
+    assert result.admissible is None and result.diagnostics == ()
+
+
 def test_parametrized_isolates_failures():
     def family(omega, x):
         return x + 1 if omega == 1 else x / 2
 
-    cfg = ParamConfig(
-        space=SPACE,
-        driver="sequential",
-        x0=4.0,
-        budget=100,
-        mode="series",
-        lam=LambdaSequence.constant(lambda t: t / 2),
+    result = solve_parametrized(
+        family, [0, 1, 2], "sequential", SPACE, 4.0, 100,
+        mode="series", lam=LambdaSequence.constant(lambda t: t / 2),
     )
-    result = solve_parametrized(family, [0, 1, 2], cfg)
     assert result.reports[0].status is SolveStatus.CERTIFIED
     assert result.reports[2].status is SolveStatus.CERTIFIED
     assert result.reports[1].status is not SolveStatus.CERTIFIED
 
 
-def _scaling_config(driver):
+def _scaling_data():
     # x -> omega x with omega <= 1/2 contracts by at least one half and
     # descends along the potential 2|x|; the fixed point is 0 for every omega
     ladder = SPACE.ladder
-    return ParamConfig(
-        space=SPACE,
-        driver=driver,
-        x0=4.0,
-        budget=200,
+    return dict(
         lam=LambdaSequence.constant(lambda t: t / 2),
         caristi=CaristiData(potential=lambda x: 2.0 * abs(x), eta=lambda a: a),
         meir_keeler=MeirKeelerData(delta_of=next_rung_choice(ladder), zeta=SPACE.monoid.combine),
@@ -503,7 +518,8 @@ def _scaling_config(driver):
 
 @pytest.mark.parametrize("driver", ["sequential", "caristi", "meir_keeler", "meir-keeler"])
 def test_parametrized_each_driver_certifies(driver):
-    result = solve_parametrized(lambda omega, x: omega * x, [0.25, 0.5], _scaling_config(driver))
+    family = lambda omega, x: omega * x
+    result = solve_parametrized(family, [0.25, 0.5], driver, SPACE, 4.0, 200, **_scaling_data())
     for rep in result.reports.values():
         assert rep.status is SolveStatus.CERTIFIED, rep.to_text()
         assert abs(rep.fixed_point) < BOTTOM and rep.iterations > 0
@@ -521,7 +537,7 @@ def test_parametrized_rejects_driver_before_any_row(driver, message):
         return x / 2
 
     with pytest.raises(ValueError, match=message):
-        solve_parametrized(family, [0.0, 1.0], _scaling_config(driver))
+        solve_parametrized(family, [0.0, 1.0], driver, SPACE, 4.0, 200, **_scaling_data())
     assert calls == []
 
 
@@ -538,13 +554,15 @@ def test_driver_without_its_datum_is_rejected_before_solving(driver, field):
 
     message = f"driver '{driver}' needs {field}"
     f = MapSpec(apply=lambda x: family(None, x), order_leq=lambda a, b: a <= b)
-    config = replace(_scaling_config(driver), **{field: None})
-    data = {name: getattr(config, name) for name in ("lam", "caristi", "meir_keeler", "sample_pairs")}
+    data = {**_scaling_data(), field: None}
     with pytest.raises(ValueError, match=message):
         solve_with_driver(driver, SPACE, f, 4.0, 200, **data)
     if driver != "monotone":
         with pytest.raises(ValueError, match=message):
-            solve_parametrized(family, [0.25, 0.5], config)
+            solve_parametrized(family, [0.25, 0.5], driver, SPACE, 4.0, 200, **data)
+        del data[field]  # a datum left out is missing as well
+        with pytest.raises(ValueError, match=message):
+            solve_parametrized(family, [0.25, 0.5], driver, SPACE, 4.0, 200, **data)
     assert calls == []
 
 

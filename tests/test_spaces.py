@@ -28,6 +28,7 @@ from monofix import (
     entourage_distance,
     falsify_frechet_wilson,
     gauge_space,
+    grid_ladder,
     grid_space,
     is_cauchy_sequence,
     is_null_trace,
@@ -150,14 +151,22 @@ def test_validate_zeta_battery():
     from monofix.catalog import get_monoid
 
     entry = get_monoid("real_nonneg")
+    # equal lengths, and every trace (hence every pairwise sum) falls well
+    # below the depth-20 rung inside the common prefix
+    null = (
+        MTrace.of([2.0 ** -(n + 1) for n in range(80)]),
+        MTrace.of([5.0 * 3.0 ** -(n + 1) for n in range(80)]),
+        MTrace.of([0.0] * 80),
+    )
+    notnull = (MTrace.of([0.3] * 40), MTrace.of([0.5 + 1.0 / (n + 1) for n in range(40)]))
     good = ZetaSpec(phi=lambda a: a, zeta=lambda a, b: a + b)
-    rep = validate_zeta(entry.spec, entry.ladder, good, entry.null_battery, entry.notnull_battery)
+    rep = validate_zeta(entry.spec, entry.ladder, good, null, notnull)
     assert rep.ok, rep.render()
     offset = ZetaSpec(phi=lambda a: a, zeta=lambda a, b: a + b + 0.3)
-    rep = validate_zeta(entry.spec, entry.ladder, offset, entry.null_battery, entry.notnull_battery)
+    rep = validate_zeta(entry.spec, entry.ladder, offset, null, notnull)
     assert any(c.name == "zeta_preserves_null" for c in rep.failures)
     crushing = ZetaSpec(phi=lambda a: 0.0, zeta=lambda a, b: a + b)
-    rep = validate_zeta(entry.spec, entry.ladder, crushing, entry.null_battery, entry.notnull_battery)
+    rep = validate_zeta(entry.spec, entry.ladder, crushing, null, notnull)
     assert any(c.name == "phi_reflects_null" for c in rep.failures)
 
 
@@ -621,7 +630,7 @@ def late_omega_ladder(n):
     """A one-rung ladder below which a standard omega candidate's premises
     fall only at the largest start, so that its counterexamples come late."""
     top, width = max(1, n - 65), min(64, n - 1)
-    return TestLadder(((top + width - 1.5) ** -2,), (None,))
+    return TestLadder(((top + width - 1.5) ** -2,))
 
 
 @pytest.mark.parametrize("name,level", STACKED_FW_CHECKS)
@@ -947,7 +956,7 @@ def test_fw_screen_scans_every_rung():
     # it (ATOL makes a small one a tie), and that rung, not the bottom rung
     # 1/16, decides; chains of steps amp/32 have a sum below 1/16 for amp
     # below about 0.24
-    space = dataclasses.replace(REAL_ABS.space, ladder=TestLadder((2.0**-40, 2.0**-4), (None, 0)))
+    space = dataclasses.replace(REAL_ABS.space, ladder=TestLadder((2.0**-40, 2.0**-4)))
 
     def make(seen):
         def build(key):
@@ -1297,7 +1306,9 @@ REAL_CARRIERS = {
         lambda: product_space([REAL_ABS.space, REAL_ABS.space], "coordinatewise"),
         {"_geometric_witness"},
     ),
-    "array": ("real_vector{2}", lambda: grid_space(Grid.trapezoid(0.0, 1.0, 2)), {"_geometric_witness"}),
+    "array": (
+        "real_vector{2}", lambda: grid_space(Grid.trapezoid(0.0, 1.0, 2), grid_ladder(2)), {"_geometric_witness"}
+    ),
 }
 
 
@@ -1410,7 +1421,7 @@ def test_gauge_is_the_coordinatewise_product_on_the_diagonal():
     assert [getattr(g, f) for f in flags] == [True, True, False]
     assert g.point_eq((0.0, 1.0), (0.0, 1.0)) and not g.point_eq((0.0, 1.0), (1.0, 0.0))
     with pytest.raises(ValueError, match="at least one factor"):
-        gauge_space([])
+        gauge_space([], samples=())
 
 
 def test_gauge_convergence_matches_plain_metric():
