@@ -158,16 +158,14 @@ def get_monoid(name: str) -> MonoidEntry:
         spec = MonoidSpec.real_entrywise(f"real {dim}-vectors (pointwise + and <=)", np.zeros(dim))
         rng = child_rng(0, f"real_vector{dim}-samples")
         samples = [np.zeros(dim), np.ones(dim), np.arange(dim, dtype=float)]
-        samples += [
-            np.array([rng.uniform(0, 3) for _ in range(dim)]) for _ in range(7)
-        ]
+        samples += list(_uniform(0.0, 3.0, uniforms(rng, 7 * dim)).reshape(7, dim))
         return MonoidEntry(name=name, spec=spec, ladder=grid_ladder(dim), samples=tuple(samples))
     if base == "grid_function":
         m = _int_param(name, arg, 8, 1, MAX_DIM)
         spec = grid_function_monoid(m)
         rng = child_rng(0, f"grid_function{m}-samples")
         samples = [np.zeros(m), np.full(m, 0.5), np.linspace(0, 1, m)]
-        samples += [np.array([rng.uniform(0, 2) for _ in range(m)]) for _ in range(7)]
+        samples += list(_uniform(0.0, 2.0, uniforms(rng, 7 * m)).reshape(7, m))
         return MonoidEntry(name=name, spec=spec, ladder=grid_ladder(m), samples=tuple(samples))
     if base == "relation":
         pts = tuple(range(_int_param(name, arg, 8, 2, MAX_POINTS)))

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._util import below_rows, close_band, first_below, format_value, generic_eq, ratio_bounds
 from .monoid import (
+    MonoidSpec,
     MTrace,
     TestLadder,
     cauchy_series_window_report,
@@ -103,8 +104,8 @@ class LambdaSequence:
     products are computed literally in outermost-first order.  `matrix`, when
     set, asserts that every operator is v -> matrix @ v for this one finite
     nonnegative matrix; over a monoid that adds float vectors entry by entry,
-    `solve_sequential` then decides the composed-product series from a
-    proven geometric tail (`_geometric_witness`).
+    `solve_sequential` then decides the composed-product series with
+    `_geometric_witness`, from a proven geometric tail where one settles it.
     """
 
     op_at: Callable[[int], Callable[[Any], Any]]
@@ -513,11 +514,12 @@ def lambda_product_trace(
 
 
 def _geometric_witness(
-    lam: LambdaSequence, d0: Any, ladder: TestLadder, budget: int
-) -> Optional[tuple[int, int, np.ndarray]]:
-    """The witness of the composed-product series of a matrix sequence,
-    decided from a proven geometric tail, or None to leave the decision to
-    the literal 2*budget-term trace.
+    lam: LambdaSequence, d0: Any, ladder: TestLadder, spec: MonoidSpec, budget: int
+) -> tuple[Decision, Optional[int], Optional[tuple], Optional[tuple[int, np.ndarray]]]:
+    """The decision, witness and offending window of the composed-product
+    series of a matrix sequence, as `cauchy_series_window_report` gives them
+    on the literal 2*budget-term trace, and (K, tail) when a proven
+    geometric tail settled them at term K, else None.
 
     The monoid must add, order and compare float vectors entry by entry (+,
     <= and close_eq, as `solve_sequential` checks), so that its
@@ -553,16 +555,16 @@ def _geometric_witness(
     its suffix sums after the ruled-out prefix move the prefix on, and the
     quotient is taken only if the new candidate can still pass.  So the
     check stops at the first K that settles the witness, and most terms
-    cost one matvec and a few scalars.  A term that is not finite makes the
-    next one not finite at every entry, so the watched entry finds it at
-    most one term late.
+    cost one matvec and a few scalars.
 
-    Returns (N, K, tail) at the first K that settles N <= budget.  Returns
-    None when a term is not finite, a usable quotient is not below 1
-    (NaN included), every start up to the budget is ruled out, no K up to
-    2*budget settles the witness, or the suffix sums of the exact checks
-    would take more than 2*budget rows in all: the literal window's suffix
-    sums take that many, and the check's sums never cost more.
+    The tail stops trying when a term is not finite, a usable quotient is
+    not below 1 (NaN included), every start up to the budget is ruled out,
+    or its exact checks would sum more than 2*budget rows, as many as the
+    window's.  The terms up to 2*budget are then finished with the same
+    `lam.op_at` calls, each computed once, and the window check decides.
+    A term that is not finite ends the check as NOT_NULL_WITHIN with the
+    window of that term alone: every suffix sum from a start up to it holds
+    it, and it makes the next term not finite at every entry.
     """
     bottom = np.asarray(ladder.bottom, dtype=float)
     value, v = d0, np.asarray(d0, dtype=float)  # the last term, as computed and as an array
@@ -571,7 +573,7 @@ def _geometric_witness(
     margin = 1.0 + 1e-9
     band = close_band(bottom)  # below it, close_eq tells a sum from the rung
     floor, ceil = float(band.min()) / margin, float(band.max()) * margin
-    terms: list[np.ndarray] = []
+    terms: list = []  # as computed: arrays or tuples
     ruled = 0  # every start N <= ruled is ruled out
     summed = 0  # rows the exact checks' suffix sums have taken
     watch, base = 0, 0.0  # the candidate's suffix at the watched entry
@@ -589,33 +591,33 @@ def _geometric_witness(
     for k in range(1, 2 * budget + 1):
         prev, value = v, lam.op_at(k)(value)
         v = np.asarray(value, dtype=float)
-        terms.append(v)
+        terms.append(value)
         if k == 1:
             watch = int(v.argmax())
         x, y = float(prev[watch]), float(v[watch])
         if not math.isfinite(y):
-            return None
+            break
         least, top = least * lo, top * hi
         base, low, high = base + y, low + least, high + top
         if y > bottom[watch]:  # so is every suffix that holds v_K
             ruled, base, low, high = k, 0.0, 0.0, 0.0
         if ruled >= budget:
-            return None
+            break
         q = y / x if x > 0.0 else 0.0
         if hopeless():
             continue
         if not np.isfinite(v).all():
-            return None
+            break
         window = terms[ruled:][::-1]  # v_K, ..., v_{ruled+1}
         summed += len(window)
         if summed > 2 * budget:
-            return None
+            break
         if window:
-            sums = np.cumsum(np.array(window), axis=0)[::-1]
+            sums = np.cumsum(np.array(window, dtype=float), axis=0)[::-1]
             first = first_below(sums, bottom)
             ruled += len(sums) if first is None else first
             if ruled >= budget:
-                return None
+                break
             suffix = np.zeros_like(v) if first is None else sums[first]
             base, low, high = float(suffix[watch]), float(suffix.min()), float(suffix.max())
         if math.isinf(top) or not hopeless():  # the first quotient seeds the term bounds
@@ -625,7 +627,7 @@ def _geometric_witness(
                     continue
                 lo, hi = float(pair[0][0]), float(pair[1][0])
                 if not hi < 1.0:
-                    return None
+                    break
             least, top = float(v.min()), float(v.max())
         if hopeless():
             continue
@@ -634,11 +636,18 @@ def _geometric_witness(
         for term in window[: k - ruled]:
             bound += term
         if below_rows(bound, bottom):
-            return ruled + 1, k, tail
+            return Decision.NULL, ruled + 1, None, (k, tail)
         if ruled < k:  # watch the entry of the candidate's bound nearest its rung
             watch = int(np.argmax(bound - bottom))
             base = float(suffix[watch])
-    return None
+    while len(terms) < 2 * budget and np.isfinite(v).all():
+        value = lam.op_at(len(terms) + 1)(value)
+        v = np.asarray(value, dtype=float)
+        terms.append(value)
+    bad = next((n for n, term in enumerate(terms, 1) if not np.isfinite(term).all()), None)
+    if bad is not None:
+        return Decision.NOT_NULL_WITHIN, None, (bad, bad, terms[bad - 1]), None
+    return (*cauchy_series_window_report(MTrace(tuple(terms), budget), ladder, spec), None)
 
 
 SEQ_MODES = ("series", "orbit_bounded")
@@ -674,11 +683,10 @@ def solve_sequential(
     2*budget); each step is audited against
     d(x_n, x_{n+1}) <= lam_n(d(x_{n-1}, x_n)).  When `lam.matrix` is set over
     an elementwise monoid of float vectors (arrays or tuples),
-    the check stops at the first term whose geometric tail bound settles the
-    same witness (`_geometric_witness`); when that bound cannot settle it (a quotient
-    not below 1, a term that is not finite, a witness past the budget, or
-    no settling term within 2*budget terms or 2*budget rows summed), the
-    literal trace decides.
+    `_geometric_witness` is the one decider of the series: it stops at the
+    first term whose geometric tail bound settles the literal witness, and
+    otherwise finishes the literal check on the terms it computed.  Any
+    other series is decided on `lambda_product_trace`.
     mode="orbit_bounded": requires a constructible bound on sampled orbit pair
     distances and a null composed-product trace at that bound; the stepwise
     existential contraction is witness-searched and reported as diagnostics.
@@ -698,7 +706,6 @@ def solve_sequential(
     # every orbit from x0 starts with this step: take and measure it once
     f = replace(f, apply=lambda x: x1 if x is x0 else apply(x))
     space = replace(space, distance=lambda x, y: d0 if x is x0 and y is x1 else distance(x, y))
-    horizon = 2 * budget
     violated = extra_step_check(0, x0, x1) if extra_step_check is not None else None
     if violated is not None:
         return _step_violated(_seed_trace(x0, x1, d0, budget, violated), _step_witness, diagnostics)
@@ -726,25 +733,18 @@ def solve_sequential(
         if m.eq(d0, m.identity):
             diagnostics.append("seed is already fixed; series check trivial")
         else:
-            found = None  # the tail bound needs float vectors: entrywise +, <= and close_eq
+            # the tail bound needs float vectors: entrywise +, <= and close_eq
             if lam.matrix is not None and m.elementwise and not isinstance(m.identity, float):
-                found = _geometric_witness(lam, d0, ladder, budget)
-            if found is not None:
-                decision, witness, offending = Decision.NULL, found[0], None
+                decision, witness, offending, _ = _geometric_witness(lam, d0, ladder, m, budget)
             else:
-                ptrace = lambda_product_trace(lam, d0, horizon, budget=budget)
-                decision, witness, offending = cauchy_series_window_report(
-                    ptrace, ladder, m
+                ptrace = lambda_product_trace(lam, d0, 2 * budget, budget=budget)
+                decision, witness, offending = cauchy_series_window_report(ptrace, ladder, m)
+            if decision is not Decision.NULL:  # a trace of 2*budget >= 1 terms has a window
+                n0, n1, s = offending
+                diagnostics.append(
+                    f"window [{n0},{n1}] of the composed-product series sums to "
+                    f"{format_value(s)}, not strictly below the bottom rung"
                 )
-            if decision is not Decision.NULL:
-                detail = ""
-                if offending is not None:
-                    n0, n1, s = offending
-                    detail = (
-                        f"window [{n0},{n1}] of the composed-product series sums to "
-                        f"{format_value(s)}, not strictly below the bottom rung"
-                    )
-                diagnostics.append(detail or "composed-product series check failed")
                 return _exhausted(diagnostics)
             diagnostics.append(
                 f"composed-product series is Cauchy within budget (witness N={witness})"
@@ -766,7 +766,7 @@ def solve_sequential(
             )
         diagnostics.append(f"orbit pair distances bounded by {format_value(bound)}")
         if not m.eq(bound, m.identity):
-            ptrace = lambda_product_trace(lam, bound, horizon, budget=budget)
+            ptrace = lambda_product_trace(lam, bound, 2 * budget, budget=budget)
             if is_null_trace(ptrace, ladder, m) is not Decision.NULL:
                 diagnostics.append(
                     "composed products applied to the orbit bound do not become null "

@@ -1,10 +1,13 @@
 """Guards on what the benchmark harness in `perfbench/` relies on.
 
 The tracer must not turn off a fast path it times, it must see every
-driver that `solve_with_driver` dispatches to, and every recorded
+driver that `solve_with_driver` dispatches to, its work counters must
+read only arguments that the functions they count take, and every recorded
 outcome of `perfbench/reference.json` that does not depend on the BLAS
 thread count must replay unchanged.
 """
+import importlib
+import inspect
 import json
 import sys
 from contextlib import redirect_stdout
@@ -73,3 +76,38 @@ def test_replayed_outcomes_equal_the_reference(tmp_path):
         with redirect_stdout(StringIO()):
             found = json.loads(json.dumps(outcome(op, out, execute(op, out))))
         assert found == reference[op.key], op.key
+
+
+class _Anything:
+    """A stand-in for any argument or result: it has a length and every
+    attribute, so a counter reads it as it reads the real one."""
+
+    def __len__(self) -> int:
+        return 1
+
+    def __getattr__(self, name: str) -> "_Anything":
+        return self
+
+
+class _ReadArguments(dict):
+    """Bound arguments that record the names a counter reads."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.read: set = set()
+
+    def __getitem__(self, name: str) -> _Anything:
+        self.read.add(name)
+        return _Anything()
+
+
+def test_tracer_counters_read_only_parameters_of_what_they_count():
+    # a counter reads its call's arguments by name; a parameter renamed in
+    # the program would make every traced run of that call raise
+    assert tracing.COUNTERS
+    for label, counter in tracing.COUNTERS.items():
+        module, _, name = label.partition(".")
+        parameters = inspect.signature(getattr(importlib.import_module(f"monofix.{module}"), name)).parameters
+        args = _ReadArguments()
+        counter(args, _Anything())
+        assert args.read <= parameters.keys(), label

@@ -498,3 +498,15 @@ def test_first_failing_trial_is_the_first_draw_of_the_failing_tuple(created_rngs
     assert got == want
     assert {c.name: c.trials for c in got.failures} == failing
     assert created_rngs[-1].random() == want_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("name, high", [("real_vector", 3), ("grid_function", 2)])
+@pytest.mark.parametrize("m", [1, 3, 8, 4096])
+def test_catalog_vector_samples_match_scalar_uniform_calls(name, high, m):
+    # the seven random samples of the catalog entry are drawn in bulk; the
+    # reference draws them one `rng.uniform(0, high)` call at a time
+    rng = child_rng(0, f"{name}{m}-samples")
+    want = [[rng.uniform(0, high) for _ in range(m)] for _ in range(7)]
+    samples = get_monoid(f"{name}{{{m}}}").samples
+    assert len(samples) == 10
+    assert [s.tolist() for s in samples[3:]] == want

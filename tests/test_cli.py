@@ -675,6 +675,40 @@ def test_non_finite_solve_is_a_verdict_not_a_warning(tmp_path, capsys, command, 
     assert "condition=non_finite_iterate\n" in (out / "violation.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "command, text, term, artifacts",
+    [
+        (
+            "solve-fredholm",
+            "nodes = 21\nkernel = expr 1e6*s*x\nmajorant = 1e6*s\nf = 1\nforce = true\n",
+            54,
+            ["certificate.csv", "report.txt", "violation.txt"],
+        ),
+        (
+            "solve-coupled",
+            "f = 0.3*u - 0.2*v + 1.0\nx0 = -10\ny0 = 10\nlam_u = 0\nlam_v = 1e300\n",
+            2,
+            ["report.txt", "violation.txt"],
+        ),
+    ],
+    ids=["fredholm-forced-overflow", "coupled-overflow"],
+)
+def test_series_term_that_is_not_finite_ends_the_check(tmp_path, capsys, command, text, term, artifacts):
+    # a series term overflows to inf and the next is 0*inf = nan: the check
+    # stops at the first such term, before the window check would refuse
+    # the nan as not positive
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run([command, cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == artifacts
+    report = (out / "report.txt").read_text()
+    assert "status=budget_exhausted\n" in report
+    assert f"note: window [{term},{term}] of the composed-product series sums to " in report
+    assert "status=budget_exhausted\n" in (out / "violation.txt").read_text()
+
+
 def _readme_key_blocks() -> dict[str, list[str]]:
     """The keys of each `<command>` key table in the README's config format."""
     text = (Path(__file__).parents[1] / "README.md").read_text()

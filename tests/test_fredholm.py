@@ -5,6 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofix import (
     CertificateNotConvergent,
@@ -640,6 +641,19 @@ def first_settling_term(lam, d0, ladder, spec, witness: int, terms: list) -> int
     raise AssertionError("no term settles the witness")
 
 
+def comparable(report: tuple) -> tuple:
+    """A window report's decision, witness and window, with the window's sum
+    as a list so that reports compare with ==."""
+    decision, witness, window = report[:3]
+    return decision, witness, window and (*window[:2], np.asarray(window[2]).tolist())
+
+
+def literal_report(lam, d0, ladder, spec, budget: int) -> tuple:
+    """The window report on the literal 2*budget-term trace."""
+    trace = lambda_product_trace(lam, d0, 2 * budget, budget=budget)
+    return cauchy_series_window_report(trace, ladder, spec)
+
+
 @pytest.mark.parametrize("m", [101, 401])
 @pytest.mark.parametrize("k", spectral_battery() + CLI_MIX_KERNELS)
 def test_geometric_witness_matches_the_literal_decision(k, m):
@@ -648,16 +662,14 @@ def test_geometric_witness_matches_the_literal_decision(k, m):
     _, witness, _ = cauchy_series_window_report(MTrace(literal, 200), ladder, spec)
     budgets = [1, 200] + ([witness - 1, witness] if witness else [])
     for budget in filter(None, budgets):
-        decision, want, _ = cauchy_series_window_report(
-            MTrace(literal[: 2 * budget], budget), ladder, spec
-        )
-        found = _geometric_witness(lam, d0, ladder, budget)
-        # the tail settles every witness the literal window finds, and only those
-        assert (found is not None) == (decision is Decision.NULL), budget
-        if found is None:
+        want = cauchy_series_window_report(MTrace(literal[: 2 * budget], budget), ladder, spec)
+        found = _geometric_witness(lam, d0, ladder, spec, budget)
+        assert comparable(found) == comparable(want), budget
+        # the tail settles every witness the literal window finds
+        assert (found[3] is not None) == (want[0] is Decision.NULL), budget
+        if found[3] is None:
             continue
-        n, terms, tail = found
-        assert n == want
+        n, (terms, tail) = found[1], found[3]
         assert terms == first_settling_term(lam, d0, ladder, spec, n, literal)
         # the proven bound on the series from every start dominates the
         # literal suffix sum of 400 terms
@@ -695,25 +707,86 @@ BOTTOM = 2.0**-20
 )
 def test_geometric_witness_on_ties(weighted, d0, witness):
     lam, d0, ladder, spec = matrix_problem(weighted, d0)
-    trace = lambda_product_trace(lam, d0, 400, budget=200)
-    assert cauchy_series_window_report(trace, ladder, spec)[:2] == (Decision.NULL, witness)
-    assert _geometric_witness(lam, d0, ladder, 200)[0] == witness
+    assert literal_report(lam, d0, ladder, spec, 200)[:2] == (Decision.NULL, witness)
+    found = _geometric_witness(lam, d0, ladder, spec, 200)
+    assert found[:3] == (Decision.NULL, witness, None) and found[3] is not None
 
 
 def test_geometric_witness_falls_back():
-    lam, d0, ladder, _ = series_problem(kernel_t(0.5), 101)
-    nan = d0.copy()
-    nan[7] = np.nan
-    assert _geometric_witness(lam, nan, ladder, 200) is None
-    # a witness past the budget is left to the literal window
-    assert _geometric_witness(lam, d0, ladder, 19) is None
-    lam, d0, ladder, _ = series_problem(kernel_t(1.1), 101)
-    assert _geometric_witness(lam, d0, ladder, 200) is None
-    # quotients of exactly 1, as taken and once widened by 3 eps, prove nothing
+    # where the tail settles nothing, the window check decides on the same terms
     eps = float(np.finfo(float).eps)
-    for q in (1.0, 1.0 - 3 * eps):
-        lam, d0, ladder, _ = matrix_problem([[q]], [2.0**-100])
-        assert _geometric_witness(lam, d0, ladder, 200) is None
+    problems = [
+        # a witness past the budget
+        (*series_problem(kernel_t(0.5), 101), 19),
+        # a series that diverges
+        (*series_problem(kernel_t(1.1), 101), 200),
+    ] + [
+        # quotients of exactly 1, as taken and once widened by 3 eps, prove nothing
+        (*matrix_problem([[q]], [2.0**-100]), 200)
+        for q in (1.0, 1.0 - 3 * eps)
+    ]
+    for lam, d0, ladder, spec, budget in problems:
+        found = _geometric_witness(lam, d0, ladder, spec, budget)
+        assert found[3] is None
+        assert comparable(found) == comparable(literal_report(lam, d0, ladder, spec, budget))
+    # a term that is not finite ends the check there, before the window
+    # check would refuse it as not positive
+    lam, d0, ladder, spec = series_problem(kernel_t(0.5), 101)
+    d0[7] = np.nan
+    decision, witness, (n0, n1, term), settled = _geometric_witness(lam, d0, ladder, spec, 200)
+    assert (decision, witness, n0, n1, settled) == (Decision.NOT_NULL_WITHIN, None, 1, 1, None)
+    assert np.isnan(term).all()
+
+
+UNIT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def matrix_series(draw):
+    """A nonnegative matrix of 1 to 4 nodes, possibly with zero rows and
+    columns, scaled to a spectral radius from 0 to 1.5; a seed; a budget
+    from 1 to 50.  The seed is a power of two times a nonnegative vector, or
+    is scaled so that an entry of the literal sum from some start lies a
+    few ulps from the rung or inside the close_eq band around it."""
+    m = draw(st.integers(1, 4))
+    w = np.array(draw(st.lists(UNIT, min_size=m * m, max_size=m * m))).reshape(m, m)
+    w[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    w[:, np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    rho = float(np.max(np.abs(np.linalg.eigvals(w))))
+    if rho > 1e-6:  # below it, rho is about 0 already
+        w *= draw(st.floats(0.0, 1.5)) / rho
+    lam, d0, ladder, spec = matrix_problem(w.tolist(), draw(st.lists(UNIT, min_size=m, max_size=m)))
+    budget = draw(st.integers(1, 50))
+    terms = np.array(lambda_product_trace(lam, d0, 2 * budget).elements)
+    suffixes = np.cumsum(terms[::-1], axis=0)[::-1]
+    start = draw(st.integers(1, 2 * budget))
+    eps = float(np.finfo(float).eps)
+    ulps = st.integers(-4, 4).map(lambda k: 1 + k * eps)
+    factor = draw(st.sampled_from([None, 1 - 1e-9, 1 + 1e-9, 1 - 3e-9, 1 + 3e-9]) | ulps)
+    scale = BOTTOM / max(float(suffixes[start - 1].max()), 2.0**-900)
+    if factor is None or scale > 2.0**100:
+        return lam, d0 * 2.0 ** draw(st.integers(-60, 20)), ladder, spec, budget
+    return lam, d0 * (scale * factor), ladder, spec, budget
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(matrix_series())
+def test_geometric_witness_is_the_literal_window_on_small_matrices(case):
+    lam, d0, ladder, spec, budget = case
+    found = _geometric_witness(lam, d0, ladder, spec, budget)
+    assert comparable(found) == comparable(literal_report(lam, d0, ladder, spec, budget))
+    if found[3] is None:
+        return
+    # the proven bound on the series from every start up to term K
+    # dominates the literal suffix sum of 2*budget terms
+    k, tail = found[3]
+    literal = np.array(lambda_product_trace(lam, d0, 2 * budget).elements)
+    suffixes = np.vstack([np.cumsum(literal[::-1], axis=0)[::-1], np.zeros(len(d0))])
+    bound = tail.copy()
+    assert np.all(bound >= suffixes[k])
+    for n in range(k, 0, -1):
+        bound += literal[n - 1]
+        assert np.all(bound >= suffixes[n - 1]), n
 
 
 def counting_series(monkeypatch) -> dict:
@@ -743,7 +816,7 @@ def counting_series(monkeypatch) -> dict:
         with monkeypatch.context() as patch:
             patch.setattr(np, "cumsum", counted_cumsum)
             found = geometric(replace(lam, op_at=op_at), *args)
-        seen["terms"] = found and found[1]
+        seen["terms"] = found[3] and found[3][0]
         return found
 
     monkeypatch.setattr(engine, "lambda_product_trace", counted_literal)
@@ -762,16 +835,17 @@ def test_certified_solve_decides_its_series_from_the_tail(monkeypatch):
 
 @pytest.mark.parametrize(
     "k, budget, applied, rows",
-    # constant 1.1 gives up at its first term, which is above the rung, so
-    # no exact check sums a row
-    [(kernel_t(1.1), 200, 1, 0), (kernel_t(0.5), 19, 38, 20)],
+    # each term is computed once, and the window check sums all 2*budget of
+    # them after the exact checks' rows: constant 1.1 gives up at its first
+    # term, which is above the rung, so no exact check sums a row
+    [(kernel_t(1.1), 200, 400, 400), (kernel_t(0.5), 19, 38, 20 + 38)],
     ids=["forced-divergent", "budget-below-witness"],
 )
 def test_series_falls_back_to_the_literal_window(k, budget, applied, rows, monkeypatch):
     seen = counting_series(monkeypatch)
     x, report, _ = solve_fredholm(k, Grid.trapezoid(0.0, 1.0, 101), budget=budget, force=True)
     assert report.status is SolveStatus.BUDGET_EXHAUSTED
-    assert seen["literal"] == 1 and seen["terms"] is None
+    assert seen["literal"] == 0 and seen["terms"] is None
     assert (seen["applied"], seen["rows"]) == (applied, rows)
     assert report.diagnostics[-1].startswith(f"window [{budget},{2 * budget}] of the composed-product")
 
@@ -783,9 +857,7 @@ def volterra(c: float) -> KernelSpec:
 
 def literal_series(k: KernelSpec, m: int, budget: int = 200):
     """The decision, witness and window of the solve's literal trace."""
-    lam, d0, ladder, spec = series_problem(k, m)
-    trace = lambda_product_trace(lam, d0, 2 * budget, budget=budget)
-    return cauchy_series_window_report(trace, ladder, spec)
+    return literal_report(*series_problem(k, m), budget)
 
 
 def series_note(decision: Decision, witness: Optional[int], window) -> str:
@@ -800,14 +872,16 @@ def series_note(decision: Decision, witness: Optional[int], window) -> str:
 @pytest.mark.parametrize("c", [5.0, 20.0, 40.0])
 def test_volterra_series_costs_no_more_than_the_literal_window(c, m, monkeypatch):
     # W is lower triangular, so rho(W) = c w_max < 1, but its terms grow for a
-    # while before they decay: the tail bound settles the witness late or
-    # not at all, and the literal 2*budget-term window sums 2*budget rows
+    # while before they decay: the tail bound settles no witness within the
+    # budget, and the window check decides on the 2*budget terms the tail
+    # computed and the rest, each computed once; the exact checks sum at
+    # most 2*budget rows before the window's 2*budget
     decision, witness, window = literal_series(volterra(c), m)
     seen = counting_series(monkeypatch)
     x, report, _ = solve_fredholm(volterra(c), Grid.trapezoid(0.0, 1.0, m), force=True)
     assert series_note(decision, witness, window) in report.diagnostics
-    assert seen["rows"] <= 400
-    assert seen["literal"] == (seen["terms"] is None)
+    assert (seen["applied"], seen["literal"], seen["terms"]) == (400, 0, None)
+    assert seen["rows"] <= 800
 
 
 @pytest.mark.parametrize("m", [101, 401])
@@ -818,7 +892,8 @@ def test_volterra_expr_kernel_through_the_cli(m, tmp_path, monkeypatch):
     decision, witness, window = literal_series(expr_kernel(f"{q}*x", q), m)
     seen = counting_series(monkeypatch)
     assert main(["solve-fredholm", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert seen["rows"] <= 400
+    assert (seen["applied"], seen["literal"]) == (400, 0)
+    assert seen["rows"] <= 800
     lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
     assert f"note: {series_note(decision, witness, window)}" in lines
     # W is strictly lower triangular (rho = 0): the first pair of increments

@@ -276,9 +276,10 @@ def _matrix_lam(lu: float, lv: float) -> LambdaSequence:
 
 
 def _literal(elements: tuple, budget: int) -> tuple:
-    """The decision and witness of the window check on the first 2*budget terms."""
+    """The decision, witness and window of the window check on the first
+    2*budget terms."""
     trace = MTrace(elements[: 2 * budget], budget)
-    return cauchy_series_window_report(trace, COUPLED.ladder, COUPLED.monoid)[:2]
+    return cauchy_series_window_report(trace, COUPLED.ladder, COUPLED.monoid)
 
 
 def _seeds(lam: LambdaSequence) -> list:
@@ -299,18 +300,17 @@ def test_geometric_witness_on_tuples_is_the_literal_one(lu, lv):
     lam = _matrix_lam(lu, lv)
     for d0 in _seeds(lam):
         elements = lambda_product_trace(lam, d0, 800).elements
-        _, n = _literal(elements, 400)
+        _, n, _ = _literal(elements, 400)
         for budget in sorted({1, 400, *([n - 1, n] if n else [])} - {0}):
-            decision, witness = _literal(elements, budget)
-            found = _geometric_witness(lam, d0, COUPLED.ladder, budget)
+            found = _geometric_witness(lam, d0, COUPLED.ladder, COUPLED.monoid, budget)
+            assert found[:3] == _literal(elements, budget), (d0, budget)
             if d0 == PERRON_D0 and lu + lv < 1.0 and budget == 400:
-                assert found is not None
-            if found is None:
+                assert found[3] is not None
+            if found[3] is None:
                 continue
-            assert (decision, witness) == (Decision.NULL, found[0]), (d0, budget)
             # the proven bound on the series from every start up to term K
             # dominates the literal suffix sum of 2*budget terms
-            _, k, tail = found
+            k, tail = found[3]
             literal = np.array(elements[: 2 * budget])
             suffixes = np.vstack([np.cumsum(literal[::-1], axis=0)[::-1], np.zeros(2)])
             bound = tail.copy()
@@ -321,11 +321,17 @@ def test_geometric_witness_on_tuples_is_the_literal_one(lu, lv):
 
 
 def test_geometric_witness_on_tuples_falls_back():
-    ladder = COUPLED.ladder
+    ladder, spec = COUPLED.ladder, COUPLED.monoid
     for lu, lv in ((0.5, 0.5), (0.7, 0.3), (0.7, 0.7)):  # lu + lv >= 1
-        assert _geometric_witness(_matrix_lam(lu, lv), CRITERION_8_D0, ladder, 400) is None
+        lam = _matrix_lam(lu, lv)
+        found = _geometric_witness(lam, CRITERION_8_D0, ladder, spec, 400)
+        assert found[3] is None
+        assert found[:3] == _literal(lambda_product_trace(lam, CRITERION_8_D0, 800).elements, 400)
+    # a term that is not finite ends the check there
     for d0 in ((math.nan, 4.0), (6.0, math.nan)):
-        assert _geometric_witness(_matrix_lam(0.3, 0.2), d0, ladder, 400) is None
+        decision, witness, (n0, n1, term), settled = _geometric_witness(_matrix_lam(0.3, 0.2), d0, ladder, spec, 400)
+        assert (decision, witness, n0, n1, settled) == (Decision.NOT_NULL_WITHIN, None, 1, 1, None)
+        assert all(map(math.isnan, term))
 
 
 def _counting_series(monkeypatch) -> dict:
@@ -346,7 +352,7 @@ def _counting_series(monkeypatch) -> dict:
             return apply
 
         found = geometric(replace(lam, op_at=op_at), *args)
-        seen["terms"] = found and found[1]
+        seen["terms"] = found[3] and found[3][0]
         return found
 
     monkeypatch.setattr(engine, "lambda_product_trace", counted_literal)
