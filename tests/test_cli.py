@@ -690,13 +690,19 @@ def test_non_finite_solve_is_a_verdict_not_a_warning(tmp_path, capsys, command, 
             2,
             ["report.txt", "violation.txt"],
         ),
+        (
+            "solve-coupled",
+            "f = 0.3*u - 0.2*v + 1.0\nx0 = -10\ny0 = 10\nlam_u = 1e300\nlam_v = 1e300\n",
+            2,
+            ["report.txt", "violation.txt"],
+        ),
     ],
-    ids=["fredholm-forced-overflow", "coupled-overflow"],
+    ids=["fredholm-forced-overflow", "coupled-overflow", "coupled-overflow-to-inf-only"],
 )
 def test_series_term_that_is_not_finite_ends_the_check(tmp_path, capsys, command, text, term, artifacts):
-    # a series term overflows to inf and the next is 0*inf = nan: the check
-    # stops at the first such term, before the window check would refuse
-    # the nan as not positive
+    # a series term overflows to inf and, but for the last case, the next
+    # is 0*inf = nan: the check stops at the first such term, before the
+    # window check would refuse the nan as not positive
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
     out = tmp_path / "o"
