@@ -168,17 +168,20 @@ def first_occurrences(keys: Iterable[Hashable]) -> Iterator[tuple[int, Hashable]
             yield t, key
 
 
+FIRST_ALONE = 4  # first draws decided one by one, before bulk work: a check often fails at once
+
+
 def distinct_draws(idx: np.ndarray, arity: int) -> Iterator[tuple[int, tuple]]:
     """`first_occurrences` of the tuples idx[t * arity : (t + 1) * arity] of
-    nonnegative integers: of the first 4 one by one, since a failing check
-    often fails at once, then of the rest by one `np.unique` of an integer
-    code per tuple (or of the tuples, a slower sort, if a code could overflow)."""
+    nonnegative integers: of the first `FIRST_ALONE` one by one, then of the
+    rest by one `np.unique` of an integer code per tuple (or of the tuples, a
+    slower sort, if a code could overflow)."""
     draws = idx.reshape(-1, arity)
-    yield from first_occurrences(map(tuple, draws[:4].tolist()))
+    yield from first_occurrences(map(tuple, draws[:FIRST_ALONE].tolist()))
     n = int(idx.max()) + 1
     codes = draws @ n ** np.arange(arity) if n**arity < 1 << 62 else draws
     first = np.sort(np.unique(codes, return_index=True, axis=None if codes.ndim == 1 else 0)[1])
-    first = first[first >= 4]
+    first = first[first >= FIRST_ALONE]
     yield from zip(first.tolist(), map(tuple, draws[first].tolist()))
 
 

@@ -10,7 +10,6 @@ within a witness budget".
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -23,13 +22,8 @@ from ._util import REAL_ENTRYWISE, below_rows, close_rows, first_below, format_v
 from .reporting import CheckResult, Decision, ValidationReport
 
 
-@functools.lru_cache(maxsize=64)
 def relation_compose(a: frozenset, b: frozenset) -> frozenset:
-    """The relation {(x, y): (x, z) in a and (z, y) in b for some z}.
-
-    The last 64 products are kept: `check_triangle` over an entourage space
-    composes the same few distances for every triple of points.
-    """
+    """The relation {(x, y): (x, z) in a and (z, y) in b for some z}."""
     succ: dict[Any, list] = {}
     for u, v in b:
         succ.setdefault(u, []).append(v)
@@ -573,7 +567,8 @@ def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
         positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
         bad_positive = next((i for i, r in enumerate(rungs) if not positive(r)), None)
         bad_descent = _not_descending(spec, rungs)
-        halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in rungs)
+        # from the bottom rung up: with a monotone combine its double fits first
+        halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in reversed(rungs))
         bad_halving = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
     checks: list[CheckResult] = []
 

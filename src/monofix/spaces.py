@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import child_rng, choice_indices, distinct_draws, first_occurrences
+from ._rng import FIRST_ALONE, child_rng, choice_indices, distinct_draws, first_occurrences
 from ._util import below_rows, format_value, generic_eq
 from .monoid import (
     RELATIONAL,
@@ -54,7 +54,8 @@ class DistanceSpaceSpec:
     spaces whose convergence respects a point order from below/above.
 
     `distance` and `point_eq` must be deterministic: the validators decide
-    each distinct draw once and give its repeats the same verdict.
+    each distinct draw once and give its repeats the same verdict, and over
+    a relational monoid equal distances get one verdict.
     """
 
     point_descr: str
@@ -74,7 +75,8 @@ class ZetaSpec:
 
     `zeta` must send pairs of null traces to null traces and `phi` must
     reflect null traces; both are checked on a finite battery by
-    `validate_zeta`, not proven.
+    `validate_zeta`, not proven.  Both must be deterministic: over a
+    relational monoid equal distances get one verdict.
     """
 
     phi: Callable[[Any], Any]
@@ -197,10 +199,15 @@ def _triangle_check(
 ) -> ValidationReport:
     """The check `name` of lhs <= rhs, (lhs, rhs) = sides(x, y, z), on the
     given triples; the first failing triple is the counterexample, its two
-    sides rendered under `labels`."""
-    m = space.monoid
+    sides rendered under `labels`.  Over a relational monoid equal distances
+    get one verdict: each distinct (d(x,y), d(x,z), d(z,y)) is decided on
+    the first triple to measure it, as in `first_occurrences`."""
+    m, d = space.monoid, space.distance
+    first: Optional[dict] = {} if m.relational else None  # distance triple -> its first count
     count, cex = 0, None
     for count, (x, y, z) in enumerate(triples, 1):
+        if first is not None and first.setdefault((d(x, y), d(x, z), d(z, y)), count) != count:
+            continue
         lhs, rhs = sides(x, y, z)
         # m.eq breaks rounding-noise ties in float carriers; exact carriers
         # have exact eq, so nothing is forgiven there
@@ -432,12 +439,11 @@ def _screen_chains(rows: tuple, distance: Callable, m: MonoidSpec, ladder: TestL
         return (lengths >= 2) & below_rows(total[:, None], ladder.bottom) & above
 
 
-# The first trials are decided one by one: a screened chunk costs more than
-# deciding four trials, and a falsified property is often falsified at once.
-# Then the keys are drawn at once up to the next multiple of 1024 trials,
-# and screened in chunks that end at multiples of 256 trials: 256 weak or
-# standard candidates of 48 points make 96 KiB arrays.
-_UNSCREENED, _DRAWN, _CHUNK = 4, 1024, 256
+# The first `FIRST_ALONE` trials are decided one by one.  Then the keys are
+# drawn at once up to the next multiple of 1024 trials, and screened in
+# chunks that end at multiples of 256 trials: 256 weak or standard
+# candidates of 48 points make 96 KiB arrays.
+_DRAWN, _CHUNK = 1024, 256
 
 
 def _screened(
@@ -445,7 +451,7 @@ def _screened(
 ) -> Iterable[tuple[int, Any]]:
     """(trial, candidate) for each of the first trials and each later trial
     that `screen` flags in its chunk, in order."""
-    done = min(_UNSCREENED, trials)
+    done = min(FIRST_ALONE, trials)
     for trial in range(done):
         yield trial, sampler(rng)
     while done < trials:
@@ -623,10 +629,7 @@ def entourage_distance(base: Sequence[frozenset], x: Any, y: Any) -> frozenset:
     if not members:
         universe = {p for r in base for pair in r for p in pair}
         return full_relation(universe)
-    out = members[0]
-    for r in members[1:]:
-        out = out & r
-    return out
+    return frozenset.intersection(*members)
 
 
 def make_uniform_from_pseudometric(
@@ -668,13 +671,8 @@ def make_uniform_from_pseudometric(
     kernel = frozenset((a, b) for a in pts for b in pts if rho(a, b) == 0)
     monoid = relation_monoid(pts, identity=kernel)
 
-    rungs: list[frozenset] = []
-    for rel in base:
-        if rel == kernel:
-            continue
-        if rungs and rungs[-1] == rel:
-            continue
-        rungs.append(rel)
+    # the base descends, so equal relations are neighbours; the first is kept
+    rungs = list(dict.fromkeys(rel for rel in base if rel != kernel))
     if not rungs:
         raise ValueError("all sublevel relations equal the kernel; no usable rungs")
     ladder = TestLadder.build(monoid, rungs)

@@ -8,6 +8,7 @@ thread count must replay unchanged.
 """
 import importlib
 import inspect
+import itertools
 import json
 import sys
 from contextlib import redirect_stdout
@@ -15,6 +16,7 @@ from io import StringIO
 from pathlib import Path
 
 import monofix.monoid
+import monofix.spaces
 from monofix import catalog, cli
 from monofix.engine import CLI_DRIVER_NAMES
 
@@ -40,6 +42,14 @@ def test_tracer_leaves_the_fast_paths_on(monkeypatch):
             assert catalog.get_monoid(name).spec.elementwise, name
         report = monofix.monoid.validate_monoid(relations.spec, relations.samples, trials=50)
         assert report.ok and len(stacked) == 1
+        # the tracer wraps `monoid.relation_compose`, but a relation monoid
+        # holds the function of `RELATIONAL`, so the triangle still decides
+        # each distinct triple of distances once
+        uniform = catalog.get_space("uniform_pseudometric{8}")
+        assert uniform.space.monoid.relational
+        triples = itertools.product(uniform.finite_carrier, repeat=3)
+        report = monofix.spaces.check_triangle(uniform.space, triples)
+        assert report.checks[0].render() == "PASS triangle [512 trials]"
     finally:
         tracer.uninstall()
 

@@ -59,9 +59,9 @@ def test_relation_composition_matches_brute_force():
     assert rep.ok, rep.render()
 
 
-def test_relation_composition_memo_is_bounded_and_exact():
-    # equal relations that are distinct objects, and more pairs than the
-    # memo keeps, compose exactly
+def test_relation_composition_of_equal_distinct_operands_is_exact():
+    # equal relations that are distinct objects compose exactly, on every
+    # repeat of every pair
     rng = random.Random(5)
     pts = range(6)
     rels = [frozenset(p for p in itertools.product(pts, pts) if rng.random() < 0.3) for _ in range(12)]
@@ -70,7 +70,6 @@ def test_relation_composition_memo_is_bounded_and_exact():
             for b in rels:
                 a2, b2 = frozenset(list(a)), frozenset(list(b))
                 assert relation_compose(a, b) == relation_compose(a2, b2) == brute_compose(a, b)
-    assert relation_compose.cache_info().currsize <= 64
 
 
 def test_broken_subtraction_reports_associativity_counterexample():
@@ -89,6 +88,19 @@ def test_validate_ladder_dyadic_sequence_passes():
     assert rep.ok, rep.render()
     # witness for the top rung: 0.5 + 0.5 <= 1
     assert REAL.leq(REAL.combine(0.5, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("name", ["relation{8}", "broken_subtraction"])
+def test_ladder_halving_search_starts_at_the_bottom_rung(name):
+    # the rung-by-rung path tries the bottom rung's double first, which fits
+    # under every rung above it: one product per rung above the bottom
+    entry = get_monoid(name)
+    products = []
+    counting = replace(entry.spec, combine=lambda a, b: products.append(1) or entry.spec.combine(a, b))
+    assert not (counting.elementwise or counting.relational)
+    report = validate_ladder(counting, entry.ladder)
+    assert report == validate_ladder(entry.spec, entry.ladder) and report.ok
+    assert len(products) == len(entry.ladder.rungs) - 1
 
 
 def test_validate_ladder_without_halving_fails():

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import monofix.engine
 import monofix.monoid
@@ -118,6 +119,70 @@ def test_triangle_entourage_space_exhaustive():
     entry = get_space("uniform_pseudometric{8}")
     triples = itertools.product(entry.finite_carrier, repeat=3)
     assert check_triangle(entry.space, triples).ok
+
+
+def reference_triangle(space, name, labels, lhs_of, rhs_of, triples):
+    """(name, passed, trials, counterexample) of deciding every triple in order."""
+    m, d, count = space.monoid, space.distance, 0
+    for count, (x, y, z) in enumerate(triples, 1):
+        lhs, rhs = lhs_of(d(x, y)), rhs_of(d(x, z), d(z, y))
+        if not (m.leq(lhs, rhs) or m.eq(lhs, rhs)):
+            text = f"x={format_value(x)} y={format_value(y)} z={format_value(z)} "
+            text += f"{labels[0]}={format_value(lhs)} {labels[1]}={format_value(rhs)}"
+            return name, False, count, text
+    return name, True, count, None
+
+
+@st.composite
+def relation_tables(draw):
+    """A relation-valued distance table on at most 5 points and triples of
+    them.  Either the entourage distances of points on a line with one of
+    them replaced, on every triple in some order, so that triples pass and
+    repeat their distances until one meets the replaced pair; or copies of
+    at most 3 random relations, so that equal distances are distinct
+    objects, on a list of triples."""
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.product(range(n), repeat=2))
+    relation = st.frozensets(st.sampled_from(pairs))
+    if draw(st.booleans()):
+        at = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        base = [frozenset((a, b) for a, b in pairs if abs(at[a] - at[b]) <= r) for r in (4, 2, 1, 0)]
+        table = {(x, y): entourage_distance(base, x, y) for x, y in pairs}
+        table[draw(st.sampled_from(pairs))] = draw(relation)
+        return table, draw(st.permutations(list(itertools.product(range(n), repeat=3))))
+    pool = draw(st.lists(relation, min_size=1, max_size=3))
+    table = {p: frozenset(list(draw(st.sampled_from(pool)))) for p in pairs}
+    point = st.integers(0, n - 1)
+    return table, draw(st.lists(st.tuples(point, point, point), min_size=1, max_size=40))
+
+
+# every distance empty but d(0,2) = {(0,0)}: (0,1,1) passes, (1,0,0)
+# repeats its distances, and (0,2,1) fails
+REPEAT_THEN_FAIL = (
+    {(x, y): frozenset({(0, 0)} if (x, y) == (0, 2) else ()) for x in range(3) for y in range(3)},
+    [(0, 1, 1), (1, 0, 0), (0, 2, 1)],
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(relation_tables())
+@example(REPEAT_THEN_FAIL)
+def test_relational_triangle_decides_each_distance_triple_once(case):
+    table, triples = case
+    space = dataclasses.replace(get_space("uniform_pseudometric{8}").space, distance=lambda a, b: table[a, b])
+    assert space.monoid.relational
+    compose = space.monoid.combine
+    report = check_triangle(space, triples).checks[0]
+    want = reference_triangle(space, "triangle", ("d(x,y)", "d(x,z)+d(z,y)"), lambda a: a, compose, triples)
+    assert (report.name, report.passed, report.trials, report.counterexample) == want
+
+    calls = []
+    zspec = ZetaSpec(phi=lambda a: a, zeta=lambda a, b: calls.append((a, b)) or compose(a, b))
+    report = check_zeta_triangle(space, zspec, triples).checks[0]
+    want = reference_triangle(space, "zeta_triangle", ("phi(d(x,y))", "zeta"), lambda a: a, compose, triples)
+    assert (report.name, report.passed, report.trials, report.counterexample) == want
+    decided = triples[: report.trials]
+    assert len(calls) == len({(table[x, y], table[x, z], table[z, y]) for x, y, z in decided})
 
 
 def test_zeta_triangle_identity_sum_reduces_to_triangle():
