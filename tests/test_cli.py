@@ -11,7 +11,7 @@ import pytest
 
 import monofix
 from monofix import Grid, InvalidKernel, KernelSpec, certify_convergence, grid_ladder
-from monofix.catalog import MAP_NAMES
+from monofix.catalog import MAP_NAMES, SPACE_NAMES
 from monofix.cli import certificate_csv, main, parse_config, ConfigError
 from monofix.engine import CLI_DRIVER_NAMES
 
@@ -379,6 +379,17 @@ GOLDEN_RUNS.update(
     {f"demo {name}": ["demo", name] for name in ("omega_counterexample", "lambda_discrimination", "driver_agreement")}
 )
 GOLDEN_RUNS["solve-coupled criterion 8"] = ["solve-coupled", "coupled.cfg"]
+# the axiom audits at a trial count that the benchmark does not run and at
+# one far past it
+GOLDEN_RUNS.update(
+    {
+        f"check-space {name} axioms trials={trials}": [
+            "check-space", name, "--axioms", "--trials", str(trials), "--seed", "11"
+        ]
+        for name in SPACE_NAMES
+        for trials in (37, 5000)
+    }
+)
 GOLDEN_PATH = Path(__file__).with_name("golden_artifacts.json")
 
 
