@@ -19,13 +19,14 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._rng import FIRST_ALONE, child_rng, choice_indices, distinct_draws, first_occurrences
-from ._util import below_rows, format_value, generic_eq
+from ._rng import FIRST_ALONE, child_rng, choice_indices, first_occurrences
+from ._util import below_rows, close_rows, format_value, generic_eq, leq_rows
 from .monoid import (
     RELATIONAL,
     MonoidSpec,
     MTrace,
     TestLadder,
+    _rows,
     _tail_decision,
     cauchy_series_check,
     is_null_trace,
@@ -121,12 +122,14 @@ def validate_space(
 
     A sampled check's trial takes the points that `rng.choice(samples)`
     would pick, two per trial for the pair checks and one for
-    `equal_implies_zero`.  Each check draws the indices of all its trials at
-    once (`choice_indices`) and leaves `rng` where the per-trial loop would
-    stop: after the failing trial, or after the last.  A check decides only
-    the first trial to draw each tuple of sample indices, in trial order
-    (`distinct_draws`), and each ordered pair of samples is measured at most
-    once per call, shared by all checks, so the draws, verdicts and
+    `equal_implies_zero`.  Every ordered pair of samples is measured once
+    per call, in row order, and each check is one boolean table over those
+    distances: on stacked rows over an elementwise monoid, else one `eq` or
+    `is_positive` per entry, with `point_eq` only where a distance equals
+    the identity.  Each check draws the indices of all its trials at once
+    (`choice_indices`), fails on the first trial whose draw indexes a False
+    entry, and leaves `rng` where the per-trial loop would stop: after the
+    failing trial, or after the last.  So the draws, verdicts and
     counterexamples are those of the per-trial loop.
     """
     if trials < 1:
@@ -135,58 +138,45 @@ def validate_space(
         raise ValueError("samples must be non-empty")
     rng = child_rng(seed, "validate_space")
     samples = list(samples)
-    m = space.monoid
+    n, m = len(samples), space.monoid
+    d = [space.distance(x, y) for x in samples for y in samples]  # d[i * n + j] = d(x_i, x_j)
+    if m.elementwise:
+        rows, identity = _rows(d).reshape(n, n, -1), _rows([m.identity])
+        symmetric, positive = close_rows(rows, rows.swapaxes(0, 1)), leq_rows(identity, rows)
+        zero = close_rows(rows, identity)
+    else:
+        table = lambda f, *args: np.fromiter(map(f, *args), bool, n * n).reshape(n, n)
+        symmetric = table(m.eq, d, [d[j * n + i] for i in range(n) for j in range(n)])
+        positive, zero = table(m.is_positive, d), table(m.eq, d, itertools.repeat(m.identity))
     checks: list[CheckResult] = []
-    d = functools.cache(lambda i, j: space.distance(samples[i], samples[j]))  # by sample index
 
-    def sampled(name: str, arity: int, predicate: Callable[..., Optional[str]]) -> None:
-        idx, settle = choice_indices(rng, len(samples), trials * arity)
-        for t, key in distinct_draws(idx, arity):
-            issue = predicate(*key)
-            if issue is not None:
-                settle((t + 1) * arity)
-                checks.append(CheckResult(name, False, trials=t + 1, counterexample=issue))
-                return
-        settle(trials * arity)
-        checks.append(CheckResult(name, True, trials=trials))
+    def sampled(name: str, ok: np.ndarray, issue: Callable[..., str]) -> None:
+        idx, settle = choice_indices(rng, n, trials * ok.ndim)
+        bad = np.flatnonzero(~ok[tuple(idx.reshape(trials, ok.ndim).T)])
+        if not bad.size:
+            settle(trials * ok.ndim)
+            checks.append(CheckResult(name, True, trials=trials))
+            return
+        t = int(bad[0]) + 1
+        settle(t * ok.ndim)
+        text = issue(*idx[(t - 1) * ok.ndim : t * ok.ndim].tolist())
+        checks.append(CheckResult(name, False, trials=t, counterexample=text))
 
     text = lambda i: format_value(samples[i])
-    sampled(
-        "symmetry",
-        2,
-        lambda i, j: None if m.eq(d(i, j), d(j, i)) else f"d({text(i)},{text(j)}) != d({text(j)},{text(i)})",
-    )
-    sampled(
-        "positivity",
-        2,
-        lambda i, j: None if m.is_positive(d(i, j)) else f"d({text(i)},{text(j)}) outside the positive cone",
-    )
-
+    sampled("symmetry", symmetric, lambda i, j: f"d({text(i)},{text(j)}) != d({text(j)},{text(i)})")
+    sampled("positivity", positive, lambda i, j: f"d({text(i)},{text(j)}) outside the positive cone")
     if space.kind in (SpaceKind.DISLOCATED, SpaceKind.DISTANCE):
-        sampled(
-            "zero_implies_equal",
-            2,
-            lambda i, j: None
-            if not m.eq(d(i, j), m.identity) or space.point_eq(samples[i], samples[j])
-            else f"d=identity for distinct {text(i)}, {text(j)}",
-        )
+        implies_equal = ~zero
+        for i, j in zip(*np.nonzero(zero)):
+            implies_equal[i, j] = space.point_eq(samples[i], samples[j])
+        sampled("zero_implies_equal", implies_equal, lambda i, j: f"d=identity for distinct {text(i)}, {text(j)}")
     if space.kind in (SpaceKind.PSEUDO, SpaceKind.DISTANCE):
-        sampled(
-            "equal_implies_zero",
-            1,
-            lambda i: None if m.eq(d(i, i), m.identity) else f"d(x,x) != identity for x={text(i)}",
-        )
+        sampled("equal_implies_zero", zero.diagonal(), lambda i: f"d(x,x) != identity for x={text(i)}")
     if space.kind is SpaceKind.DISLOCATED:
-        picked = rng.choices(range(len(samples)), k=min(trials, 256))
-        dislocated = sum(1 for i in picked if not m.eq(d(i, i), m.identity))
-        checks.append(
-            CheckResult(
-                "dislocation_observed",
-                True,
-                trials=min(trials, 256),
-                detail=f"{dislocated} sampled points with d(x,x) != identity",
-            )
-        )
+        picked = rng.choices(range(n), k=min(trials, 256))
+        dislocated = int(np.count_nonzero(~zero.diagonal()[picked]))
+        detail = f"{dislocated} sampled points with d(x,x) != identity"
+        checks.append(CheckResult("dislocation_observed", True, trials=len(picked), detail=detail))
     return ValidationReport(subject=space.point_descr, checks=tuple(checks))
 
 

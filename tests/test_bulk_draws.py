@@ -2,6 +2,7 @@
 per-trial loops of `validate_monoid` and `validate_space`, kept here as
 references."""
 import functools
+import itertools
 import operator
 import random
 
@@ -359,12 +360,12 @@ def test_validate_monoid_matches_per_trial_loop(name, created_rngs):
 @pytest.mark.parametrize("name", SPACE_NAMES)
 def test_validate_space_matches_per_trial_loop(name, created_rngs):
     entry = get_space(name)
-    for seed in range(8):
-        want, want_rng = reference_validate_space(entry.space, entry.samples, 120, seed)
-        got = validate_space(entry.space, entry.samples, 120, seed=seed)
-        assert got == want, seed
-        assert created_rngs[-1].random() == want_rng.random(), seed
-        if entry.broken:
+    for seed, trials in itertools.product(range(16), (1, 7, 120, 1000)):
+        want, want_rng = reference_validate_space(entry.space, entry.samples, trials, seed)
+        got = validate_space(entry.space, entry.samples, trials, seed=seed)
+        assert got == want, (seed, trials)
+        assert created_rngs[-1].random() == want_rng.random(), (seed, trials)
+        if entry.broken and trials >= 120:
             assert not got.ok
 
 
@@ -437,9 +438,9 @@ def test_validate_monoid_combines_once_per_distinct_draw():
 
 
 def test_validate_space_measures_once_per_distinct_draw():
-    # each ordered pair of samples is measured at most once per call, the
-    # first time a check's first draw of a tuple needs it: the checks in
-    # order, each over its distinct draws in trial order
+    # each ordered pair of samples is measured exactly once per call, in
+    # row order, before any check draws: the checks decide on that table,
+    # so no draw, repeated or not, measures anything more
     log = []
 
     def distance(x, y):
@@ -450,20 +451,14 @@ def test_validate_space_measures_once_per_distinct_draw():
     space = monofix.spaces.DistanceSpaceSpec(
         "logged reals", distance, SpaceKind.DISTANCE, real.spec, real.ladder
     )
-    samples, trials = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0), 80
-    rng = child_rng(5, "validate_space")
-    symmetry, positivity, zero, reflexive = (
-        [key for key, _ in first_draws(rng, 6, trials, arity)] for arity in (2, 2, 2, 1)
-    )
-    needed = [p for x, y in symmetry for p in ((x, y), (y, x))]
-    needed += positivity + zero + [(x, x) for x, in reflexive]
-    want = [(samples[x], samples[y]) for x, y in dict.fromkeys(needed)]
-    report = validate_space(space, samples, trials, seed=5)
-    assert report.ok and [c.name for c in report.checks] == [
-        "symmetry", "positivity", "zero_implies_equal", "equal_implies_zero"
-    ]
-    assert log == want
-    assert len(want) < len(needed) and len(reflexive) < trials
+    samples = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+    for trials in (1, 80, 1000):
+        log.clear()
+        report = validate_space(space, samples, trials, seed=5)
+        assert report.ok and [c.name for c in report.checks] == [
+            "symmetry", "positivity", "zero_implies_equal", "equal_implies_zero"
+        ]
+        assert log == [(x, y) for x in samples for y in samples], trials
 
 
 def test_first_failing_trial_is_the_first_draw_of_the_failing_tuple(created_rngs):
