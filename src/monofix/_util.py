@@ -138,20 +138,22 @@ def ratio_bounds(
     m x m matrix W whose identically zero rows are marked by `dead`.
 
     Returns, per row pair, lo and hi with lo x <= W x <= hi x, and whether
-    the pair is usable: x at least the smallest normal float and y finite on
-    the live rows.  They are the min and max of y / x over the live rows
-    (on a dead row W x is exactly zero), widened by (m + 2) eps, relative,
-    to cover the rounding of the m-term dot products and of the quotient.
-    `out` is scratch of the pairs' shape; the dead rows are masked in it by
-    +-inf rather than copied out.
+    the pair is usable: x at least the smallest normal float and y finite
+    and at least 2**-969 on the live rows, so that the products that
+    underflow in a dot product add less than one eps relative for any
+    m <= 2**52.  They are the min and max of y / x over the live rows (on a
+    dead row W x is exactly zero), widened by (m + 3) eps, relative, to
+    cover that eps and the rounding of the m-term dot products and of the
+    quotient.  `out` is scratch of the pairs' shape; the dead rows are
+    masked in it by +-inf rather than copied out.
     """
     usable = np.all((x >= np.finfo(float).tiny) | dead, axis=1)
-    usable &= np.all(np.isfinite(y) | dead, axis=1)
+    usable &= np.all((np.isfinite(y) & (y >= 2.0**-969)) | dead, axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.divide(y, x, out=out)
     out[:, dead] = math.inf
     lo = np.min(out, axis=1)
     out[:, dead] = -math.inf
     hi = np.max(out, axis=1)
-    slack = (x.shape[1] + 2) * float(np.finfo(float).eps)
+    slack = (x.shape[1] + 3) * float(np.finfo(float).eps)
     return lo * (1.0 - slack), hi * (1.0 + slack), usable
