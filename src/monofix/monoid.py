@@ -567,8 +567,11 @@ def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
         positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
         bad_positive = next((i for i, r in enumerate(rungs) if not positive(r)), None)
         bad_descent = _not_descending(spec, rungs)
-        # from the bottom rung up: with a monotone combine its double fits first
-        halved = lambda eps: any(spec.leq(spec.combine(delta, delta), eps) for delta in reversed(rungs))
+        # from the bottom rung up: with a monotone combine its double fits
+        # first; each double is composed once per call, when first needed
+        doubles: dict[int, Any] = {}
+        double = lambda k: doubles[k] if k in doubles else doubles.setdefault(k, spec.combine(rungs[k], rungs[k]))
+        halved = lambda eps: any(spec.leq(double(k), eps) for k in reversed(range(len(rungs))))
         bad_halving = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
     checks: list[CheckResult] = []
 

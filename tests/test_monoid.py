@@ -93,14 +93,17 @@ def test_validate_ladder_dyadic_sequence_passes():
 @pytest.mark.parametrize("name", ["relation{8}", "broken_subtraction"])
 def test_ladder_halving_search_starts_at_the_bottom_rung(name):
     # the rung-by-rung path tries the bottom rung's double first, which fits
-    # under every rung above it: one product per rung above the bottom
+    # under every rung above it, and composes each double at most once per
+    # call: one product, the bottom rung's, for all the rungs above it
     entry = get_monoid(name)
     products = []
-    counting = replace(entry.spec, combine=lambda a, b: products.append(1) or entry.spec.combine(a, b))
+    counting = replace(entry.spec, combine=lambda a, b: products.append((a, b)) or entry.spec.combine(a, b))
     assert not (counting.elementwise or counting.relational)
     report = validate_ladder(counting, entry.ladder)
     assert report == validate_ladder(entry.spec, entry.ladder) and report.ok
-    assert len(products) == len(entry.ladder.rungs) - 1
+    bottom = entry.ladder.rungs[-1]
+    assert len(entry.ladder.rungs) > 2 and len(products) == 1
+    assert products[0][0] is products[0][1] is bottom
 
 
 def test_validate_ladder_without_halving_fails():
