@@ -21,7 +21,9 @@ The summary holds, per workload and end-to-end metric, each side's values,
 median and quartiles (`statistics.quantiles(values, n=4)`), the pairs the
 change wins (better in the direction `BENCHMARK.json` gives; a tie is no
 win), the relative change of the median and the parent's interquartile
-range relative to its median.  It also records the seeds, the revisions and
+range relative to its median, and a verdict against the metric's `bound`
+in `BENCHMARK.json` (see `verdict`), which it prints, a line per metric.
+It also records the seeds, the revisions and
 the environment that the runs report, each tree's `wc -l src/monofix/*.py`
 total (`src_lines`) and its settable values (`src_options`, see
 `src_options`), which it prints.  After a workload's pairs, it times each
@@ -74,15 +76,41 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(runs: dict, better: dict) -> dict:
-    """Per metric: both sides' spread, the change's wins and median change."""
+def verdict(metric: dict) -> str:
+    """One of four verdicts on a metric of `summarise`, in this order:
+
+    - `gain`: the change wins at least 9 in 10 pairs, and its median is
+      better than the parent's by more than the parent's IQR;
+    - `regression`: its median is worse by more than the metric's `bound`;
+    - `unresolved`: the parent's IQR exceeds the bound, and not every
+      change run is better than every parent run: the runs spread too
+      widely to tell;
+    - `held`: none of these.
+
+    Median changes and IQRs are relative to the parent's median.
+    """
+    sign = 1 if metric["better"] == "higher" else -1
+    moved, iqr, bound = sign * metric["median_change_rel"], metric["parent_iqr_rel"], metric["bound"]
+    if 10 * metric["wins"] >= 9 * metric["pairs"] and moved > iqr:
+        return "gain"
+    if -moved > bound:
+        return "regression"
+    parent, change = ([sign * v for v in metric[side]["values"]] for side in ("parent", "change"))
+    return "unresolved" if iqr > bound and min(change) <= max(parent) else "held"
+
+
+def summarise(runs: dict, declared: list) -> dict:
+    """Per metric of `BENCHMARK.json`'s `end_to_end` list: both sides'
+    spread, the change's wins, its median change and its `verdict`."""
     out = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
         sides = {side: [r["result"]["metrics"][name]["value"] for r in runs[side]] for side in runs}
         parent, change = spread(sides["parent"]), spread(sides["change"])
         sign = 1 if direction == "higher" else -1
         out[name] = {
             "better": direction,
+            "bound": metric["bound"],
             "parent": parent,
             "change": change,
             "wins": sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"])),
@@ -90,7 +118,17 @@ def summarise(runs: dict, better: dict) -> dict:
             "median_change_rel": change["median"] / parent["median"] - 1.0,
             "parent_iqr_rel": (parent["q3"] - parent["q1"]) / parent["median"],
         }
+        out[name]["verdict"] = verdict(out[name])
     return out
+
+
+def print_verdicts(workload: str, metrics: dict) -> None:
+    """A line per metric: its verdict, median change, wins, the parent's
+    IQR and the bound."""
+    for name, m in metrics.items():
+        change = f"median {m['median_change_rel']:+.1%} wins {m['wins']}/{m['pairs']}"
+        print(f"{workload} {name}: {m['verdict']} {change} parent IQR {m['parent_iqr_rel']:.1%} "
+              f"bound {m['bound']:.0%}", flush=True)
 
 
 def interleaved_op_times(roots: dict, workload: str, passes: int, rounds: int) -> dict:
@@ -206,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 2, for quartiles")
 
     declared = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
-    better = {metric["name"]: metric["better"] for metric in declared}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     dirty = git("status", "--porcelain", "--untracked-files=no")
     change = git("stash", "create") or "HEAD"
@@ -237,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
                     got = runs[side][-1]["result"]["metrics"]
                     values = " ".join(f"{k}={v['value']:.4g}" for k, v in got.items())
                     print(f"{workload} pair {i} seed {seed} {side}: {values}", flush=True)
-            summary["workloads"][workload] = summarise(runs, better)
+            summary["workloads"][workload] = summarise(runs, declared)
+            print_verdicts(workload, summary["workloads"][workload])
             found = interleaved_op_times(roots, workload, OP_PASSES, OP_ROUNDS)
             merged = {side: merge(ops, OP_ROUNDS) for side, ops in found.items()}
             per_kind = {side: kinds(ops) for side, ops in merged.items()}
