@@ -151,16 +151,13 @@ def validate_space(
     checks: list[CheckResult] = []
 
     def sampled(name: str, ok: np.ndarray, issue: Callable[..., str]) -> None:
-        idx, settle = choice_indices(rng, n, trials * ok.ndim)
-        bad = np.flatnonzero(~ok[tuple(idx.reshape(trials, ok.ndim).T)])
-        if not bad.size:
-            settle(trials * ok.ndim)
-            checks.append(CheckResult(name, True, trials=trials))
-            return
-        t = int(bad[0]) + 1
-        settle(t * ok.ndim)
-        text = issue(*idx[(t - 1) * ok.ndim : t * ok.ndim].tolist())
-        checks.append(CheckResult(name, False, trials=t, counterexample=text))
+        k = ok.ndim  # points per trial
+        idx, settle = choice_indices(rng, n, trials * k)
+        bad = np.flatnonzero(~ok[tuple(idx.reshape(trials, k).T)])
+        t = int(bad[0]) + 1 if bad.size else trials
+        settle(t * k)
+        text = issue(*idx[(t - 1) * k : t * k].tolist()) if bad.size else None
+        checks.append(CheckResult(name, not bad.size, trials=t, counterexample=text))
 
     text = lambda i: format_value(samples[i])
     sampled("symmetry", symmetric, lambda i, j: f"d({text(i)},{text(j)}) != d({text(j)},{text(i)})")
