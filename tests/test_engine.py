@@ -169,6 +169,29 @@ def test_meir_keeler_midpoint_oracle_diagnostics():
     assert any("midpoint" in d for d in rep.diagnostics)
 
 
+# pairs at k quarters of the bottom rung, k = 1..8: distances below 1, 2 and 3
+# bottom rungs, and seven of them strictly below bottom + bottom
+QUARTER_PAIRS = [(0.0, k * BOTTOM / 4) for k in range(1, 9)]
+
+
+@pytest.mark.parametrize(
+    "oracle, note",
+    [
+        (lambda x, y, a, b: (x + y) / 2, "midpoint condition sampled: 7 ok, 0 failing"),
+        (lambda x, y, a, b: None, "midpoint condition sampled: 0 ok, 7 failing"),
+    ],
+)
+def test_meir_keeler_uniqueness_notes_on_quarter_pairs(oracle, note):
+    rep = solve_meir_keeler(
+        SPACE, MapSpec(apply=HALVING.fn), HALVING.meir_keeler, 8.0, QUARTER_PAIRS, 200, oracle
+    )
+    assert rep.status is SolveStatus.CERTIFIED
+    assert rep.diagnostics[1:] == (
+        "rung-addition reachability holds on sampled pairs (max multiple 3)",
+        note,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Caristi
 
