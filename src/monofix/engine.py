@@ -318,7 +318,9 @@ def solve_meir_keeler(
     d(x,y) <= zeta(delta, eps) implies d(f(x), f(y)) strictly below eps,
     then iterates and certifies the residual.  Uniqueness evidence (the
     rung-addition reachability of sampled pairs, and the midpoint condition
-    when an oracle is supplied) is reported as diagnostics.
+    when an oracle is supplied) is reported as diagnostics.  Each sampled
+    pair is measured once, and mapped and measured again at most once, so
+    f and the distance must be deterministic.
     """
     m = space.monoid
     ladder = space.ladder
@@ -340,7 +342,7 @@ def solve_meir_keeler(
                 break
             if not any(space.point_eq(p, q) for q in pre_points):
                 pre_points.append(p)
-    triples = list(itertools.permutations(pre_points, 3))[:256]
+    triples = list(itertools.islice(itertools.permutations(pre_points, 3), 256))
     if triples:
         zres = check_zeta_triangle(
             space, ZetaSpec(phi=lambda a: a, zeta=mk.zeta), triples
@@ -351,18 +353,19 @@ def solve_meir_keeler(
                 + zres.failures[0].render()
             )
 
+    dxys = [space.distance(x, y) for x, y in sample_pairs]
+    dffs: list = [None] * len(sample_pairs)  # d(f(x), f(y)), measured on first use
     # The bottom rung is the ladder's truncation point: no rung below it can
     # serve as its delta, so the sampled audit covers every rung above it
     # (all of a single-rung ladder).
     audit_rungs = ladder.rungs[:-1] if len(ladder.rungs) > 1 else ladder.rungs
     for ri, eps in enumerate(audit_rungs):
-        delta = mk.delta_of(eps)
-        bound = mk.zeta(delta, eps)
-        for x, y in sample_pairs:
-            dxy = space.distance(x, y)
+        bound = mk.zeta(mk.delta_of(eps), eps)
+        for i, ((x, y), dxy) in enumerate(zip(sample_pairs, dxys)):
             if m.leq(dxy, bound):
-                dff = space.distance(f.apply(x), f.apply(y))
-                if not m.strictly_below(dff, eps):
+                if dffs[i] is None:
+                    dffs[i] = space.distance(f.apply(x), f.apply(y))
+                if not m.strictly_below(dffs[i], eps):
                     return _violated(
                         trace=IterationTrace((x0,), MTrace((), budget), ()),
                         step=-1,
@@ -370,7 +373,7 @@ def solve_meir_keeler(
                         witness=(
                             f"pair ({format_value(x)}, {format_value(y)}) with "
                             f"d={format_value(dxy)} <= zeta(delta,eps)={format_value(bound)} "
-                            f"maps to d={format_value(dff)} not strictly below rung {ri}"
+                            f"maps to d={format_value(dffs[i])} not strictly below rung {ri}"
                         ),
                         diagnostics=diagnostics,
                     )
@@ -382,34 +385,26 @@ def solve_meir_keeler(
     trace = picard_iterate(space, f, x0, budget)
 
     bottom = ladder.bottom
-    reach_max = 0
-    reach_fail = 0
-    for x, y in sample_pairs[:64]:
-        dxy = space.distance(x, y)
-        acc = bottom
-        n = 1
-        while n <= 64 and not m.strictly_below(dxy, acc):
-            acc = m.combine(acc, bottom)
-            n += 1
-        if n > 64:
-            reach_fail += 1
-        else:
-            reach_max = max(reach_max, n)
-    if reach_fail:
+    # n * bottom for n = 1..64
+    multiples = list(itertools.accumulate(itertools.repeat(bottom, 64), m.combine))
+    reach = [
+        next((n for n, acc in enumerate(multiples, 1) if m.strictly_below(dxy, acc)), 0)
+        for dxy in dxys[:64]
+    ]
+    if 0 in reach:
         diagnostics.append(
-            f"rung-addition reachability failed for {reach_fail} sampled pairs; "
+            f"rung-addition reachability failed for {reach.count(0)} sampled pairs; "
             "uniqueness evidence incomplete"
         )
     else:
         diagnostics.append(
-            f"rung-addition reachability holds on sampled pairs (max multiple {reach_max})"
+            f"rung-addition reachability holds on sampled pairs (max multiple {max(reach, default=0)})"
         )
     if midpoint_oracle is not None:
-        ok = 0
-        bad = 0
+        ok = bad = 0
         alpha = beta = bottom
-        for x, y in sample_pairs[:32]:
-            if m.strictly_below(space.distance(x, y), m.combine(alpha, beta)):
+        for (x, y), dxy in zip(sample_pairs[:32], dxys):
+            if m.strictly_below(dxy, multiples[1]):  # alpha + beta
                 z = midpoint_oracle(x, y, alpha, beta)
                 if z is not None and m.strictly_below(
                     space.distance(x, z), alpha
@@ -450,13 +445,14 @@ def solve_caristi(
     m = space.monoid
     diagnostics: list[str] = []
     phi0 = cd.potential(x0)
-    running = {"sum": m.identity}
+    # the prefix sum, and the potential of the current point
+    running = {"sum": m.identity, "phi": phi0}
 
     def check(k: int, cur: Any, nxt: Any, d: Any) -> Optional[str]:
-        lhs = m.combine(cd.eta(d), cd.potential(nxt))
-        if not m.leq(lhs, cd.potential(cur)):
+        phi = cd.potential(nxt)
+        if not m.leq(m.combine(cd.eta(d), phi), running["phi"]):
             return "potential_descent"
-        running["sum"] = m.combine(running["sum"], d)
+        running["sum"], running["phi"] = m.combine(running["sum"], d), phi
         if not m.leq(cd.eta(running["sum"]), phi0):
             return "summability_bound"
         return None
@@ -889,10 +885,9 @@ def solve_monotone(
     seeded = replace(f, apply=lambda x: fx0 if x is x0 else f.apply(x))
     report = solve_sequential(space, seeded, lam, x0, mode, budget, extra_step_check=chain_check)
 
-    if report.status is SolveStatus.CERTIFIED and report.trace is not None:
-        pts = report.trace.points
-        ordered = all(leq(a, b) for a, b in zip(pts, pts[1:]))
-        report = _noted(report, "orbit chain " + ("totally ordered" if ordered else "NOT ordered"))
+    if report.status is SolveStatus.CERTIFIED:
+        # the seed check and chain_check ordered every step of a certified orbit
+        report = _noted(report, "orbit chain totally ordered")
         if second_seed is not None and point_sup is not None:
             top = point_sup(report.fixed_point, second_seed)
             probe = picard_iterate(space, f, top, budget)

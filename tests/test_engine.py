@@ -359,6 +359,38 @@ def test_each_step_is_checked_and_measured_once(driver):
     assert len(calls) == 27 and len(set(calls)) == 27
 
 
+def test_each_hypothesis_quantity_is_evaluated_once(monkeypatch):
+    # Meir-Keeler on halving: one d(x, y) and one d(f(x), f(y)) per sampled
+    # pair (every pair meets some rung's premise), the multiples 2..64 of the
+    # bottom rung composed once, and one distance and application per orbit
+    # step; the zeta precheck measures on the uncounted space
+    calls, applied, combined = [], [], []
+    counted = replace(
+        SPACE,
+        distance=lambda x, y: calls.append((x, y)) or SPACE.distance(x, y),
+        monoid=replace(SPACE.monoid, combine=lambda a, b: combined.append(a) or a + b),
+    )
+    f = MapSpec(apply=lambda x: applied.append(x) or HALVING.fn(x), order_leq=lambda a, b: a <= b)
+    precheck = engine.check_zeta_triangle
+    monkeypatch.setattr(engine, "check_zeta_triangle", lambda _s, z, t: precheck(SPACE, z, t))
+    pairs = list(HALVING.sample_pairs)
+    rep = solve_meir_keeler(counted, f, HALVING.meir_keeler, 8.0, pairs, 200, lambda x, y, a, b: (x + y) / 2)
+    assert rep.status is SolveStatus.CERTIFIED
+    pts = rep.trace.points
+    images = [(HALVING.fn(x), HALVING.fn(y)) for x, y in pairs]
+    assert sorted(calls) == sorted(pairs + images + list(zip(pts, pts[1:] + (HALVING.fn(pts[-1]),))))
+    assert sorted(applied) == sorted([p for pair in pairs for p in pair] + list(pts))
+    assert len(combined) == 63
+    # Caristi: one potential per orbit point; monotone: one order check per step
+    potentials, orders = [], []
+    cd = replace(HALVING.caristi, potential=lambda x: potentials.append(x) or HALVING.caristi.potential(x))
+    rep = solve_caristi(SPACE, MapSpec(apply=HALVING.fn), cd, 8.0, 200)
+    assert rep.iterations == 26 and potentials == list(rep.trace.points)
+    f = MapSpec(apply=HALVING.fn, order_leq=lambda a, b: orders.append((a, b)) or a <= b)
+    rep = solve_monotone(SPACE, f, HALVING.lam, -8.0, "series", 200)
+    assert rep.iterations == 26 and orders == list(zip(rep.trace.points, rep.trace.points[1:]))
+
+
 def test_sequential_unbounded_orbit_violates():
     lam = LambdaSequence.constant(lambda t: t / 2)
     rep = solve_sequential(SPACE, MapSpec(apply=lambda x: x + 1), lam, 0.0, "orbit_bounded", 60)
