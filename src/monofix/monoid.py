@@ -498,15 +498,10 @@ def validate_monoid(
         else:
             draws = ((t, map(samples.__getitem__, key)) for t, key in distinct_draws(idx, arity))
             failing = next((t for t, args in draws if not predicate(*args)), None)
-        if failing is None:
-            settle(trials * arity)
-            checks.append(CheckResult(name, True, trials=trials))
-        else:
-            settle((failing + 1) * arity)
-            args = [samples[i] for i in idx[failing * arity : (failing + 1) * arity]]
-            checks.append(
-                CheckResult(name, False, trials=failing + 1, counterexample=_pair_repr(*args))
-            )
+        t = trials if failing is None else failing + 1
+        settle(t * arity)
+        text = None if failing is None else _pair_repr(*(samples[i] for i in idx[(t - 1) * arity : t * arity]))
+        checks.append(CheckResult(name, failing is None, trials=t, counterexample=text))
 
     leq, eq, add, identity = spec.leq, spec.eq, spec.combine, spec.identity
     axiom("associativity", 3, lambda a, b, c: eq(add(add(a, b), c), add(a, add(b, c))))
@@ -527,15 +522,9 @@ def validate_monoid(
 
         axiom("riesz_supremum", 3, riesz)
 
-    positive = [x for x in samples if spec.is_positive(x) and not eq(x, identity)]
-    checks.append(
-        CheckResult(
-            "positive_cone_nontrivial",
-            bool(positive),
-            trials=len(samples),
-            counterexample=None if positive else "no sample above the identity",
-        )
-    )
+    positive = any(spec.is_positive(x) and not eq(x, identity) for x in samples)
+    text = None if positive else "no sample above the identity"
+    checks.append(CheckResult("positive_cone_nontrivial", positive, len(samples), text))
     return ValidationReport(subject=spec.carrier_descr, checks=tuple(checks))
 
 
@@ -562,30 +551,30 @@ def validate_ladder(spec: MonoidSpec, ladder: TestLadder) -> ValidationReport:
     if not rungs:
         raise ValueError("ladder must be non-empty")
     if spec.elementwise:
-        bad_positive, bad_descent, bad_halving = _stacked_ladder(spec, rungs)
+        bad = _stacked_ladder(spec, rungs)
     else:
         positive = lambda r: spec.is_positive(r) and not spec.eq(r, spec.identity)
-        bad_positive = next((i for i, r in enumerate(rungs) if not positive(r)), None)
-        bad_descent = _not_descending(spec, rungs)
         # from the bottom rung up: with a monotone combine its double fits
         # first; each double is composed once per call, when first needed
         doubles: dict[int, Any] = {}
         double = lambda k: doubles[k] if k in doubles else doubles.setdefault(k, spec.combine(rungs[k], rungs[k]))
         halved = lambda eps: any(spec.leq(double(k), eps) for k in reversed(range(len(rungs))))
-        bad_halving = next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None)
-    checks: list[CheckResult] = []
-
-    bad = bad_positive
-    text = None if bad is None else f"rung {bad}: {format_value(rungs[bad])}"
-    checks.append(CheckResult("positivity", bad is None, len(rungs), text))
-
-    bad = bad_descent
-    text = None if bad is None else f"rungs {bad},{bad + 1}: {_pair_repr(*rungs[bad : bad + 2])}"
-    checks.append(CheckResult("strict_descent", bad is None, len(rungs) - 1, text))
-
-    bad = bad_halving
-    text = None
-    if bad is not None:
-        text = f"no rung delta with delta+delta <= rung {bad} ({format_value(rungs[bad])})"
-    checks.append(CheckResult("halving", bad is None, len(rungs) - 1, text))
-    return ValidationReport(subject="test ladder", checks=tuple(checks))
+        bad = (
+            next((i for i, r in enumerate(rungs) if not positive(r)), None),
+            _not_descending(spec, rungs),
+            next((i for i, eps in enumerate(rungs[:-1]) if not halved(eps)), None),
+        )
+    n = len(rungs)
+    # a check's first failing rung i, rendered by text(i); None when it passes
+    check = lambda name, count, i, text: CheckResult(name, i is None, count, None if i is None else text(i))
+    return ValidationReport(
+        subject="test ladder",
+        checks=(
+            check("positivity", n, bad[0], lambda i: f"rung {i}: {format_value(rungs[i])}"),
+            check("strict_descent", n - 1, bad[1], lambda i: f"rungs {i},{i + 1}: {_pair_repr(*rungs[i : i + 2])}"),
+            check(
+                "halving", n - 1, bad[2],
+                lambda i: f"no rung delta with delta+delta <= rung {i} ({format_value(rungs[i])})",
+            ),
+        ),
+    )
