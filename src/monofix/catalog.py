@@ -230,9 +230,8 @@ def _snowflake_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(d <= 1.0, d, d * d)
 
 
-# float (i + 1) ** 2, exact below 2**53: amp / _SQUARES[i] == amp / (i + 1) ** 2
-_SQUARES = tuple(float((i + 1) ** 2) for i in range(48))
-_SQUARES_ROW = np.array(_SQUARES)
+# float (i + 1) ** 2, exact below 2**53: amp / _SQUARES_ROW[i] == amp / (i + 1) ** 2
+_SQUARES_ROW = np.arange(1, 49, dtype=float) ** 2
 # the step counts 0..31 of a strong chain of at most 32 points
 _STEPS_ROW = np.arange(32, dtype=float)
 
@@ -289,30 +288,23 @@ def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool 
         def draw(rng: random.Random) -> tuple:
             return rng.uniform(low, 2.0), rng.uniform(0.1, 1.0)
 
-        def build(key: tuple):
-            z, amp = key
-            qs = [amp / sq for sq in _SQUARES]
-            xs = [z + q for q in qs]
-            ys = [z - q for q in qs]
+        def candidates(z: np.ndarray, amp: np.ndarray) -> tuple:
+            """The stacked candidates of the columns z and amp."""
+            qs = amp / _SQUARES_ROW
+            xs, ys = z + qs, z - qs
             if nonneg:
-                xs = [abs(v) for v in xs]
-                ys = [abs(v) for v in ys]
-            if level == "weak":
-                return xs, ys, z
+                xs, ys = abs(xs), abs(ys)
             # amp / (2 * sq) == (amp / sq) / 2: halving a float is exact
-            return xs, [z + q / 2 for q in qs], ys
+            return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
+
+        def build(key: tuple):
+            xs, second, third = (r[0].tolist() for r in candidates(*np.array(key)[:, None, None]))
+            return xs, second, third[0] if level == "weak" else third
 
         def stack(rng: random.Random, count: int) -> tuple:
             u = uniforms(rng, 2 * count)
             zs, amps = _uniform(low, 2.0, u[0::2, None]), _uniform(0.1, 1.0, u[1::2, None])
-
-            def rows(i: int, j: int) -> tuple:
-                z, qs = zs[i:j], amps[i:j] / _SQUARES_ROW
-                xs, ys = z + qs, z - qs
-                if nonneg:
-                    xs, ys = abs(xs), abs(ys)
-                return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
-
+            rows = lambda i, j: candidates(zs[i:j], amps[i:j])
             return rows, lambda i: (float(zs[i, 0]), float(amps[i, 0]))
 
         return FWSampler(draw, build, stack, distance)
