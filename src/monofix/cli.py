@@ -300,6 +300,8 @@ def cmd_solve_fredholm(args: argparse.Namespace) -> int:
         g = lambda t, s, x: c * x + 0.0 * t * s
         qdescr = f"constant {c}"
     elif kname == "product_ts":
+        if len(parts) != 1:
+            raise ConfigError("usage: kernel = product_ts", line=kline, field="kernel")
         q = lambda t, s: t * s
         g = lambda t, s, x: t * s * x
         qdescr = "t*s*x"

@@ -92,23 +92,38 @@ def test_solve_fredholm_malformed_config(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lines, field",
+    "lines, error",
     [
-        ("kernel = expr 0.1*x/t\nmajorant = 0.1/t\nf = t\n", "majorant"),  # infinite at t = 0
-        ("kernel = expr 0.1*(t-0.5)*x\nmajorant = 0.1*(t-0.5)\nf = t\n", "majorant"),  # negative
-        ("kernel = constant -0.5\nf = 1\n", "kernel"),
-        ("kernel = product_ts\nf = 1/t\n", "f"),
-        ("kernel = constant 0.5\nmajorant = 1\nf = t\n", "majorant"),  # a built-in kernel has its own
+        ("kernel = expr 0.1*x/t\nmajorant = 0.1/t\nf = t\n", "field 'majorant'"),  # infinite at t = 0
+        ("kernel = expr 0.1*(t-0.5)*x\nmajorant = 0.1*(t-0.5)\nf = t\n", "field 'majorant'"),  # negative
+        ("kernel = constant -0.5\nf = 1\n", "field 'kernel'"),
+        ("kernel = product_ts\nf = 1/t\n", "field 'f'"),
+        ("kernel = constant 0.5\nmajorant = 1\nf = t\n", "field 'majorant'"),  # a built-in kernel has its own
+        ("kernel = product_ts 3\nf = 1\n", "line 2: field 'kernel': usage: kernel = product_ts\n"),
+        ("kernel = constant\nf = 1\n", "line 2: field 'kernel': usage: kernel = constant <c>\n"),
+        ("kernel = constant abc\nf = 1\n", "line 2: field 'kernel': not a number: 'abc'\n"),
+        ("kernel = expr\nf = 1\n", "line 2: field 'kernel': usage: kernel = expr <expression over t,s,x>\n"),
     ],
-    ids=["majorant-not-finite", "majorant-negative", "kernel-negative", "f-not-finite", "majorant-not-expr"],
+    ids=[
+        "majorant-not-finite", "majorant-negative", "kernel-negative", "f-not-finite", "majorant-not-expr",
+        "product-ts-trailing-text", "constant-without-value", "constant-not-a-number", "expr-without-expression",
+    ],
 )
-def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, lines, field):
+def test_solve_fredholm_invalid_kernel_data_is_config_error(tmp_path, capsys, lines, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nodes = 41\n" + lines)
     with np.errstate(divide="ignore"):
         assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: line ") and f"field {field!r}" in err
+    assert err.startswith("config error: line ") and error in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_fredholm_expr_kernel_needs_a_majorant(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("nodes = 41\nkernel = expr 0.5*t*s*x\nf = t\n")
+    assert run(["solve-fredholm", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == "config error: field 'majorant': missing required key\n"
     assert not (tmp_path / "o").exists()
 
 
