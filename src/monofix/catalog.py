@@ -298,6 +298,7 @@ def _real_fw_sampler(space: DistanceSpaceSpec, distance: Callable, nonneg: bool 
             return (xs, ys, z) if level == "weak" else (xs, z + qs / 2, ys)
 
         def build(key: tuple):
+            # the stacked form of the one key, as lists
             xs, second, third = (r[0].tolist() for r in candidates(*np.array(key)[:, None, None]))
             return xs, second, third[0] if level == "weak" else third
 
